@@ -346,3 +346,44 @@ func BenchmarkEMIterationParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStrengthStep measures one relation-strength step — the
+// safeguarded Newton iteration on g′₂ with Θ fixed (paper §4.2) — on the
+// mid-size EM-bench fixture after three warm-up EM iterations, at P=1 and
+// P=2. Every run starts from the same γ, so each repeats the same Newton
+// iterations and line-search trials. The per-object Lgamma/ψ/ψ′ terms run on
+// the worker pool and the folds stay serial, so both widths compute the
+// same bits. The results land in BENCH_fit.json as
+// "outer-iteration/strength" (P=1) and "outer-iteration/strength-p2". The
+// step's only allocations are the nRel×nRel Newton solves, so allocs/op is
+// a fixed count that CI pins.
+func BenchmarkStrengthStep(b *testing.B) {
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			eb, err := bench.NewEMIterationBenchParallel(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eb.Close()
+			eb.RunStrengthStep() // warm-up sizes the strength scratch
+			allocs := int64(testing.AllocsPerRun(5, eb.RunStrengthStep))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eb.RunStrengthStep()
+			}
+			b.StopTimer()
+			nsPerOp := int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+			}
+			key := "outer-iteration/strength"
+			if p > 1 {
+				key += fmt.Sprintf("-p%d", p)
+			}
+			mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
+				key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
+}

@@ -245,7 +245,7 @@ type JobOptions struct {
 	Seed                 *int64   `json:"seed,omitempty"`                  // RNG seed; same seed ⇒ bitwise identical fit
 	InitSeeds            *int     `json:"init_seeds,omitempty"`            // best-of-seeds restarts (>1 enables seeding)
 	InitSeedSteps        *int     `json:"init_seed_steps,omitempty"`       // EM steps per candidate seed
-	Parallelism          *int     `json:"parallelism,omitempty"`           // EM worker count (does not change results)
+	Parallelism          *int     `json:"parallelism,omitempty"`           // fit worker count (does not change results)
 	LearnGamma           *bool    `json:"learn_gamma,omitempty"`           // false freezes γ at the initial vector
 	InitialGamma         *float64 `json:"initial_gamma,omitempty"`         // uniform starting strength (0 means 1)
 	SymmetricPropagation *bool    `json:"symmetric_propagation,omitempty"` // propagate along in-links too (ablation)

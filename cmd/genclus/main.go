@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"genclus"
@@ -74,7 +75,7 @@ func main() {
 		outer      = flag.Int("outer", 10, "outer iterations (EM + strength learning)")
 		em         = flag.Int("em", 15, "EM iterations per outer step")
 		seed       = flag.Int64("seed", 1, "random seed")
-		parallel   = flag.Int("parallel", 1, "EM worker goroutines")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "fit worker goroutines (EM, strength step, objective); results do not depend on it")
 		precision  = flag.String("precision", "", "model storage precision: float64 (default) or float32")
 		fixedGamma = flag.Bool("fixed-gamma", false, "freeze link-type strengths at 1 (ablation)")
 		history    = flag.Bool("history", false, "include per-iteration summaries in the output")

@@ -100,5 +100,9 @@ func NewEMIterationBenchParallel(parallelism int) (*EMIterationBench, error) {
 // RunIteration executes one steady-state E+M pass.
 func (eb *EMIterationBench) RunIteration() { eb.h.RunIteration() }
 
+// RunStrengthStep executes one relation-strength step on the warmed-up Θ,
+// from the same starting γ every call (see core.EMHarness.RunStrengthStep).
+func (eb *EMIterationBench) RunStrengthStep() { eb.h.RunStrengthStep() }
+
 // Close stops the harness's worker pool, if any.
 func (eb *EMIterationBench) Close() { eb.h.Close() }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/internal/datagen"
 	"genclus/internal/hin"
 )
 
@@ -204,6 +205,21 @@ func interleavedNetwork(tb testing.TB, perTopic int, seed int64) *hin.Network {
 	return net
 }
 
+// gammaZeroDataset builds an A-C-P bibliographic network of 400 authors,
+// 600 papers and 20 conferences (1,020 objects) on which the learned
+// γ(published_by_pc) ends at its 0 bound.
+func gammaZeroDataset(tb testing.TB) *datagen.Dataset {
+	tb.Helper()
+	cfg := datagen.DefaultBiblioConfig(datagen.SchemaACP, 3)
+	cfg.NumAuthors = 400
+	cfg.NumPapers = 600
+	ds, err := datagen.Biblio(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
+
 // Golden checksums captured from the pre-CSR implementation (PR 2, commit
 // 048ba35) on the exact fits below, on linux/amd64. The CSR link storage
 // and the zero-allocation EM scratch were introduced under the contract
@@ -224,6 +240,12 @@ const (
 	goldenChecksumArch      = "amd64"
 	goldenPlainChecksum     = 0x728637d2d1a07a0e
 	goldenSymmetricChecksum = 0xf4560d9951a246b0
+	// goldenGammaZeroChecksum pins a fit whose strength step holds a γ at
+	// its 0 bound (γ(published_by_pc) on the gammaZero fit below), the
+	// path the projected line search stalls on. Captured from the serial
+	// strength step at commit 8b06b1d, before the step moved onto the
+	// worker pool.
+	goldenGammaZeroChecksum = 0xc6fa5308ae39a390
 )
 
 // TestFitGoldenBitwiseChecksum pins the CSR-path fits to the recorded
@@ -280,6 +302,22 @@ func TestFitGoldenBitwiseChecksum(t *testing.T) {
 		}
 		return res.Result
 	}, []int{1, 2})
+
+	zds := gammaZeroDataset(t)
+	zopts := DefaultOptions(zds.NumClusters)
+	zopts.OuterIters = 3
+	zopts.EMIters = 5
+	check("gamma-zero", goldenGammaZeroChecksum, func(par int) *Result {
+		zopts.Parallelism = par
+		res, err := Fit(zds.Net, zopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := res.Gamma[datagen.RelPublishedByP]; g != 0 {
+			t.Fatalf("γ(%s) = %v, want the fixture to end at the 0 bound", datagen.RelPublishedByP, g)
+		}
+		return res.Result
+	}, []int{1, 2, 4})
 }
 
 // TestFitSurvivesExtremeNumeric: observations near ±MaxFloat64 overflow

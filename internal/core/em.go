@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"genclus/internal/hin"
 )
@@ -103,29 +102,6 @@ func (acc *emAccum) reset() {
 	}
 }
 
-func (acc *emAccum) merge(other *emAccum) {
-	for a, dst := range acc.cat {
-		if dst == nil {
-			continue
-		}
-		for i, x := range other.cat[a] {
-			dst[i] += x
-		}
-	}
-	for a, w := range acc.gaussW {
-		if w == nil {
-			continue
-		}
-		ow, owx, owx2 := other.gaussW[a], other.gaussWX[a], other.gaussWX2[a]
-		wx, wx2 := acc.gaussWX[a], acc.gaussWX2[a]
-		for c := range w {
-			w[c] += ow[c]
-			wx[c] += owx[c]
-			wx2[c] += owx2[c]
-		}
-	}
-}
-
 // emChunkSize fixes the granularity of the β-statistics reduction
 // independently of Options.Parallelism: the object range is split into
 // chunks of this size, each chunk accumulates into its own emAccum, and the
@@ -141,10 +117,10 @@ const mergeSegDefaultSpan = 1024
 
 // mergeSeg is one disjoint ownership range of the statistics merge: either
 // a span of a categorical attribute's flat accumulator, or one Gaussian
-// attribute's (weight, Σx, Σx²) triple. The parallel merge partitions the
-// entry space into these segments; each segment is folded by exactly one
-// worker, chunk 0 through chunk C−1 in order — the same left fold per entry
-// the serial merge performs, so the summation tree is unchanged.
+// attribute's (weight, Σx, Σx²) triple. The merge partitions the entry
+// space into these segments; each segment is folded by exactly one worker,
+// chunk 0 through chunk C−1 in order — per entry the same left fold at any
+// worker count, so the summation tree is unchanged.
 type mergeSeg struct {
 	attr   int
 	lo, hi int // categorical entry range; unused for Gaussian segments
@@ -209,102 +185,180 @@ func (s *state) refreshModelScratch() {
 	}
 }
 
-// emPool is a persistent set of worker goroutines the parallel EM phases
-// dispatch to. Spawning goroutines per iteration costs allocations and
-// scheduler latency that dominate short iterations at high Parallelism; the
-// pool amortizes both, keeping steady-state parallel iterations at zero
-// allocations. runEM owns a pool for the duration of one EM run; EMHarness
-// owns one for its lifetime (Close stops it). Workers hold no state between
-// tasks — they drain the state's atomic work counter and signal the shared
-// WaitGroup — so a stopped pool leaves nothing behind.
-type emPool struct {
-	work    chan emTask
+// workerPool is the persistent set of worker goroutines a fit dispatches its
+// per-object work to: the EM chunks and statistics merge, the strength
+// statistics rows, the per-object terms of g′₂ and its derivatives, and the
+// per-edge and per-observation terms of g₁. Spawning goroutines per phase
+// costs allocations and scheduler latency that dominate short phases; the
+// pool amortizes both, keeping steady-state phases at zero allocations.
+// FitContext owns one pool for the whole fit (every best-of-seeds
+// candidate and the outer alternation share it); EMHarness owns one for its
+// lifetime (Close stops it). Workers hold no state between tasks — they
+// drain the state's atomic work counter and signal the shared WaitGroup —
+// so a stopped pool leaves nothing behind.
+type workerPool struct {
+	work    chan poolTask
 	workers int
+	exited  sync.WaitGroup
 }
 
-// emTask asks one pool worker to help drain the current phase's counter.
-type emTask struct {
+// poolTask asks one pool worker to help drain the current phase's counter
+// of s, signalling s.wg when done. w is the worker's slot in the state's
+// per-worker scratch.
+type poolTask struct {
 	s     *state
 	phase uint8
-	wg    *sync.WaitGroup
+	w     int
 }
 
-// phases of one parallel EM iteration.
+// Phases a state runs on its pool. Every phase writes only unit-owned
+// memory (a chunk's accumulator, a merge segment's entry range, or the
+// per-object / per-edge / per-observation slots of a unit's range), so the
+// order in which workers claim units never reaches the arithmetic.
 const (
-	emPhaseChunks uint8 = iota // E-step + Θ update over reduction chunks
-	emPhaseMerge               // statistics merge over ownership segments
+	phaseEMChunks     uint8 = iota // E-step + Θ update over reduction chunks
+	phaseEMMerge                   // statistics merge over ownership segments
+	phaseStrengthRows              // strength statistics rows (strength.go)
+	phasePseudoLL                  // α and ln B(α) per object for g′₂
+	phaseGradHess                  // ψ/ψ′ gradient and Hessian terms per object
+	phaseFeatureSum                // per-edge feature terms of g₁ (model.go)
+	phaseAttrLL                    // per-observation likelihood terms of g₁
 )
 
-// newEMPool starts a pool of n workers.
-func newEMPool(n int) *emPool {
-	p := &emPool{work: make(chan emTask), workers: n}
-	for w := 0; w < n; w++ {
+// Work-unit sizes of the per-object and per-edge phases. They only set the
+// dispatch granularity: every unit writes its own slots and the reductions
+// fold those slots serially afterwards, so unlike emChunkSize they never
+// shape a floating-point summation.
+const (
+	objectUnitSize = 256
+	edgeUnitSize   = 2048
+)
+
+// unitCount is the number of size-wide units covering n items.
+func unitCount(n, size int) int { return (n + size - 1) / size }
+
+// unitRange is the item range [lo, hi) of unit u over n items.
+func unitRange(u, n, size int) (lo, hi int) {
+	lo = u * size
+	hi = lo + size
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
+}
+
+// emChunkCount is the number of EM reduction chunks over n objects (≥ 1).
+func emChunkCount(n int) int { return max(unitCount(n, emChunkSize), 1) }
+
+// newWorkerPool starts the pool a state with the given options runs on over
+// n objects, or returns nil when one worker suffices: Parallelism ≤ 1, or a
+// network too small to span two EM chunks. The worker count is capped at the
+// EM chunk count.
+func newWorkerPool(n int, opts Options) *workerPool {
+	workers := min(opts.Parallelism, emChunkCount(n))
+	if workers <= 1 {
+		return nil
+	}
+	p := &workerPool{work: make(chan poolTask), workers: workers}
+	p.exited.Add(workers)
+	for w := 0; w < workers; w++ {
 		go func() {
+			defer p.exited.Done()
 			for t := range p.work {
-				t.s.drainPhase(t.phase)
-				t.wg.Done()
+				t.s.drainPhase(t.phase, t.w)
+				t.s.wg.Done()
 			}
 		}()
 	}
 	return p
 }
 
-// stop terminates the pool's workers. The pool must not be used afterwards.
-func (p *emPool) stop() { close(p.work) }
-
-// drainPhase claims work units off the phase's atomic counter until none
-// remain. Chunk execution order does not affect the result — every chunk
-// owns its accumulator, every merge segment owns its entry range — so
-// first-come dispatch is deterministic-safe.
-func (s *state) drainPhase(phase uint8) {
-	switch phase {
-	case emPhaseChunks:
-		n := s.net.NumObjects()
-		chunks := len(s.accums)
-		for {
-			c := int(s.emNext.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			s.emChunk(c, n)
-		}
-	case emPhaseMerge:
-		for {
-			i := int(s.mergeNext.Add(1)) - 1
-			if i >= len(s.mergeSegs) {
-				return
-			}
-			s.mergeSegment(s.mergeSegs[i])
-		}
-	}
+// stop terminates the pool's workers and returns once they have exited.
+// The pool must not be used afterwards.
+func (p *workerPool) stop() {
+	close(p.work)
+	p.exited.Wait()
 }
 
-// runPhase executes one parallel phase across the pool (or, when the state
-// has no pool, across freshly spawned goroutines — the path direct
-// emIteration callers without a pool take).
-func (s *state) runPhase(workers int, phase uint8, next *atomic.Int64) {
-	next.Store(0)
+// workerScratch is one worker's K-sized scratch for the per-object phases.
+// The sections share one backing with cache-line guards at both ends and
+// 64-byte spacing, so two workers never write to a shared cache line.
+type workerScratch struct {
+	alpha, psiA, psi1A, logTheta, logs []float64
+}
+
+func newWorkerScratch(k int) *workerScratch {
+	kp := padFloats(k)
+	backing := make([]float64, 16+5*kp)
+	take := func(i int) []float64 {
+		off := 8 + i*kp
+		return backing[off : off+k : off+k]
+	}
+	return &workerScratch{alpha: take(0), psiA: take(1), psi1A: take(2), logTheta: take(3), logs: take(4)}
+}
+
+// runPhase runs units work units of one phase to completion: across the
+// pool when the state has one and the phase has more than one unit, else
+// on the calling goroutine as worker 0. Both are the same drain loop over
+// the same units, so they compute the same values.
+func (s *state) runPhase(phase uint8, units int) {
+	workers := 1
 	if s.pool != nil {
-		s.emWG.Add(s.pool.workers)
-		for i := 0; i < s.pool.workers; i++ {
-			s.pool.work <- emTask{s: s, phase: phase, wg: &s.emWG}
-		}
-		s.emWG.Wait()
+		workers = s.pool.workers
+	}
+	for len(s.scratch) < workers {
+		s.scratch = append(s.scratch, newWorkerScratch(s.opts.K))
+	}
+	s.units = units
+	s.next.Store(0)
+	if workers == 1 || units <= 1 {
+		s.drainPhase(phase, 0)
 		return
 	}
-	s.emWG.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer s.emWG.Done()
-			s.drainPhase(phase)
-		}()
+	s.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		s.pool.work <- poolTask{s: s, phase: phase, w: w}
 	}
-	s.emWG.Wait()
+	s.wg.Wait()
+}
+
+// drainPhase claims work units off the phase's atomic counter until none
+// remain, running each as worker w.
+func (s *state) drainPhase(phase uint8, w int) {
+	ws := s.scratch[w]
+	for {
+		u := int(s.next.Add(1)) - 1
+		if u >= s.units {
+			return
+		}
+		switch phase {
+		case phaseEMChunks:
+			lo, hi := unitRange(u, s.net.NumObjects(), emChunkSize)
+			s.emRange(lo, hi, s.accums[u])
+		case phaseEMMerge:
+			s.mergeSegment(s.mergeSegs[u])
+		case phaseStrengthRows:
+			lo, hi := unitRange(u, len(s.strength.objs), objectUnitSize)
+			s.strengthRows(lo, hi, ws.logTheta)
+		case phasePseudoLL:
+			lo, hi := unitRange(u, len(s.strength.objs), objectUnitSize)
+			s.strength.logBetaRange(s.argGamma, lo, hi, ws.alpha)
+		case phaseGradHess:
+			lo, hi := unitRange(u, len(s.strength.objs), objectUnitSize)
+			s.strength.gradHessRange(s.argGamma, lo, hi, ws)
+		case phaseFeatureSum:
+			lo, hi := unitRange(u, len(s.edgeTerm), edgeUnitSize)
+			s.edgeTermRange(s.argGamma, lo, hi)
+		case phaseAttrLL:
+			lo, hi := unitRange(u, s.net.NumObjects(), objectUnitSize)
+			s.obsTermRange(lo, hi, ws.logs)
+		}
+	}
 }
 
 // mergeSegment folds one ownership segment of the per-chunk statistics into
-// accumulator 0, chunk by chunk in index order — per entry, exactly the
-// serial merge's left fold.
+// accumulator 0, chunk by chunk in index order — per entry, a left fold
+// over the chunks.
 func (s *state) mergeSegment(seg mergeSeg) {
 	accs := s.accums
 	if seg.gauss {
@@ -335,63 +389,19 @@ func (s *state) mergeSegment(seg mergeSeg) {
 // state's own thetaOld buffer (callers run snapshotTheta first); Θ_t is
 // written into s.theta.
 func (s *state) emIteration() {
-	n := s.net.NumObjects()
-	chunks := (n + emChunkSize - 1) / emChunkSize
-	if chunks < 1 {
-		chunks = 1
-	}
-	workers := s.opts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-
+	chunks := emChunkCount(s.net.NumObjects())
 	s.ensureEMScratch(chunks)
 	s.refreshModelScratch()
 	for _, acc := range s.accums {
 		acc.reset()
 	}
-
-	if workers == 1 {
-		// Serial path still accumulates per chunk so its summation tree
-		// matches the parallel path exactly.
-		for c := 0; c < chunks; c++ {
-			s.emChunk(c, n)
-		}
-		total := s.accums[0]
-		for _, acc := range s.accums[1:] {
-			total.merge(acc)
-		}
-		s.mStepModels(total)
-		return
-	}
-
-	s.runPhase(workers, emPhaseChunks, &s.emNext)
-	// Merge the per-chunk statistics. Parallel when the entry space splits
-	// into enough segments to matter; per entry the fold order over chunks
-	// is identical either way.
-	if len(s.mergeSegs) >= 2 && chunks >= 2 {
-		s.runPhase(workers, emPhaseMerge, &s.mergeNext)
-	} else {
-		total := s.accums[0]
-		for _, acc := range s.accums[1:] {
-			total.merge(acc)
-		}
+	s.runPhase(phaseEMChunks, chunks)
+	// Fold the per-chunk statistics into accumulator 0, one ownership
+	// segment per unit; per entry the fold over chunks is in chunk order.
+	if chunks > 1 {
+		s.runPhase(phaseEMMerge, len(s.mergeSegs))
 	}
 	s.mStepModels(s.accums[0])
-}
-
-// emChunk runs emRange over chunk c of the object range, accumulating into
-// the chunk's dedicated emAccum.
-func (s *state) emChunk(c, n int) {
-	lo := c * emChunkSize
-	hi := lo + emChunkSize
-	if hi > n {
-		hi = n
-	}
-	s.emRange(lo, hi, s.accums[c])
 }
 
 // emRange runs the E-step and Θ update for objects in [lo, hi), accumulating
@@ -552,24 +562,8 @@ func (s *state) snapshotTheta() [][]float64 {
 // runEM executes up to `iters` EM iterations (one cluster-optimization step
 // of Algorithm 1), stopping early once Θ moves less than opts.EMTol between
 // iterations or once s.ctx is cancelled. It returns the number of
-// iterations actually run. A parallel run owns a worker pool for its
-// duration (unless the caller installed a longer-lived one).
+// iterations actually run.
 func (s *state) runEM(iters int) int {
-	if s.opts.Parallelism > 1 && s.pool == nil {
-		n := s.net.NumObjects()
-		chunks := (n + emChunkSize - 1) / emChunkSize
-		workers := s.opts.Parallelism
-		if workers > chunks {
-			workers = chunks
-		}
-		if workers > 1 {
-			s.pool = newEMPool(workers)
-			defer func() {
-				s.pool.stop()
-				s.pool = nil
-			}()
-		}
-	}
 	for t := 0; t < iters; t++ {
 		if s.ctx.Err() != nil {
 			return t

@@ -5,12 +5,14 @@ import (
 )
 
 // EMHarness wraps a fully-initialized fitting state and exposes single EM
-// iterations — the benchmarking hook for the hot path (internal/bench and
-// BenchmarkEMIteration drive it). It is not part of the fitting API: Fit
-// owns the outer alternation; the harness only exists so a benchmark can
-// measure one steady-state E+M pass without timing initialization.
+// iterations and strength steps — the benchmarking hook for the hot paths
+// (internal/bench, BenchmarkEMIteration and BenchmarkStrengthStep drive
+// it). It is not part of the fitting API: Fit owns the outer alternation;
+// the harness only exists so a benchmark can measure one steady-state E+M
+// pass or strength step without timing initialization.
 type EMHarness struct {
-	s *state
+	s      *state
+	gamma0 []float64 // γ every RunStrengthStep starts from
 }
 
 // NewEMHarness validates opts against net and prepares a fitting state
@@ -25,16 +27,7 @@ func NewEMHarness(net *hin.Network, opts Options) (*EMHarness, error) {
 		return nil, err
 	}
 	s := newState(net, opts, opts.Seed, false)
-	if opts.Parallelism > 1 {
-		chunks := (net.NumObjects() + emChunkSize - 1) / emChunkSize
-		workers := opts.Parallelism
-		if workers > chunks {
-			workers = chunks
-		}
-		if workers > 1 {
-			s.pool = newEMPool(workers)
-		}
-	}
+	s.pool = newWorkerPool(net.NumObjects(), opts)
 	return &EMHarness{s: s}, nil
 }
 
@@ -46,8 +39,23 @@ func (h *EMHarness) RunIteration() {
 	h.s.emIteration()
 }
 
+// RunStrengthStep runs one relation-strength step (the safeguarded Newton
+// iteration on g′₂ with Θ fixed, paper §4.2) on the current Θ. Every call
+// starts from the γ the harness held at its first call, so repeated calls
+// on an unchanged Θ repeat the same Newton iterations and line-search
+// trials. The first call sizes the strength scratch; later calls allocate
+// only in the per-Newton-iteration nRel×nRel solve. It must not be called
+// after Close.
+func (h *EMHarness) RunStrengthStep() {
+	if h.gamma0 == nil {
+		h.gamma0 = append([]float64(nil), h.s.gamma...)
+	}
+	copy(h.s.gamma, h.gamma0)
+	h.s.learnStrengths()
+}
+
 // Close stops the harness's worker pool, if any. Safe to call more than
-// once; only RunIteration is invalid afterwards.
+// once; only RunIteration and RunStrengthStep are invalid afterwards.
 func (h *EMHarness) Close() {
 	if h.s.pool != nil {
 		h.s.pool.stop()

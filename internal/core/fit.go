@@ -74,7 +74,14 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, emTotal := initializeState(ctx, net, opts)
+	// One worker pool serves the whole fit: the seeding candidates' EM, the
+	// outer alternation's EM and strength steps, and every objective
+	// evaluation.
+	pool := newWorkerPool(net.NumObjects(), opts)
+	if pool != nil {
+		defer pool.stop()
+	}
+	s, emTotal := initializeState(ctx, net, opts, pool)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -171,11 +178,13 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 // random start, or best-of-seeds (run a few EM steps from several random
 // starts and keep the one with the highest g₁). ctx aborts the candidate
 // EM runs early; the caller notices the cancellation right after. The
-// second return value counts the EM iterations spent on seeding.
-func initializeState(ctx context.Context, net *hin.Network, opts Options) (*state, int) {
+// second return value counts the EM iterations spent on seeding. Every
+// candidate runs on pool (nil runs them on the calling goroutine).
+func initializeState(ctx context.Context, net *hin.Network, opts Options, pool *workerPool) (*state, int) {
 	if opts.InitSeeds <= 1 || opts.InitTheta != nil {
 		s := newState(net, opts, opts.Seed, false)
 		s.ctx = ctx
+		s.pool = pool
 		return s, 0
 	}
 	var best *state
@@ -190,6 +199,7 @@ func initializeState(ctx context.Context, net *hin.Network, opts Options) (*stat
 		// permute component means per attribute to explore other pairings.
 		cand := newState(net, opts, opts.Seed+int64(i)*1_000_003, i > 0)
 		cand.ctx = ctx
+		cand.pool = pool
 		emTotal += cand.runEM(opts.InitSeedSteps)
 		if best == nil {
 			// Fallback so a NaN objective on every candidate (possible with

@@ -79,14 +79,26 @@ type state struct {
 	thetaF    []float64
 	thetaOldF []float64
 
-	// Parallel EM machinery (see em.go): an optional persistent worker pool,
-	// the atomic work counters the workers drain, the shared WaitGroup, and
-	// the precomputed entry-range segments of the parallel statistics merge.
-	pool      *emPool
-	emNext    atomic.Int64
-	mergeNext atomic.Int64
-	emWG      sync.WaitGroup
+	// Phase machinery (see em.go): the worker pool (nil runs every phase on
+	// the calling goroutine), the current phase's unit count and the atomic
+	// counter the workers drain, the shared WaitGroup, per-worker scratch,
+	// the γ argument of the γ-parameterized phases, and the precomputed
+	// entry-range segments of the statistics merge.
+	pool      *workerPool
+	units     int
+	next      atomic.Int64
+	wg        sync.WaitGroup
+	scratch   []*workerScratch
+	argGamma  []float64
 	mergeSegs []mergeSeg
+
+	// Objective scratch (objectiveG1): one slot per edge for the feature
+	// terms and one per observation for the likelihood terms, laid out in
+	// the serial summation order; obsOff[a][v] is the first slot of object
+	// v's observations of attribute a.
+	edgeTerm []float64
+	obsTerm  []float64
+	obsOff   [][]int
 
 	// Reusable strength-learning statistics (see strength.go).
 	strength      strengthStats
@@ -351,60 +363,111 @@ func (s *state) snapshotModels() []AttrModel {
 	return out
 }
 
+// ensureObjectiveScratch sizes the objective's per-edge and
+// per-observation slots. Their layout depends only on the immutable network
+// and the attributes in play, so it is built once per state.
+func (s *state) ensureObjectiveScratch() {
+	if s.obsOff != nil {
+		return
+	}
+	n := s.net.NumObjects()
+	s.edgeTerm = make([]float64, s.net.NumEdges())
+	s.obsOff = make([][]int, s.net.NumAttrs())
+	total := 0
+	for _, a := range s.attrs {
+		off := make([]int, n+1)
+		for v := 0; v < n; v++ {
+			off[v] = total
+			switch s.kind[a] {
+			case hin.Categorical:
+				total += len(s.termRows[a][v])
+			case hin.Numeric:
+				total += len(s.numRows[a][v])
+			}
+		}
+		off[n] = total
+		s.obsOff[a] = off
+	}
+	s.obsTerm = make([]float64, total)
+}
+
 // featureSum computes Σ_e f(θ_i, θ_j, e, γ) — the structural part of the
-// objective g₁ (Eq. 9) under the current Θ and the given γ.
+// objective g₁ (Eq. 9) under the current Θ and the given γ. The per-edge
+// terms run on the pool; the sum folds them serially in edge order.
 func (s *state) featureSum(gamma []float64) float64 {
+	s.ensureObjectiveScratch()
+	s.argGamma = gamma
+	s.runPhase(phaseFeatureSum, unitCount(len(s.edgeTerm), edgeUnitSize))
 	var sum float64
-	for _, e := range s.net.Edges() {
+	for _, t := range s.edgeTerm {
+		sum += t
+	}
+	return sum
+}
+
+// edgeTermRange writes the feature terms γ(φ(e))·w(e)·Σ_k θ_{j,k} ln θ_{i,k}
+// of edges [lo, hi) into their slots.
+func (s *state) edgeTermRange(gamma []float64, lo, hi int) {
+	edges := s.net.Edges()
+	for i := lo; i < hi; i++ {
+		e := &edges[i]
 		ti := s.theta[e.From]
 		tj := s.theta[e.To]
 		var ce float64
 		for k := range ti {
 			ce += tj[k] * math.Log(ti[k])
 		}
-		sum += gamma[e.Rel] * e.Weight * ce
+		s.edgeTerm[i] = gamma[e.Rel] * e.Weight * ce
 	}
-	return sum
 }
 
 // attrLogLikelihood computes Σ_X Σ_v Σ_x log Σ_k θ_vk p(x|β_k) — the
-// generative part of the objective (Eqs. 3–4).
+// generative part of the objective (Eqs. 3–4). The per-observation terms
+// run on the pool; the sum folds them serially in attribute, object and
+// observation order.
 func (s *state) attrLogLikelihood() float64 {
+	s.ensureObjectiveScratch()
+	s.runPhase(phaseAttrLL, unitCount(s.net.NumObjects(), objectUnitSize))
 	var ll float64
+	for _, t := range s.obsTerm {
+		ll += t
+	}
+	return ll
+}
+
+// obsTermRange writes the log-likelihood terms of every observation of
+// objects [lo, hi) into their slots; logs is K-sized worker scratch.
+func (s *state) obsTermRange(lo, hi int, logs []float64) {
 	for _, a := range s.attrs {
-		switch s.net.Attr(a).Kind {
+		off := s.obsOff[a]
+		switch s.kind[a] {
 		case hin.Categorical:
 			beta := s.cat[a].Beta
-			for v := 0; v < s.net.NumObjects(); v++ {
-				tcs := s.net.TermCounts(a, v)
-				if len(tcs) == 0 {
-					continue
-				}
+			rows := s.termRows[a]
+			for v := lo; v < hi; v++ {
+				out := s.obsTerm[off[v]:off[v+1]]
 				th := s.theta[v]
-				for _, tc := range tcs {
+				for i, tc := range rows[v] {
 					var p float64
 					for k := range th {
 						p += th[k] * beta[k][tc.Term]
 					}
 					if p > 0 {
-						ll += tc.Count * math.Log(p)
+						out[i] = tc.Count * math.Log(p)
 					} else {
-						ll += tc.Count * math.Log(s.opts.Epsilon)
+						out[i] = tc.Count * math.Log(s.opts.Epsilon)
 					}
 				}
 			}
 		case hin.Numeric:
 			gp := s.gauss[a]
-			for v := 0; v < s.net.NumObjects(); v++ {
-				xs := s.net.NumericObs(a, v)
-				if len(xs) == 0 {
-					continue
-				}
+			rows := s.numRows[a]
+			for v := lo; v < hi; v++ {
+				out := s.obsTerm[off[v]:off[v+1]]
 				th := s.theta[v]
-				for _, x := range xs {
+				for i, x := range rows[v] {
 					// Log-space mixture for numerical stability.
 					maxLog := math.Inf(-1)
-					logs := make([]float64, len(th))
 					for k := range th {
 						g := stats.Gaussian{Mu: gp.Mu[k], Sigma: math.Sqrt(gp.Var[k])}
 						logs[k] = math.Log(th[k]) + g.LogPDF(x)
@@ -413,15 +476,14 @@ func (s *state) attrLogLikelihood() float64 {
 						}
 					}
 					var sum float64
-					for _, lg := range logs {
+					for _, lg := range logs[:len(th)] {
 						sum += math.Exp(lg - maxLog)
 					}
-					ll += maxLog + math.Log(sum)
+					out[i] = maxLog + math.Log(sum)
 				}
 			}
 		}
 	}
-	return ll
 }
 
 // objectiveG1 is g₁(Θ, β) from Eq. 9 — the cluster-optimization objective

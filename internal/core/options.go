@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"genclus/internal/hin"
 )
@@ -74,8 +75,14 @@ type Options struct {
 	InitSeeds     int
 	InitSeedSteps int
 
-	// Parallelism shards the E/M step across this many goroutines (§5.4
-	// reports a 3.19× speedup on 4 threads). ≤ 1 means serial.
+	// Parallelism is the size of the worker pool a fit runs its per-object
+	// work on: the E/M step (§5.4 reports a 3.19× speedup on 4 threads),
+	// the strength step's statistics and g′₂/∇/H terms, and the objective
+	// g₁'s per-edge and per-observation terms. Every reduction folds the
+	// per-object results in a fixed order, so fits are bitwise identical at
+	// any value. ≤ 1 means one worker (the calling goroutine); the pool is
+	// also capped at one worker per EM reduction chunk (512 objects).
+	// DefaultOptions sets it to runtime.GOMAXPROCS(0).
 	Parallelism int
 
 	// Epsilon floors every Θ entry so log θ stays finite (DESIGN.md §4).
@@ -184,7 +191,7 @@ func DefaultOptions(k int) Options {
 		Seed:          1,
 		InitSeeds:     4,
 		InitSeedSteps: 2,
-		Parallelism:   1,
+		Parallelism:   runtime.GOMAXPROCS(0),
 		Epsilon:       1e-9,
 		SmoothEta:     1e-3,
 		VarFloor:      1e-6,

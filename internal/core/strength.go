@@ -17,23 +17,40 @@ import (
 //
 // so that α_{ik}(γ) = Σ_r γ_r·Sik^{(r)} + 1 and the feature sum restricted
 // to relation r is Σ_i γ_r·F_i^{(r)}.
+//
+// The per-object terms of g′₂, ∇g′₂ and Hg′₂ — everything that calls
+// Lgamma, ψ or ψ′ — run on the fit's worker pool into per-object slots;
+// each reduction across objects then folds those slots serially in object
+// order, the same left fold the single-threaded evaluation performs, so the
+// values are bitwise independent of Parallelism.
 type strengthStats struct {
+	owner   *state // runs the per-object phases on its pool
 	nRel, k int
 	objs    []int     // objects with ≥ 1 out-link (others contribute nothing)
 	s       []float64 // len(objs)×nRel
 	sik     []float64 // len(objs)×nRel×k
 	f       []float64 // len(objs)×nRel
 
-	logTheta []float64 // k-sized fill scratch
+	// Per-object slots: ln B(α_i) for g′₂, and object i's gradient
+	// (len(objs)×nRel) and upper-triangle Hessian (len(objs)×nRel×nRel)
+	// contributions.
+	logB    []float64
+	objGrad []float64
+	objHess []float64
+
+	// Reduction outputs and the line-search trial point, reused on every
+	// call.
+	grad  []float64
+	hess  *linalg.Matrix
+	trial []float64
 }
 
 // buildStrengthStats (re)fills the state's reusable strength statistics
 // from the current Θ. The aggregate arrays are sized once per fit — their
-// shape depends only on the immutable network and K — and zeroed on reuse,
-// so the per-outer-iteration strength step allocates nothing in steady
-// state. Links are walked through the per-relation CSR views in the same
-// (relation, target) order the sorted edge list yields, keeping the sums
-// bitwise identical to the pre-CSR path.
+// shape depends only on the immutable network and K — and each object's
+// rows are rebuilt on the pool. Links are walked through the per-relation
+// CSR views in the same (relation, target) order the sorted edge list
+// yields, keeping the sums bitwise identical to the pre-CSR path.
 func (s *state) buildStrengthStats() *strengthStats {
 	st := &s.strength
 	if !s.strengthReady {
@@ -45,22 +62,37 @@ func (s *state) buildStrengthStats() *strengthStats {
 				objs = append(objs, v)
 			}
 		}
+		st.owner = s
 		st.nRel, st.k = nRel, k
 		st.objs = objs
 		st.s = make([]float64, len(objs)*nRel)
 		st.sik = make([]float64, len(objs)*nRel*k)
 		st.f = make([]float64, len(objs)*nRel)
-		st.logTheta = make([]float64, k)
+		st.logB = make([]float64, len(objs))
+		st.objGrad = make([]float64, len(objs)*nRel)
+		st.objHess = make([]float64, len(objs)*nRel*nRel)
+		st.grad = make([]float64, nRel)
+		st.hess = linalg.NewMatrix(nRel, nRel)
+		st.trial = make([]float64, nRel)
 		s.strengthReady = true
-	} else {
-		clear(st.s)
-		clear(st.sik)
-		clear(st.f)
 	}
+	s.runPhase(phaseStrengthRows, st.units())
+	return st
+}
 
+// units is the number of pool work units over the strength objects.
+func (st *strengthStats) units() int { return unitCount(len(st.objs), objectUnitSize) }
+
+// strengthRows rebuilds the statistics rows of strength objects [lo, hi);
+// logTheta is K-sized worker scratch.
+func (s *state) strengthRows(lo, hi int, logTheta []float64) {
+	st := &s.strength
 	nRel, k := st.nRel, st.k
-	logTheta := st.logTheta
-	for oi, v := range st.objs {
+	clear(st.s[lo*nRel : hi*nRel])
+	clear(st.f[lo*nRel : hi*nRel])
+	clear(st.sik[lo*nRel*k : hi*nRel*k])
+	for oi := lo; oi < hi; oi++ {
+		v := st.objs[oi]
 		ti := s.theta[v]
 		for c := 0; c < k; c++ {
 			logTheta[c] = math.Log(ti[c])
@@ -85,32 +117,46 @@ func (s *state) buildStrengthStats() *strengthStats {
 			}
 		}
 	}
-	return st
+}
+
+// alphaOf fills alpha with α_i(γ) = 1 + Σ_r γ_r·Sik^{(r)} for strength
+// object oi, skipping zero-strength relations.
+func (st *strengthStats) alphaOf(gamma []float64, oi int, alpha []float64) {
+	k := st.k
+	for c := 0; c < k; c++ {
+		alpha[c] = 1
+	}
+	for r := 0; r < st.nRel; r++ {
+		gr := gamma[r]
+		if gr == 0 {
+			continue
+		}
+		base := (oi*st.nRel + r) * k
+		for c := 0; c < k; c++ {
+			alpha[c] += gr * st.sik[base+c]
+		}
+	}
 }
 
 // pseudoLogLikelihood evaluates g′₂(γ) (Eq. 14):
 //
 //	g′₂(γ) = Σ_i ( Σ_r γ_r·F_i^{(r)} − ln B(α_i(γ)) ) − ‖γ‖²/(2σ²).
+//
+// It allocates nothing.
 func (st *strengthStats) pseudoLogLikelihood(gamma []float64, priorSigma float64) float64 {
-	k := st.k
-	alpha := make([]float64, k)
+	st.owner.argGamma = gamma
+	st.owner.runPhase(phasePseudoLL, st.units())
+	nRel := st.nRel
 	var g2 float64
 	for oi := range st.objs {
-		for c := 0; c < k; c++ {
-			alpha[c] = 1
-		}
-		for r := 0; r < st.nRel; r++ {
+		for r := 0; r < nRel; r++ {
 			gr := gamma[r]
 			if gr == 0 {
 				continue
 			}
-			g2 += gr * st.f[oi*st.nRel+r]
-			base := (oi*st.nRel + r) * k
-			for c := 0; c < k; c++ {
-				alpha[c] += gr * st.sik[base+c]
-			}
+			g2 += gr * st.f[oi*nRel+r]
 		}
-		g2 -= mathx.LogBeta(alpha)
+		g2 -= st.logB[oi]
 	}
 	var norm2 float64
 	for _, g := range gamma {
@@ -119,30 +165,60 @@ func (st *strengthStats) pseudoLogLikelihood(gamma []float64, priorSigma float64
 	return g2 - norm2/(2*priorSigma*priorSigma)
 }
 
-// gradHess evaluates ∇g′₂ (Eq. 16) and the Hessian Hg′₂ (Eq. 17) at γ.
-func (st *strengthStats) gradHess(gamma []float64, priorSigma float64) (grad []float64, hess *linalg.Matrix) {
-	nRel, k := st.nRel, st.k
-	grad = make([]float64, nRel)
-	hess = linalg.NewMatrix(nRel, nRel)
-	alpha := make([]float64, k)
-	psiA := make([]float64, k)
-	psi1A := make([]float64, k)
+// logBetaRange writes ln B(α_i(γ)) of strength objects [lo, hi) into their
+// slots; alpha is K-sized worker scratch.
+func (st *strengthStats) logBetaRange(gamma []float64, lo, hi int, alpha []float64) {
+	for oi := lo; oi < hi; oi++ {
+		st.alphaOf(gamma, oi, alpha)
+		st.logB[oi] = mathx.LogBeta(alpha)
+	}
+}
 
+// gradHess evaluates ∇g′₂ (Eq. 16) and the Hessian Hg′₂ (Eq. 17) at γ. It
+// allocates nothing: the results live in st and are overwritten by the
+// next call.
+func (st *strengthStats) gradHess(gamma []float64, priorSigma float64) (grad []float64, hess *linalg.Matrix) {
+	st.owner.argGamma = gamma
+	st.owner.runPhase(phaseGradHess, st.units())
+	nRel := st.nRel
+	grad, hess = st.grad, st.hess
+	clear(grad)
+	clear(hess.Data)
 	for oi := range st.objs {
-		var alpha0 float64
-		for c := 0; c < k; c++ {
-			alpha[c] = 1
-		}
-		for r := 0; r < nRel; r++ {
-			gr := gamma[r]
-			if gr == 0 {
+		for r1 := 0; r1 < nRel; r1++ {
+			if st.s[oi*nRel+r1] == 0 {
 				continue
 			}
-			base := (oi*nRel + r) * k
-			for c := 0; c < k; c++ {
-				alpha[c] += gr * st.sik[base+c]
+			grad[r1] += st.objGrad[oi*nRel+r1]
+			for r2 := r1; r2 < nRel; r2++ {
+				if st.s[oi*nRel+r2] == 0 {
+					continue
+				}
+				h := st.objHess[(oi*nRel+r1)*nRel+r2]
+				hess.Add(r1, r2, h)
+				if r2 != r1 {
+					hess.Add(r2, r1, h)
+				}
 			}
 		}
+	}
+	inv := 1 / (priorSigma * priorSigma)
+	for r := 0; r < nRel; r++ {
+		grad[r] -= gamma[r] * inv
+		hess.Add(r, r, -inv)
+	}
+	return grad, hess
+}
+
+// gradHessRange writes the gradient and upper-triangle Hessian terms of
+// strength objects [lo, hi) into their slots. Slots of relations an object
+// has no links of are left stale; the fold skips them.
+func (st *strengthStats) gradHessRange(gamma []float64, lo, hi int, ws *workerScratch) {
+	nRel, k := st.nRel, st.k
+	alpha, psiA, psi1A := ws.alpha, ws.psiA, ws.psi1A
+	for oi := lo; oi < hi; oi++ {
+		st.alphaOf(gamma, oi, alpha)
+		var alpha0 float64
 		for c := 0; c < k; c++ {
 			alpha0 += alpha[c]
 			psiA[c] = mathx.Digamma(alpha[c])
@@ -162,7 +238,7 @@ func (st *strengthStats) gradHess(gamma []float64, priorSigma float64) (grad []f
 			for c := 0; c < k; c++ {
 				g -= psiA[c] * st.sik[base1+c]
 			}
-			grad[r1] += g
+			st.objGrad[oi*nRel+r1] = g
 			// Hessian row.
 			for r2 := r1; r2 < nRel; r2++ {
 				s2 := st.s[oi*nRel+r2]
@@ -174,23 +250,19 @@ func (st *strengthStats) gradHess(gamma []float64, priorSigma float64) (grad []f
 				for c := 0; c < k; c++ {
 					h -= psi1A[c] * st.sik[base1+c] * st.sik[base2+c]
 				}
-				hess.Add(r1, r2, h)
-				if r2 != r1 {
-					hess.Add(r2, r1, h)
-				}
+				st.objHess[(oi*nRel+r1)*nRel+r2] = h
 			}
 		}
 	}
-	inv := 1 / (priorSigma * priorSigma)
-	for r := 0; r < nRel; r++ {
-		grad[r] -= gamma[r] * inv
-		hess.Add(r, r, -inv)
-	}
-	return grad, hess
 }
 
 // learnStrengths runs the safeguarded Newton–Raphson iteration of §4.2 with
 // the γ ≥ 0 projection from Algorithm 1. It returns the achieved g′₂.
+//
+// Once the first call has sized the state's scratch, the step allocates
+// only in newtonDirection's nRel×nRel solve, once per Newton iteration:
+// buildStrengthStats, gradHess and every g′₂ evaluation (line-search trials
+// included) allocate nothing.
 func (s *state) learnStrengths() float64 {
 	st := s.buildStrengthStats()
 	sigma := s.opts.PriorSigma
@@ -207,9 +279,8 @@ func (s *state) learnStrengths() float64 {
 		// feasible set γ ≥ 0 at every trial point.
 		step := 1.0
 		improved := false
-		var trial []float64
+		trial := st.trial
 		for ls := 0; ls < 40; ls++ {
-			trial = make([]float64, len(gamma))
 			for r := range gamma {
 				trial[r] = gamma[r] - step*delta[r]
 				if trial[r] < 0 {

@@ -69,14 +69,17 @@ func TestStrengthHessianFiniteDifference(t *testing.T) {
 	s := randomLinkedState(t, 47, 25)
 	st := s.buildStrengthStats()
 	gamma := []float64{1.2, 0.8}
-	_, hess := st.gradHess(gamma, s.opts.PriorSigma)
+	// gradHess returns buffers it reuses on the next call: keep copies.
+	_, h0 := st.gradHess(gamma, s.opts.PriorSigma)
+	hess := h0.Clone()
 	const h = 1e-5
 	for r1 := 0; r1 < 2; r1++ {
 		gp := append([]float64(nil), gamma...)
 		gm := append([]float64(nil), gamma...)
 		gp[r1] += h
 		gm[r1] -= h
-		gradP, _ := st.gradHess(gp, s.opts.PriorSigma)
+		g, _ := st.gradHess(gp, s.opts.PriorSigma)
+		gradP := append([]float64(nil), g...)
 		gradM, _ := st.gradHess(gm, s.opts.PriorSigma)
 		for r2 := 0; r2 < 2; r2++ {
 			fd := (gradP[r2] - gradM[r2]) / (2 * h)
@@ -279,5 +282,99 @@ func TestAlphaAlwaysValid(t *testing.T) {
 	// Zero strengths are feasible too.
 	if v := st.pseudoLogLikelihood([]float64{0, 0}, 0.1); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Fatalf("g2 not finite at 0: %v", v)
+	}
+}
+
+// TestStrengthStepSteadyStateZeroAlloc pins the strength step's allocation
+// contract: once the first call has sized the scratch, rebuilding the
+// statistics and evaluating g′₂, ∇g′₂ and Hg′₂ allocate nothing, on one
+// worker (P=1) and on the pool (P=2). The values must also be bitwise equal
+// at both widths — the per-object terms run on the pool, the folds stay
+// serial.
+func TestStrengthStepSteadyStateZeroAlloc(t *testing.T) {
+	ds := gammaZeroDataset(t)
+	opts := DefaultOptions(ds.NumClusters)
+	gamma := make([]float64, ds.Net.NumRelations())
+	for r := range gamma {
+		gamma[r] = 0.7 * float64(r) // γ_0 = 0 exercises the skipped relation
+	}
+	var refG2 float64
+	var refGrad, refHess []float64
+	for _, p := range []int{1, 2} {
+		opts.Parallelism = p
+		s := newState(ds.Net, opts, 5, false)
+		s.pool = newWorkerPool(ds.Net.NumObjects(), opts)
+		if (s.pool != nil) != (p > 1) {
+			t.Fatalf("P=%d: pool = %v, want one exactly when P > 1", p, s.pool)
+		}
+		sigma := opts.PriorSigma
+		st := s.buildStrengthStats()
+		g2 := st.pseudoLogLikelihood(gamma, sigma)
+		grad, hess := st.gradHess(gamma, sigma)
+		if p == 1 {
+			refG2 = g2
+			refGrad = append([]float64(nil), grad...)
+			refHess = append([]float64(nil), hess.Data...)
+		} else {
+			if math.Float64bits(g2) != math.Float64bits(refG2) {
+				t.Errorf("g′₂ at P=%d = %v, P=1 gave %v", p, g2, refG2)
+			}
+			for i := range grad {
+				if math.Float64bits(grad[i]) != math.Float64bits(refGrad[i]) {
+					t.Errorf("∇[%d] at P=%d = %v, P=1 gave %v", i, p, grad[i], refGrad[i])
+				}
+			}
+			for i := range hess.Data {
+				if math.Float64bits(hess.Data[i]) != math.Float64bits(refHess[i]) {
+					t.Errorf("H[%d] at P=%d = %v, P=1 gave %v", i, p, hess.Data[i], refHess[i])
+				}
+			}
+		}
+		if !raceEnabled {
+			for _, c := range []struct {
+				name string
+				f    func()
+			}{
+				{"buildStrengthStats", func() { s.buildStrengthStats() }},
+				{"pseudoLogLikelihood", func() { st.pseudoLogLikelihood(gamma, sigma) }},
+				{"gradHess", func() { st.gradHess(gamma, sigma) }},
+			} {
+				if allocs := testing.AllocsPerRun(5, c.f); allocs != 0 {
+					t.Errorf("P=%d: %s allocates %v times per call, want 0", p, c.name, allocs)
+				}
+			}
+		}
+		if s.pool != nil {
+			s.pool.stop()
+		}
+	}
+}
+
+// TestObjectiveSteadyStateZeroAlloc: after the first call sizes the
+// per-edge and per-observation slots, g₁ allocates nothing — numeric
+// observations included — on one worker and on the pool, and both widths
+// return the same bits.
+func TestObjectiveSteadyStateZeroAlloc(t *testing.T) {
+	net := mixedNetwork(t, 700, 11) // categorical + numeric, 1400 objects
+	opts := DefaultOptions(3)
+	var ref float64
+	for _, p := range []int{1, 2} {
+		opts.Parallelism = p
+		s := newState(net, opts, 8, false)
+		s.pool = newWorkerPool(net.NumObjects(), opts)
+		g1 := s.objectiveG1()
+		if p == 1 {
+			ref = g1
+		} else if math.Float64bits(g1) != math.Float64bits(ref) {
+			t.Errorf("g₁ at P=%d = %v, P=1 gave %v", p, g1, ref)
+		}
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(5, func() { s.objectiveG1() }); allocs != 0 {
+				t.Errorf("P=%d: objectiveG1 allocates %v times per call, want 0", p, allocs)
+			}
+		}
+		if s.pool != nil {
+			s.pool.stop()
+		}
 	}
 }

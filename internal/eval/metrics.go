@@ -6,8 +6,11 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"genclus/internal/hin"
@@ -34,21 +37,25 @@ func NMI(pred, truth []int) (float64, error) {
 		px[pred[i]]++
 		py[truth[i]]++
 	}
+	// Every sum folds in sorted-key order: map iteration order is random,
+	// and summing in a different order changes the last bits.
 	fn := float64(n)
+	cells := make([][2]int, 0, len(joint))
+	for key := range joint {
+		cells = append(cells, key)
+	}
+	slices.SortFunc(cells, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
 	var mi float64
-	for key, c := range joint {
-		pxy := c / fn
+	for _, key := range cells {
+		pxy := joint[key] / fn
 		mi += pxy * math.Log(pxy/(px[key[0]]/fn*py[key[1]]/fn))
 	}
-	var hx, hy float64
-	for _, c := range px {
-		p := c / fn
-		hx -= p * math.Log(p)
-	}
-	for _, c := range py {
-		p := c / fn
-		hy -= p * math.Log(p)
-	}
+	hx, hy := entropy(px, fn), entropy(py, fn)
 	if hx == 0 || hy == 0 {
 		return 0, nil
 	}
@@ -58,6 +65,17 @@ func NMI(pred, truth []int) (float64, error) {
 		nmi = 0
 	}
 	return nmi, nil
+}
+
+// entropy is −Σ p·ln p over the counts of m (p = count/n), in ascending
+// key order.
+func entropy(m map[int]float64, n float64) float64 {
+	var h float64
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		p := m[key] / n
+		h -= p * math.Log(p)
+	}
+	return h
 }
 
 // NMIOnSubset evaluates NMI over the given object indices, reading predicted

@@ -291,3 +291,30 @@ func TestSimilaritiesOrder(t *testing.T) {
 		t.Errorf("similarity order = %v, %v, %v", sims[0].Name, sims[1].Name, sims[2].Name)
 	}
 }
+
+// TestNMIRepeatable: NMI folds its sums in sorted-key order, so repeated
+// calls on the same labelings are bit-equal. Many small clusters make the
+// result sensitive to summation order, which is what a map-order fold
+// would randomize.
+func TestNMIRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pred := make([]int, 3000)
+	truth := make([]int, len(pred))
+	for i := range pred {
+		pred[i] = rng.Intn(40)
+		truth[i] = (pred[i] + rng.Intn(7)) % 40
+	}
+	first, err := NMI(pred, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		got, err := NMI(pred, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: NMI = %v (%#x), first call %v (%#x)", i, got, math.Float64bits(got), first, math.Float64bits(first))
+		}
+	}
+}
