@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper's tables and figures. Each
-// experiment id corresponds to one artifact of the evaluation section; see
-// DESIGN.md for the index and EXPERIMENTS.md for recorded results.
+// experiment id corresponds to one artifact of the evaluation section;
+// `experiments -list` prints the index (the internal/bench registry) and
+// EXPERIMENTS.md holds recorded results.
 //
 // Usage:
 //

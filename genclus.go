@@ -446,8 +446,8 @@ func DefaultBiblioConfig(schema Schema, seed int64) BiblioConfig {
 }
 
 // GenerateBibliographic builds a synthetic bibliographic network calibrated
-// to the DBLP four-area dataset's schema (see DESIGN.md for the
-// substitution rationale).
+// to the DBLP four-area dataset's schema (the internal/datagen package doc
+// gives the substitution rationale).
 func GenerateBibliographic(cfg BiblioConfig) (*Dataset, error) { return datagen.Biblio(cfg) }
 
 // SocialConfig parameterizes the YouTube-style social media generator from

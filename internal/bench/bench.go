@@ -1,6 +1,7 @@
 // Package bench is the experiment harness: one registered experiment per
 // table and figure of the paper's evaluation (§5), each printing the same
-// rows/series the paper reports, plus the ablations DESIGN.md calls out.
+// rows/series the paper reports, plus three ablations (asymmetric
+// propagation, fixed γ, prior σ) registered alongside them.
 //
 // Experiments are exposed three ways: through this registry (used by
 // cmd/experiments), through the Benchmark functions in the repository root,

@@ -85,7 +85,8 @@ type Options struct {
 	// DefaultOptions sets it to runtime.GOMAXPROCS(0).
 	Parallelism int
 
-	// Epsilon floors every Θ entry so log θ stays finite (DESIGN.md §4).
+	// Epsilon floors every Θ entry so log θ stays finite (see
+	// docs/ARCHITECTURE.md, "Numerics").
 	Epsilon float64
 
 	// Precision selects the storage precision of the learned parameters:

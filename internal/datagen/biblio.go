@@ -162,8 +162,8 @@ func (c BiblioConfig) validate() error {
 	return nil
 }
 
-// Biblio generates a DBLP-four-area-style network (see DESIGN.md for the
-// substitution rationale). Conference c belongs to area c mod NumAreas;
+// Biblio generates a DBLP-four-area-style network (see the package doc for
+// the substitution rationale). Conference c belongs to area c mod NumAreas;
 // author a's primary area is a mod NumAreas. Papers pick an area uniformly,
 // then a venue and authors mostly from that area.
 func Biblio(cfg BiblioConfig) (*Dataset, error) {

@@ -1,7 +1,10 @@
 // Package datagen generates the synthetic networks the paper evaluates on:
 // the weather sensor network of Appendix C, and a bibliographic network
-// calibrated to the DBLP four-area dataset's schema and labeling (the real
-// dataset is not redistributable; DESIGN.md documents the substitution).
+// calibrated to the DBLP four-area dataset's schema and labeling. The real
+// DBLP dataset is not redistributable, so Biblio substitutes a generated
+// network with the same object types, relations, four labeled areas and
+// text attribute, which is what the paper's AC and ACP experiments
+// exercise.
 package datagen
 
 import (

@@ -264,9 +264,8 @@ func (b *Builder) Build() (*Network, error) {
 		n.outStart[v+1] += n.outStart[v]
 	}
 
-	// In-link offsets by To. The in-adjacency itself (per-relation CSR
-	// transposes and the merged in-link view) is built lazily by
-	// Network.PrepareCSR on first use.
+	// In-link offsets by To. The merged in-link view itself is built
+	// lazily by Network.PrepareCSR on first use.
 	n.inStart = make([]int, nObj+1)
 	for _, e := range n.edges {
 		n.inStart[e.To+1]++

@@ -3,8 +3,7 @@ package hin
 // CSR is an immutable compressed-sparse-row adjacency matrix over the links
 // of a single relation. Rows are dense object indices; row v's entries live
 // in Col[Start[v]:Start[v+1]] and Weight[Start[v]:Start[v+1]]. In the
-// out-link view a column is the link target (To); in the transpose it is the
-// link source (From).
+// out-link view a column is the link target (To).
 //
 // Entries within a row are ordered by ascending column index, with duplicate
 // (row, column) links kept as adjacent separate entries in their original
@@ -41,10 +40,7 @@ func (m *CSR) RowNNZ(v int) int { return m.Start[v+1] - m.Start[v] }
 // csrViews is the lazily-built sparse link storage the EM hot path walks:
 // one CSR per relation (rows = From) and a merged in-link view that keeps
 // the global edge order. Built once per Network on first use and immutable
-// afterwards. The per-relation transposes live behind their own lazy build
-// (csrTOnce) because no production path consumes them yet — they exist for
-// the future row-range sharding work and for tests, and eagerly scanning
-// every edge again on upload would tax all networks for that.
+// afterwards.
 type csrViews struct {
 	out []CSR // per relation, rows = From, columns = To
 
@@ -119,55 +115,11 @@ func (n *Network) buildCSR() {
 	n.csr = v
 }
 
-// buildCSRT builds the per-relation in-link transposes on first demand —
-// they have no production consumer yet (symmetric propagation walks the
-// merged view; strength statistics walk the out views), so they are not
-// part of the upload-time PrepareCSR cost.
-func (n *Network) buildCSRT() {
-	nObj := len(n.objects)
-	nRel := len(n.relations)
-	in := make([]CSR, nRel)
-	for r := 0; r < nRel; r++ {
-		in[r].Start = make([]int, nObj+1)
-	}
-	for _, e := range n.edges {
-		in[e.Rel].Start[e.To+1]++
-	}
-	inNext := make([][]int, nRel)
-	for r := 0; r < nRel; r++ {
-		inS := in[r].Start
-		for i := 0; i < nObj; i++ {
-			inS[i+1] += inS[i]
-		}
-		in[r].Col = make([]int, inS[nObj])
-		in[r].Weight = make([]float64, inS[nObj])
-		inNext[r] = append([]int(nil), inS...)
-	}
-	// Scanning in canonical edge order gives each transpose row ascending
-	// From, duplicates in their original relative order.
-	for _, e := range n.edges {
-		t := &in[e.Rel]
-		q := inNext[e.Rel][e.To]
-		t.Col[q] = e.From
-		t.Weight[q] = e.Weight
-		inNext[e.Rel][e.To]++
-	}
-	n.csrT = in
-}
-
 // RelationCSR returns the out-link CSR of relation r (rows = From, columns =
 // To). The returned matrix is shared and immutable.
 func (n *Network) RelationCSR(r int) *CSR {
 	n.PrepareCSR()
 	return &n.csr.out[r]
-}
-
-// RelationCSRTranspose returns the in-link CSR of relation r (rows = To,
-// columns = From), building the transposes on first use. The returned
-// matrix is shared and immutable.
-func (n *Network) RelationCSRTranspose(r int) *CSR {
-	n.csrTOnce.Do(n.buildCSRT)
-	return &n.csrT[r]
 }
 
 // RelationCSRs returns every relation's out-link CSR indexed by dense
@@ -176,14 +128,6 @@ func (n *Network) RelationCSRTranspose(r int) *CSR {
 func (n *Network) RelationCSRs() []CSR {
 	n.PrepareCSR()
 	return n.csr.out
-}
-
-// RelationCSRTransposes returns every relation's in-link CSR indexed by
-// dense relation id, building the transposes on first use. The slice and
-// matrices are shared; callers must not mutate them.
-func (n *Network) RelationCSRTransposes() []CSR {
-	n.csrTOnce.Do(n.buildCSRT)
-	return n.csrT
 }
 
 // InLinks returns the incoming links of object v as parallel subslices

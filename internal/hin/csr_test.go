@@ -9,12 +9,13 @@ import (
 // checkCSRInvariants verifies the structural soundness of a network's CSR
 // link views against its canonical edge list:
 //
-//   - every relation has an out view and a transpose with |V|+1
-//     non-decreasing row offsets covering exactly that relation's links;
+//   - every relation has an out view with |V|+1 non-decreasing row
+//     offsets covering exactly that relation's links;
 //   - walking the out views object-major, relation-major reproduces
 //     Edges() exactly — same order, same duplicates, same weights — which
 //     is the determinism contract the EM loop relies on;
-//   - the transpose holds the same multiset of links per relation;
+//   - each relation's out view holds the same multiset of links as that
+//     relation's slice of the edge list;
 //   - the merged in-link view is ordered by (From, Rel) within each target
 //     and agrees with InDegree.
 //
@@ -24,9 +25,8 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 	nObj := net.NumObjects()
 	nRel := net.NumRelations()
 	outs := net.RelationCSRs()
-	ins := net.RelationCSRTransposes()
-	if len(outs) != nRel || len(ins) != nRel {
-		t.Fatalf("CSR views: %d out, %d transpose for %d relations", len(outs), len(ins), nRel)
+	if len(outs) != nRel {
+		t.Fatalf("CSR views: %d out for %d relations", len(outs), nRel)
 	}
 
 	checkShape := func(m *CSR, name string) {
@@ -55,15 +55,13 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 		}
 	}
 
-	totalOut, totalIn := 0, 0
+	totalOut := 0
 	for r := 0; r < nRel; r++ {
 		checkShape(&outs[r], "out["+net.RelationName(r)+"]")
-		checkShape(&ins[r], "in["+net.RelationName(r)+"]")
 		totalOut += outs[r].NNZ()
-		totalIn += ins[r].NNZ()
 	}
-	if totalOut != net.NumEdges() || totalIn != net.NumEdges() {
-		t.Fatalf("CSR views store %d out / %d in links for %d edges", totalOut, totalIn, net.NumEdges())
+	if totalOut != net.NumEdges() {
+		t.Fatalf("CSR views store %d out links for %d edges", totalOut, net.NumEdges())
 	}
 
 	// Walking out views object-major, relation-major must reproduce the
@@ -90,7 +88,8 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 		t.Fatalf("out views yield %d links for %d edges", i, len(edges))
 	}
 
-	// The transpose holds the same (From, To, Weight) multiset per relation.
+	// Each out view holds its relation's (From, To, Weight) multiset of the
+	// edge list.
 	type link struct {
 		from, to int
 		w        float64
@@ -106,26 +105,26 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 			return ls[i].w < ls[j].w
 		})
 	}
+	fromEdges := make([][]link, nRel)
+	for _, e := range edges {
+		fromEdges[e.Rel] = append(fromEdges[e.Rel], link{e.From, e.To, e.Weight})
+	}
 	for r := 0; r < nRel; r++ {
-		var fromOut, fromIn []link
+		var fromOut []link
 		for v := 0; v < nObj; v++ {
 			cols, wts := outs[r].Row(v)
 			for j := range cols {
 				fromOut = append(fromOut, link{v, cols[j], wts[j]})
 			}
-			icols, iwts := ins[r].Row(v)
-			for j := range icols {
-				fromIn = append(fromIn, link{icols[j], v, iwts[j]})
-			}
 		}
 		sortLinks(fromOut)
-		sortLinks(fromIn)
-		if len(fromOut) != len(fromIn) {
-			t.Fatalf("relation %d: %d out links, %d transposed", r, len(fromOut), len(fromIn))
+		sortLinks(fromEdges[r])
+		if len(fromOut) != len(fromEdges[r]) {
+			t.Fatalf("relation %d: %d out links, %d edges", r, len(fromOut), len(fromEdges[r]))
 		}
 		for j := range fromOut {
-			if fromOut[j] != fromIn[j] {
-				t.Fatalf("relation %d: transpose link %d = %+v, out link %+v", r, j, fromIn[j], fromOut[j])
+			if fromOut[j] != fromEdges[r][j] {
+				t.Fatalf("relation %d: out link %d = %+v, edge %+v", r, j, fromOut[j], fromEdges[r][j])
 			}
 		}
 	}
@@ -149,7 +148,7 @@ func TestCSRToyNetwork(t *testing.T) {
 }
 
 // TestCSREmptyRelation: a relation interned without any links still gets a
-// (all-empty-rows) CSR pair, and relations emptied by FilterEdges keep
+// (all-empty-rows) CSR, and relations emptied by FilterEdges keep
 // their dense ids with zero entries.
 func TestCSREmptyRelation(t *testing.T) {
 	b := NewBuilder()
@@ -169,9 +168,6 @@ func TestCSREmptyRelation(t *testing.T) {
 	if nnz := net.RelationCSR(lonely).NNZ(); nnz != 0 {
 		t.Fatalf("empty relation stores %d links", nnz)
 	}
-	if nnz := net.RelationCSRTranspose(lonely).NNZ(); nnz != 0 {
-		t.Fatalf("empty relation transpose stores %d links", nnz)
-	}
 
 	filtered, err := FilterEdges(net, func(Edge) bool { return false })
 	if err != nil {
@@ -183,8 +179,7 @@ func TestCSREmptyRelation(t *testing.T) {
 	}
 }
 
-// TestCSRSelfLinks: a self-link appears in the object's own row in both the
-// out view and the transpose.
+// TestCSRSelfLinks: a self-link appears in the object's own out-view row.
 func TestCSRSelfLinks(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -201,10 +196,6 @@ func TestCSRSelfLinks(t *testing.T) {
 	cols, wts := net.RelationCSR(r).Row(va)
 	if len(cols) != 2 || cols[0] != va || wts[0] != 2 {
 		t.Fatalf("self-link missing from out row: cols=%v wts=%v", cols, wts)
-	}
-	icols, iwts := net.RelationCSRTranspose(r).Row(va)
-	if len(icols) != 1 || icols[0] != va || iwts[0] != 2 {
-		t.Fatalf("self-link missing from transpose row: cols=%v wts=%v", icols, iwts)
 	}
 }
 
@@ -233,44 +224,6 @@ func TestCSRDuplicateLinks(t *testing.T) {
 	}
 	if total := wts[0] + wts[1]; total != 3.5 {
 		t.Fatalf("duplicate weights accumulate to %v, want 3.5", total)
-	}
-	icols, iwts := net.RelationCSRTranspose(r).Row(vc)
-	if len(icols) != 2 || iwts[0]+iwts[1] != 3.5 {
-		t.Fatalf("transpose lost a duplicate: cols=%v wts=%v", icols, iwts)
-	}
-}
-
-// TestCSRTransposeRoundTrip: transposing the transpose reproduces the out
-// view on a network with interleaved relations and asymmetric links.
-func TestCSRTransposeRoundTrip(t *testing.T) {
-	net := buildToy(t)
-	nObj := net.NumObjects()
-	for r := 0; r < net.NumRelations(); r++ {
-		out := net.RelationCSR(r)
-		in := net.RelationCSRTranspose(r)
-		// Rebuild an out view from the transpose and compare entry sets
-		// row by row (within-row order may legitimately differ only for
-		// duplicate columns, which buildToy does not have).
-		rebuilt := make(map[int][][2]float64) // from → list of (to, w)
-		for v := 0; v < nObj; v++ {
-			cols, wts := in.Row(v)
-			for j, u := range cols {
-				rebuilt[u] = append(rebuilt[u], [2]float64{float64(v), wts[j]})
-			}
-		}
-		for v := 0; v < nObj; v++ {
-			cols, wts := out.Row(v)
-			got := rebuilt[v]
-			if len(got) != len(cols) {
-				t.Fatalf("relation %d row %d: transpose-of-transpose has %d entries, want %d", r, v, len(got), len(cols))
-			}
-			sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
-			for j := range cols {
-				if int(got[j][0]) != cols[j] || got[j][1] != wts[j] {
-					t.Fatalf("relation %d row %d entry %d: got (%v, %v), want (%d, %v)", r, v, j, got[j][0], got[j][1], cols[j], wts[j])
-				}
-			}
-		}
 	}
 }
 

@@ -84,13 +84,9 @@ type Network struct {
 
 	// csr holds the lazily-built per-relation CSR link views the EM hot
 	// path walks (see csr.go). Built at most once per network; csrOnce
-	// makes concurrent fits of a shared network safe. The per-relation
-	// transposes (csrT) build separately on first demand — no production
-	// path consumes them yet.
-	csrOnce  sync.Once
-	csr      *csrViews
-	csrTOnce sync.Once
-	csrT     []CSR
+	// makes concurrent fits of a shared network safe.
+	csrOnce sync.Once
+	csr     *csrViews
 
 	attrs     []AttrSpec
 	attrIndex map[string]int

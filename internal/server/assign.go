@@ -88,7 +88,7 @@ func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
 	if d, ok := c.entries[e.digest]; ok {
 		d.lastUsed = s.cfg.now()
 		c.mu.Unlock()
-		s.assignStats.recordCacheLookup(true)
+		s.metrics.assignCacheHits.Inc()
 		<-d.ready
 		if d.buildErr != nil {
 			return nil, d.buildErr
@@ -101,7 +101,7 @@ func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
 		window:   s.cfg.AssignBatchWindow,
 		maxBatch: s.cfg.MaxAssignBatch,
 		maxQueue: s.cfg.MaxAssignQueue,
-		stats:    &s.assignStats,
+		met:      s.metrics,
 		passHook: s.assignPassHook,
 		lastUsed: s.cfg.now(),
 		ready:    make(chan struct{}),
@@ -109,7 +109,7 @@ func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
 	c.entries[e.digest] = d
 	c.evictOverflowLocked()
 	c.mu.Unlock()
-	s.assignStats.recordCacheLookup(false)
+	s.metrics.assignCacheMisses.Inc()
 
 	eng, err := infer.NewEngine(e.model, infer.Options{
 		TopK:      e.model.K,         // responses trim to the requested top_k
@@ -204,102 +204,44 @@ type overloadError struct {
 
 func (e *overloadError) Error() string { return e.msg }
 
-// assignCounters are the monotone /healthz assign counters. They used to
-// be independent atomics, which let /healthz observe torn combinations — a
-// snapshot with batched_requests > requests, taken between a pass's
-// individual increments. All increments for one event now happen inside a
-// single critical section, and snapshot() reads under the same lock, so
-// every snapshot is a state the counters actually passed through. The
-// same increments mirror into the /metrics registry (met; nil in unit
-// tests that build dispatchers by hand).
-type assignCounters struct {
-	mu          sync.Mutex
-	requests    int64
-	objects     int64
-	batched     int64
-	passes      int64
-	cacheHits   int64
-	cacheMisses int64
-	shed        int64
-
-	met *serverMetrics
-}
-
 // recordPass accounts one engine pass of `requests` coalesced calls
-// scoring `objects` query objects.
-func (c *assignCounters) recordPass(requests, objects int, coalesced bool, elapsed time.Duration) {
-	c.mu.Lock()
-	c.passes++
-	c.requests += int64(requests)
-	c.objects += int64(objects)
+// scoring `objects` query objects. The increment order is load-bearing;
+// see assignStats.
+func (m *serverMetrics) recordPass(requests, objects int, coalesced bool, elapsed time.Duration) {
+	m.assignObjects.Add(int64(objects))
+	m.assignRequests.Add(int64(requests))
 	if coalesced {
-		c.batched += int64(requests)
+		m.assignBatched.Add(int64(requests))
 	}
-	c.mu.Unlock()
-	if c.met != nil {
-		c.met.assignPasses.Inc()
-		c.met.assignRequests.Add(int64(requests))
-		c.met.assignObjects.Add(int64(objects))
-		if coalesced {
-			c.met.assignBatched.Add(int64(requests))
-		}
-		c.met.assignOccupancy.Observe(float64(objects))
-		c.met.assignPassSecs.Observe(elapsed.Seconds())
-	}
+	m.assignPasses.Inc()
+	m.assignOccupancy.Observe(float64(objects))
+	m.assignPassSecs.Observe(elapsed.Seconds())
 }
 
-// recordCacheLookup accounts one engine-cache lookup by digest.
-func (c *assignCounters) recordCacheLookup(hit bool) {
-	c.mu.Lock()
-	if hit {
-		c.cacheHits++
-	} else {
-		c.cacheMisses++
+// assignStats builds the healthz assign block from the registry counters.
+// recordPass adds objects, then requests, then batched, then passes; this
+// loads passes, then batched, then requests, then objects. sync/atomic
+// operations are sequentially consistent, so every increment a load sees
+// was preceded by the pass's earlier increments, which the later loads see
+// too: every read satisfies batched ≤ requests ≤ objects and passes ≤
+// requests without a lock.
+func (m *serverMetrics) assignStats() assignStatsResponse {
+	passes := m.assignPasses.Value()
+	batched := m.assignBatched.Value()
+	requests := m.assignRequests.Value()
+	objects := m.assignObjects.Value()
+	var shed int64
+	for _, c := range m.assignShed {
+		shed += c.Value()
 	}
-	c.mu.Unlock()
-	if c.met != nil {
-		if hit {
-			c.met.assignCacheHits.Inc()
-		} else {
-			c.met.assignCacheMisses.Inc()
-		}
-	}
-}
-
-// recordShed accounts one admission-control rejection.
-func (c *assignCounters) recordShed(reason string) {
-	c.mu.Lock()
-	c.shed++
-	c.mu.Unlock()
-	if c.met != nil {
-		if ctr, ok := c.met.assignShed[reason]; ok {
-			ctr.Inc()
-		}
-	}
-}
-
-// queueDepthAdd moves the /metrics queued-objects gauge; the healthz block
-// has no queue-depth field (it is instantaneous, not monotone).
-func (c *assignCounters) queueDepthAdd(n int) {
-	if c.met != nil {
-		c.met.assignQueueDepth.Add(int64(n))
-	}
-}
-
-// snapshot reads all counters in one critical section — the /healthz (and
-// parity-test) view. Monotone invariants like batched_requests ≤ requests
-// hold in every snapshot.
-func (c *assignCounters) snapshot() assignStatsResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return assignStatsResponse{
-		Requests:          c.requests,
-		Objects:           c.objects,
-		BatchedRequests:   c.batched,
-		EnginePasses:      c.passes,
-		EngineCacheHits:   c.cacheHits,
-		EngineCacheMisses: c.cacheMisses,
-		ShedRequests:      c.shed,
+		Requests:          requests,
+		Objects:           objects,
+		BatchedRequests:   batched,
+		EnginePasses:      passes,
+		EngineCacheHits:   m.assignCacheHits.Value(),
+		EngineCacheMisses: m.assignCacheMisses.Value(),
+		ShedRequests:      shed,
 	}
 }
 
@@ -367,7 +309,7 @@ type assignDispatcher struct {
 	// enqueues past it fail with a typed overloadError so the pending list
 	// cannot grow without limit behind a slow pass.
 	maxQueue int
-	stats    *assignCounters
+	met      *serverMetrics
 	// passHook, when set (tests), runs at the start of every engine pass.
 	passHook func()
 
@@ -415,9 +357,7 @@ func (d *assignDispatcher) do(call *assignCall) error {
 	}
 	d.pending = append(d.pending, call)
 	d.queued += len(call.queries)
-	if d.stats != nil {
-		d.stats.queueDepthAdd(len(call.queries))
-	}
+	d.met.assignQueueDepth.Add(int64(len(call.queries)))
 	if d.leaderActive {
 		d.mu.Unlock()
 		<-call.done
@@ -445,9 +385,7 @@ func (d *assignDispatcher) drainRound() {
 	d.pending = nil
 	taken := d.queued
 	d.queued = 0
-	if d.stats != nil && taken > 0 {
-		d.stats.queueDepthAdd(-taken)
-	}
+	d.met.assignQueueDepth.Add(int64(-taken))
 	if len(batch) == 0 {
 		d.leaderActive = false
 		d.mu.Unlock()
@@ -524,9 +462,7 @@ func (d *assignDispatcher) runGroup(group []*assignCall, total int) {
 	}
 	start := time.Now()
 	out, err := d.eng.AssignBatch(flat)
-	if d.stats != nil {
-		d.stats.recordPass(len(group), total, len(group) > 1, time.Since(start))
-	}
+	d.met.recordPass(len(group), total, len(group) > 1, time.Since(start))
 	off := 0
 	for _, call := range group {
 		if err != nil {
@@ -559,21 +495,15 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if max := int64(s.cfg.MaxAssignInFlight); max > 0 {
-		if s.assignInFlight.Add(1) > max {
-			s.assignInFlight.Add(-1)
-			s.rejectOverloaded(w, &overloadError{
-				reason:     shedInFlight,
-				msg:        fmt.Sprintf("too many assign requests in flight (cap %d)", max),
-				retryAfter: time.Second,
-			})
-			return
-		}
-		s.metrics.assignInFlight.Add(1)
-		defer func() {
-			s.assignInFlight.Add(-1)
-			s.metrics.assignInFlight.Add(-1)
-		}()
+	inFlight := s.assignInFlight.Add(1)
+	defer s.assignInFlight.Add(-1)
+	if max := int64(s.cfg.MaxAssignInFlight); max > 0 && inFlight > max {
+		s.rejectOverloaded(w, &overloadError{
+			reason:     shedInFlight,
+			msg:        fmt.Sprintf("too many assign requests in flight (cap %d)", max),
+			retryAfter: time.Second,
+		})
+		return
 	}
 	e, ok := s.lookupModel(w, r)
 	if !ok {
@@ -652,7 +582,7 @@ func writeAssignError(w http.ResponseWriter, err error) {
 // Retry-After (whole seconds, rounded up, at least 1), and writes the
 // typed 429 body.
 func (s *Server) rejectOverloaded(w http.ResponseWriter, oe *overloadError) {
-	s.assignStats.recordShed(oe.reason)
+	s.metrics.assignShed[oe.reason].Inc()
 	secs := int((oe.retryAfter + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

@@ -509,7 +509,7 @@ func TestAssignCustomEpsilonBitwise(t *testing.T) {
 // must be released so later requests still get answered rather than
 // queueing behind a dead leader forever.
 func TestAssignDispatcherPanicContainment(t *testing.T) {
-	d := &assignDispatcher{eng: nil, maxBatch: 4, stats: &assignCounters{}}
+	d := &assignDispatcher{eng: nil, maxBatch: 4, met: (&Server{}).newServerMetrics()}
 	run := func() *assignCall {
 		t.Helper()
 		call := &assignCall{queries: make([]infer.Query, 1), topK: 1}

@@ -212,7 +212,6 @@ var errQueueFull = errors.New("job queue is full")
 
 // manager runs the bounded worker pool that drains the job queue.
 type manager struct {
-	store   *store
 	queue   chan *job
 	workers int
 	now     func() time.Time
@@ -221,9 +220,9 @@ type manager struct {
 	// published — the server hooks model registration and persistence here,
 	// so "done" already implies "durable".
 	onDone func(j *job, finished time.Time)
-	// met and log, when set by the server, receive per-job observability:
-	// queue-wait and run-time histograms, terminal-state counters, EM
-	// iteration counts, and structured start/finish lines keyed by job ID.
+	// met and log receive per-job observability: queue-wait and run-time
+	// histograms, terminal-state counters, EM iteration counts, and
+	// structured start/finish lines keyed by job ID.
 	met *serverMetrics
 	log *slog.Logger
 
@@ -232,13 +231,14 @@ type manager struct {
 	wg   sync.WaitGroup
 }
 
-func newManager(st *store, workers, depth int, now func() time.Time) *manager {
+func newManager(workers, depth int, now func() time.Time, met *serverMetrics, log *slog.Logger) *manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &manager{
-		store:   st,
 		queue:   make(chan *job, depth),
 		workers: workers,
 		now:     now,
+		met:     met,
+		log:     log,
 		ctx:     ctx,
 		stop:    cancel,
 	}
@@ -299,22 +299,16 @@ func (m *manager) close() {
 // the state counter plus a structured log line keyed by job ID. Callers
 // that know the job ran also observe run time via observeRun.
 func (m *manager) countTerminal(j *job, state jobState, errMsg string) {
-	if m.met != nil {
-		if c, ok := m.met.fitJobs[state]; ok {
-			c.Inc()
-		}
+	m.met.fitJobs[state].Inc()
+	level := slog.LevelInfo
+	if state == jobFailed {
+		level = slog.LevelWarn
 	}
-	if m.log != nil {
-		level := slog.LevelInfo
-		if state == jobFailed {
-			level = slog.LevelWarn
-		}
-		m.log.LogAttrs(context.Background(), level, "job finished",
-			slog.String("job", j.id),
-			slog.String("state", string(state)),
-			slog.String("error", errMsg),
-		)
-	}
+	m.log.LogAttrs(context.Background(), level, "job finished",
+		slog.String("job", j.id),
+		slog.String("state", string(state)),
+		slog.String("error", errMsg),
+	)
 }
 
 func (m *manager) worker() {
@@ -353,19 +347,16 @@ func (m *manager) run(j *job) {
 	j.started = m.now()
 	started := j.started
 	j.cancel = cancel
-	pinned := j.net
+	// The job fits exactly the network generation it captured at submit.
+	net := j.net
 	j.mu.Unlock()
 	j.span.Record("job.queue_wait", j.created, started)
-	if m.met != nil {
-		m.met.fitQueueWait.Observe(started.Sub(j.created).Seconds())
-	}
-	if m.log != nil {
-		m.log.LogAttrs(context.Background(), slog.LevelInfo, "job started",
-			slog.String("job", j.id),
-			slog.String("network", j.networkID),
-			slog.Duration("queue_wait", started.Sub(j.created)),
-		)
-	}
+	m.met.fitQueueWait.Observe(started.Sub(j.created).Seconds())
+	m.log.LogAttrs(context.Background(), slog.LevelInfo, "job started",
+		slog.String("job", j.id),
+		slog.String("network", j.networkID),
+		slog.Duration("queue_wait", started.Sub(j.created)),
+	)
 	// finishRun settles a job this worker actually started: the terminal
 	// transition plus run-time observation (metrics only count a
 	// transition this call performed — a racing cancel already counted).
@@ -373,23 +364,8 @@ func (m *manager) run(j *job) {
 		if !j.finish(state, errMsg, finished) {
 			return
 		}
-		if m.met != nil {
-			m.met.fitRun.Observe(finished.Sub(started).Seconds())
-		}
+		m.met.fitRun.Observe(finished.Sub(started).Seconds())
 		m.countTerminal(j, state, errMsg)
-	}
-
-	// A job submitted with a pinned view (every submission since mutation
-	// support) fits exactly the generation it captured; the lookup is the
-	// fallback for jobs constructed without one (tests, older paths).
-	net := pinned
-	if net == nil {
-		var ok bool
-		net, ok = m.store.network(j.networkID)
-		if !ok {
-			finishRun(jobFailed, "network "+j.networkID+" evicted before the job ran", m.now())
-			return
-		}
 	}
 
 	opts := j.opts
@@ -416,9 +392,7 @@ func (m *manager) run(j *job) {
 			// finishes fast but the job seems slow.
 			j.span.Record("job.persist", finished, m.now())
 		}
-		if m.met != nil {
-			m.met.fitEMIters.Observe(float64(res.EMIterations))
-		}
+		m.met.fitEMIters.Observe(float64(res.EMIterations))
 		finishRun(jobDone, "", finished)
 	case errors.Is(err, context.Canceled):
 		msg := "cancelled"

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genclus/internal/metrics"
@@ -24,10 +26,11 @@ import (
 // per-route write deadline (SSE streams exempt — they are supposed to
 // outlive any single write budget).
 
-// serverMetrics holds every pre-registered instrument. The assign
-// counters mirror the /healthz assign block (incremented together, inside
-// the same critical section — see assignCounters); the parity between the
-// two surfaces is pinned by TestHealthzMetricsParity.
+// serverMetrics holds every pre-registered instrument. The registry is the
+// only store of the daemon's counters: /healthz builds its assign and
+// mutation blocks and persist_failures from these instruments' values (see
+// assignStats and mutationStats), and TestHealthzMetricsParity pins the
+// healthz→/metrics name map.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -51,12 +54,15 @@ type serverMetrics struct {
 	assignOccupancy   *metrics.Histogram          // query objects per engine pass
 	assignPassSecs    *metrics.Histogram          // engine pass latency, seconds
 	assignQueueDepth  *metrics.Gauge              // queued query objects across dispatchers
-	assignInFlight    *metrics.Gauge              // requests inside admission control
 
 	networkMutations          *metrics.Counter
 	supervisorRefitsTriggered *metrics.Counter
 	supervisorRefitsSucceeded *metrics.Counter
 	supervisorRefitsFailed    *metrics.Counter
+	// driftBits is the most recent drift score any supervisor computed, as
+	// math.Float64bits; the genclus_supervisor_drift_score gauge and the
+	// healthz mutation block both read it.
+	driftBits atomic.Uint64
 
 	persistFailures *metrics.Counter
 }
@@ -97,8 +103,6 @@ func (s *Server) newServerMetrics() *serverMetrics {
 			"Inference engine pass latency.", metrics.DurationBuckets()),
 		assignQueueDepth: reg.Gauge("genclus_assign_queue_depth",
 			"Query objects queued behind busy assign dispatchers."),
-		assignInFlight: reg.Gauge("genclus_assign_in_flight",
-			"Assign requests currently inside admission control."),
 		networkMutations: reg.Counter("genclus_network_mutations_total",
 			"Accepted network mutations (edges, objects, attributes) across all networks."),
 		supervisorRefitsTriggered: reg.Counter("genclus_supervisor_refits_triggered_total",
@@ -123,6 +127,9 @@ func (s *Server) newServerMetrics() *serverMetrics {
 		m.httpDurations[key] = reg.Histogram("genclus_http_request_duration_seconds",
 			"HTTP request duration by route.", metrics.DurationBuckets(), "route", key)
 	}
+	reg.GaugeFunc("genclus_assign_in_flight",
+		"Assign requests currently inside admission control.",
+		func() float64 { return float64(s.assignInFlight.Load()) })
 	reg.GaugeFunc("genclus_fit_queue_depth",
 		"Fit jobs waiting in the bounded queue.",
 		func() float64 { return float64(len(s.manager.queue)) })
@@ -140,7 +147,7 @@ func (s *Server) newServerMetrics() *serverMetrics {
 		func() float64 { return float64(s.store.numSupervisors()) })
 	reg.GaugeFunc("genclus_supervisor_drift_score",
 		"Most recent drift score any supervisor computed (mean TV distance, 0..1).",
-		func() float64 { return s.mutationStats.driftScore() })
+		func() float64 { return math.Float64frombits(m.driftBits.Load()) })
 	for _, st := range []jobState{jobQueued, jobRunning, jobDone, jobFailed, jobCancelled} {
 		st := st
 		reg.GaugeFunc("genclus_jobs",

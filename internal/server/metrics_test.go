@@ -436,6 +436,40 @@ func TestAssignOverloadInFlightCap(t *testing.T) {
 	}
 }
 
+// TestAssignInFlightGaugeUncapped: with the in-flight cap disabled,
+// genclus_assign_in_flight still counts the requests inside admission
+// control, and drops back to 0 once they finish.
+func TestAssignInFlightGaugeUncapped(t *testing.T) {
+	_, ts, entered, release := blockedPassServer(t, Config{
+		Workers:           1,
+		AssignBatchWindow: -1,
+		MaxAssignInFlight: -1,
+	})
+	// Released before the server's cleanup closes it, even on failure: the
+	// close would otherwise wait on the held request forever.
+	defer release()
+	modelID, res := assignFixture(t, ts)
+	target := res.Objects[0].ID
+
+	heldDone := make(chan int, 1)
+	go func() {
+		code, _ := singleLinkAssign(t, ts, modelID, target, "held")
+		heldDone <- code
+	}()
+	<-entered
+	if out := scrapeMetrics(t, ts); !strings.Contains(out, "genclus_assign_in_flight 1\n") {
+		t.Fatalf("in-flight gauge does not count the held request with the cap off:\n%s", out)
+	}
+
+	release()
+	if code := <-heldDone; code != http.StatusOK {
+		t.Fatalf("held request finished %d, want 200", code)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		return strings.Contains(scrapeMetrics(t, ts), "genclus_assign_in_flight 0\n")
+	})
+}
+
 // TestAssignRateLimit drives the token bucket on a fake clock: the burst
 // is admitted, the next request is shed with rate_limit, and a one-second
 // clock advance readmits.

@@ -108,38 +108,49 @@ func (s *Server) snapshotLimits() snapshot.Limits {
 	return lim
 }
 
-// registerModel encodes the fitted model, registers it in memory, persists
-// the snapshot when a data dir is configured, and applies the MaxModels
-// eviction. Returns the new entry. A failed disk write degrades to
-// memory-only registration (counted and logged via persistFailure) — the
-// model stays addressable until the next restart rather than vanishing
-// because a volume filled up.
-func (s *Server) registerModel(m *core.Model, meta map[string]string, created time.Time, jobID, networkID string) (*modelEntry, error) {
-	// The fit's storage precision travels in the meta (persistFinishedJob
-	// records it); the wire flags follow it.
-	prec := snapshot.PrecisionFromMeta(meta)
-	data, err := snapshot.Encode(&snapshot.Snapshot{Model: m, Meta: meta, Precision: prec})
-	if err != nil {
-		return nil, err
-	}
-	e := &modelEntry{
-		id:        newID("mdl"),
-		model:     m,
-		meta:      meta,
+// newModelEntry builds the registry entry for one snapshot and its
+// canonical bytes. The job and network ids come from the snapshot meta.
+func newModelEntry(id string, snap *snapshot.Snapshot, data []byte, created time.Time) *modelEntry {
+	return &modelEntry{
+		id:        id,
+		model:     snap.Model,
+		meta:      snap.Meta,
 		created:   created,
 		digest:    snapshot.DataDigest(data),
 		size:      int64(len(data)),
-		precision: prec,
-		jobID:     jobID,
-		networkID: networkID,
+		precision: snap.Precision,
+		jobID:     snap.Meta[metaJobID],
+		networkID: snap.Meta[metaNetworkID],
 	}
+}
+
+// registerModel encodes the fitted model and registers it under a fresh id
+// (see persistAndAdmit). Its meta carries the source job and network.
+func (s *Server) registerModel(m *core.Model, meta map[string]string, created time.Time) (*modelEntry, error) {
+	// The fit's storage precision travels in the meta (persistFinishedJob
+	// records it); the wire flags follow it.
+	snap := &snapshot.Snapshot{Model: m, Meta: meta, Precision: snapshot.PrecisionFromMeta(meta)}
+	data, err := snapshot.Encode(snap)
+	if err != nil {
+		return nil, err
+	}
+	e := newModelEntry(newID("mdl"), snap, data, created)
+	s.persistAndAdmit(e, data, "persist model "+e.id)
+	return e, nil
+}
+
+// persistAndAdmit writes the snapshot bytes when a data dir is configured
+// and admits the entry. A failed disk write degrades to memory-only
+// registration (counted and logged via persistFailure as what) — the model
+// stays addressable until the next restart rather than vanishing because a
+// volume filled up.
+func (s *Server) persistAndAdmit(e *modelEntry, data []byte, what string) {
 	if s.blobs != nil {
 		if err := s.blobs.Put(bucketModels, e.id, data); err != nil {
-			s.persistFailure("persist model "+e.id, err)
+			s.persistFailure(what, err)
 		}
 	}
 	s.admitModel(e)
-	return e, nil
 }
 
 // admitModel adds the entry to the registry and evicts overflow (memory,
@@ -255,18 +266,11 @@ func (s *Server) handleImportModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	e := &modelEntry{
-		id:        newID("mdl"),
-		model:     snap.Model,
-		meta:      snap.Meta,
-		created:   s.cfg.now(),
-		digest:    snapshot.DataDigest(data),
-		size:      int64(len(data)),
-		precision: snap.Precision,
-		// job_id/network_id in the snapshot meta are provenance from the
-		// exporting process; they do not name jobs on THIS server, so the
-		// registry row leaves them blank and serves the meta digest only.
-	}
+	e := newModelEntry(newID("mdl"), snap, data, s.cfg.now())
+	// job_id/network_id in the snapshot meta are provenance from the
+	// exporting process; they do not name jobs on THIS server, so the
+	// registry row leaves them blank and serves the meta digest only.
+	e.jobID, e.networkID = "", ""
 	if s.blobs != nil {
 		// Persist the uploaded bytes verbatim: the decoder only accepts
 		// canonical encodings, so these are exactly the bytes a later

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"math"
 	"net/http"
-	"sync"
 
 	"genclus/internal/deltalog"
 	"genclus/internal/hin"
@@ -69,8 +69,9 @@ type supervisorStatusResponse struct {
 }
 
 // mutationStatsResponse is the healthz mutation block. Monotone counters
-// come from mutationCounters; the instantaneous fields (delta-log depth,
-// supervisor count) are computed from the store at snapshot time.
+// and the drift score come from the metrics registry; the instantaneous
+// fields (delta-log depth, supervisor count) are computed from the store at
+// read time.
 type mutationStatsResponse struct {
 	// Mutations counts acknowledged mutation requests.
 	Mutations int64 `json:"mutations"`
@@ -86,87 +87,17 @@ type mutationStatsResponse struct {
 	RefitsFailed    int64 `json:"refits_failed"`
 }
 
-// mutationCounters are the monotone mutation/supervisor counters behind
-// /healthz's mutation block, incremented together with their /metrics
-// mirrors (same discipline as assignCounters).
-type mutationCounters struct {
-	mu        sync.Mutex
-	mutations int64
-	drift     float64
-	triggered int64
-	succeeded int64
-	failed    int64
-
-	met *serverMetrics
-}
-
-// recordMutation accounts one acknowledged mutation.
-func (c *mutationCounters) recordMutation() {
-	c.mu.Lock()
-	c.mutations++
-	c.mu.Unlock()
-	if c.met != nil {
-		c.met.networkMutations.Inc()
-	}
-}
-
-// recordDrift records the latest evaluated drift score; the /metrics
-// mirror (genclus_supervisor_drift_score) is a GaugeFunc over driftScore.
-func (c *mutationCounters) recordDrift(score float64) {
-	c.mu.Lock()
-	c.drift = score
-	c.mu.Unlock()
-}
-
-// driftScore reads the latest drift score for the metrics gauge.
-func (c *mutationCounters) driftScore() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drift
-}
-
-func (c *mutationCounters) refitTriggered() {
-	c.mu.Lock()
-	c.triggered++
-	c.mu.Unlock()
-	if c.met != nil {
-		c.met.supervisorRefitsTriggered.Inc()
-	}
-}
-
-func (c *mutationCounters) refitSucceeded() {
-	c.mu.Lock()
-	c.succeeded++
-	c.mu.Unlock()
-	if c.met != nil {
-		c.met.supervisorRefitsSucceeded.Inc()
-	}
-}
-
-func (c *mutationCounters) refitFailed() {
-	c.mu.Lock()
-	c.failed++
-	c.mu.Unlock()
-	if c.met != nil {
-		c.met.supervisorRefitsFailed.Inc()
-	}
-}
-
-// snapshot assembles the healthz mutation block; st supplies the
+// mutationStats builds the healthz mutation block; st supplies the
 // instantaneous fields.
-func (c *mutationCounters) snapshot(st *store) mutationStatsResponse {
-	depth := int64(st.deltaDepth())
-	sups := int64(st.numSupervisors())
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (m *serverMetrics) mutationStats(st *store) mutationStatsResponse {
 	return mutationStatsResponse{
-		Mutations:       c.mutations,
-		DeltaLogDepth:   depth,
-		Supervisors:     sups,
-		DriftScore:      c.drift,
-		RefitsTriggered: c.triggered,
-		RefitsSucceeded: c.succeeded,
-		RefitsFailed:    c.failed,
+		Mutations:       m.networkMutations.Value(),
+		DeltaLogDepth:   int64(st.deltaDepth()),
+		Supervisors:     int64(st.numSupervisors()),
+		DriftScore:      math.Float64frombits(m.driftBits.Load()),
+		RefitsTriggered: m.supervisorRefitsTriggered.Value(),
+		RefitsSucceeded: m.supervisorRefitsSucceeded.Value(),
+		RefitsFailed:    m.supervisorRefitsFailed.Value(),
 	}
 }
 
@@ -240,7 +171,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op delta
 		writeError(w, http.StatusNotFound, "unknown network %q", id)
 		return
 	}
-	s.mutationStats.recordMutation()
+	s.metrics.networkMutations.Inc()
 	if sup := s.ensureSupervisor(id, entry); sup != nil {
 		sup.recordTouched(m.Touched())
 		sup.poke()

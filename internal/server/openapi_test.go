@@ -4,30 +4,21 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// parseSpecPaths scans docs/openapi.yaml with a minimal indentation-based
-// reader (no YAML dependency) and returns the set of "METHOD path" pairs
-// declared under the top-level paths: section. It understands exactly the
-// layout the spec uses — path keys at two spaces, method keys at four —
-// which is all the coverage test needs.
-func parseSpecPaths(t *testing.T) map[string]bool {
+// scanSpec feeds each non-blank, non-comment line of docs/openapi.yaml to
+// visit with its indentation — a minimal indentation-based reader (no YAML
+// dependency) that understands exactly the layout the spec uses.
+func scanSpec(t *testing.T, visit func(indent int, trimmed string)) {
 	t.Helper()
 	f, err := os.Open(filepath.Join("..", "..", "docs", "openapi.yaml"))
 	if err != nil {
 		t.Fatalf("open OpenAPI spec: %v", err)
 	}
 	defer f.Close()
-
-	methods := map[string]bool{
-		"get": true, "post": true, "put": true, "patch": true,
-		"delete": true, "head": true, "options": true,
-	}
-	declared := make(map[string]bool)
-	inPaths := false
-	currentPath := ""
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := sc.Text()
@@ -35,7 +26,25 @@ func parseSpecPaths(t *testing.T) map[string]bool {
 		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
 			continue
 		}
-		indent := len(line) - len(strings.TrimLeft(line, " "))
+		visit(len(line)-len(strings.TrimLeft(line, " ")), trimmed)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("scan OpenAPI spec: %v", err)
+	}
+}
+
+// parseSpecPaths returns the set of "METHOD path" pairs declared under the
+// top-level paths: section — path keys at two spaces, method keys at four.
+func parseSpecPaths(t *testing.T) map[string]bool {
+	t.Helper()
+	methods := map[string]bool{
+		"get": true, "post": true, "put": true, "patch": true,
+		"delete": true, "head": true, "options": true,
+	}
+	declared := make(map[string]bool)
+	inPaths := false
+	currentPath := ""
+	scanSpec(t, func(indent int, trimmed string) {
 		switch {
 		case indent == 0:
 			inPaths = trimmed == "paths:"
@@ -48,10 +57,7 @@ func parseSpecPaths(t *testing.T) map[string]bool {
 				declared[strings.ToUpper(m)+" "+currentPath] = true
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan OpenAPI spec: %v", err)
-	}
+	})
 	if len(declared) == 0 {
 		t.Fatal("no operations found under paths: — spec layout changed?")
 	}
@@ -84,6 +90,54 @@ func TestOpenAPISpecCoversRoutes(t *testing.T) {
 	for key := range declared {
 		if !registered[key] {
 			t.Errorf("operation %q is documented in docs/openapi.yaml but not registered on the server", key)
+		}
+	}
+}
+
+// parseSchemaProperties returns the property names the named schema under
+// components.schemas declares: schema keys at four spaces, "properties:"
+// at six, property names at eight.
+func parseSchemaProperties(t *testing.T, schema string) map[string]bool {
+	t.Helper()
+	props := make(map[string]bool)
+	inSchema, inProps := false, false
+	scanSpec(t, func(indent int, trimmed string) {
+		switch {
+		case indent <= 4:
+			inSchema = indent == 4 && trimmed == schema+":"
+			inProps = false
+		case inSchema && indent == 6:
+			inProps = trimmed == "properties:"
+		case inProps && indent == 8 && strings.HasSuffix(trimmed, ":"):
+			props[strings.TrimSuffix(trimmed, ":")] = true
+		}
+	})
+	if len(props) == 0 {
+		t.Fatalf("no properties found for schema %s — spec layout changed?", schema)
+	}
+	return props
+}
+
+// TestOpenAPIHealthSchemaMatchesResponse pins the Health schema to the
+// /healthz payload in both directions: every JSON field healthResponse
+// serves is documented, and every documented property is still served.
+func TestOpenAPIHealthSchemaMatchesResponse(t *testing.T) {
+	declared := parseSchemaProperties(t, "Health")
+	served := make(map[string]bool)
+	typ := reflect.TypeOf(healthResponse{})
+	for i := 0; i < typ.NumField(); i++ {
+		if tag := strings.Split(typ.Field(i).Tag.Get("json"), ",")[0]; tag != "" && tag != "-" {
+			served[tag] = true
+		}
+	}
+	for name := range served {
+		if !declared[name] {
+			t.Errorf("/healthz serves %q, but the openapi Health schema does not list it", name)
+		}
+	}
+	for name := range declared {
+		if !served[name] {
+			t.Errorf("the openapi Health schema lists %q, which /healthz does not serve", name)
 		}
 	}
 }

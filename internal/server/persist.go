@@ -79,7 +79,7 @@ func (s *Server) persistFinishedJob(j *job, finished time.Time) {
 		snapshot.MetaEpsilon:   snapshot.FormatEpsilon(j.opts.Epsilon),
 		snapshot.MetaPrecision: snapshot.FormatPrecision(j.opts.Precision),
 	}
-	entry, err := s.registerModel(snap.result, meta, finished, j.id, j.networkID)
+	entry, err := s.registerModel(snap.result, meta, finished)
 	if err != nil {
 		s.persistFailure("register model for job "+j.id, err)
 		return
@@ -120,15 +120,8 @@ func (s *Server) persistFinishedJob(j *job, finished time.Time) {
 // line per failure plus a monotonic counter surfaced on both /healthz
 // (persist_failures) and /metrics (genclus_persist_failures_total).
 func (s *Server) persistFailure(what string, err error) {
-	s.persistFailures.Add(1)
-	if s.metrics != nil {
-		s.metrics.persistFailures.Inc()
-	}
-	logger := s.log
-	if logger == nil {
-		logger = slog.Default()
-	}
-	logger.LogAttrs(context.Background(), slog.LevelError, "persistence degraded",
+	s.metrics.persistFailures.Inc()
+	s.log.LogAttrs(context.Background(), slog.LevelError, "persistence degraded",
 		slog.String("what", what),
 		slog.String("error", err.Error()),
 	)
@@ -186,18 +179,7 @@ func (s *Server) recoverFromDisk() error {
 		if err != nil {
 			created = s.cfg.now()
 		}
-		e := &modelEntry{
-			id:        id,
-			model:     snap.Model,
-			meta:      snap.Meta,
-			created:   created,
-			digest:    snapshot.DataDigest(data),
-			size:      int64(len(data)),
-			precision: snap.Precision,
-			jobID:     snap.Meta[metaJobID],
-			networkID: snap.Meta[metaNetworkID],
-		}
-		s.admitModel(e)
+		s.admitModel(newModelEntry(id, snap, data, created))
 		s.recovered.Models++
 	}
 

@@ -44,28 +44,11 @@ func (r replicaRegistry) Install(id string, data []byte) error {
 		return err
 	}
 	old, _ := s.store.model(id)
-	e := &modelEntry{
-		id:        id,
-		model:     snap.Model,
-		meta:      snap.Meta,
-		created:   s.cfg.now(),
-		digest:    snapshot.DataDigest(data),
-		size:      int64(len(data)),
-		precision: snap.Precision,
-		// The meta's job/network ids are the PRIMARY's provenance; the
-		// registry row carries them so listings mirror the primary's.
-		jobID:     snap.Meta[metaJobID],
-		networkID: snap.Meta[metaNetworkID],
-	}
-	if s.blobs != nil {
-		// Same degraded-durability contract as registerModel: a failed disk
-		// write keeps the model serveable in memory (counted and logged);
-		// the next restart simply re-pulls it.
-		if err := s.blobs.Put(bucketModels, id, data); err != nil {
-			s.persistFailure("persist synced model "+id, err)
-		}
-	}
-	s.admitModel(e)
+	// The meta's job/network ids are the PRIMARY's provenance; the registry
+	// row carries them so listings mirror the primary's. A failed disk write
+	// keeps the model serveable in memory; the next restart re-pulls it.
+	e := newModelEntry(id, snap, data, s.cfg.now())
+	s.persistAndAdmit(e, data, "persist synced model "+id)
 	if old != nil && old.digest != e.digest {
 		// The id moved to new bytes; release the stale engine unless another
 		// entry still serves the old digest.

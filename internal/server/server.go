@@ -362,27 +362,20 @@ type Server struct {
 	// persistence is disabled.
 	blobs     *diskstore.Store
 	recovered RecoveryStats
-	// persistFailures counts degraded-durability events (failed snapshot or
-	// record writes); surfaced on /healthz so a sick volume is visible.
-	persistFailures atomic.Int64
 	// assignCache holds the per-model inference engines behind their
-	// micro-batching dispatchers (see assign.go); assignStats are the
-	// monotone /healthz assign counters, snapshotted consistently under
-	// one lock and mirrored into /metrics.
+	// micro-batching dispatchers (see assign.go).
 	assignCache assignEngines
-	assignStats assignCounters
-	// assignInFlight counts assign requests inside admission control;
+	// assignInFlight counts assign requests inside admission control (the
+	// in-flight cap compares against it; genclus_assign_in_flight reads it);
 	// assignLimiter is the optional token-bucket rate limiter (nil: off).
 	assignInFlight atomic.Int64
 	assignLimiter  *tokenBucket
 	// assignPassHook, when set (tests), runs at the start of every engine
 	// pass — it lets overload tests hold a pass open deterministically.
 	assignPassHook func()
-	// mutationStats are the monotone /healthz mutation counters (see
-	// mutate.go), mirrored into /metrics like assignStats.
-	mutationStats mutationCounters
 	// log and metrics are the operations surface: structured logs and the
-	// /metrics instrument registry (see metrics.go).
+	// /metrics instrument registry (see metrics.go). The registry is the
+	// only store of the daemon's counters; /healthz reads them from it.
 	log     *slog.Logger
 	metrics *serverMetrics
 	// tracer records every request, job, sync-pass and supervisor-decision
@@ -415,10 +408,13 @@ func New(cfg Config) (*Server, error) {
 		store:    st,
 		mux:      http.NewServeMux(),
 		started:  cfg.now(),
+		log:      cfg.Logger,
+		tracer:   trace.NewRecorder(cfg.MaxTraces),
 		sweeper:  make(chan struct{}),
 		draining: make(chan struct{}),
 	}
 	s.assignCache.cap = cfg.MaxAssignEngines
+	s.metrics = s.newServerMetrics()
 	if cfg.DataDir != "" {
 		blobs, err := diskstore.Open(cfg.DataDir)
 		if err != nil {
@@ -429,15 +425,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: recover data dir: %w", err)
 		}
 	}
-	s.manager = newManager(st, cfg.Workers, cfg.QueueDepth, cfg.now)
+	s.manager = newManager(cfg.Workers, cfg.QueueDepth, cfg.now, s.metrics, s.log)
 	s.manager.onDone = s.persistFinishedJob
-	s.log = cfg.Logger
-	s.tracer = trace.NewRecorder(cfg.MaxTraces)
-	s.metrics = s.newServerMetrics()
-	s.assignStats.met = s.metrics
-	s.mutationStats.met = s.metrics
-	s.manager.met = s.metrics
-	s.manager.log = s.log
 	if cfg.AssignRPS > 0 {
 		s.assignLimiter = newTokenBucket(cfg.AssignRPS, cfg.AssignBurst, cfg.now)
 	}
@@ -869,13 +858,15 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown network %q", req.NetworkID)
 		return
 	}
-	opts := core.DefaultOptions(req.K)
-	req.Options.apply(&opts)
-	// A fit can only use as many EM workers as there are cores; clamp
-	// rather than letting one job oversubscribe the box.
-	if procs := runtime.GOMAXPROCS(0); opts.Parallelism > procs {
-		opts.Parallelism = procs
+	spec := fitSpec{
+		networkID:  req.NetworkID,
+		net:        net,
+		generation: generation,
+		opts:       core.DefaultOptions(req.K),
+		truth:      req.Truth,
+		parent:     spanContext(r.Context()),
 	}
+	req.Options.apply(&spec.opts)
 	if req.WarmStartFrom != "" && req.WarmStartFromModel != "" {
 		writeError(w, http.StatusBadRequest, "warm_start_from and warm_start_from_model are mutually exclusive")
 		return
@@ -895,14 +886,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, "warm-start job %s is %s, not done", req.WarmStartFrom, snap.state)
 			return
 		}
-		// opts.K is req.K: 0 inherits the prior fit's K, otherwise it
-		// must match (RefitOptions rejects a mismatch).
-		warm, err := snap.result.RefitOptions(net, opts)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "warm start: %v", err)
-			return
-		}
-		opts = warm
+		spec.warm = snap.result
 	}
 	if req.WarmStartFromModel != "" {
 		entry, ok := s.store.model(req.WarmStartFromModel)
@@ -910,51 +894,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "unknown warm-start model %q", req.WarmStartFromModel)
 			return
 		}
-		warm, err := entry.model.RefitOptions(net, opts)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "warm start: %v", err)
-			return
-		}
-		opts = warm
+		spec.warm = entry.model
 	}
-	if err := s.checkJobBounds(opts); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	if err := opts.Validate(net); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	truth, err := denseTruth(net, req.Truth)
+	j, err := s.submitFit(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errQueueFull) {
+			code = http.StatusServiceUnavailable
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
-
-	j := &job{
-		id:         newID("job"),
-		networkID:  req.NetworkID,
-		opts:       opts,
-		truth:      truth,
-		created:    s.cfg.now(),
-		generation: generation,
-		net:        net,
-		state:      jobQueued,
-		done:       make(chan struct{}),
-	}
-	// The fit's own trace starts now and continues the caller's trace: its
-	// root is parented to the submit request's span, so a caller-supplied
-	// traceparent flows SDK → submit → queue wait → every outer iteration.
-	j.span = s.tracer.StartTrace("job.fit", spanContext(r.Context()), j.created)
-	j.span.SetAttr("job", j.id)
-	j.span.SetAttr("network", req.NetworkID)
-	if err := s.manager.submit(j); err != nil {
-		j.span.SetAttr("error", err.Error())
-		j.span.End(s.cfg.now())
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	s.store.addJob(j)
 	// The submit log line joins the request ID and the job ID — the only
 	// place both are in hand — so the job's later start/finish lines can be
 	// traced back to the originating request.
@@ -964,6 +914,84 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		slog.String("network", req.NetworkID),
 	)
 	writeJSON(w, http.StatusAccepted, s.jobResponse(j))
+}
+
+// fitSpec is one fit submission, from a client (POST /v1/jobs) or from a
+// continuous-clustering supervisor's auto-refit.
+type fitSpec struct {
+	networkID  string
+	net        *hin.Network // the view of generation, pinned for the fit
+	generation int
+	// opts are the requested options before the parallelism clamp and the
+	// warm start; warm, when set, seeds the fit (its K is inherited when
+	// opts.K is 0, and must match otherwise).
+	opts  core.Options
+	warm  *core.Model
+	truth map[string]int
+	// parent is the span the fit's trace continues (the submit request's,
+	// or the supervisor decision's); trigger names an auto-refit's reason.
+	parent  trace.SpanContext
+	trigger string
+}
+
+// submitFit is the one path from a fit submission to a queued job, shared
+// by client submissions and supervisor auto-refits so that an auto-refit is
+// bitwise identical to a manual warm start of the same generation. Options
+// go through the parallelism clamp, RefitOptions from the warm model, the
+// server bounds and Validate, in that order; then the job is built, its
+// job.fit trace started, queued and stored. Option and truth errors are
+// client errors (400); errQueueFull means the queue has no room (503).
+func (s *Server) submitFit(spec fitSpec) (*job, error) {
+	opts := spec.opts
+	// A fit can only use as many EM workers as there are cores; clamp
+	// rather than letting one job oversubscribe the box.
+	if procs := runtime.GOMAXPROCS(0); opts.Parallelism > procs {
+		opts.Parallelism = procs
+	}
+	if spec.warm != nil {
+		warm, err := spec.warm.RefitOptions(spec.net, opts)
+		if err != nil {
+			return nil, fmt.Errorf("warm start: %w", err)
+		}
+		opts = warm
+	}
+	if err := s.checkJobBounds(opts); err != nil {
+		return nil, fmt.Errorf("invalid options: %w", err)
+	}
+	if err := opts.Validate(spec.net); err != nil {
+		return nil, fmt.Errorf("invalid options: %w", err)
+	}
+	truth, err := denseTruth(spec.net, spec.truth)
+	if err != nil {
+		return nil, err
+	}
+	j := &job{
+		id:         newID("job"),
+		networkID:  spec.networkID,
+		opts:       opts,
+		truth:      truth,
+		created:    s.cfg.now(),
+		generation: spec.generation,
+		net:        spec.net,
+		state:      jobQueued,
+		done:       make(chan struct{}),
+	}
+	// The fit's own trace starts now and continues the parent's trace, so a
+	// caller-supplied traceparent flows SDK → submit → queue wait → every
+	// outer iteration, and an auto-refit's trace continues its decision.
+	j.span = s.tracer.StartTrace("job.fit", spec.parent, j.created)
+	j.span.SetAttr("job", j.id)
+	j.span.SetAttr("network", spec.networkID)
+	if spec.trigger != "" {
+		j.span.SetAttr("trigger", spec.trigger)
+	}
+	if err := s.manager.submit(j); err != nil {
+		j.span.SetAttr("error", err.Error())
+		j.span.End(s.cfg.now())
+		return nil, err
+	}
+	s.store.addJob(j)
+	return j, nil
 }
 
 // checkJobBounds enforces the server-side ceilings on job options —
@@ -1106,9 +1134,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Networks:        s.store.numNetworks(),
 		Models:          s.store.numModels(),
 		Jobs:            s.store.jobCounts(),
-		PersistFailures: s.persistFailures.Load(),
-		Assign:          s.assignStats.snapshot(),
-		Mutation:        s.mutationStats.snapshot(s.store),
+		PersistFailures: s.metrics.persistFailures.Value(),
+		Assign:          s.metrics.assignStats(),
+		Mutation:        s.metrics.mutationStats(s.store),
 		Replication:     s.replicationStats(),
 		Runtime:         s.runtimeTelemetry(),
 	})

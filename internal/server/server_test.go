@@ -489,7 +489,7 @@ func TestTTLPinsNetworkWithQueuedJob(t *testing.T) {
 
 	clock.Advance(10 * time.Minute)
 	s.store.sweep()
-	if _, ok := s.store.network(netID); !ok {
+	if _, _, ok := s.store.networkState(netID); !ok {
 		t.Fatal("network evicted while jobs depend on it")
 	}
 

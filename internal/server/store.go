@@ -79,18 +79,6 @@ func (st *store) addNetwork(net *hin.Network) string {
 	return id
 }
 
-// network fetches a network and refreshes its eviction clock.
-func (st *store) network(id string) (*hin.Network, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.networks[id]
-	if !ok {
-		return nil, false
-	}
-	e.lastUsed = st.now()
-	return e.net, true
-}
-
 // networkEntry fetches a network's entry (for mutation) and refreshes its
 // eviction clock. The returned entry may be evicted concurrently; writers
 // must re-verify membership via publishNetwork / attachLog.

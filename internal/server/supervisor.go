@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -218,7 +218,7 @@ func (sup *supervisor) evaluate() {
 	sup.mu.Lock()
 	sup.lastDrift = drift
 	sup.mu.Unlock()
-	s.mutationStats.recordDrift(drift)
+	s.metrics.driftBits.Store(math.Float64bits(drift))
 	reason := ""
 	if mp := s.cfg.SupervisorMaxPending; mp > 0 && pending >= mp {
 		reason = "pending"
@@ -238,29 +238,34 @@ func (sup *supervisor) evaluate() {
 }
 
 // triggerRefit schedules a warm-start refit of the network's current
-// generation through the ordinary job pipeline — the exact option path a
-// client POST /v1/jobs with warm_start_from_model takes (DefaultOptions →
-// parallelism clamp → RefitOptions → server bounds → Validate), so the
-// auto-refit model is bitwise-identical to a manual warm start of the same
-// generation. parent is the supervisor decision's span context, so the
-// refit job's trace continues the decision's trace id.
+// generation through submitFit — the exact path a client POST /v1/jobs with
+// warm_start_from_model takes — so the auto-refit model is
+// bitwise-identical to a manual warm start of the same generation. parent
+// is the supervisor decision's span context, so the refit job's trace
+// continues the decision's trace id.
 func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, drift float64, pending int, reason string, parent trace.SpanContext) {
 	s := sup.s
 	opts := core.DefaultOptions(0) // K inherited from the warm-start model
-	if procs := runtime.GOMAXPROCS(0); opts.Parallelism > procs {
-		opts.Parallelism = procs
-	}
 	// An auto-refit of a float32 model stays float32: the refit replaces
 	// the model in place, and silently widening its storage would change
 	// snapshot bytes and replica traffic out from under the operator.
 	opts.Precision = e.precision
-	warm, err := e.model.RefitOptions(net, opts)
-	if err == nil {
-		opts = warm
-		err = s.checkJobBounds(opts)
-	}
-	if err == nil {
-		err = opts.Validate(net)
+	j, err := s.submitFit(fitSpec{
+		networkID:  sup.networkID,
+		net:        net,
+		generation: gen,
+		opts:       opts,
+		warm:       e.model,
+		parent:     parent,
+		trigger:    reason,
+	})
+	if errors.Is(err, errQueueFull) {
+		// Backpressure, not failure. Retry on the next tick.
+		s.log.LogAttrs(context.Background(), slog.LevelDebug, "supervisor refit deferred",
+			slog.String("network", sup.networkID),
+			slog.String("error", err.Error()),
+		)
+		return
 	}
 	if err != nil {
 		// The model cannot seed a fit of this generation (K out of bounds,
@@ -271,7 +276,7 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 		sup.lastRefitGen = gen
 		sup.failed++
 		sup.mu.Unlock()
-		s.mutationStats.refitFailed()
+		s.metrics.supervisorRefitsFailed.Inc()
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "supervisor refit rejected",
 			slog.String("network", sup.networkID),
 			slog.String("model", e.id),
@@ -280,31 +285,6 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 		)
 		return
 	}
-	j := &job{
-		id:         newID("job"),
-		networkID:  sup.networkID,
-		opts:       opts,
-		generation: gen,
-		net:        net,
-		created:    s.cfg.now(),
-		state:      jobQueued,
-		done:       make(chan struct{}),
-	}
-	j.span = s.tracer.StartTrace("job.fit", parent, j.created)
-	j.span.SetAttr("job", j.id)
-	j.span.SetAttr("network", sup.networkID)
-	j.span.SetAttr("trigger", reason)
-	if err := s.manager.submit(j); err != nil {
-		// Queue full: backpressure, not failure. Retry on the next tick.
-		j.span.SetAttr("error", err.Error())
-		j.span.End(s.cfg.now())
-		s.log.LogAttrs(context.Background(), slog.LevelDebug, "supervisor refit deferred",
-			slog.String("network", sup.networkID),
-			slog.String("error", err.Error()),
-		)
-		return
-	}
-	s.store.addJob(j)
 	sup.mu.Lock()
 	sup.refit = j
 	sup.lastRefitGen = gen
@@ -312,7 +292,7 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 	sup.touched = nil
 	sup.touchedSet = nil
 	sup.mu.Unlock()
-	s.mutationStats.refitTriggered()
+	s.metrics.supervisorRefitsTriggered.Inc()
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "supervisor refit triggered",
 		slog.String("network", sup.networkID),
 		slog.String("job", j.id),
@@ -341,7 +321,7 @@ func (sup *supervisor) settleRefit() {
 		sup.succeeded++
 		sup.lastModelID = snap.modelID
 		sup.mu.Unlock()
-		sup.s.mutationStats.refitSucceeded()
+		sup.s.metrics.supervisorRefitsSucceeded.Inc()
 		sup.s.log.LogAttrs(context.Background(), slog.LevelInfo, "supervisor refit published",
 			slog.String("network", sup.networkID),
 			slog.String("job", j.id),
@@ -353,7 +333,7 @@ func (sup *supervisor) settleRefit() {
 	sup.mu.Lock()
 	sup.failed++
 	sup.mu.Unlock()
-	sup.s.mutationStats.refitFailed()
+	sup.s.metrics.supervisorRefitsFailed.Inc()
 	sup.s.log.LogAttrs(context.Background(), slog.LevelWarn, "supervisor refit failed",
 		slog.String("network", sup.networkID),
 		slog.String("job", j.id),
