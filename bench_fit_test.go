@@ -10,14 +10,26 @@
 package genclus_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"genclus"
+	"genclus/client"
 	"genclus/internal/bench"
+	"genclus/internal/server"
 )
 
 // benchFitEntry is one measurement in BENCH_fit.json.
@@ -272,6 +284,141 @@ func BenchmarkAssignBatch(b *testing.B) {
 	mergeBenchFile(b, func(key string) bool { return strings.HasPrefix(key, "assign-batch/") }, map[string]benchFitEntry{
 		"assign-batch/midsize": {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
 	})
+}
+
+// BenchmarkAssignHTTP measures one POST /v1/models/{id}/assign of 8
+// objects against an in-process genclusd (httptest, default Config) on the
+// model BenchmarkAssignBatch scores directly: the HTTP round trip, request
+// middleware, admission control, the dispatcher, the engine pass and the
+// JSON response. "c1" is one closed-loop client, so ns/op is its request
+// latency; "c2" runs two, so ns/op is wall time per request under
+// concurrent load, where a request that arrives during the other's pass
+// shares the next one. allocs/op counts every allocation in the process,
+// client side included. The results land in BENCH_fit.json as
+// "serve/assign-http" and "serve/assign-http-c2". Loopback latency varies
+// with the host's load, so CI runs this without a regression gate.
+func BenchmarkAssignHTTP(b *testing.B) {
+	ts, modelID, bodies := benchAssignDaemon(b)
+	url := ts.URL + "/v1/models/" + modelID + "/assign"
+	post := func(body []byte) error {
+		resp, err := ts.Client().Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("assign: status %d", resp.StatusCode)
+		}
+		return nil
+	}
+	for _, clients := range []int{1, 2} {
+		b.Run(fmt.Sprintf("c%d", clients), func(b *testing.B) {
+			if err := post(bodies[0]); err != nil { // warm-up sizes the engine arena
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var next atomic.Int64
+			errs := make([]error, clients)
+			var wg sync.WaitGroup
+			for c := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(b.N) && errs[c] == nil; i = next.Add(1) - 1 {
+						errs[c] = post(bodies[i%int64(len(bodies))])
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if err := errors.Join(errs...); err != nil {
+				b.Fatal(err)
+			}
+			nsPerOp, allocs := int64(0), int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+				allocs = int64(after.Mallocs-before.Mallocs) / int64(b.N)
+			}
+			key := "serve/assign-http"
+			if clients > 1 {
+				key += fmt.Sprintf("-c%d", clients)
+			}
+			mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
+				key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
+}
+
+// benchAssignDaemon starts genclusd behind httptest, fits
+// BenchmarkAssignBatch's model through the SDK, and returns the server, the
+// model id and eight 8-object request bodies that cover the same 64 queries
+// (links plus sparse term counts of training objects).
+func benchAssignDaemon(b *testing.B) (*httptest.Server, string, [][]byte) {
+	s, err := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	b.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	ctx := context.Background()
+	c := client.New(ts.URL, client.WithHTTPClient(ts.Client()))
+	net := benchDocNet(b, 250, 0)
+	info, err := c.UploadNetwork(ctx, net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	outer, emIters, emTol, seed := 5, 10, 1e-6, int64(1)
+	job, err := c.SubmitJob(ctx, client.JobSpec{NetworkID: info.ID, K: 2, Options: &client.JobOptions{
+		OuterIters: &outer, EMIters: &emIters, EMTol: &emTol, Seed: &seed,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.WaitForResult(ctx, job.ID); err != nil {
+		b.Fatal(err)
+	}
+	status, err := c.JobStatus(ctx, job.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := make([][]byte, 8)
+	for j := range bodies {
+		req := client.AssignRequest{TopK: 2}
+		for i := 8 * j; i < 8*j+8; i++ {
+			v := (i * 7) % net.NumObjects()
+			obj := client.AssignObject{ID: net.Object(v).ID}
+			for _, e := range net.OutEdges(v) {
+				obj.Links = append(obj.Links, client.AssignLink{
+					Relation: net.RelationName(e.Rel),
+					To:       net.Object(e.To).ID,
+					Weight:   e.Weight,
+				})
+			}
+			var terms []client.AssignTermCount
+			for _, tc := range net.TermCounts(0, v) {
+				terms = append(terms, client.AssignTermCount{Term: tc.Term, Count: tc.Count})
+			}
+			if len(terms) > 0 {
+				obj.Terms = map[string][]client.AssignTermCount{"text": terms}
+			}
+			req.Objects = append(req.Objects, obj)
+		}
+		if bodies[j], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ts, status.ModelID, bodies
 }
 
 // BenchmarkEMIteration measures one steady-state E+M pass of the EM hot

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"genclus/client"
 	"genclus/internal/server"
@@ -118,10 +117,10 @@ func TestSDKAssignErrors(t *testing.T) {
 
 // TestSDKAssignConcurrent exercises the acceptance criterion that
 // concurrent SDK assign calls against one model are race- and leak-clean:
-// many goroutines assign through the micro-batching window and every
+// many goroutines assign through the micro-batching dispatcher and every
 // response routes back to its own request.
 func TestSDKAssignConcurrent(t *testing.T) {
-	c := testDaemon(t, server.Config{Workers: 1, AssignBatchWindow: 2 * time.Millisecond})
+	c := testDaemon(t, server.Config{Workers: 1})
 	ctx := context.Background()
 	modelID, res := fitModelViaSDK(t, c)
 

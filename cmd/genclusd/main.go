@@ -10,9 +10,9 @@
 //
 //	genclusd [-addr :8080] [-workers N] [-queue 64] [-ttl 1h]
 //	         [-max-body 33554432] [-data-dir DIR] [-max-models 1024]
-//	         [-assign-batch-window 2ms] [-assign-max-batch 256]
-//	         [-assign-max-queue N] [-assign-max-inflight 1024]
-//	         [-assign-rps 0] [-supervisor-max-pending 32]
+//	         [-assign-max-batch 256] [-assign-max-queue N]
+//	         [-assign-max-inflight 1024] [-assign-rps 0]
+//	         [-supervisor-max-pending 32]
 //	         [-supervisor-drift 0.25] [-supervisor-interval 5s]
 //	         [-read-timeout 2m] [-write-timeout 1m]
 //	         [-idle-timeout 2m] [-log-format text|json] [-log-level info]
@@ -38,14 +38,14 @@
 //
 // Registered models serve online inference via POST
 // /v1/models/{id}/assign: batches of new objects fold into a model's
-// hidden space without refitting. -assign-batch-window bounds how long a
-// request waits to coalesce with concurrent ones into a shared inference
-// pass (0 disables coalescing), and -assign-max-batch caps both a single
-// request's batch and a coalesced pass. Admission control sheds overload
-// with typed 429 "overloaded" responses: -assign-max-queue bounds the
-// query objects queued behind a busy model, -assign-max-inflight caps
-// concurrent assign requests globally, and -assign-rps adds an optional
-// token-bucket rate limit.
+// hidden space without refitting. A request against an idle model runs its
+// inference pass at once; requests that arrive while a pass is running
+// share the next one, so coalescing follows load and never adds latency.
+// -assign-max-batch caps both a single request's batch and a coalesced
+// pass. Admission control sheds overload with typed 429 "overloaded"
+// responses: -assign-max-queue bounds the query objects queued behind a
+// busy model, -assign-max-inflight caps concurrent assign requests
+// globally, and -assign-rps adds an optional token-bucket rate limit.
 //
 // With -replica-of URL the daemon runs as a read-only replica of another
 // genclusd: a sync loop mirrors the primary's /v1/models registry by
@@ -104,7 +104,6 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "persist finished fits (model snapshots + job records) under this directory; empty = memory-only")
 		maxModels = flag.Int("max-models", 0, "cap on registered models; oldest evicted beyond it (default 1024)")
 
-		assignWindow   = flag.Duration("assign-batch-window", 2*time.Millisecond, "how long an assign request sleeps to coalesce with concurrent ones into a shared inference pass (a fixed latency floor every request pays); 0s disables coalescing")
 		assignMaxBatch = flag.Int("assign-max-batch", 0, "cap on query objects per assign request and per coalesced inference pass (default 256)")
 		assignMaxQueue = flag.Int("assign-max-queue", 0, "cap on query objects queued behind one model's dispatcher; overflow is shed with 429 (default 4x assign-max-batch, -1 unbounded)")
 		assignInFlight = flag.Int("assign-max-inflight", 0, "global cap on concurrent assign requests; overflow is shed with 429 (default 1024, -1 unbounded)")
@@ -133,10 +132,6 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	window := *assignWindow
-	if window == 0 {
-		window = -1 // explicit 0s: coalescing off (Config treats negative as disabled)
-	}
 	wt := *writeTimeout
 	if wt == 0 {
 		wt = -1 // explicit 0s: no write deadline (Config treats negative as disabled)
@@ -153,7 +148,6 @@ func main() {
 		MaxBodyBytes:             *maxBody,
 		DataDir:                  *dataDir,
 		MaxModels:                *maxModels,
-		AssignBatchWindow:        window,
 		MaxAssignBatch:           *assignMaxBatch,
 		MaxAssignQueue:           *assignMaxQueue,
 		MaxAssignInFlight:        *assignInFlight,

@@ -17,12 +17,14 @@ import (
 // attribute observations — into a registered model's hidden space without
 // refitting. Per model the server keeps one inference engine (cached by
 // snapshot digest, so re-imports and restarts reuse the same derived
-// views) behind a micro-batching dispatcher: concurrent requests within
-// Config.AssignBatchWindow coalesce into shared engine passes of up to
-// Config.MaxAssignBatch objects, amortizing the engine's scratch arena
-// across callers while keeping every request's results isolated. The
-// engine pass itself is deterministic and allocation-free in steady state
-// (see internal/infer).
+// views) behind a batch-while-busy dispatcher: a request that finds the
+// model idle starts its engine pass at once, and requests that arrive while
+// a pass is running queue up and share the next pass, in groups of up to
+// Config.MaxAssignBatch objects. Batch size therefore follows arrival rate
+// × pass time — coalescing under concurrent load, no latency floor when
+// idle — while every request's results stay isolated. The engine pass
+// itself is deterministic and allocation-free in steady state (see
+// internal/infer), so an assignment never depends on its batch companions.
 
 // ---- wire types ----
 //
@@ -98,7 +100,6 @@ func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
 	// Reserve the digest, then build without the lock. A failed build is
 	// removed so the next request retries.
 	d := &assignDispatcher{
-		window:   s.cfg.AssignBatchWindow,
 		maxBatch: s.cfg.MaxAssignBatch,
 		maxQueue: s.cfg.MaxAssignQueue,
 		met:      s.metrics,
@@ -292,18 +293,17 @@ type assignCall struct {
 }
 
 // assignDispatcher coalesces concurrent assign requests against one model
-// into shared engine passes. The first arrival becomes the pass leader: it
-// sleeps the full window so companions can queue up (the window is a fixed
-// latency floor every request pays — set it to 0 when idle-model latency
-// matters more than coalescing), then drains the pending list in
-// groups of at most maxBatch objects, scores each group in one engine
-// pass, and distributes per-request copies of the results. The engine —
-// which owns a single scratch arena and is not concurrent-safe — only ever
-// runs on the leader goroutine of the moment, so no lock is held while
-// scoring and a slow pass never blocks request validation.
+// into shared engine passes, batching only while the engine is busy. An
+// arrival that finds no pass running becomes the leader and scores at once;
+// arrivals during a pass queue in pending, and the next round drains them
+// in groups of at most maxBatch objects, scores each group in one engine
+// pass, and distributes per-request copies of the results. No request ever
+// waits for a companion. The engine — which owns a single scratch arena and
+// is not concurrent-safe — only ever runs on the leader goroutine of the
+// moment, so no lock is held while scoring and a slow pass never blocks
+// request validation.
 type assignDispatcher struct {
 	eng      *infer.Engine
-	window   time.Duration
 	maxBatch int
 	// maxQueue bounds the query objects in pending (0: unbounded);
 	// enqueues past it fail with a typed overloadError so the pending list
@@ -329,12 +329,12 @@ type assignDispatcher struct {
 }
 
 // do submits one request's queries and blocks until a leader scored them.
-// The first arrival becomes the leader for exactly one drain round — its
-// own call is in that round, so its latency is bounded by one window plus
-// the passes of its round — and hands any arrivals that landed while it
-// was scoring to a detached drainer goroutine. The engine still only ever
-// runs on one goroutine at a time (leaderActive), it just stops being the
-// goroutine of a request that already has its answer.
+// An arrival at an idle dispatcher becomes the leader for exactly one drain
+// round — its own call is in that round, so its latency is the passes of
+// its round and nothing more — and hands any arrivals that landed while it
+// was scoring to a detached drainer goroutine, which coalesces them. The
+// engine still only ever runs on one goroutine at a time (leaderActive), it
+// just stops being the goroutine of a request that already has its answer.
 //
 // Enqueueing past maxQueue pending query objects fails immediately with a
 // typed overloadError (shed, not queued): under a wedged or slow pass the
@@ -345,14 +345,10 @@ func (d *assignDispatcher) do(call *assignCall) error {
 	d.mu.Lock()
 	if d.maxQueue > 0 && d.queued+len(call.queries) > d.maxQueue {
 		d.mu.Unlock()
-		retry := time.Second
-		if d.window > retry {
-			retry = d.window
-		}
 		return &overloadError{
 			reason:     shedQueueFull,
 			msg:        fmt.Sprintf("assign queue full (%d objects pending, cap %d)", d.queued, d.maxQueue),
-			retryAfter: retry,
+			retryAfter: time.Second,
 		}
 	}
 	d.pending = append(d.pending, call)
@@ -366,9 +362,6 @@ func (d *assignDispatcher) do(call *assignCall) error {
 	d.leaderActive = true
 	d.mu.Unlock()
 
-	if d.window > 0 {
-		time.Sleep(d.window)
-	}
 	d.drainRound()
 	<-call.done
 	return nil
@@ -426,14 +419,12 @@ func (d *assignDispatcher) drainRound() {
 // runBatch groups calls into engine passes of at most maxBatch objects
 // (single calls above the cap were already rejected at decode) and scores
 // each group, copying results out of the engine arena into per-call slices
-// before the next pass reuses it. With the batch window disabled every
-// call keeps its own pass — "no coalescing" means exactly that, even for
-// requests that arrived while an earlier pass was running.
+// before the next pass reuses it.
 func (d *assignDispatcher) runBatch(batch []*assignCall) {
 	for len(batch) > 0 {
 		group := batch[:1]
 		total := len(batch[0].queries)
-		for d.window > 0 && len(group) < len(batch) {
+		for len(group) < len(batch) {
 			next := batch[len(group)]
 			if d.maxBatch > 0 && total+len(next.queries) > d.maxBatch {
 				break

@@ -209,85 +209,100 @@ func TestAssignRejections(t *testing.T) {
 	}
 }
 
-// TestAssignMicroBatching fires concurrent requests inside one batching
-// window and checks that they coalesced into shared engine passes — fewer
-// passes than requests, batched_requests counted, and per-request results
-// still correct and isolated.
+// TestAssignMicroBatching holds the leader's engine pass open, queues
+// seven single-object requests behind it, and releases: the seven must
+// share exactly one pass (batch-while-busy), the leader must have run
+// alone, and every response must still route to its own request.
 func TestAssignMicroBatching(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, AssignBatchWindow: 150 * time.Millisecond})
+	s, ts, entered, release := blockedPassServer(t, Config{Workers: 1})
 	modelID, res := assignFixture(t, ts)
 
-	const n = 8
+	type outcome struct {
+		batched bool
+		err     error
+	}
+	assign := func(i int) outcome {
+		obj := res.Objects[i%len(res.Objects)]
+		id := fmt.Sprintf("q%d", i)
+		req := infer.RequestDoc{Objects: []infer.ObjectDoc{{ID: id, Links: []infer.LinkDoc{{Relation: "cites", To: obj.ID, Weight: 1}}}}}
+		payload, _ := json.Marshal(req)
+		hr, err := http.Post(ts.URL+"/v1/models/"+modelID+"/assign", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			return outcome{err: err}
+		}
+		defer hr.Body.Close()
+		var resp assignResponse
+		if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil || hr.StatusCode != http.StatusOK {
+			return outcome{err: fmt.Errorf("status %d err %v", hr.StatusCode, err)}
+		}
+		if len(resp.Assignments) != 1 || resp.Assignments[0].ID != id {
+			return outcome{err: fmt.Errorf("wrong assignment routed: %+v", resp.Assignments)}
+		}
+		return outcome{batched: resp.Batched}
+	}
+
+	// The leader finds the dispatcher idle and enters its pass at once.
+	leader := make(chan outcome, 1)
+	go func() { leader <- assign(0) }()
+	<-entered
+
+	const n = 7
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	batched := make([]bool, n)
+	queued := make([]outcome, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			obj := res.Objects[i%len(res.Objects)]
-			req := infer.RequestDoc{Objects: []infer.ObjectDoc{{ID: fmt.Sprintf("q%d", i), Links: []infer.LinkDoc{{Relation: "cites", To: obj.ID, Weight: 1}}}}}
-			payload, _ := json.Marshal(req)
-			hr, err := http.Post(ts.URL+"/v1/models/"+modelID+"/assign", "application/json", bytes.NewReader(payload))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer hr.Body.Close()
-			var resp assignResponse
-			if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil || hr.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d err %v", hr.StatusCode, err)
-				return
-			}
-			if len(resp.Assignments) != 1 || resp.Assignments[0].ID != fmt.Sprintf("q%d", i) {
-				errs[i] = fmt.Errorf("wrong assignment routed: %+v", resp.Assignments)
-				return
-			}
-			batched[i] = resp.Batched
+			queued[i] = assign(i + 1)
 		}(i)
 	}
+	entry, ok := s.store.model(modelID)
+	if !ok {
+		t.Fatal("model vanished")
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		s.assignCache.mu.Lock()
+		d := s.assignCache.entries[entry.digest]
+		s.assignCache.mu.Unlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.queued == n
+	})
+
+	release()
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	if out := <-leader; out.err != nil || out.batched {
+		t.Fatalf("leader: err %v batched %v, want its own unshared pass", out.err, out.batched)
+	}
+	for i, out := range queued {
+		if out.err != nil {
+			t.Fatalf("queued request %d: %v", i, out.err)
+		}
+		if !out.batched {
+			t.Fatalf("queued request %d reported batched=false, want its pass shared", i)
 		}
 	}
 
-	var health healthResponse
-	code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/healthz", nil)
-	if code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
+	a := fetchHealth(t, ts).Assign
+	if a.Requests != n+1 || a.Objects != n+1 {
+		t.Fatalf("assign counters %+v, want %d requests/objects", a, n+1)
 	}
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
+	if a.EnginePasses != 2 {
+		t.Fatalf("%d engine passes, want 2 (the leader's, then one for the %d queued)", a.EnginePasses, n)
 	}
-	a := health.Assign
-	if a.Requests != n || a.Objects != n {
-		t.Fatalf("assign counters %+v, want %d requests/objects", a, n)
+	if a.BatchedRequests != n {
+		t.Fatalf("batched_requests = %d, want %d", a.BatchedRequests, n)
 	}
-	if a.EnginePasses >= n {
-		t.Fatalf("no coalescing: %d passes for %d concurrent requests", a.EnginePasses, n)
-	}
-	if a.BatchedRequests < 2 {
-		t.Fatalf("batched_requests = %d, want ≥ 2", a.BatchedRequests)
-	}
-	anyBatched := false
-	for _, b := range batched {
-		anyBatched = anyBatched || b
-	}
-	if !anyBatched {
-		t.Fatal("no response reported batched=true")
-	}
-	if a.EngineCacheMisses != 1 || a.EngineCacheHits < n-1 {
-		t.Fatalf("engine cache hits=%d misses=%d, want 1 miss and ≥%d hits", a.EngineCacheHits, a.EngineCacheMisses, n-1)
+	if a.EngineCacheMisses != 1 || a.EngineCacheHits < n {
+		t.Fatalf("engine cache hits=%d misses=%d, want 1 miss and ≥%d hits", a.EngineCacheHits, a.EngineCacheMisses, n)
 	}
 }
 
-// TestAssignConcurrentNoLeak hammers one model from many goroutines with
-// batching enabled and checks (under -race in CI) that results stay
+// TestAssignConcurrentNoLeak hammers one model from many goroutines and
+// checks (under -race in CI) that results stay
 // isolated and no dispatcher goroutine outlives its requests.
 func TestAssignConcurrentNoLeak(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, AssignBatchWindow: time.Millisecond})
+	_, ts := testServer(t, Config{Workers: 1})
 	modelID, res := assignFixture(t, ts)
 	baseline := runtime.NumGoroutine()
 
@@ -343,7 +358,7 @@ func TestAssignConcurrentNoLeak(t *testing.T) {
 // canonical bytes — reuses the cached engine, because the cache is keyed
 // by snapshot digest rather than model id.
 func TestAssignEngineCacheSharedByDigest(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, AssignBatchWindow: -1})
+	_, ts := testServer(t, Config{Workers: 1})
 	modelID, res := assignFixture(t, ts)
 
 	code, snap := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/models/"+modelID+"/export", nil)
@@ -376,9 +391,10 @@ func TestAssignEngineCacheSharedByDigest(t *testing.T) {
 		t.Fatalf("cache hits=%d misses=%d, want one engine shared across both registry entries",
 			health.Assign.EngineCacheHits, health.Assign.EngineCacheMisses)
 	}
-	// Window disabled (-1): nothing may report batched.
+	// Sequential requests never overlap a running pass: nothing may
+	// report batched.
 	if health.Assign.BatchedRequests != 0 {
-		t.Fatalf("batched_requests = %d with coalescing disabled", health.Assign.BatchedRequests)
+		t.Fatalf("batched_requests = %d for sequential requests", health.Assign.BatchedRequests)
 	}
 
 	// Deleting one of the two entries keeps the shared engine (the digest

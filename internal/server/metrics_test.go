@@ -292,10 +292,9 @@ func assertOverloaded(t *testing.T, code int, body []byte, header http.Header) {
 func TestAssignOverloadQueueFull(t *testing.T) {
 	const maxQueue = 4
 	s, ts, entered, release := blockedPassServer(t, Config{
-		Workers:           1,
-		AssignBatchWindow: -1, // no coalescing window; queueing still happens behind the blocked pass
-		MaxAssignBatch:    4,
-		MaxAssignQueue:    maxQueue,
+		Workers:        1,
+		MaxAssignBatch: 4,
+		MaxAssignQueue: maxQueue,
 	})
 	modelID, res := assignFixture(t, ts)
 	target := res.Objects[0].ID
@@ -400,7 +399,6 @@ func TestAssignOverloadQueueFull(t *testing.T) {
 func TestAssignOverloadInFlightCap(t *testing.T) {
 	_, ts, entered, release := blockedPassServer(t, Config{
 		Workers:           1,
-		AssignBatchWindow: -1,
 		MaxAssignInFlight: 1,
 	})
 	modelID, res := assignFixture(t, ts)
@@ -442,7 +440,6 @@ func TestAssignOverloadInFlightCap(t *testing.T) {
 func TestAssignInFlightGaugeUncapped(t *testing.T) {
 	_, ts, entered, release := blockedPassServer(t, Config{
 		Workers:           1,
-		AssignBatchWindow: -1,
 		MaxAssignInFlight: -1,
 	})
 	// Released before the server's cleanup closes it, even on failure: the
@@ -478,10 +475,9 @@ func TestAssignRateLimit(t *testing.T) {
 	base := time.Now()
 	offset := time.Duration(0)
 	cfg := Config{
-		Workers:           1,
-		AssignBatchWindow: -1,
-		AssignRPS:         1,
-		AssignBurst:       1,
+		Workers:     1,
+		AssignRPS:   1,
+		AssignBurst: 1,
 		now: func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()
@@ -522,7 +518,7 @@ func TestAssignRateLimit(t *testing.T) {
 // invariants a consistent read guarantees — independently-loaded atomics
 // used to allow batched_requests > requests mid-pass.
 func TestHealthzSnapshotConsistency(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, AssignBatchWindow: time.Millisecond})
+	_, ts := testServer(t, Config{Workers: 1})
 	modelID, res := assignFixture(t, ts)
 	target := res.Objects[0].ID
 

@@ -117,13 +117,6 @@ type Config struct {
 	MaxEMIters    int
 	MaxInitSeeds  int
 
-	// AssignBatchWindow is how long the first assign request against a
-	// model sleeps so concurrent companions can join the shared inference
-	// pass (default 2ms; negative disables coalescing so every request
-	// runs its own pass). The full window is always slept, so it is a
-	// fixed latency floor every request pays — micro-batching trades that
-	// bounded latency for engine-pass sharing under concurrent load.
-	AssignBatchWindow time.Duration
 	// MaxAssignBatch caps both the query objects of a single assign
 	// request (the trust boundary) and the objects coalesced into one
 	// shared engine pass (default 256).
@@ -263,12 +256,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxModels <= 0 {
 		c.MaxModels = 1024
-	}
-	if c.AssignBatchWindow == 0 {
-		c.AssignBatchWindow = 2 * time.Millisecond
-	}
-	if c.AssignBatchWindow < 0 {
-		c.AssignBatchWindow = 0
 	}
 	if c.MaxAssignBatch <= 0 {
 		c.MaxAssignBatch = 256
