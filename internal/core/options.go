@@ -243,8 +243,8 @@ func (o Options) Validate(net *hin.Network) error {
 	if o.InitSeeds > 1 && o.InitSeedSteps < 1 {
 		return fmt.Errorf("core: InitSeedSteps = %d with InitSeeds > 1", o.InitSeedSteps)
 	}
-	if o.InitialGamma < 0 {
-		return fmt.Errorf("core: InitialGamma = %v, want ≥ 0", o.InitialGamma)
+	if !(o.InitialGamma >= 0) || math.IsInf(o.InitialGamma, 1) {
+		return fmt.Errorf("core: InitialGamma = %v, want finite ≥ 0", o.InitialGamma)
 	}
 	for _, name := range o.Attributes {
 		if _, ok := net.AttrID(name); !ok {

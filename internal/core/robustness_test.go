@@ -264,10 +264,12 @@ func TestInitialGammaOption(t *testing.T) {
 			t.Errorf("γ(%s) = %v, want 2.5", rel, g)
 		}
 	}
-	bad := DefaultOptions(2)
-	bad.InitialGamma = -1
-	if _, err := Fit(net, bad); err == nil {
-		t.Error("negative InitialGamma should be rejected")
+	for _, g0 := range []float64{-1, math.Inf(1), math.NaN()} {
+		bad := DefaultOptions(2)
+		bad.InitialGamma = g0
+		if _, err := Fit(net, bad); err == nil {
+			t.Errorf("InitialGamma = %v should be rejected", g0)
+		}
 	}
 }
 

@@ -120,7 +120,20 @@ func (s *state) strengthRows(lo, hi int, logTheta []float64) {
 }
 
 // alphaOf fills alpha with α_i(γ) = 1 + Σ_r γ_r·Sik^{(r)} for strength
-// object oi, skipping zero-strength relations.
+// object oi, adding only the relations oi has links in (S_i^{(r)} > 0) and
+// whose strength is nonzero. In an A–C–P network each object type links
+// through one or two relations, so most (object, relation) pairs are
+// skipped. Skipping is bitwise the identity:
+//
+//   - S_i^{(r)} == 0 only when oi has no links in r, since link weights are
+//     positive. Its Sik row is then exactly +0: strengthRows clears it and
+//     never adds to it.
+//   - For finite γ_r, γ_r·(+0) is ±0 and α_c + (±0) is α_c, because α_c ≥ 1.
+//   - A non-finite γ_r can only be a line-search trial (Options.Validate
+//     keeps the starting γ finite). Adding the term would make α_c, ln B(α_i)
+//     and so g′₂ NaN; skipping it, the serial fold in pseudoLogLikelihood
+//     still adds γ_r·F_i^{(r)} with F_i^{(r)} = +0, which is NaN too. Either
+//     way val >= cur fails and the trial is rejected.
 func (st *strengthStats) alphaOf(gamma []float64, oi int, alpha []float64) {
 	k := st.k
 	for c := 0; c < k; c++ {
@@ -128,7 +141,7 @@ func (st *strengthStats) alphaOf(gamma []float64, oi int, alpha []float64) {
 	}
 	for r := 0; r < st.nRel; r++ {
 		gr := gamma[r]
-		if gr == 0 {
+		if gr == 0 || st.s[oi*st.nRel+r] == 0 {
 			continue
 		}
 		base := (oi*st.nRel + r) * k

@@ -285,6 +285,54 @@ func TestAlphaAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestAlphaOfSkipIsBitwiseIdentity: alphaOf skips the relations an object
+// has no links in. For finite γ that must give the same bits as adding
+// every nonzero-strength relation's (all +0) Sik row, and for a non-finite
+// γ_r of a skipped relation g′₂ must still be NaN, so the line search
+// rejects the trial as before.
+func TestAlphaOfSkipIsBitwiseIdentity(t *testing.T) {
+	s := randomLinkedState(t, 103, 30)
+	st := s.buildStrengthStats()
+	k, nRel := st.k, st.nRel
+	got, want := make([]float64, k), make([]float64, k)
+	skipped := false
+	rng := rand.New(rand.NewSource(104))
+	for trial := 0; trial < 50; trial++ {
+		gamma := []float64{rng.Float64() * 20, rng.Float64() * 20}
+		if trial%5 == 0 {
+			gamma[trial/5%nRel] = 0
+		}
+		for oi := range st.objs {
+			st.alphaOf(gamma, oi, got)
+			for c := range want {
+				want[c] = 1
+			}
+			for r := 0; r < nRel; r++ {
+				if gamma[r] == 0 {
+					continue
+				}
+				skipped = skipped || st.s[oi*nRel+r] == 0
+				for c := range want {
+					want[c] += gamma[r] * st.sik[(oi*nRel+r)*k+c]
+				}
+			}
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("γ=%v object %d: α[%d] = %v, want %v", gamma, oi, c, got[c], want[c])
+				}
+			}
+		}
+	}
+	if !skipped {
+		t.Fatal("fixture has no object without links in some relation")
+	}
+	for _, g := range []float64{math.Inf(1), math.NaN()} {
+		if v := st.pseudoLogLikelihood([]float64{g, 1}, 0.1); !math.IsNaN(v) {
+			t.Errorf("g2 at γ=(%v, 1) = %v, want NaN", g, v)
+		}
+	}
+}
+
 // TestStrengthStepSteadyStateZeroAlloc pins the strength step's allocation
 // contract: once the first call has sized the scratch, rebuilding the
 // statistics and evaluating g′₂, ∇g′₂ and Hg′₂ allocate nothing, on one

@@ -2,22 +2,16 @@
 // standard library: the digamma and trigamma functions used by the
 // link-strength Newton step (paper Eqs. 16–17), the log multivariate Beta
 // function that is the local partition function of the Dirichlet conditional
-// p(θ_i | neighbors) (paper §4.2), and numerically stable helpers such as
-// log-sum-exp.
+// p(θ_i | neighbors) (paper §4.2), the Shannon entropy, and a few small numeric
+// helpers.
 //
 // All functions are pure and safe for concurrent use.
 package mathx
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Euler–Mascheroni constant, −ψ(1).
 const EulerGamma = 0.57721566490153286060651209008240243104215933593992
-
-// ErrDomain is returned by functions that validate their numeric domain.
-var ErrDomain = errors.New("mathx: argument outside function domain")
 
 // Digamma returns ψ(x) = d/dx ln Γ(x) for x > 0.
 //
@@ -69,16 +63,6 @@ func Trigamma(x float64) float64 {
 	return result + series
 }
 
-// LogGamma returns ln Γ(x) for x > 0, delegating to math.Lgamma but
-// normalizing the (value, sign) pair into a single value. NaN for x ≤ 0.
-func LogGamma(x float64) float64 {
-	if math.IsNaN(x) || x <= 0 {
-		return math.NaN()
-	}
-	v, _ := math.Lgamma(x)
-	return v
-}
-
 // LogBeta returns the log of the multivariate Beta function,
 //
 //	ln B(α) = Σ_k ln Γ(α_k) − ln Γ(Σ_k α_k),
@@ -95,34 +79,10 @@ func LogBeta(alpha []float64) float64 {
 		if !(a > 0) {
 			return math.NaN()
 		}
-		lg, _ := math.Lgamma(a)
-		sumLG += lg
+		sumLG += lgammaPos(a)
 		sumA += a
 	}
-	lgSum, _ := math.Lgamma(sumA)
-	return sumLG - lgSum
-}
-
-// LogSumExp returns ln Σ_i exp(x_i) computed stably. The result for an empty
-// slice is −Inf (the log of an empty sum).
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	maxV := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return maxV
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - maxV)
-	}
-	return maxV + math.Log(sum)
+	return sumLG - lgammaPos(sumA)
 }
 
 // Xlogy returns x·ln(y) with the convention 0·ln(0) = 0 used throughout
@@ -134,28 +94,6 @@ func Xlogy(x, y float64) float64 {
 	return x * math.Log(y)
 }
 
-// CrossEntropy returns H(p, q) = −Σ_k p_k ln q_k, the average coding cost of
-// p under a code optimal for q. This is the distance the GenClus feature
-// function (paper Eq. 6) is built from: f = −γ·w·H(θ_j, θ_i).
-//
-// q entries equal to zero where p is positive yield +Inf, matching the
-// information-theoretic definition; callers are expected to floor their
-// distributions (the core package keeps Θ ≥ ε).
-func CrossEntropy(p, q []float64) float64 {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
-	var h float64
-	for k := 0; k < n; k++ {
-		if p[k] == 0 {
-			continue
-		}
-		h -= p[k] * math.Log(q[k])
-	}
-	return h
-}
-
 // Entropy returns the Shannon entropy H(p) = −Σ p ln p in nats.
 func Entropy(p []float64) float64 {
 	var h float64
@@ -165,24 +103,6 @@ func Entropy(p []float64) float64 {
 		}
 	}
 	return h
-}
-
-// KLDivergence returns D(p‖q) = Σ_k p_k ln(p_k/q_k). Infinite when q has a
-// zero where p does not. Provided for the cross-entropy-vs-KL ablation the
-// paper discusses in §3.3.
-func KLDivergence(p, q []float64) float64 {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
-	var d float64
-	for k := 0; k < n; k++ {
-		if p[k] == 0 {
-			continue
-		}
-		d += p[k] * math.Log(p[k]/q[k])
-	}
-	return d
 }
 
 // KahanSum accumulates a slice with compensated summation; experiment
