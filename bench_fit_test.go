@@ -501,9 +501,9 @@ func BenchmarkEMIterationParallel(b *testing.B) {
 // iterations and line-search trials. The per-object Lgamma/ψ/ψ′ terms run on
 // the worker pool and the folds stay serial, so both widths compute the
 // same bits. The results land in BENCH_fit.json as
-// "outer-iteration/strength" (P=1) and "outer-iteration/strength-p2". The
-// step's only allocations are the nRel×nRel Newton solves, so allocs/op is
-// a fixed count that CI pins.
+// "outer-iteration/strength" (P=1) and "outer-iteration/strength-p2". Once
+// the warm-up has sized the strength scratch the step allocates nothing —
+// the nRel×nRel Newton solve works in place — and CI pins 0 allocs/op.
 func BenchmarkStrengthStep(b *testing.B) {
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {

@@ -38,10 +38,14 @@ type strengthStats struct {
 	objGrad []float64
 	objHess []float64
 
-	// Reduction outputs and the line-search trial point, reused on every
-	// call.
+	// Reduction outputs, the Newton solve's scratch (a copy of H to
+	// factor in place, the LU row permutation and the direction Δ) and
+	// the line-search trial point, reused on every call.
 	grad  []float64
 	hess  *linalg.Matrix
+	work  *linalg.Matrix
+	piv   []int
+	delta []float64
 	trial []float64
 }
 
@@ -73,6 +77,9 @@ func (s *state) buildStrengthStats() *strengthStats {
 		st.objHess = make([]float64, len(objs)*nRel*nRel)
 		st.grad = make([]float64, nRel)
 		st.hess = linalg.NewMatrix(nRel, nRel)
+		st.work = linalg.NewMatrix(nRel, nRel)
+		st.piv = make([]int, nRel)
+		st.delta = make([]float64, nRel)
 		st.trial = make([]float64, nRel)
 		s.strengthReady = true
 	}
@@ -273,9 +280,8 @@ func (st *strengthStats) gradHessRange(gamma []float64, lo, hi int, ws *workerSc
 // the γ ≥ 0 projection from Algorithm 1. It returns the achieved g′₂.
 //
 // Once the first call has sized the state's scratch, the step allocates
-// only in newtonDirection's nRel×nRel solve, once per Newton iteration:
-// buildStrengthStats, gradHess and every g′₂ evaluation (line-search trials
-// included) allocate nothing.
+// nothing: buildStrengthStats, gradHess, the nRel×nRel Newton solve and
+// every g′₂ evaluation (line-search trials included) work in that scratch.
 func (s *state) learnStrengths() float64 {
 	st := s.buildStrengthStats()
 	sigma := s.opts.PriorSigma
@@ -287,7 +293,7 @@ func (s *state) learnStrengths() float64 {
 		// Newton direction Δ solves H·Δ = ∇; the step is γ − Δ. H is
 		// negative definite (Appendix B), so −H is SPD and Cholesky is the
 		// natural factorization — it also asserts definiteness for free.
-		delta := newtonDirection(grad, hess)
+		delta := st.newtonDirection(grad, hess)
 		// Backtracking line search on the Newton step, projecting onto the
 		// feasible set γ ≥ 0 at every trial point.
 		step := 1.0
@@ -326,22 +332,24 @@ func (s *state) learnStrengths() float64 {
 	return cur
 }
 
-// newtonDirection solves H·Δ = ∇ for the negative definite Hessian. It
-// negates the system to use Cholesky on the SPD −H; if rounding has
-// destroyed definiteness it retries with LU, and as a last resort falls
-// back to a small gradient step so the line search can still make progress.
-func newtonDirection(grad []float64, hess *linalg.Matrix) []float64 {
-	neg := hess.Clone().Scale(-1)
-	if x, err := linalg.SolveSPD(neg, grad); err == nil {
-		for i := range x {
-			x[i] = -x[i]
+// newtonDirection solves H·Δ = ∇ for the negative definite Hessian into
+// st.delta. It negates the system to use Cholesky on the SPD −H; if
+// rounding has destroyed definiteness it retries with LU on a fresh copy
+// of H, and as a last resort falls back to a small gradient step so the
+// line search can still make progress. It allocates nothing.
+func (st *strengthStats) newtonDirection(grad []float64, hess *linalg.Matrix) []float64 {
+	delta := st.delta
+	copy(st.work.Data, hess.Data)
+	if err := linalg.SolveSPDInPlace(st.work.Scale(-1), grad, delta); err == nil {
+		for i := range delta {
+			delta[i] = -delta[i]
 		}
-		return x
+		return delta
 	}
-	if x, err := linalg.Solve(hess, grad); err == nil {
-		return x
+	copy(st.work.Data, hess.Data)
+	if err := linalg.SolveInPlace(st.work, st.piv, grad, delta); err == nil {
+		return delta
 	}
-	delta := make([]float64, len(grad))
 	for r := range grad {
 		delta[r] = -1e-3 * grad[r]
 	}

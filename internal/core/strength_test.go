@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"genclus/internal/hin"
+	"genclus/internal/linalg"
 )
 
 // randomLinkedState builds a random network with two relations and a random
@@ -99,8 +100,13 @@ func TestStrengthHessianSymmetricNegDef(t *testing.T) {
 		st := s.buildStrengthStats()
 		gamma := []float64{rng.Float64() * 2, rng.Float64() * 2}
 		_, hess := st.gradHess(gamma, s.opts.PriorSigma)
-		if !hess.IsSymmetric(1e-9) {
-			t.Fatal("Hessian not symmetric")
+		for r1 := 0; r1 < hess.Rows; r1++ {
+			for r2 := r1 + 1; r2 < hess.Cols; r2++ {
+				if math.Abs(hess.At(r1, r2)-hess.At(r2, r1)) > 1e-9 {
+					t.Fatalf("Hessian not symmetric: H[%d][%d] = %v, H[%d][%d] = %v",
+						r1, r2, hess.At(r1, r2), r2, r1, hess.At(r2, r1))
+				}
+			}
 		}
 		// xᵀHx < 0 for random x ≠ 0.
 		for probe := 0; probe < 20; probe++ {
@@ -333,12 +339,57 @@ func TestAlphaOfSkipIsBitwiseIdentity(t *testing.T) {
 	}
 }
 
+// TestNewtonDirectionFallbacks drives newtonDirection past the Cholesky
+// solve. An H whose negation is not positive definite must take the LU
+// path and still solve H·Δ = ∇; a singular H must fall back to exactly
+// Δ = −1e-3·∇. Neither path may allocate.
+func TestNewtonDirectionFallbacks(t *testing.T) {
+	st := randomLinkedState(t, 81, 20).buildStrengthStats()
+	grad := []float64{0.3, -1.7}
+	hess := linalg.NewMatrix(2, 2)
+	set := func(h00, h01, h11 float64) {
+		hess.Set(0, 0, h00)
+		hess.Set(0, 1, h01)
+		hess.Set(1, 0, h01)
+		hess.Set(1, 1, h11)
+	}
+
+	// Indefinite: −H = [[1, −2], [−2, −1]] fails Cholesky at the second
+	// pivot, after the first column of its factor has overwritten the
+	// scratch, so LU must start again from a fresh copy of H.
+	set(-1, 2, 1)
+	delta := st.newtonDirection(grad, hess)
+	hd := hess.MulVec(delta)
+	for r := range grad {
+		if math.Abs(hd[r]-grad[r]) > 1e-10 {
+			t.Errorf("LU path: (H·Δ)[%d] = %v, want ∇ = %v", r, hd[r], grad[r])
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { st.newtonDirection(grad, hess) }); allocs != 0 {
+		t.Errorf("LU path allocates %v times per call, want 0", allocs)
+	}
+
+	// Singular (rank 1), and zero: both solvers reject them.
+	for _, h := range [][3]float64{{1, 1, 1}, {0, 0, 0}} {
+		set(h[0], h[1], h[2])
+		delta := st.newtonDirection(grad, hess)
+		for r := range grad {
+			if want := -1e-3 * grad[r]; math.Float64bits(delta[r]) != math.Float64bits(want) {
+				t.Errorf("H=%v: Δ[%d] = %v, want −1e-3·∇ = %v", h, r, delta[r], want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { st.newtonDirection(grad, hess) }); allocs != 0 {
+			t.Errorf("H=%v: gradient fallback allocates %v times per call, want 0", h, allocs)
+		}
+	}
+}
+
 // TestStrengthStepSteadyStateZeroAlloc pins the strength step's allocation
 // contract: once the first call has sized the scratch, rebuilding the
-// statistics and evaluating g′₂, ∇g′₂ and Hg′₂ allocate nothing, on one
-// worker (P=1) and on the pool (P=2). The values must also be bitwise equal
-// at both widths — the per-object terms run on the pool, the folds stay
-// serial.
+// statistics, evaluating g′₂, ∇g′₂ and Hg′₂, and the whole Newton step
+// (solve and line search included) allocate nothing, on one worker (P=1)
+// and on the pool (P=2). The values must also be bitwise equal at both
+// widths — the per-object terms run on the pool, the folds stay serial.
 func TestStrengthStepSteadyStateZeroAlloc(t *testing.T) {
 	ds := gammaZeroDataset(t)
 	opts := DefaultOptions(ds.NumClusters)
@@ -386,6 +437,7 @@ func TestStrengthStepSteadyStateZeroAlloc(t *testing.T) {
 				{"buildStrengthStats", func() { s.buildStrengthStats() }},
 				{"pseudoLogLikelihood", func() { st.pseudoLogLikelihood(gamma, sigma) }},
 				{"gradHess", func() { st.gradHess(gamma, sigma) }},
+				{"learnStrengths", func() { s.learnStrengths() }},
 			} {
 				if allocs := testing.AllocsPerRun(5, c.f); allocs != 0 {
 					t.Errorf("P=%d: %s allocates %v times per call, want 0", p, c.name, allocs)

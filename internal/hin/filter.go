@@ -13,36 +13,6 @@ func FilterEdges(n *Network, keep func(Edge) bool) (*Network, error) {
 		return nil, fmt.Errorf("hin: FilterEdges on nil network")
 	}
 	b := NewBuilder()
-	for _, spec := range n.attrs {
-		b.DeclareAttribute(spec)
-	}
-	for v := 0; v < n.NumObjects(); v++ {
-		obj := n.Object(v)
-		b.AddObject(obj.ID, obj.Type)
-	}
-	// Intern every relation up front so dense relation ids survive even if
-	// all edges of a relation are dropped.
-	for _, name := range n.relations {
-		b.Relation(name)
-	}
-	for _, e := range n.edges {
-		if keep(e) {
-			b.AddLinkByIndex(e.From, e.To, n.relations[e.Rel], e.Weight)
-		}
-	}
-	for a, spec := range n.attrs {
-		for v := 0; v < n.NumObjects(); v++ {
-			switch spec.Kind {
-			case Categorical:
-				for _, tc := range n.catObs[a][v] {
-					b.AddTermCountByIndex(v, spec.Name, tc.Term, tc.Count)
-				}
-			case Numeric:
-				for _, x := range n.numObs[a][v] {
-					b.AddNumericByIndex(v, spec.Name, x)
-				}
-			}
-		}
-	}
+	CloneInto(b, n, keep, nil)
 	return b.Build()
 }

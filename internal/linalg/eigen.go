@@ -3,102 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// EigenSym computes the full eigen-decomposition of a symmetric matrix using
-// the cyclic Jacobi rotation method: A = V·diag(λ)·Vᵀ with orthonormal V.
-// Eigenpairs are returned sorted by descending eigenvalue.
-//
-// Jacobi is O(n³) per sweep but unconditionally stable and exact to machine
-// precision after convergence; it is used for the small systems in tests and
-// for moderate spectral-baseline instances. For the large weather similarity
-// matrices use TopEigen (power iteration with deflation).
-func EigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("linalg: EigenSym needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if !a.IsSymmetric(1e-9 * math.Max(1, a.MaxAbs())) {
-		return nil, nil, fmt.Errorf("linalg: EigenSym needs a symmetric matrix")
-	}
-	n := a.Rows
-	w := a.Clone()
-	v := Identity(n)
-
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal Frobenius norm.
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += 2 * w.At(i, j) * w.At(i, j)
-			}
-		}
-		if math.Sqrt(off) < 1e-12*math.Max(1, w.MaxAbs()) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				// Rotation angle.
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				// Apply rotation to rows/cols p, q of w.
-				for i := 0; i < n; i++ {
-					wip := w.At(i, p)
-					wiq := w.At(i, q)
-					w.Set(i, p, c*wip-s*wiq)
-					w.Set(i, q, s*wip+c*wiq)
-				}
-				for i := 0; i < n; i++ {
-					wpi := w.At(p, i)
-					wqi := w.At(q, i)
-					w.Set(p, i, c*wpi-s*wqi)
-					w.Set(q, i, s*wpi+c*wqi)
-				}
-				// Accumulate eigenvectors.
-				for i := 0; i < n; i++ {
-					vip := v.At(i, p)
-					viq := v.At(i, q)
-					v.Set(i, p, c*vip-s*viq)
-					v.Set(i, q, s*vip+c*viq)
-				}
-			}
-		}
-	}
-
-	values = make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = w.At(i, i)
-	}
-	// Sort descending, permuting eigenvector columns accordingly.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return values[idx[i]] > values[idx[j]] })
-	sortedVals := make([]float64, n)
-	sortedVecs := NewMatrix(n, n)
-	for newCol, oldCol := range idx {
-		sortedVals[newCol] = values[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
-		}
-	}
-	return sortedVals, sortedVecs, nil
-}
 
 // TopEigen computes the k algebraically-largest eigenpairs of a symmetric
 // matrix via shifted power iteration with Hotelling deflation. The shift

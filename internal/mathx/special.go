@@ -2,8 +2,7 @@
 // standard library: the digamma and trigamma functions used by the
 // link-strength Newton step (paper Eqs. 16–17), the log multivariate Beta
 // function that is the local partition function of the Dirichlet conditional
-// p(θ_i | neighbors) (paper §4.2), the Shannon entropy, and a few small numeric
-// helpers.
+// p(θ_i | neighbors) (paper §4.2), and the Shannon entropy.
 //
 // All functions are pure and safe for concurrent use.
 package mathx
@@ -85,15 +84,6 @@ func LogBeta(alpha []float64) float64 {
 	return sumLG - lgammaPos(sumA)
 }
 
-// Xlogy returns x·ln(y) with the convention 0·ln(0) = 0 used throughout
-// entropy computations.
-func Xlogy(x, y float64) float64 {
-	if x == 0 {
-		return 0
-	}
-	return x * math.Log(y)
-}
-
 // Entropy returns the Shannon entropy H(p) = −Σ p ln p in nats.
 func Entropy(p []float64) float64 {
 	var h float64
@@ -103,52 +93,4 @@ func Entropy(p []float64) float64 {
 		}
 	}
 	return h
-}
-
-// KahanSum accumulates a slice with compensated summation; experiment
-// harnesses use it when averaging long series of per-run metrics.
-func KahanSum(xs []float64) float64 {
-	var sum, comp float64
-	for _, x := range xs {
-		y := x - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum
-}
-
-// Mean returns the arithmetic mean of xs, NaN for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return KahanSum(xs) / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs (the paper reports
-// std over 20 runs; population vs sample makes no qualitative difference and
-// population matches MATLAB's std(·,1) used in the era's scripts).
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

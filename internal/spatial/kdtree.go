@@ -2,7 +2,8 @@
 // points. The weather sensor network generator (paper Appendix C) links each
 // sensor to its k nearest neighbors of each sensor type under geo-distance;
 // this package supplies the kd-tree that makes generating thousand-sensor
-// networks fast, plus a brute-force reference used to property-test the tree.
+// networks fast. The brute-force reference the tree is property-tested
+// against lives in the test file.
 package spatial
 
 import (
@@ -23,9 +24,6 @@ func (p Point) Dist2(q Point) float64 {
 	dy := p.Y - q.Y
 	return dx*dx + dy*dy
 }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Sqrt(p.Dist2(q)) }
 
 // Norm returns the distance from the origin.
 func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
@@ -160,31 +158,6 @@ func (t *KDTree) search(ni int, q Point, k, exclude int, h *nnHeap) {
 	if h.Len() < k || diff*diff < (*h)[0].Dist2 {
 		t.search(far, q, k, exclude, h)
 	}
-}
-
-// BruteKNN is the O(n) reference used to validate the kd-tree in tests and
-// as a fallback for tiny point sets.
-func BruteKNN(pts []Point, query Point, k int, exclude int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	all := make([]Neighbor, 0, len(pts))
-	for i, p := range pts {
-		if i == exclude {
-			continue
-		}
-		all = append(all, Neighbor{Index: i, Dist2: query.Dist2(p)})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist2 != all[b].Dist2 {
-			return all[a].Dist2 < all[b].Dist2
-		}
-		return all[a].Index < all[b].Index
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
 }
 
 // Validate checks the kd-tree structural invariant (every node's point lies

@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -15,10 +16,34 @@ func randomPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
+// bruteKNN is the O(n) reference the kd-tree is validated against.
+func bruteKNN(pts []Point, query Point, k int, exclude int) []Neighbor {
+	if k <= 0 {
+		return nil
+	}
+	all := make([]Neighbor, 0, len(pts))
+	for i, p := range pts {
+		if i == exclude {
+			continue
+		}
+		all = append(all, Neighbor{Index: i, Dist2: query.Dist2(p)})
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Dist2 != all[b].Dist2 {
+			return all[a].Dist2 < all[b].Dist2
+		}
+		return all[a].Index < all[b].Index
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
 func TestPointDistance(t *testing.T) {
 	p := Point{0, 0}
 	q := Point{3, 4}
-	if p.Dist(q) != 5 || p.Dist2(q) != 25 {
+	if p.Dist2(q) != 25 {
 		t.Error("3-4-5 triangle broken")
 	}
 	if q.Norm() != 5 {
@@ -43,7 +68,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 				exclude = rng.Intn(n)
 			}
 			got := tree.KNN(query, k, exclude)
-			want := BruteKNN(pts, query, k, exclude)
+			want := bruteKNN(pts, query, k, exclude)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: result sizes differ: %d vs %d", trial, len(got), len(want))
 			}
@@ -128,7 +153,7 @@ func TestKNNPropertyQuick(t *testing.T) {
 		tree := Build(pts)
 		query := Point{rng.NormFloat64(), rng.NormFloat64()}
 		got := tree.KNN(query, k, -1)
-		want := BruteKNN(pts, query, k, -1)
+		want := bruteKNN(pts, query, k, -1)
 		if len(got) != len(want) {
 			return false
 		}
@@ -186,6 +211,6 @@ func BenchmarkBruteKNN1000(b *testing.B) {
 	pts := randomPoints(rng, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BruteKNN(pts, pts[i%len(pts)], 5, i%len(pts))
+		bruteKNN(pts, pts[i%len(pts)], 5, i%len(pts))
 	}
 }

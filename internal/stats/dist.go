@@ -2,7 +2,8 @@
 // GenClus reproduction needs: Gaussian and categorical component models for
 // the attribute mixtures (paper §3.2), Dirichlet sampling (via the
 // Marsaglia–Tsang gamma sampler) for soft-membership initialization and for
-// the synthetic generators, and small descriptive-statistics helpers.
+// the synthetic generators, and the normalization and arg-max helpers the
+// E-step and the cluster labelling use.
 //
 // All randomness flows through explicit *rand.Rand instances so that every
 // experiment in the harness is reproducible from a seed.
@@ -20,12 +21,6 @@ type Gaussian struct {
 	Sigma float64 // standard deviation, > 0
 }
 
-// PDF returns the density at x.
-func (g Gaussian) PDF(x float64) float64 {
-	z := (x - g.Mu) / g.Sigma
-	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // LogPDF returns the log-density at x.
 func (g Gaussian) LogPDF(x float64) float64 {
 	z := (x - g.Mu) / g.Sigma
@@ -35,39 +30,6 @@ func (g Gaussian) LogPDF(x float64) float64 {
 // Sample draws one value.
 func (g Gaussian) Sample(rng *rand.Rand) float64 {
 	return g.Mu + g.Sigma*rng.NormFloat64()
-}
-
-// FitGaussian returns the maximum-likelihood Gaussian for weighted
-// observations: µ = Σwx/Σw, σ² = Σw(x−µ)²/Σw. The variance is floored at
-// varFloor to keep mixture EM numerically safe when a component collapses
-// onto a single point (the same guard the core package uses).
-func FitGaussian(xs, weights []float64, varFloor float64) (Gaussian, error) {
-	if len(xs) != len(weights) {
-		return Gaussian{}, fmt.Errorf("stats: FitGaussian length mismatch %d vs %d", len(xs), len(weights))
-	}
-	var wSum, mean float64
-	for i, x := range xs {
-		w := weights[i]
-		if w < 0 {
-			return Gaussian{}, fmt.Errorf("stats: FitGaussian negative weight %v", w)
-		}
-		wSum += w
-		mean += w * x
-	}
-	if wSum <= 0 {
-		return Gaussian{}, fmt.Errorf("stats: FitGaussian zero total weight")
-	}
-	mean /= wSum
-	var ss float64
-	for i, x := range xs {
-		d := x - mean
-		ss += weights[i] * d * d
-	}
-	variance := ss / wSum
-	if variance < varFloor {
-		variance = varFloor
-	}
-	return Gaussian{Mu: mean, Sigma: math.Sqrt(variance)}, nil
 }
 
 // Categorical is a discrete distribution over {0, …, K−1}.
@@ -218,19 +180,6 @@ func FloorAndNormalize(v []float64, eps float64) []float64 {
 		}
 	}
 	return Normalize(v)
-}
-
-// WeightedMean returns Σwx/Σw; NaN if Σw is 0.
-func WeightedMean(xs, ws []float64) float64 {
-	var sw, swx float64
-	for i, x := range xs {
-		sw += ws[i]
-		swx += ws[i] * x
-	}
-	if sw == 0 {
-		return math.NaN()
-	}
-	return swx / sw
 }
 
 // ArgMax returns the index of the largest element (first on ties), or −1 for

@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// normalPDF is the N(mu, sigma²) density, written independently of LogPDF.
+func normalPDF(mu, sigma, x float64) float64 {
+	z := (x - mu) / sigma
+	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
+}
+
+// TestGaussianPDFIntegratesToOne: exp(LogPDF) is a normalized density.
 func TestGaussianPDFIntegratesToOne(t *testing.T) {
 	g := Gaussian{Mu: 1.5, Sigma: 0.7}
 	// Trapezoid rule over ±8σ.
@@ -19,11 +26,11 @@ func TestGaussianPDFIntegratesToOne(t *testing.T) {
 		if i == 0 || i == n {
 			w = 0.5
 		}
-		integral += w * g.PDF(lo+float64(i)*h)
+		integral += w * math.Exp(g.LogPDF(lo+float64(i)*h))
 	}
 	integral *= h
 	if math.Abs(integral-1) > 1e-6 {
-		t.Errorf("PDF integral = %v", integral)
+		t.Errorf("∫exp(LogPDF) = %v", integral)
 	}
 }
 
@@ -33,7 +40,7 @@ func TestGaussianLogPDFConsistent(t *testing.T) {
 		mu = math.Mod(mu, 100)
 		x = math.Mod(x, 100)
 		g := Gaussian{Mu: mu, Sigma: sigma}
-		p := g.PDF(x)
+		p := normalPDF(mu, sigma, x)
 		if p < 1e-300 {
 			return true // log comparison meaningless near/below denormal range
 		}
@@ -61,61 +68,6 @@ func TestGaussianSampleMoments(t *testing.T) {
 	}
 	if math.Abs(variance-9) > 0.2 {
 		t.Errorf("sample variance = %v, want 9", variance)
-	}
-}
-
-func TestFitGaussianRecovers(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	truth := Gaussian{Mu: 4.2, Sigma: 1.3}
-	xs := make([]float64, 50000)
-	ws := make([]float64, len(xs))
-	for i := range xs {
-		xs[i] = truth.Sample(rng)
-		ws[i] = 1
-	}
-	fit, err := FitGaussian(xs, ws, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Mu-truth.Mu) > 0.05 || math.Abs(fit.Sigma-truth.Sigma) > 0.05 {
-		t.Errorf("fit = %+v, want %+v", fit, truth)
-	}
-}
-
-func TestFitGaussianWeighted(t *testing.T) {
-	// Two points with weights 3 and 1: mean = (3·0 + 1·4)/4 = 1.
-	fit, err := FitGaussian([]float64{0, 4}, []float64{3, 1}, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Mu-1) > 1e-12 {
-		t.Errorf("weighted mean = %v, want 1", fit.Mu)
-	}
-	// Var = (3·1 + 1·9)/4 = 3.
-	if math.Abs(fit.Sigma*fit.Sigma-3) > 1e-9 {
-		t.Errorf("weighted var = %v, want 3", fit.Sigma*fit.Sigma)
-	}
-}
-
-func TestFitGaussianVarianceFloor(t *testing.T) {
-	fit, err := FitGaussian([]float64{2, 2, 2}, []float64{1, 1, 1}, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Sigma*fit.Sigma < 1e-4-1e-15 {
-		t.Errorf("variance %v below floor", fit.Sigma*fit.Sigma)
-	}
-}
-
-func TestFitGaussianErrors(t *testing.T) {
-	if _, err := FitGaussian([]float64{1}, []float64{1, 2}, 0); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := FitGaussian([]float64{1}, []float64{-1}, 0); err == nil {
-		t.Error("negative weight should error")
-	}
-	if _, err := FitGaussian([]float64{1}, []float64{0}, 0); err == nil {
-		t.Error("zero total weight should error")
 	}
 }
 
@@ -274,15 +226,6 @@ func TestFloorAndNormalizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 5}, []float64{1, 3}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("WeightedMean = %v", got)
-	}
-	if !math.IsNaN(WeightedMean([]float64{1}, []float64{0})) {
-		t.Error("zero weight should give NaN")
 	}
 }
 
