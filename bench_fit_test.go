@@ -534,3 +534,46 @@ func BenchmarkStrengthStep(b *testing.B) {
 		})
 	}
 }
+
+// benchObjective keeps BenchmarkObjective's result observable.
+var benchObjective float64
+
+// BenchmarkObjective measures one evaluation of the cluster-optimization
+// objective g₁ (Eq. 9) — a pass over every edge and observation, which a
+// fit makes once per best-of-seeds candidate and once per reported outer
+// iteration — on the mid-size EM-bench fixture after three warm-up EM
+// iterations, at P=1 and P=2. The per-edge and per-observation terms run on
+// the worker pool and the folds stay serial, so both widths compute the
+// same bits. The results land in BENCH_fit.json as "objective/g1" (P=1) and
+// "objective/g1-p2"; once the first call has sized the term slots an
+// evaluation allocates nothing, and CI pins 0 allocs/op.
+func BenchmarkObjective(b *testing.B) {
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			eb, err := bench.NewEMIterationBenchParallel(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eb.Close()
+			eb.RunObjective() // warm-up sizes the term slots
+			allocs := int64(testing.AllocsPerRun(5, func() { benchObjective = eb.RunObjective() }))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchObjective = eb.RunObjective()
+			}
+			b.StopTimer()
+			nsPerOp := int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+			}
+			key := "objective/g1"
+			if p > 1 {
+				key += fmt.Sprintf("-p%d", p)
+			}
+			mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
+				key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
+}

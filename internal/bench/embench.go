@@ -104,5 +104,9 @@ func (eb *EMIterationBench) RunIteration() { eb.h.RunIteration() }
 // from the same starting γ every call (see core.EMHarness.RunStrengthStep).
 func (eb *EMIterationBench) RunStrengthStep() { eb.h.RunStrengthStep() }
 
+// RunObjective evaluates g₁ on the warmed-up state and returns it (see
+// core.EMHarness.RunObjective).
+func (eb *EMIterationBench) RunObjective() float64 { return eb.h.RunObjective() }
+
 // Close stops the harness's worker pool, if any.
 func (eb *EMIterationBench) Close() { eb.h.Close() }

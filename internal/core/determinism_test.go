@@ -246,6 +246,12 @@ const (
 	// strength step at commit 8b06b1d, before the step moved onto the
 	// worker pool.
 	goldenGammaZeroChecksum = 0xc6fa5308ae39a390
+	// goldenWeatherChecksum pins a K=4 fit on a weather Setting 1 network
+	// of 600 sensors (two EM chunks, so P > 1 runs the pool), the one
+	// golden with Gaussian attributes at K=4 and objects that observe only
+	// one of the two attributes. Captured at commit 9124582, before g₁'s
+	// Gaussian terms hoisted their logs out of the observation loop.
+	goldenWeatherChecksum = 0xbd1c2bd1a20f8f25
 )
 
 // TestFitGoldenBitwiseChecksum pins the CSR-path fits to the recorded
@@ -315,6 +321,22 @@ func TestFitGoldenBitwiseChecksum(t *testing.T) {
 		}
 		if g := res.Gamma[datagen.RelPublishedByP]; g != 0 {
 			t.Fatalf("γ(%s) = %v, want the fixture to end at the 0 bound", datagen.RelPublishedByP, g)
+		}
+		return res.Result
+	}, []int{1, 2, 4})
+
+	wds, err := datagen.Weather(datagen.WeatherSetting1(300, 300, 20, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wopts := DefaultOptions(wds.NumClusters)
+	wopts.OuterIters = 3
+	wopts.EMIters = 5
+	check("weather", goldenWeatherChecksum, func(par int) *Result {
+		wopts.Parallelism = par
+		res, err := Fit(wds.Net, wopts)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return res.Result
 	}, []int{1, 2, 4})

@@ -348,10 +348,10 @@ func (s *state) drainPhase(phase uint8, w int) {
 			s.strength.gradHessRange(s.argGamma, lo, hi, ws)
 		case phaseFeatureSum:
 			lo, hi := unitRange(u, len(s.edgeTerm), edgeUnitSize)
-			s.edgeTermRange(s.argGamma, lo, hi)
+			s.edgeTermRange(s.argGamma, lo, hi, ws.logTheta)
 		case phaseAttrLL:
 			lo, hi := unitRange(u, s.net.NumObjects(), objectUnitSize)
-			s.obsTermRange(lo, hi, ws.logs)
+			s.obsTermRange(lo, hi, ws)
 		}
 	}
 }

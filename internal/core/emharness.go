@@ -5,9 +5,9 @@ import (
 )
 
 // EMHarness wraps a fully-initialized fitting state and exposes single EM
-// iterations and strength steps — the benchmarking hook for the hot paths
-// (internal/bench, BenchmarkEMIteration and BenchmarkStrengthStep drive
-// it). It is not part of the fitting API: Fit owns the outer alternation;
+// iterations, strength steps and objective evaluations — the benchmarking
+// hook for the hot paths (internal/bench; BenchmarkEMIteration,
+// BenchmarkStrengthStep and BenchmarkObjective drive it). It is not part of the fitting API: Fit owns the outer alternation;
 // the harness only exists so a benchmark can measure one steady-state E+M
 // pass or strength step without timing initialization.
 type EMHarness struct {
@@ -44,8 +44,7 @@ func (h *EMHarness) RunIteration() {
 // starts from the γ the harness held at its first call, so repeated calls
 // on an unchanged Θ repeat the same Newton iterations and line-search
 // trials. The first call sizes the strength scratch; later calls allocate
-// only in the per-Newton-iteration nRel×nRel solve. It must not be called
-// after Close.
+// nothing. It must not be called after Close.
 func (h *EMHarness) RunStrengthStep() {
 	if h.gamma0 == nil {
 		h.gamma0 = append([]float64(nil), h.s.gamma...)
@@ -54,8 +53,15 @@ func (h *EMHarness) RunStrengthStep() {
 	h.s.learnStrengths()
 }
 
+// RunObjective evaluates the cluster-optimization objective g₁ (Eq. 9) on
+// the current Θ, β and γ, as a fit does once per model state. The first
+// call sizes the per-edge and per-observation slots; later calls allocate
+// nothing. It must not be called after Close.
+func (h *EMHarness) RunObjective() float64 { return h.s.objectiveG1() }
+
 // Close stops the harness's worker pool, if any. Safe to call more than
-// once; only RunIteration and RunStrengthStep are invalid afterwards.
+// once; only RunIteration, RunStrengthStep and RunObjective are invalid
+// afterwards.
 func (h *EMHarness) Close() {
 	if h.s.pool != nil {
 		h.s.pool.stop()

@@ -81,12 +81,21 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 	if pool != nil {
 		defer pool.stop()
 	}
-	s, emTotal := initializeState(ctx, net, opts, pool)
+	s, emTotal, g1, g1Known := initializeState(ctx, net, opts, pool)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// g₁ is evaluated at most once per model state: objective caches it
+	// until runEM moves Θ and β. The strength step that moves γ runs
+	// between that invalidation and the next read.
+	objective := func() float64 {
+		if !g1Known {
+			g1, g1Known = s.objectiveG1(), true
+		}
+		return g1
+	}
 	if opts.Progress != nil {
-		opts.Progress(Progress{Outer: 0, OuterTotal: opts.OuterIters, Objective: s.objectiveG1(), EMIterations: emTotal})
+		opts.Progress(Progress{Outer: 0, OuterTotal: opts.OuterIters, Objective: objective(), EMIterations: emTotal})
 	}
 
 	var history []Snapshot
@@ -95,7 +104,7 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 			Iter:  0,
 			Gamma: append([]float64(nil), s.gamma...),
 			Theta: cloneTheta(s.theta),
-			G1:    s.objectiveG1(),
+			G1:    objective(),
 		})
 	}
 
@@ -106,6 +115,7 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 		prevGamma := append([]float64(nil), s.gamma...)
 		// Step 1: cluster optimization (EM on Θ, β with γ fixed).
 		emTotal += s.runEM(opts.EMIters)
+		g1Known = false
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -123,14 +133,14 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 			return nil, err
 		}
 		if opts.Progress != nil {
-			opts.Progress(Progress{Outer: outer + 1, OuterTotal: opts.OuterIters, Objective: s.objectiveG1(), EMIterations: emTotal})
+			opts.Progress(Progress{Outer: outer + 1, OuterTotal: opts.OuterIters, Objective: objective(), EMIterations: emTotal})
 		}
 		if opts.TrackHistory {
 			history = append(history, Snapshot{
 				Iter:  outer + 1,
 				Gamma: append([]float64(nil), s.gamma...),
 				Theta: cloneTheta(s.theta),
-				G1:    s.objectiveG1(),
+				G1:    objective(),
 				G2:    g2,
 			})
 		}
@@ -157,7 +167,7 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 		Gamma:           make(map[string]float64, net.NumRelations()),
 		GammaVec:        append([]float64(nil), s.gamma...),
 		Attrs:           s.snapshotModels(),
-		Objective:       s.objectiveG1(),
+		Objective:       objective(),
 		PseudoLL:        g2,
 		History:         history,
 		EMIterations:    emTotal,
@@ -178,18 +188,17 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 // random start, or best-of-seeds (run a few EM steps from several random
 // starts and keep the one with the highest g₁). ctx aborts the candidate
 // EM runs early; the caller notices the cancellation right after. The
-// second return value counts the EM iterations spent on seeding. Every
-// candidate runs on pool (nil runs them on the calling goroutine).
-func initializeState(ctx context.Context, net *hin.Network, opts Options, pool *workerPool) (*state, int) {
+// second return value counts the EM iterations spent on seeding; g1 is the
+// returned state's g₁ when g1Known (best-of-seeds evaluated it to choose).
+// Every candidate runs on pool (nil runs them on the calling goroutine).
+func initializeState(ctx context.Context, net *hin.Network, opts Options, pool *workerPool) (best *state, emTotal int, g1 float64, g1Known bool) {
 	if opts.InitSeeds <= 1 || opts.InitTheta != nil {
 		s := newState(net, opts, opts.Seed, false)
 		s.ctx = ctx
 		s.pool = pool
-		return s, 0
+		return s, 0, 0, false
 	}
-	var best *state
 	bestG1 := math.Inf(-1)
-	emTotal := 0
 	for i := 0; i < opts.InitSeeds; i++ {
 		if i > 0 && ctx.Err() != nil {
 			break
@@ -201,18 +210,19 @@ func initializeState(ctx context.Context, net *hin.Network, opts Options, pool *
 		cand.ctx = ctx
 		cand.pool = pool
 		emTotal += cand.runEM(opts.InitSeedSteps)
+		candG1 := cand.objectiveG1()
 		if best == nil {
 			// Fallback so a NaN objective on every candidate (possible with
 			// pathological numeric observations) still yields a state
 			// instead of a nil dereference downstream.
-			best = cand
+			best, g1 = cand, candG1
 		}
-		if g1 := cand.objectiveG1(); g1 > bestG1 {
-			bestG1 = g1
-			best = cand
+		if candG1 > bestG1 {
+			bestG1 = candG1
+			best, g1 = cand, candG1
 		}
 	}
-	return best, emTotal
+	return best, emTotal, g1, true
 }
 
 // HardLabels converts soft memberships to argmax cluster labels.

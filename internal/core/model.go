@@ -406,16 +406,25 @@ func (s *state) featureSum(gamma []float64) float64 {
 }
 
 // edgeTermRange writes the feature terms γ(φ(e))·w(e)·Σ_k θ_{j,k} ln θ_{i,k}
-// of edges [lo, hi) into their slots.
-func (s *state) edgeTermRange(gamma []float64, lo, hi int) {
+// of edges [lo, hi) into their slots. The edge list is sorted by source, so
+// ln θ_i is taken once per run of edges leaving object i (into logTheta,
+// K-sized worker scratch) rather than once per edge; the products and
+// their order are the ones a per-edge log would give.
+func (s *state) edgeTermRange(gamma []float64, lo, hi int, logTheta []float64) {
 	edges := s.net.Edges()
+	from := -1
 	for i := lo; i < hi; i++ {
 		e := &edges[i]
-		ti := s.theta[e.From]
+		if e.From != from {
+			from = e.From
+			for k, t := range s.theta[from] {
+				logTheta[k] = math.Log(t)
+			}
+		}
 		tj := s.theta[e.To]
 		var ce float64
-		for k := range ti {
-			ce += tj[k] * math.Log(ti[k])
+		for k := range logTheta {
+			ce += tj[k] * logTheta[k]
 		}
 		s.edgeTerm[i] = gamma[e.Rel] * e.Weight * ce
 	}
@@ -435,9 +444,19 @@ func (s *state) attrLogLikelihood() float64 {
 	return ll
 }
 
+// halfLog2Pi is the Gaussian log-density's normalizing term ½·ln 2π,
+// computed at run time by the expression the per-observation form used, so
+// it carries the same bits.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
+
 // obsTermRange writes the log-likelihood terms of every observation of
-// objects [lo, hi) into their slots; logs is K-sized worker scratch.
-func (s *state) obsTermRange(lo, hi int, logs []float64) {
+// objects [lo, hi) into their slots, using ws's K-sized sections as
+// scratch. A Gaussian term is the log-space mixture
+// log Σ_k exp(ln θ_vk + ln N(x | µ_k, σ_k²)); σ_k and ln σ_k are taken
+// once per attribute and ln θ_vk once per object with observations, and
+// each component's log-density is −½z² − ln σ_k − ½·ln 2π with
+// z = (x − µ_k)/σ_k, the operands and order of the per-observation form.
+func (s *state) obsTermRange(lo, hi int, ws *workerScratch) {
 	for _, a := range s.attrs {
 		off := s.obsOff[a]
 		switch s.kind[a] {
@@ -462,21 +481,34 @@ func (s *state) obsTermRange(lo, hi int, logs []float64) {
 		case hin.Numeric:
 			gp := s.gauss[a]
 			rows := s.numRows[a]
+			// σ_k and ln σ_k live in the sections the strength phases use
+			// for ψ(α) and ψ′(α); no phase needs both at once.
+			sig, lsig, lt, logs := ws.psiA, ws.psi1A, ws.logTheta, ws.logs
+			for k := range sig {
+				sig[k] = math.Sqrt(gp.Var[k])
+				lsig[k] = math.Log(sig[k])
+			}
 			for v := lo; v < hi; v++ {
+				xs := rows[v]
+				if len(xs) == 0 {
+					continue
+				}
 				out := s.obsTerm[off[v]:off[v+1]]
-				th := s.theta[v]
-				for i, x := range rows[v] {
+				for k, t := range s.theta[v] {
+					lt[k] = math.Log(t)
+				}
+				for i, x := range xs {
 					// Log-space mixture for numerical stability.
 					maxLog := math.Inf(-1)
-					for k := range th {
-						g := stats.Gaussian{Mu: gp.Mu[k], Sigma: math.Sqrt(gp.Var[k])}
-						logs[k] = math.Log(th[k]) + g.LogPDF(x)
+					for k := range lt {
+						z := (x - gp.Mu[k]) / sig[k]
+						logs[k] = lt[k] + (-0.5*z*z - lsig[k] - halfLog2Pi)
 						if logs[k] > maxLog {
 							maxLog = logs[k]
 						}
 					}
 					var sum float64
-					for _, lg := range logs[:len(th)] {
+					for _, lg := range logs {
 						sum += math.Exp(lg - maxLog)
 					}
 					out[i] = maxLog + math.Log(sum)
@@ -487,7 +519,17 @@ func (s *state) obsTermRange(lo, hi int, logs []float64) {
 }
 
 // objectiveG1 is g₁(Θ, β) from Eq. 9 — the cluster-optimization objective
-// with γ held fixed.
+// with γ held fixed. It costs a pass over every edge and observation, so a
+// fit evaluates it once per model state: once per best-of-seeds candidate
+// (initializeState), and once per outer iteration when Progress or
+// TrackHistory reads it; the Result reuses the last value (FitContext).
 func (s *state) objectiveG1() float64 {
+	if objectiveG1Hook != nil {
+		objectiveG1Hook()
+	}
 	return s.featureSum(s.gamma) + s.attrLogLikelihood()
 }
+
+// objectiveG1Hook, when non-nil, runs at every objectiveG1 call. Only tests
+// set it, to count the evaluations a fit makes.
+var objectiveG1Hook func()

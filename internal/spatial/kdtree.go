@@ -3,12 +3,11 @@
 // sensor to its k nearest neighbors of each sensor type under geo-distance;
 // this package supplies the kd-tree that makes generating thousand-sensor
 // networks fast. The brute-force reference the tree is property-tested
-// against lives in the test file.
+// against, and the structural invariant check, live in the test file.
 package spatial
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -80,9 +79,6 @@ func (t *KDTree) build(idxs []int, depth int) int {
 	t.nodes[self].right = right
 	return self
 }
-
-// Len returns the number of indexed points.
-func (t *KDTree) Len() int { return len(t.pts) }
 
 // Neighbor is one kNN result.
 type Neighbor struct {
@@ -158,37 +154,4 @@ func (t *KDTree) search(ni int, q Point, k, exclude int, h *nnHeap) {
 	if h.Len() < k || diff*diff < (*h)[0].Dist2 {
 		t.search(far, q, k, exclude, h)
 	}
-}
-
-// Validate checks the kd-tree structural invariant (every node's point lies
-// on the correct side of each ancestor's splitting plane). It exists for
-// tests and debugging; Build always produces a valid tree.
-func (t *KDTree) Validate() error {
-	if t.root < 0 {
-		return nil
-	}
-	return t.validate(t.root, Point{math.Inf(-1), math.Inf(-1)}, Point{math.Inf(1), math.Inf(1)})
-}
-
-func (t *KDTree) validate(ni int, lo, hi Point) error {
-	if ni < 0 {
-		return nil
-	}
-	node := t.nodes[ni]
-	p := t.pts[node.idx]
-	if p.X < lo.X || p.X > hi.X || p.Y < lo.Y || p.Y > hi.Y {
-		return fmt.Errorf("spatial: node %d at %v violates bounds [%v, %v]", node.idx, p, lo, hi)
-	}
-	leftHi, rightLo := hi, lo
-	if node.axis == 0 {
-		leftHi.X = p.X
-		rightLo.X = p.X
-	} else {
-		leftHi.Y = p.Y
-		rightLo.Y = p.Y
-	}
-	if err := t.validate(node.left, lo, leftHi); err != nil {
-		return err
-	}
-	return t.validate(node.right, rightLo, hi)
 }

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -57,7 +58,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(400)
 		pts := randomPoints(rng, n)
 		tree := Build(pts)
-		if err := tree.Validate(); err != nil {
+		if err := tree.validate(); err != nil {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(12)
@@ -114,7 +115,7 @@ func TestKNNEdgeCases(t *testing.T) {
 	if res := empty.KNN(Point{}, 3, -1); res != nil {
 		t.Error("empty tree should return nil")
 	}
-	if empty.Len() != 0 {
+	if len(empty.pts) != 0 {
 		t.Error("empty tree Len != 0")
 	}
 	one := Build([]Point{{1, 1}})
@@ -173,17 +174,17 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := randomPoints(rng, 50)
 	tree := Build(pts)
-	if err := tree.Validate(); err != nil {
+	if err := tree.validate(); err != nil {
 		t.Fatalf("fresh tree invalid: %v", err)
 	}
-	// Corrupt a point far outside its region; Validate must notice for at
+	// Corrupt a point far outside its region; validate must notice for at
 	// least one corruption (the root's point can move freely, so corrupt a
 	// leaf-ish point instead by scanning for a detectable one).
 	detected := false
 	for i := range pts {
 		saved := pts[i]
 		pts[i] = Point{X: 1e6, Y: -1e6}
-		if tree.Validate() != nil {
+		if tree.validate() != nil {
 			detected = true
 		}
 		pts[i] = saved
@@ -192,7 +193,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		}
 	}
 	if !detected {
-		t.Error("Validate never detected a corrupted point")
+		t.Error("validate never detected a corrupted point")
 	}
 }
 
@@ -213,4 +214,36 @@ func BenchmarkBruteKNN1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bruteKNN(pts, pts[i%len(pts)], 5, i%len(pts))
 	}
+}
+
+// validate checks the kd-tree structural invariant (every node's point lies
+// on the correct side of each ancestor's splitting plane).
+func (t *KDTree) validate() error {
+	if t.root < 0 {
+		return nil
+	}
+	return t.validateNode(t.root, Point{math.Inf(-1), math.Inf(-1)}, Point{math.Inf(1), math.Inf(1)})
+}
+
+func (t *KDTree) validateNode(ni int, lo, hi Point) error {
+	if ni < 0 {
+		return nil
+	}
+	node := t.nodes[ni]
+	p := t.pts[node.idx]
+	if p.X < lo.X || p.X > hi.X || p.Y < lo.Y || p.Y > hi.Y {
+		return fmt.Errorf("spatial: node %d at %v violates bounds [%v, %v]", node.idx, p, lo, hi)
+	}
+	leftHi, rightLo := hi, lo
+	if node.axis == 0 {
+		leftHi.X = p.X
+		rightLo.X = p.X
+	} else {
+		leftHi.Y = p.Y
+		rightLo.Y = p.Y
+	}
+	if err := t.validateNode(node.left, lo, leftHi); err != nil {
+		return err
+	}
+	return t.validateNode(node.right, rightLo, hi)
 }

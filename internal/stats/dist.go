@@ -1,9 +1,10 @@
 // Package stats provides the probability distributions and samplers the
-// GenClus reproduction needs: Gaussian and categorical component models for
-// the attribute mixtures (paper §3.2), Dirichlet sampling (via the
-// Marsaglia–Tsang gamma sampler) for soft-membership initialization and for
-// the synthetic generators, and the normalization and arg-max helpers the
-// E-step and the cluster labelling use.
+// GenClus reproduction needs: Gaussian and categorical samplers for the
+// synthetic generators, Dirichlet sampling (via the Marsaglia–Tsang gamma
+// sampler) for soft-membership initialization and for the generators, and
+// the normalization and arg-max helpers the E-step and the cluster
+// labelling use. The component densities of the attribute mixtures (paper
+// §3.2) are evaluated inline by the fitting code, which hoists their logs.
 //
 // All randomness flows through explicit *rand.Rand instances so that every
 // experiment in the harness is reproducible from a seed.
@@ -19,12 +20,6 @@ import (
 type Gaussian struct {
 	Mu    float64
 	Sigma float64 // standard deviation, > 0
-}
-
-// LogPDF returns the log-density at x.
-func (g Gaussian) LogPDF(x float64) float64 {
-	z := (x - g.Mu) / g.Sigma
-	return -0.5*z*z - math.Log(g.Sigma) - 0.5*math.Log(2*math.Pi)
 }
 
 // Sample draws one value.

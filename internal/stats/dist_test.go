@@ -7,50 +7,6 @@ import (
 	"testing/quick"
 )
 
-// normalPDF is the N(mu, sigma²) density, written independently of LogPDF.
-func normalPDF(mu, sigma, x float64) float64 {
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// TestGaussianPDFIntegratesToOne: exp(LogPDF) is a normalized density.
-func TestGaussianPDFIntegratesToOne(t *testing.T) {
-	g := Gaussian{Mu: 1.5, Sigma: 0.7}
-	// Trapezoid rule over ±8σ.
-	const n = 20000
-	lo, hi := g.Mu-8*g.Sigma, g.Mu+8*g.Sigma
-	h := (hi - lo) / n
-	var integral float64
-	for i := 0; i <= n; i++ {
-		w := 1.0
-		if i == 0 || i == n {
-			w = 0.5
-		}
-		integral += w * math.Exp(g.LogPDF(lo+float64(i)*h))
-	}
-	integral *= h
-	if math.Abs(integral-1) > 1e-6 {
-		t.Errorf("∫exp(LogPDF) = %v", integral)
-	}
-}
-
-func TestGaussianLogPDFConsistent(t *testing.T) {
-	f := func(mu, rawSigma, x float64) bool {
-		sigma := math.Abs(math.Mod(rawSigma, 5)) + 0.1
-		mu = math.Mod(mu, 100)
-		x = math.Mod(x, 100)
-		g := Gaussian{Mu: mu, Sigma: sigma}
-		p := normalPDF(mu, sigma, x)
-		if p < 1e-300 {
-			return true // log comparison meaningless near/below denormal range
-		}
-		return math.Abs(math.Log(p)-g.LogPDF(x)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGaussianSampleMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := Gaussian{Mu: -2, Sigma: 3}

@@ -407,14 +407,20 @@ func (r *Recorder) Recent() []Snapshot {
 	return out
 }
 
-// Lookup finds a retained completed trace by id (newest occurrence wins).
+// Lookup returns every retained span of trace id: one trace id can span
+// several ring entries (a submit request and the job.fit trace that
+// continues it complete separately, in either order), so their spans are
+// merged oldest entry first. The boolean reports whether any entry matched.
 func (r *Recorder) Lookup(id TraceID) (Snapshot, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 1; i <= r.size; i++ {
+	out := Snapshot{TraceID: id}
+	found := false
+	for i := r.size; i >= 1; i-- {
 		if snap := r.ring[(r.next-i+r.cap)%r.cap]; snap.TraceID == id {
-			return snap, true
+			out.Spans = append(out.Spans, snap.Spans...)
+			found = true
 		}
 	}
-	return Snapshot{}, false
+	return out, found
 }

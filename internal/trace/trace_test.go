@@ -162,6 +162,37 @@ func TestRingBoundAndOrder(t *testing.T) {
 	}
 }
 
+// TestLookupMergesEntriesOfOneTrace: a trace id completed twice (a job
+// trace, then the submit request that continues the same id) resolves to
+// the spans of both entries, oldest entry first, whichever completed last.
+func TestLookupMergesEntriesOfOneTrace(t *testing.T) {
+	rec := NewRecorder(4)
+	t0 := time.Unix(1000, 0)
+	parent := NewSpanContext()
+	job := rec.StartTrace("job.fit", parent, t0)
+	job.Record("fit.outer_iteration", t0, t0.Add(time.Second))
+	job.End(t0.Add(2 * time.Second))
+	other := rec.StartTrace("other", SpanContext{}, t0)
+	other.End(t0.Add(time.Second))
+	req := rec.StartTrace("POST /v1/jobs", parent, t0)
+	req.End(t0.Add(3 * time.Second))
+
+	snap, ok := rec.Lookup(parent.TraceID)
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	if snap.TraceID != parent.TraceID {
+		t.Fatalf("trace id %s, want %s", snap.TraceID, parent.TraceID)
+	}
+	var names []string
+	for _, sp := range snap.Spans {
+		names = append(names, sp.Name)
+	}
+	if want := []string{"job.fit", "fit.outer_iteration", "POST /v1/jobs"}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("spans %v, want %v", names, want)
+	}
+}
+
 func TestNilSpanIsSafe(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("k", 1)
