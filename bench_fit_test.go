@@ -29,6 +29,7 @@ import (
 	"genclus"
 	"genclus/client"
 	"genclus/internal/bench"
+	"genclus/internal/datagen"
 	"genclus/internal/server"
 )
 
@@ -573,6 +574,65 @@ func BenchmarkObjective(b *testing.B) {
 			}
 			mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
 				key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
+}
+
+// benchNetwork keeps BenchmarkDecodeNetwork's result observable.
+var benchNetwork *genclus.Network
+
+// BenchmarkDecodeNetwork measures the upload path's decode: one
+// FromJSONLimited call, under the library's default limits, on a network
+// document generated in the test from a fixed seed. "acp" is shaped like a
+// fit-acp upload (A–C–P schema, 4,800 authors, 7,200 papers, 20 venues)
+// and "weather" like a fit-weather upload (Setting 1, 1,000 + 1,000
+// sensors, 20 observations each). The results land in BENCH_fit.json as
+// "hin/decode" and "hin/decode-weather", with allocs/op: a decode
+// allocates per object and per distinct string, never per link or
+// observation. Go map growth moves the count by a few, so CI gates it
+// at +1%.
+func BenchmarkDecodeNetwork(b *testing.B) {
+	acp := datagen.DefaultBiblioConfig(datagen.SchemaACP, 1)
+	acp.NumAuthors, acp.NumPapers = 4800, 7200
+	cases := []struct {
+		name, key string
+		gen       func() (*datagen.Dataset, error)
+	}{
+		{"acp", "hin/decode", func() (*datagen.Dataset, error) { return datagen.Biblio(acp) }},
+		{"weather", "hin/decode-weather", func() (*datagen.Dataset, error) {
+			return datagen.Weather(datagen.WeatherSetting1(1000, 1000, 20, 1))
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			ds, err := tc.gen()
+			if err != nil {
+				b.Fatal(err)
+			}
+			doc, err := ds.Net.MarshalJSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			decode := func() {
+				if benchNetwork, err = genclus.NetworkFromJSON(doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			allocs := int64(testing.AllocsPerRun(3, decode))
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				decode()
+			}
+			b.StopTimer()
+			nsPerOp := int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+			}
+			mergeBenchFile(b, func(k string) bool { return k == tc.key }, map[string]benchFitEntry{
+				tc.key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
 			})
 		})
 	}

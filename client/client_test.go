@@ -82,7 +82,7 @@ func quickOpts(seed int64) *client.JobOptions {
 // upload → submit → stream-wait → result → warm-started follow-up →
 // cancel, exclusively through the SDK.
 func TestSDKEndToEnd(t *testing.T) {
-	c := testDaemon(t, server.Config{Workers: 2})
+	c := testDaemon(t, server.Config{Workers: 1})
 	ctx := t.Context()
 
 	net, truth := testNetwork(t, 30)
@@ -94,12 +94,24 @@ func TestSDKEndToEnd(t *testing.T) {
 		t.Fatalf("upload reported %d objects, %d links", info.Objects, info.Links)
 	}
 
+	// A 60-object fit can finish before its 202 is written. The blocker
+	// holds the only worker (its outer iterations never end on their own),
+	// so the job is still queued when the daemon answers.
+	blocker, err := c.SubmitJob(ctx, client.JobSpec{NetworkID: info.ID, K: 2, Options: &client.JobOptions{
+		OuterIters: intp(1_000_000), EMIters: intp(50), InitSeeds: intp(1),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	job, err := c.SubmitJob(ctx, client.JobSpec{NetworkID: info.ID, K: 2, Options: quickOpts(7), Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.State.Terminal() {
 		t.Fatalf("fresh job already terminal: %s", job.State)
+	}
+	if _, err := c.CancelJob(ctx, blocker.ID); err != nil {
+		t.Fatal(err)
 	}
 
 	res, err := c.WaitForResult(ctx, job.ID)

@@ -15,7 +15,10 @@
 //	    -max-ns-regress 0.25 -max-allocs 0
 //
 // The ns/op threshold is deliberately generous (25%) because CI machines
-// vary; the alloc gate is exact because allocation counts do not.
+// vary; the alloc gate is exact because allocation counts do not — except
+// on paths that fill Go maps, whose counts move by a few with hash seeds
+// and Go versions: -max-allocs-regress allows such a key a fractional
+// increase (the network-decode keys pass 0.01).
 // -max-allocs adds an *absolute* allocs/op ceiling on top of the relative
 // no-increase rule: CI passes -max-allocs 0 for the zero-alloc hot paths,
 // so the pin survives even a regressed committed baseline.
@@ -51,12 +54,14 @@ func loadEntries(path string) (map[string]entry, error) {
 // the violations (empty = pass). Rules: the key must exist on both sides
 // (a silently vanished benchmark must not pass the gate), current ns/op may
 // exceed baseline by at most maxNsRegress (fractional, e.g. 0.25 = +25%),
-// and allocs/op — when the baseline records them — may not increase at all.
+// and allocs/op — when the baseline records them — may exceed baseline by
+// at most maxAllocsRegress (fractional; 0 fails any increase, and a zero
+// baseline stays exact whatever the fraction).
 // maxAllocs, when non-negative, is additionally an absolute allocs/op
 // ceiling on the current run: unlike the relative rule it cannot be eroded
 // by committing a regressed baseline, which is how the 0 allocs/op pins on
 // the EM iteration and the assign pass stay pinned.
-func gate(baseline, current map[string]entry, key string, maxNsRegress float64, maxAllocs int64) []string {
+func gate(baseline, current map[string]entry, key string, maxNsRegress, maxAllocsRegress float64, maxAllocs int64) []string {
 	var violations []string
 	base, okB := baseline[key]
 	cur, okC := current[key]
@@ -79,10 +84,10 @@ func gate(baseline, current map[string]entry, key string, maxNsRegress float64, 
 		if cur.AllocsPerOp == nil {
 			violations = append(violations, fmt.Sprintf(
 				"%s: baseline records %d allocs/op but the current run records none", key, *base.AllocsPerOp))
-		} else if *cur.AllocsPerOp > *base.AllocsPerOp {
+		} else if float64(*cur.AllocsPerOp) > float64(*base.AllocsPerOp)*(1+maxAllocsRegress) {
 			violations = append(violations, fmt.Sprintf(
-				"%s: allocs/op increased: %d → %d (any increase fails)",
-				key, *base.AllocsPerOp, *cur.AllocsPerOp))
+				"%s: allocs/op increased: %d → %d (limit +%g%%)",
+				key, *base.AllocsPerOp, *cur.AllocsPerOp, 100*maxAllocsRegress))
 		}
 	}
 	if maxAllocs >= 0 {

@@ -29,7 +29,7 @@ func TestGateRules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := gate(base, tc.current, "em-iteration/midsize", 0.25, -1)
+			got := gate(base, tc.current, "em-iteration/midsize", 0.25, 0, -1)
 			if tc.want == "" {
 				if len(got) != 0 {
 					t.Fatalf("want pass, got %v", got)
@@ -44,14 +44,35 @@ func TestGateRules(t *testing.T) {
 
 	// A key absent from the baseline fails too (the gate must not silently
 	// pass a benchmark nobody committed a baseline for).
-	if got := gate(map[string]entry{}, base, "em-iteration/midsize", 0.25, -1); len(got) == 0 || !strings.Contains(got[0], "missing from baseline") {
+	if got := gate(map[string]entry{}, base, "em-iteration/midsize", 0.25, 0, -1); len(got) == 0 || !strings.Contains(got[0], "missing from baseline") {
 		t.Fatalf("missing baseline: %v", got)
 	}
 
 	// Both regressions at once report both.
 	both := map[string]entry{"em-iteration/midsize": {NsPerOp: 5000, AllocsPerOp: i64p(3)}}
-	if got := gate(base, both, "em-iteration/midsize", 0.25, -1); len(got) != 2 {
+	if got := gate(base, both, "em-iteration/midsize", 0.25, 0, -1); len(got) != 2 {
 		t.Fatalf("want 2 violations, got %v", got)
+	}
+}
+
+// TestGateAllocTolerance covers -max-allocs-regress: a fractional allocs/op
+// increase allowed for paths whose count moves by a few between runs, which
+// still fails a real regression and leaves a zero-alloc baseline exact.
+func TestGateAllocTolerance(t *testing.T) {
+	base := map[string]entry{"hin/decode": {NsPerOp: 1000, AllocsPerOp: i64p(2000)}}
+	for _, tc := range []struct {
+		allocs int64
+		pass   bool
+	}{{1990, true}, {2000, true}, {2020, true}, {2021, false}, {4000, false}} {
+		cur := map[string]entry{"hin/decode": {NsPerOp: 1000, AllocsPerOp: i64p(tc.allocs)}}
+		if got := gate(base, cur, "hin/decode", 0.5, 0.01, -1); (len(got) == 0) != tc.pass {
+			t.Errorf("%d allocs/op against 2000 at 1%%: violations %v, want pass=%v", tc.allocs, got, tc.pass)
+		}
+	}
+	zero := map[string]entry{"k": {NsPerOp: 1000, AllocsPerOp: i64p(0)}}
+	one := map[string]entry{"k": {NsPerOp: 1000, AllocsPerOp: i64p(1)}}
+	if got := gate(zero, one, "k", 0.5, 0.01, -1); len(got) != 1 {
+		t.Errorf("a tolerance must not admit an allocation on a zero-alloc baseline: %v", got)
 	}
 }
 
@@ -62,23 +83,23 @@ func TestGateAbsoluteAllocCeiling(t *testing.T) {
 	// Baseline already regressed to 3 allocs/op: the relative rule passes
 	// a matching current run, the absolute ceiling still fails it.
 	regressed := map[string]entry{"em-iteration/midsize": {NsPerOp: 1000, AllocsPerOp: i64p(3)}}
-	if got := gate(regressed, regressed, "em-iteration/midsize", 0.25, -1); len(got) != 0 {
+	if got := gate(regressed, regressed, "em-iteration/midsize", 0.25, 0, -1); len(got) != 0 {
 		t.Fatalf("relative-only should pass a self-consistent baseline: %v", got)
 	}
-	got := gate(regressed, regressed, "em-iteration/midsize", 0.25, 0)
+	got := gate(regressed, regressed, "em-iteration/midsize", 0.25, 0, 0)
 	if len(got) != 1 || !strings.Contains(got[0], "exceeds the absolute ceiling") {
 		t.Fatalf("want absolute-ceiling violation, got %v", got)
 	}
 
 	clean := map[string]entry{"em-iteration/midsize": {NsPerOp: 1000, AllocsPerOp: i64p(0)}}
-	if got := gate(clean, clean, "em-iteration/midsize", 0.25, 0); len(got) != 0 {
+	if got := gate(clean, clean, "em-iteration/midsize", 0.25, 0, 0); len(got) != 0 {
 		t.Fatalf("0 allocs/op under -max-allocs 0 should pass: %v", got)
 	}
 
 	// A current run with no allocs/op recorded cannot prove it meets the
 	// ceiling, so it fails when one is set.
 	noAllocs := map[string]entry{"em-iteration/midsize": {NsPerOp: 1000}}
-	got = gate(noAllocs, noAllocs, "em-iteration/midsize", 0.25, 0)
+	got = gate(noAllocs, noAllocs, "em-iteration/midsize", 0.25, 0, 0)
 	if len(got) != 1 || !strings.Contains(got[0], "records no allocs/op") {
 		t.Fatalf("want missing-allocs violation, got %v", got)
 	}
@@ -104,7 +125,7 @@ func TestLoadEntriesAgainstCommittedBaseline(t *testing.T) {
 	}
 	// The committed file gates against itself (sanity: CI passes on an
 	// unchanged tree, modulo machine noise the threshold absorbs).
-	if got := gate(entries, entries, "em-iteration/midsize", 0.25, 0); len(got) != 0 {
+	if got := gate(entries, entries, "em-iteration/midsize", 0.25, 0, 0); len(got) != 0 {
 		t.Fatalf("baseline does not pass against itself: %v", got)
 	}
 }

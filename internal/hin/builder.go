@@ -1,8 +1,11 @@
 package hin
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -20,8 +23,8 @@ type Builder struct {
 
 	attrs     []AttrSpec
 	attrIndex map[string]int
-	catObs    []map[int]map[int]float64 // attr → obj → term → count
-	numObs    []map[int][]float64       // attr → obj → observations
+	catObs    [][][]TermCount // attr → obj → term counts in call order
+	numObs    [][][]float64   // attr → obj → observations
 
 	err error // first definition error, reported by Build
 }
@@ -130,8 +133,8 @@ func (b *Builder) DeclareAttribute(spec AttrSpec) int {
 	a := len(b.attrs)
 	b.attrs = append(b.attrs, spec)
 	b.attrIndex[spec.Name] = a
-	b.catObs = append(b.catObs, make(map[int]map[int]float64))
-	b.numObs = append(b.numObs, make(map[int][]float64))
+	b.catObs = append(b.catObs, nil)
+	b.numObs = append(b.numObs, nil)
 	return a
 }
 
@@ -153,28 +156,53 @@ func (b *Builder) AddTermCountByIndex(v int, attr string, term int, count float6
 		b.fail("hin: observation on undeclared attribute %q", attr)
 		return
 	}
-	if b.attrs[a].Kind != Categorical {
-		b.fail("hin: term observation on %s attribute %q", b.attrs[a].Kind, attr)
-		return
+	if b.termCountOK(v, a, term, count) {
+		b.catObs[a] = growTo(b.catObs[a], v)
+		b.catObs[a][v] = append(b.catObs[a][v], TermCount{Term: term, Count: count})
 	}
-	if v < 0 || v >= len(b.objects) {
+}
+
+// addTermCounts is AddTermCountByIndex for a list of calls, with a dense
+// attribute index. When the object has no terms of the attribute yet the
+// Builder keeps tcs itself: the caller must not modify it afterwards, and
+// Build sorts it in place unless its terms are strictly increasing.
+func (b *Builder) addTermCounts(v, a int, tcs []TermCount) {
+	for _, tc := range tcs {
+		if !b.termCountOK(v, a, tc.Term, tc.Count) {
+			return
+		}
+	}
+	b.catObs[a] = growTo(b.catObs[a], v)
+	if len(b.catObs[a][v]) == 0 {
+		b.catObs[a][v] = tcs[:len(tcs):len(tcs)]
+	} else {
+		b.catObs[a][v] = append(b.catObs[a][v], tcs...)
+	}
+}
+
+func (b *Builder) termCountOK(v, a int, term int, count float64) bool {
+	spec := &b.attrs[a]
+	switch {
+	case spec.Kind != Categorical:
+		b.fail("hin: term observation on %s attribute %q", spec.Kind, spec.Name)
+	case v < 0 || v >= len(b.objects):
 		b.fail("hin: observation object index %d out of range", v)
-		return
-	}
-	if term < 0 || term >= b.attrs[a].VocabSize {
-		b.fail("hin: term %d outside vocabulary of %q (size %d)", term, attr, b.attrs[a].VocabSize)
-		return
-	}
-	if !(count > 0) || math.IsInf(count, 0) || math.IsNaN(count) {
+	case term < 0 || term >= spec.VocabSize:
+		b.fail("hin: term %d outside vocabulary of %q (size %d)", term, spec.Name, spec.VocabSize)
+	case !(count > 0) || math.IsInf(count, 0) || math.IsNaN(count):
 		b.fail("hin: term count must be positive finite, got %v", count)
-		return
+	default:
+		return true
 	}
-	m := b.catObs[a][v]
-	if m == nil {
-		m = make(map[int]float64)
-		b.catObs[a][v] = m
+	return false
+}
+
+// growTo extends a per-object list so that index v is in range.
+func growTo[T any](lists [][]T, v int) [][]T {
+	if v < len(lists) {
+		return lists
 	}
-	m[term] += count
+	return append(lists, make([][]T, v+1-len(lists))...)
 }
 
 // AddNumeric appends a numeric observation of the attribute to the object
@@ -195,19 +223,41 @@ func (b *Builder) AddNumericByIndex(v int, attr string, value float64) {
 		b.fail("hin: observation on undeclared attribute %q", attr)
 		return
 	}
-	if b.attrs[a].Kind != Numeric {
-		b.fail("hin: numeric observation on %s attribute %q", b.attrs[a].Kind, attr)
-		return
+	if b.numericOK(v, a, value) {
+		b.numObs[a] = growTo(b.numObs[a], v)
+		b.numObs[a][v] = append(b.numObs[a][v], value)
 	}
-	if v < 0 || v >= len(b.objects) {
+}
+
+// addNumerics is AddNumericByIndex for a list of calls, with a dense
+// attribute index, keeping xs itself as addTermCounts keeps its list.
+func (b *Builder) addNumerics(v, a int, xs []float64) {
+	for _, x := range xs {
+		if !b.numericOK(v, a, x) {
+			return
+		}
+	}
+	b.numObs[a] = growTo(b.numObs[a], v)
+	if len(b.numObs[a][v]) == 0 {
+		b.numObs[a][v] = xs[:len(xs):len(xs)]
+	} else {
+		b.numObs[a][v] = append(b.numObs[a][v], xs...)
+	}
+}
+
+func (b *Builder) numericOK(v, a int, value float64) bool {
+	spec := &b.attrs[a]
+	switch {
+	case spec.Kind != Numeric:
+		b.fail("hin: numeric observation on %s attribute %q", spec.Kind, spec.Name)
+	case v < 0 || v >= len(b.objects):
 		b.fail("hin: observation object index %d out of range", v)
-		return
-	}
-	if math.IsInf(value, 0) || math.IsNaN(value) {
+	case math.IsInf(value, 0) || math.IsNaN(value):
 		b.fail("hin: numeric observation must be finite, got %v", value)
-		return
+	default:
+		return true
 	}
-	b.numObs[a][v] = append(b.numObs[a][v], value)
+	return false
 }
 
 // Build validates the accumulated definition and returns the immutable
@@ -222,22 +272,13 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	n := &Network{
 		objects:   append([]Object(nil), b.objects...),
-		idIndex:   make(map[string]int, len(b.idIndex)),
+		idIndex:   maps.Clone(b.idIndex),
 		typeIndex: make(map[string][]int),
 		relations: append([]string(nil), b.relations...),
-		relIndex:  make(map[string]int, len(b.relIndex)),
+		relIndex:  maps.Clone(b.relIndex),
 		edges:     append([]Edge(nil), b.edges...),
 		attrs:     append([]AttrSpec(nil), b.attrs...),
-		attrIndex: make(map[string]int, len(b.attrIndex)),
-	}
-	for id, v := range b.idIndex {
-		n.idIndex[id] = v
-	}
-	for name, r := range b.relIndex {
-		n.relIndex[name] = r
-	}
-	for name, a := range b.attrIndex {
-		n.attrIndex[name] = a
+		attrIndex: maps.Clone(b.attrIndex),
 	}
 	for v, o := range n.objects {
 		n.typeIndex[o.Type] = append(n.typeIndex[o.Type], v)
@@ -274,27 +315,75 @@ func (b *Builder) Build() (*Network, error) {
 		n.inStart[v+1] += n.inStart[v]
 	}
 
-	// Freeze observations into sorted sparse slices.
+	// Freeze observations into sorted sparse slices. Each attribute's lists
+	// share one backing array, cut with full slice expressions so no list
+	// can grow into its neighbour.
 	n.catObs = make([][][]TermCount, len(n.attrs))
 	n.numObs = make([][][]float64, len(n.attrs))
 	for a, spec := range n.attrs {
 		switch spec.Kind {
 		case Categorical:
-			n.catObs[a] = make([][]TermCount, nObj)
-			for v, m := range b.catObs[a] {
-				tcs := make([]TermCount, 0, len(m))
-				for term, c := range m {
-					tcs = append(tcs, TermCount{Term: term, Count: c})
-				}
-				sort.Slice(tcs, func(i, j int) bool { return tcs[i].Term < tcs[j].Term })
-				n.catObs[a][v] = tcs
+			for v, tcs := range b.catObs[a] {
+				b.catObs[a][v] = mergeTerms(tcs)
 			}
+			n.catObs[a] = freeze(b.catObs[a], nObj)
 		case Numeric:
-			n.numObs[a] = make([][]float64, nObj)
-			for v, xs := range b.numObs[a] {
-				n.numObs[a][v] = append([]float64(nil), xs...)
-			}
+			n.numObs[a] = freeze(b.numObs[a], nObj)
 		}
 	}
 	return n, nil
 }
+
+// freeze copies per-object lists into one backing array, returning nObj
+// lists (nil where an object has none).
+func freeze[T any](lists [][]T, nObj int) [][]T {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([][]T, nObj)
+	all := make([]T, 0, total)
+	for v, l := range lists {
+		if len(l) == 0 {
+			continue
+		}
+		start := len(all)
+		all = append(all, l...)
+		out[v] = all[start:len(all):len(all)]
+	}
+	return out
+}
+
+// mergeTerms sorts one object's term counts, held in AddTermCount call
+// order, by term and sums repeated terms, in place. The sort is stable and
+// each sum is a left fold in call order, so every count is bit for bit what
+// accumulating m[term] += count in a map gives. A merged list merges to
+// itself without a write, and terms added after a Build extend the same
+// left folds, so Build may merge the Builder's own lists.
+func mergeTerms(tcs []TermCount) []TermCount {
+	if strictlyIncreasing(tcs) {
+		return tcs
+	}
+	slices.SortStableFunc(tcs, byTerm)
+	w := 0
+	for _, tc := range tcs {
+		if w > 0 && tcs[w-1].Term == tc.Term {
+			tcs[w-1].Count += tc.Count
+			continue
+		}
+		tcs[w] = tc
+		w++
+	}
+	return tcs[:w]
+}
+
+func strictlyIncreasing(tcs []TermCount) bool {
+	for i := 1; i < len(tcs); i++ {
+		if tcs[i].Term <= tcs[i-1].Term {
+			return false
+		}
+	}
+	return true
+}
+
+func byTerm(x, y TermCount) int { return cmp.Compare(x.Term, y.Term) }

@@ -17,11 +17,17 @@ package hin
 // Relations are pre-registered in the source network's dense order, so a
 // clone that drops every edge of a relation still knows the relation.
 func CloneInto(b *Builder, n *Network, keepEdge func(Edge) bool, keepObs func(objID, attr string) bool) {
-	for _, spec := range n.attrs {
-		b.DeclareAttribute(spec)
+	attrIndex := make([]int, len(n.attrs)) // n's attribute → b's
+	for a, spec := range n.attrs {
+		attrIndex[a] = b.DeclareAttribute(spec)
 	}
 	for _, name := range n.relations {
 		b.Relation(name)
+	}
+	if len(b.objects) == 0 {
+		b.objects = make([]Object, 0, len(n.objects))
+		b.idIndex = make(map[string]int, len(n.objects))
+		b.edges = make([]Edge, 0, len(n.edges))
 	}
 	for _, o := range n.objects {
 		b.AddObject(o.ID, o.Type)
@@ -32,7 +38,14 @@ func CloneInto(b *Builder, n *Network, keepEdge func(Edge) bool, keepObs func(ob
 		}
 		b.AddLinkByIndex(e.From, e.To, n.relations[e.Rel], e.Weight)
 	}
+	// The Builder may keep n's observation lists rather than copy them:
+	// they are sorted, merged and capped at their length, so neither Build
+	// nor a later append writes to them.
 	for a, spec := range n.attrs {
+		ab := attrIndex[a]
+		if ab < 0 {
+			continue // DeclareAttribute has recorded the error
+		}
 		switch spec.Kind {
 		case Categorical:
 			for v, tcs := range n.catObs[a] {
@@ -42,9 +55,7 @@ func CloneInto(b *Builder, n *Network, keepEdge func(Edge) bool, keepObs func(ob
 				if keepObs != nil && !keepObs(n.objects[v].ID, spec.Name) {
 					continue
 				}
-				for _, tc := range tcs {
-					b.AddTermCountByIndex(v, spec.Name, tc.Term, tc.Count)
-				}
+				b.addTermCounts(v, ab, tcs)
 			}
 		case Numeric:
 			for v, xs := range n.numObs[a] {
@@ -54,16 +65,14 @@ func CloneInto(b *Builder, n *Network, keepEdge func(Edge) bool, keepObs func(ob
 				if keepObs != nil && !keepObs(n.objects[v].ID, spec.Name) {
 					continue
 				}
-				for _, x := range xs {
-					b.AddNumericByIndex(v, spec.Name, x)
-				}
+				b.addNumerics(v, ab, xs)
 			}
 		}
 	}
 }
 
 // CheckNetwork verifies a built network against the limits — the post-apply
-// half of the mutation trust boundary. Limits.check bounds what a decoded
+// half of the mutation trust boundary. FromJSONLimited bounds what a decoded
 // document may allocate before it is built; CheckNetwork bounds what a
 // network may grow into through incremental mutations, with the same
 // dimensions and the same *LimitError so servers keep answering 413.

@@ -17,10 +17,14 @@ var fuzzLimits = Limits{
 	MaxObservations: 20000,
 }
 
-// FuzzDecodeNetwork hammers the untrusted-input decoder: any byte slice
-// must either fail with an error or produce a network that survives a full
-// marshal → decode round trip unchanged in shape. Panics and round-trip
-// drift are the bugs being hunted.
+// FuzzDecodeNetwork hammers the untrusted-input decoder. For any byte
+// slice, FromJSONLimited must agree with referenceDecode (the
+// encoding/json decoder it replaced): both succeed with identical
+// networks, both fail with equal *LimitErrors, both fail otherwise, or the
+// document repeats a recognised key and FromJSONLimited rejects it. A
+// decoded network must also survive a marshal → decode round trip
+// unchanged in shape, with sound CSR views. Panics, disagreement and
+// round-trip drift are the bugs being hunted.
 func FuzzDecodeNetwork(f *testing.F) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {
@@ -46,10 +50,13 @@ func FuzzDecodeNetwork(f *testing.F) {
 		`"links":[{"from":"a","to":"a","rel":"self","w":1},` +
 		`{"from":"a","to":"b","rel":"r","w":1},{"from":"a","to":"b","rel":"r","w":2},` +
 		`{"from":"b","to":"a","rel":"r","w":0.5}]}`))
+	for _, tc := range decodeEdgeCases {
+		f.Add([]byte(tc.doc))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		net, err := FromJSONLimited(data, fuzzLimits)
-		if err != nil {
+		net := checkDecodeMatchesReference(t, data, fuzzLimits)
+		if net == nil {
 			return // rejected input is fine; panicking is not
 		}
 		enc, err := net.MarshalJSON()

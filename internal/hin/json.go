@@ -113,40 +113,6 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("hin: %d %s exceeds limit %d", e.Got, e.Dimension, e.Max)
 }
 
-func (l Limits) check(doc *networkJSON) error {
-	if l.MaxObjects > 0 && len(doc.Objects) > l.MaxObjects {
-		return &LimitError{Dimension: "objects", Got: len(doc.Objects), Max: l.MaxObjects}
-	}
-	if l.MaxLinks > 0 && len(doc.Links) > l.MaxLinks {
-		return &LimitError{Dimension: "links", Got: len(doc.Links), Max: l.MaxLinks}
-	}
-	if l.MaxAttributes > 0 && len(doc.Attributes) > l.MaxAttributes {
-		return &LimitError{Dimension: "attributes", Got: len(doc.Attributes), Max: l.MaxAttributes}
-	}
-	if l.MaxVocab > 0 {
-		for _, aj := range doc.Attributes {
-			if aj.VocabSize > l.MaxVocab {
-				return &LimitError{Dimension: "vocabulary", Got: aj.VocabSize, Max: l.MaxVocab}
-			}
-		}
-	}
-	if l.MaxObservations > 0 {
-		var obs int
-		for _, oj := range doc.Objects {
-			for _, tcs := range oj.Terms {
-				obs += len(tcs)
-			}
-			for _, xs := range oj.Numeric {
-				obs += len(xs)
-			}
-			if obs > l.MaxObservations {
-				return &LimitError{Dimension: "observations", Got: obs, Max: l.MaxObservations}
-			}
-		}
-	}
-	return nil
-}
-
 // FromJSONLimited parses a network serialized by MarshalJSON, re-running
 // full Builder validation, with resource limits enforced before any network
 // structure is built — so a small hostile document cannot force a large
@@ -154,48 +120,29 @@ func (l Limits) check(doc *networkJSON) error {
 // callers decoding input they did not produce should pass real bounds
 // (genclus.DefaultDecodeLimits is the library-wide default).
 //
+// The document is read in one pass. Errors come in a fixed precedence: a
+// malformed document (bad syntax, a value of the wrong JSON type, trailing
+// data) is a parse error even when it is also over a limit; a well-formed
+// document over a limit gets a *LimitError, checked in the order objects,
+// links, attributes, vocabulary, observations; Builder errors come last.
+// Past a limit the decoder only validates, storing nothing more. Keys match
+// as encoding/json matches struct fields (exactly, then case-folded) and
+// unknown keys are skipped; a recognised key repeated within one JSON
+// object, or an attribute name repeated within one terms or numeric map, is
+// a parse error. Observations reach the Builder in document order, so the
+// Builder error reported for an invalid network is deterministic.
+//
 // There is deliberately no unbounded FromJSON: the bounded decoder is the
 // only path from bytes to a Network, and "unbounded" is spelled Limits{}.
 func FromJSONLimited(data []byte, lim Limits) (*Network, error) {
-	var doc networkJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
+	d := &decoder{data: data, lim: lim, strs: make(map[string]string)}
+	if err := d.document(); err != nil {
 		return nil, fmt.Errorf("hin: parse network JSON: %w", err)
 	}
-	if err := lim.check(&doc); err != nil {
+	if err := d.limitError(); err != nil {
 		return nil, err
 	}
-	b := NewBuilder()
-	for _, aj := range doc.Attributes {
-		var kind Kind
-		switch aj.Kind {
-		case "categorical":
-			kind = Categorical
-		case "numeric":
-			kind = Numeric
-		default:
-			return nil, fmt.Errorf("hin: unknown attribute kind %q", aj.Kind)
-		}
-		b.DeclareAttribute(AttrSpec{Name: aj.Name, Kind: kind, VocabSize: aj.VocabSize})
-	}
-	for _, oj := range doc.Objects {
-		b.AddObject(oj.ID, oj.Type)
-	}
-	for _, oj := range doc.Objects {
-		for attr, tcs := range oj.Terms {
-			for _, tc := range tcs {
-				b.AddTermCount(oj.ID, attr, tc.Term, tc.Count)
-			}
-		}
-		for attr, xs := range oj.Numeric {
-			for _, x := range xs {
-				b.AddNumeric(oj.ID, attr, x)
-			}
-		}
-	}
-	for _, lj := range doc.Links {
-		b.AddLink(lj.From, lj.To, lj.Relation, lj.Weight)
-	}
-	return b.Build()
+	return d.build()
 }
 
 // WriteTo streams the JSON encoding to w.
