@@ -290,11 +290,10 @@ func BenchmarkAssignBatch(b *testing.B) {
 // BenchmarkAssignHTTP measures one POST /v1/models/{id}/assign of 8
 // objects against an in-process genclusd (httptest, default Config) on the
 // model BenchmarkAssignBatch scores directly: the HTTP round trip, request
-// middleware, admission control, the dispatcher, the engine pass and the
+// middleware, admission control, the engine lock, the engine pass and the
 // JSON response. "c1" is one closed-loop client, so ns/op is its request
 // latency; "c2" runs two, so ns/op is wall time per request under
-// concurrent load, where a request that arrives during the other's pass
-// shares the next one. allocs/op counts every allocation in the process,
+// concurrent load. allocs/op counts every allocation in the process,
 // client side included. The results land in BENCH_fit.json as
 // "serve/assign-http" and "serve/assign-http-c2". Loopback latency varies
 // with the host's load, so CI runs this without a regression gate.

@@ -65,19 +65,19 @@ type AssignResponse struct {
 	ModelID     string       `json:"model_id"`    // the model the objects were folded into
 	K           int          `json:"k"`           // the model's cluster count
 	Assignments []Assignment `json:"assignments"` // one per query object, in request order
-	// Batched reports whether this request shared its inference pass with
-	// at least one concurrent request (server-side micro-batching).
+	// Batched is always false: the server runs one inference pass per
+	// request. It stays for /v1 compatibility.
 	Batched bool `json:"batched"`
 }
 
 // AssignStats are the server's online-inference counters from /healthz:
-// request/object volume, the micro-batching coalescing ratio
-// (BatchedRequests/Requests), and per-model engine cache effectiveness.
+// request/object volume, engine passes, and per-model engine cache
+// effectiveness.
 type AssignStats struct {
 	Requests          int64 `json:"requests"`            // assign requests served
 	Objects           int64 `json:"objects"`             // query objects scored
-	BatchedRequests   int64 `json:"batched_requests"`    // requests that shared an inference pass
-	EnginePasses      int64 `json:"engine_passes"`       // shared inference passes executed
+	BatchedRequests   int64 `json:"batched_requests"`    // always 0, kept for /v1 compatibility
+	EnginePasses      int64 `json:"engine_passes"`       // inference passes executed, one per request
 	EngineCacheHits   int64 `json:"engine_cache_hits"`   // engine cache hits (by snapshot digest)
 	EngineCacheMisses int64 `json:"engine_cache_misses"` // engine cache misses (engines built)
 	ShedRequests      int64 `json:"shed_requests"`       // requests rejected 429 by admission control

@@ -117,8 +117,8 @@ func TestSDKAssignErrors(t *testing.T) {
 
 // TestSDKAssignConcurrent exercises the acceptance criterion that
 // concurrent SDK assign calls against one model are race- and leak-clean:
-// many goroutines assign through the micro-batching dispatcher and every
-// response routes back to its own request.
+// many goroutines assign against one model's engine and every response
+// routes back to its own request.
 func TestSDKAssignConcurrent(t *testing.T) {
 	c := testDaemon(t, server.Config{Workers: 1})
 	ctx := context.Background()

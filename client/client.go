@@ -364,7 +364,7 @@ type Health struct {
 	// means durability is degraded on the server.
 	PersistFailures int64 `json:"persist_failures"`
 	// Assign surfaces the server's online-inference counters: assign
-	// request/object volume, micro-batching ratio, and engine cache
+	// request/object volume, engine passes, and engine cache
 	// effectiveness.
 	Assign AssignStats `json:"assign"`
 	// Mutation surfaces the server's streaming-mutation counters: mutation

@@ -38,13 +38,11 @@
 //
 // Registered models serve online inference via POST
 // /v1/models/{id}/assign: batches of new objects fold into a model's
-// hidden space without refitting. A request against an idle model runs its
-// inference pass at once; requests that arrive while a pass is running
-// share the next one, so coalescing follows load and never adds latency.
-// -assign-max-batch caps both a single request's batch and a coalesced
-// pass. Admission control sheds overload with typed 429 "overloaded"
-// responses: -assign-max-queue bounds the query objects queued behind a
-// busy model, -assign-max-inflight caps concurrent assign requests
+// hidden space without refitting. Each request runs its own inference pass
+// under the model's engine lock. -assign-max-batch caps a single request's
+// batch. Admission control sheds overload with typed 429 "overloaded"
+// responses: -assign-max-queue bounds the query objects waiting for one
+// model's engine, -assign-max-inflight caps concurrent assign requests
 // globally, and -assign-rps adds an optional token-bucket rate limit.
 //
 // With -replica-of URL the daemon runs as a read-only replica of another
@@ -104,8 +102,8 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "persist finished fits (model snapshots + job records) under this directory; empty = memory-only")
 		maxModels = flag.Int("max-models", 0, "cap on registered models; oldest evicted beyond it (default 1024)")
 
-		assignMaxBatch = flag.Int("assign-max-batch", 0, "cap on query objects per assign request and per coalesced inference pass (default 256)")
-		assignMaxQueue = flag.Int("assign-max-queue", 0, "cap on query objects queued behind one model's dispatcher; overflow is shed with 429 (default 4x assign-max-batch, -1 unbounded)")
+		assignMaxBatch = flag.Int("assign-max-batch", 0, "cap on query objects per assign request (default 256)")
+		assignMaxQueue = flag.Int("assign-max-queue", 0, "cap on query objects waiting for one model's engine; overflow is shed with 429 (default 4x assign-max-batch, -1 unbounded)")
 		assignInFlight = flag.Int("assign-max-inflight", 0, "global cap on concurrent assign requests; overflow is shed with 429 (default 1024, -1 unbounded)")
 		assignRPS      = flag.Float64("assign-rps", 0, "token-bucket rate limit on assign admissions, requests per second (0 disables)")
 		assignBurst    = flag.Int("assign-burst", 0, "token-bucket burst for -assign-rps (default: assign-rps rounded up)")

@@ -559,7 +559,7 @@ func (s *Scorer) Score(dst []float64) int {
 // duplicates are kept as adjacent entries in build order — and
 // sort.Stable's O(n log n) bounds the cost of a hostile link list (the
 // serving limit allows thousands of links per query; an insertion sort
-// there would be quadratic CPU inside the serialized dispatcher pass).
+// there would be quadratic CPU inside the serialized engine pass).
 type linkSorter struct {
 	links []scorerLink
 }

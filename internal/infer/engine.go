@@ -88,8 +88,8 @@ func (e *Engine) Assign(q Query) (Assignment, error) {
 // name and index without scoring, returning the same typed *QueryError /
 // *LimitError AssignBatch would. Unlike scoring, validation touches only
 // the engine's immutable lookup tables, so it IS safe to call concurrently
-// — genclusd validates each request on its own goroutine before handing
-// the queries to the serialized micro-batching pass.
+// — genclusd validates each request on its own goroutine before it waits
+// for the engine lock.
 func (e *Engine) Validate(queries []Query) error {
 	if e.lim.MaxBatch > 0 && len(queries) > e.lim.MaxBatch {
 		return &LimitError{Query: -1, What: "batch size", Got: len(queries), Limit: e.lim.MaxBatch}

@@ -24,9 +24,9 @@
 // (see TestAssignTrainingObjectsGolden).
 //
 // An Engine is NOT safe for concurrent use: it owns one scratch arena.
-// genclusd wraps each cached engine in a micro-batching dispatcher that
-// serializes passes (see internal/server); local callers create one engine
-// per goroutine or lock around it.
+// genclusd holds a per-engine lock for each request's pass (see
+// internal/server); local callers create one engine per goroutine or lock
+// around it.
 package infer
 
 import (

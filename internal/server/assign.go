@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genclus/internal/infer"
@@ -17,14 +18,11 @@ import (
 // attribute observations — into a registered model's hidden space without
 // refitting. Per model the server keeps one inference engine (cached by
 // snapshot digest, so re-imports and restarts reuse the same derived
-// views) behind a batch-while-busy dispatcher: a request that finds the
-// model idle starts its engine pass at once, and requests that arrive while
-// a pass is running queue up and share the next pass, in groups of up to
-// Config.MaxAssignBatch objects. Batch size therefore follows arrival rate
-// × pass time — coalescing under concurrent load, no latency floor when
-// idle — while every request's results stay isolated. The engine pass
-// itself is deterministic and allocation-free in steady state (see
-// internal/infer), so an assignment never depends on its batch companions.
+// views) behind a mutex: each request validates on its own goroutine, then
+// runs one engine pass over its own queries under the lock. The posterior
+// scores every query on its own against the frozen model, so coalescing
+// requests into shared passes would save no work. The engine pass itself is
+// deterministic and allocation-free in steady state (see internal/infer).
 
 // ---- wire types ----
 //
@@ -38,9 +36,8 @@ type assignResponse struct {
 	ModelID     string                `json:"model_id"`
 	K           int                   `json:"k"`
 	Assignments []infer.AssignmentDoc `json:"assignments"`
-	// Batched reports whether this request shared its engine pass with at
-	// least one concurrent request (micro-batching visibility for clients
-	// tuning their own batch sizes).
+	// Batched is always false: every request runs its own engine pass. The
+	// field stays for /v1 compatibility.
 	Batched bool `json:"batched"`
 }
 
@@ -50,11 +47,10 @@ type assignStatsResponse struct {
 	Requests int64 `json:"requests"`
 	// Objects counts query objects scored across all requests.
 	Objects int64 `json:"objects"`
-	// BatchedRequests counts requests whose engine pass was shared with at
-	// least one other concurrent request; BatchedRequests/Requests is the
-	// micro-batching coalescing ratio.
+	// BatchedRequests is always 0: no request shares its engine pass. The
+	// field stays for /v1 compatibility.
 	BatchedRequests int64 `json:"batched_requests"`
-	// EnginePasses counts shared engine passes executed.
+	// EnginePasses counts engine passes executed, one per request.
 	EnginePasses int64 `json:"engine_passes"`
 	// EngineCacheHits / EngineCacheMisses count per-model engine cache
 	// lookups by snapshot digest.
@@ -65,49 +61,48 @@ type assignStatsResponse struct {
 	ShedRequests int64 `json:"shed_requests"`
 }
 
-// ---- engine cache + micro-batching dispatcher ----
+// ---- engine cache ----
 
-// assignEngines caches one dispatcher (engine + pending batch) per
-// snapshot digest, LRU-evicted beyond cap: the digest identifies the
-// model's canonical bytes, so a re-imported or recovered model reuses the
-// same derived scoring views. Entries are reserved under the mutex but
-// BUILT outside it (engine construction walks the whole model), so a cold
-// build for one model never stalls assign traffic to the others;
-// concurrent requests for the same digest wait on the reservation.
+// assignEngines caches one engine (with the lock that serializes its
+// passes) per snapshot digest, LRU-evicted beyond cap: the digest
+// identifies the model's canonical bytes, so a re-imported or recovered
+// model reuses the same derived scoring views. Entries are reserved under
+// the mutex but BUILT outside it (engine construction walks the whole
+// model), so a cold build for one model never stalls assign traffic to the
+// others; concurrent requests for the same digest wait on the reservation.
 type assignEngines struct {
 	mu      sync.Mutex
-	entries map[string]*assignDispatcher
+	entries map[string]*cachedEngine
 	cap     int
 }
 
-// dispatcher fetches or builds the cached dispatcher for a model entry.
-func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
+// engine fetches or builds the cached engine for a model entry.
+func (s *Server) engine(e *modelEntry) (*cachedEngine, error) {
 	c := &s.assignCache
 	c.mu.Lock()
 	if c.entries == nil {
-		c.entries = make(map[string]*assignDispatcher)
+		c.entries = make(map[string]*cachedEngine)
 	}
-	if d, ok := c.entries[e.digest]; ok {
-		d.lastUsed = s.cfg.now()
+	if ce, ok := c.entries[e.digest]; ok {
+		ce.lastUsed = s.cfg.now()
 		c.mu.Unlock()
 		s.metrics.assignCacheHits.Inc()
-		<-d.ready
-		if d.buildErr != nil {
-			return nil, d.buildErr
+		<-ce.ready
+		if ce.buildErr != nil {
+			return nil, ce.buildErr
 		}
-		return d, nil
+		return ce, nil
 	}
 	// Reserve the digest, then build without the lock. A failed build is
 	// removed so the next request retries.
-	d := &assignDispatcher{
-		maxBatch: s.cfg.MaxAssignBatch,
-		maxQueue: s.cfg.MaxAssignQueue,
+	ce := &cachedEngine{
+		maxQueue: int64(s.cfg.MaxAssignQueue),
 		met:      s.metrics,
 		passHook: s.assignPassHook,
 		lastUsed: s.cfg.now(),
 		ready:    make(chan struct{}),
 	}
-	c.entries[e.digest] = d
+	c.entries[e.digest] = ce
 	c.evictOverflowLocked()
 	c.mu.Unlock()
 	s.metrics.assignCacheMisses.Inc()
@@ -115,21 +110,20 @@ func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
 	eng, err := infer.NewEngine(e.model, infer.Options{
 		TopK:      e.model.K,         // responses trim to the requested top_k
 		Epsilon:   s.modelEpsilon(e), // the fit's own floor, when recorded
-		Precision: e.precision,       // the snapshot's storage precision
+		Precision: e.model.Precision, // the snapshot's storage precision
 		Limits: infer.Limits{
-			// Coalesced passes may exceed one request's cap; per-request
-			// batch size is bounded at decode (infer.DecodeRequest).
+			// Batch size is bounded at decode (infer.DecodeRequest).
 			MaxBatch:  0,
 			MaxLinks:  s.cfg.MaxAssignLinks,
 			MaxTerms:  s.cfg.MaxAssignObs,
 			MaxValues: s.cfg.MaxAssignObs,
 		},
 	})
-	d.eng, d.buildErr = eng, err
-	close(d.ready)
+	ce.eng, ce.buildErr = eng, err
+	close(ce.ready)
 	if err != nil {
 		c.mu.Lock()
-		if c.entries[e.digest] == d {
+		if c.entries[e.digest] == ce {
 			delete(c.entries, e.digest)
 		}
 		c.mu.Unlock()
@@ -140,7 +134,7 @@ func (s *Server) dispatcher(e *modelEntry) (*assignDispatcher, error) {
 	// model's memory in the cache. Re-run the liveness check now that the
 	// entry is published.
 	s.dropEngine(e.digest)
-	return d, nil
+	return ce, nil
 }
 
 // modelEpsilon recovers the Θ floor the model was fitted with from its
@@ -205,27 +199,23 @@ type overloadError struct {
 
 func (e *overloadError) Error() string { return e.msg }
 
-// recordPass accounts one engine pass of `requests` coalesced calls
-// scoring `objects` query objects. The increment order is load-bearing;
-// see assignStats.
-func (m *serverMetrics) recordPass(requests, objects int, coalesced bool, elapsed time.Duration) {
+// recordPass accounts one request's engine pass scoring `objects` query
+// objects. The increment order is load-bearing; see assignStats.
+func (m *serverMetrics) recordPass(objects int, elapsed time.Duration) {
 	m.assignObjects.Add(int64(objects))
-	m.assignRequests.Add(int64(requests))
-	if coalesced {
-		m.assignBatched.Add(int64(requests))
-	}
+	m.assignRequests.Inc()
 	m.assignPasses.Inc()
 	m.assignOccupancy.Observe(float64(objects))
 	m.assignPassSecs.Observe(elapsed.Seconds())
 }
 
 // assignStats builds the healthz assign block from the registry counters.
-// recordPass adds objects, then requests, then batched, then passes; this
-// loads passes, then batched, then requests, then objects. sync/atomic
-// operations are sequentially consistent, so every increment a load sees
-// was preceded by the pass's earlier increments, which the later loads see
-// too: every read satisfies batched ≤ requests ≤ objects and passes ≤
-// requests without a lock.
+// recordPass adds objects, then requests, then passes; this loads passes,
+// then requests, then objects. sync/atomic operations are sequentially
+// consistent, so every increment a load sees was preceded by the pass's
+// earlier increments, which the later loads see too: every read satisfies
+// passes ≤ requests ≤ objects without a lock. Nothing increments the
+// batched counter any more; it reads 0.
 func (m *serverMetrics) assignStats() assignStatsResponse {
 	passes := m.assignPasses.Value()
 	batched := m.assignBatched.Value()
@@ -282,191 +272,70 @@ func (b *tokenBucket) take() (wait time.Duration, ok bool) {
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second)), false
 }
 
-// assignCall is one request's slot in a dispatcher batch.
-type assignCall struct {
-	queries []infer.Query
-	topK    int
-	out     []infer.AssignmentDoc
-	batched bool
-	err     error
-	done    chan struct{}
-}
-
-// assignDispatcher coalesces concurrent assign requests against one model
-// into shared engine passes, batching only while the engine is busy. An
-// arrival that finds no pass running becomes the leader and scores at once;
-// arrivals during a pass queue in pending, and the next round drains them
-// in groups of at most maxBatch objects, scores each group in one engine
-// pass, and distributes per-request copies of the results. No request ever
-// waits for a companion. The engine — which owns a single scratch arena and
-// is not concurrent-safe — only ever runs on the leader goroutine of the
-// moment, so no lock is held while scoring and a slow pass never blocks
-// request validation.
-type assignDispatcher struct {
-	eng      *infer.Engine
-	maxBatch int
-	// maxQueue bounds the query objects in pending (0: unbounded);
-	// enqueues past it fail with a typed overloadError so the pending list
-	// cannot grow without limit behind a slow pass.
-	maxQueue int
+// cachedEngine is one model's inference engine. The engine owns a single
+// scratch arena and is not safe for concurrent use, so mu serializes its
+// passes: each request holds mu for exactly one pass over its own queries.
+type cachedEngine struct {
+	eng *infer.Engine
+	// maxQueue bounds waiting (0: unbounded); a request past it fails with
+	// a typed overloadError, so clients get a fast 429 instead of a slow
+	// timeout behind a wedged or slow pass.
+	maxQueue int64
 	met      *serverMetrics
 	// passHook, when set (tests), runs at the start of every engine pass.
 	passHook func()
 
-	// ready closes once the engine build finished (dispatcher fills eng or
-	// buildErr first); cache readers that found a reserved entry wait on it.
+	// ready closes once the engine build finished (Server.engine fills eng
+	// or buildErr first); cache readers that found a reserved entry wait on it.
 	ready    chan struct{}
 	buildErr error
 
-	mu           sync.Mutex
-	pending      []*assignCall
-	queued       int // query objects across pending
-	leaderActive bool
+	mu      sync.Mutex
+	waiting atomic.Int64 // query objects of requests waiting for mu
 
 	// lastUsed drives the engine cache's LRU eviction (guarded by the
 	// cache mutex, not mu).
 	lastUsed time.Time
 }
 
-// do submits one request's queries and blocks until a leader scored them.
-// An arrival at an idle dispatcher becomes the leader for exactly one drain
-// round — its own call is in that round, so its latency is the passes of
-// its round and nothing more — and hands any arrivals that landed while it
-// was scoring to a detached drainer goroutine, which coalesces them. The
-// engine still only ever runs on one goroutine at a time (leaderActive), it
-// just stops being the goroutine of a request that already has its answer.
-//
-// Enqueueing past maxQueue pending query objects fails immediately with a
-// typed overloadError (shed, not queued): under a wedged or slow pass the
-// pending list stays bounded and clients get a fast 429 instead of a slow
-// timeout against unbounded memory growth.
-func (d *assignDispatcher) do(call *assignCall) error {
-	call.done = make(chan struct{})
-	d.mu.Lock()
-	if d.maxQueue > 0 && d.queued+len(call.queries) > d.maxQueue {
-		d.mu.Unlock()
-		return &overloadError{
+// assign scores one request's pre-validated queries in one engine pass
+// and copies the results out of the engine arena before releasing the
+// lock. A request that would push waiting past maxQueue is shed at once.
+// A panicking pass fails only its own request: the deferred recover turns
+// it into an error and the lock is released either way, so the model's
+// assign traffic never wedges.
+func (ce *cachedEngine) assign(queries []infer.Query, topK int) (docs []infer.AssignmentDoc, err error) {
+	n := int64(len(queries))
+	if w := ce.waiting.Add(n); ce.maxQueue > 0 && w > ce.maxQueue {
+		ce.waiting.Add(-n)
+		return nil, &overloadError{
 			reason:     shedQueueFull,
-			msg:        fmt.Sprintf("assign queue full (%d objects pending, cap %d)", d.queued, d.maxQueue),
+			msg:        fmt.Sprintf("assign queue full (%d objects waiting, cap %d)", w-n, ce.maxQueue),
 			retryAfter: time.Second,
 		}
 	}
-	d.pending = append(d.pending, call)
-	d.queued += len(call.queries)
-	d.met.assignQueueDepth.Add(int64(len(call.queries)))
-	if d.leaderActive {
-		d.mu.Unlock()
-		<-call.done
-		return nil
-	}
-	d.leaderActive = true
-	d.mu.Unlock()
-
-	d.drainRound()
-	<-call.done
-	return nil
-}
-
-// drainRound scores everything pending in one round, then either retires
-// leadership (nothing new arrived during the round — released before this
-// call returns, so dispatcher state is quiescent the moment the last
-// caller is answered) or hands it to a fresh goroutine for the next
-// round. At most one drainer exists at any moment.
-func (d *assignDispatcher) drainRound() {
-	d.mu.Lock()
-	batch := d.pending
-	d.pending = nil
-	taken := d.queued
-	d.queued = 0
-	d.met.assignQueueDepth.Add(int64(-taken))
-	if len(batch) == 0 {
-		d.leaderActive = false
-		d.mu.Unlock()
-		return
-	}
-	d.mu.Unlock()
-	func() {
-		// A panic in the pass must not wedge the model's assign traffic:
-		// without this recover, leaderActive would stay true forever and
-		// every later request would block on a leader that no longer
-		// exists. Fail whatever calls the pass left unanswered and let
-		// leadership move to the next round as usual.
-		defer func() {
-			if r := recover(); r != nil {
-				err := fmt.Errorf("inference pass panicked: %v", r)
-				for _, call := range batch {
-					select {
-					case <-call.done: // already answered before the panic
-					default:
-						call.err = err
-						close(call.done)
-					}
-				}
-			}
-		}()
-		d.runBatch(batch)
+	ce.met.assignQueueDepth.Add(n)
+	ce.mu.Lock()
+	ce.waiting.Add(-n)
+	ce.met.assignQueueDepth.Add(-n)
+	defer func() {
+		if r := recover(); r != nil {
+			docs, err = nil, fmt.Errorf("inference pass panicked: %v", r)
+		}
+		ce.mu.Unlock()
 	}()
-	d.mu.Lock()
-	if len(d.pending) == 0 {
-		d.leaderActive = false
-		d.mu.Unlock()
-		return
+	if ce.passHook != nil {
+		ce.passHook()
 	}
-	d.mu.Unlock()
-	go d.drainRound()
-}
-
-// runBatch groups calls into engine passes of at most maxBatch objects
-// (single calls above the cap were already rejected at decode) and scores
-// each group, copying results out of the engine arena into per-call slices
-// before the next pass reuses it.
-func (d *assignDispatcher) runBatch(batch []*assignCall) {
-	for len(batch) > 0 {
-		group := batch[:1]
-		total := len(batch[0].queries)
-		for len(group) < len(batch) {
-			next := batch[len(group)]
-			if d.maxBatch > 0 && total+len(next.queries) > d.maxBatch {
-				break
-			}
-			total += len(next.queries)
-			group = append(group, next)
-		}
-		batch = batch[len(group):]
-		d.runGroup(group, total)
-	}
-}
-
-// runGroup scores one coalesced group in a single engine pass. The
-// queries were already validated per request before queueing (that is
-// what routes a bad query its own 4xx), so AssignBatch's internal
-// re-validation is redundant here — kept deliberately: it is map lookups
-// against scoring's arithmetic, and it means the arena pass can never run
-// on unvalidated input no matter who calls it.
-func (d *assignDispatcher) runGroup(group []*assignCall, total int) {
-	flat := make([]infer.Query, 0, total)
-	for _, call := range group {
-		flat = append(flat, call.queries...)
-	}
-	if d.passHook != nil {
-		d.passHook()
-	}
+	// AssignBatch re-validates the queries: map lookups against scoring's
+	// arithmetic, and the arena pass never runs on unvalidated input.
 	start := time.Now()
-	out, err := d.eng.AssignBatch(flat)
-	d.met.recordPass(len(group), total, len(group) > 1, time.Since(start))
-	off := 0
-	for _, call := range group {
-		if err != nil {
-			// Queries were validated per request before queueing, so an
-			// engine error here is unexpected; fail every call in the pass.
-			call.err = err
-		} else {
-			call.out = infer.AssignmentDocs(out[off:off+len(call.queries)], call.topK)
-			call.batched = len(group) > 1
-		}
-		off += len(call.queries)
-		close(call.done)
+	out, err := ce.eng.AssignBatch(queries)
+	ce.met.recordPass(len(queries), time.Since(start))
+	if err != nil {
+		return nil, err
 	}
+	return infer.AssignmentDocs(out, topK), nil
 }
 
 // ---- handler ----
@@ -475,7 +344,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	// Admission control runs before any decoding: a shed request costs the
 	// server almost nothing. Order: rate limit (policy), then the global
 	// in-flight cap (protects everything below), then the per-model queue
-	// bound inside do().
+	// bound inside assign().
 	if lim := s.assignLimiter; lim != nil {
 		if wait, ok := lim.take(); !ok {
 			s.rejectOverloaded(w, &overloadError{
@@ -509,14 +378,14 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeAssignError(w, err)
 		return
 	}
-	d, err := s.dispatcher(e)
+	ce, err := s.engine(e)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "build inference engine: %v", err)
 		return
 	}
-	// Validate on the request goroutine — typed 4xx before any queueing,
-	// and a bad query can never poison a shared pass.
-	if err := d.eng.Validate(queries); err != nil {
+	// Validate on the request goroutine — typed 4xx before waiting for the
+	// engine lock.
+	if err := ce.eng.Validate(queries); err != nil {
 		writeAssignError(w, err)
 		return
 	}
@@ -524,11 +393,11 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if topK == 0 {
 		topK = 1
 	}
-	if topK > d.eng.K() {
-		topK = d.eng.K()
+	if topK > ce.eng.K() {
+		topK = ce.eng.K()
 	}
-	call := &assignCall{queries: queries, topK: topK}
-	if err := d.do(call); err != nil {
+	docs, err := ce.assign(queries, topK)
+	if err != nil {
 		var oe *overloadError
 		if errors.As(err, &oe) {
 			s.rejectOverloaded(w, oe)
@@ -537,15 +406,10 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeAssignError(w, err)
 		return
 	}
-	if call.err != nil {
-		writeAssignError(w, call.err)
-		return
-	}
 	writeJSON(w, http.StatusOK, assignResponse{
 		ModelID:     e.id,
-		K:           d.eng.K(),
-		Assignments: call.out,
-		Batched:     call.batched,
+		K:           ce.eng.K(),
+		Assignments: docs,
 	})
 }
 

@@ -209,11 +209,11 @@ func TestAssignRejections(t *testing.T) {
 	}
 }
 
-// TestAssignMicroBatching holds the leader's engine pass open, queues
-// seven single-object requests behind it, and releases: the seven must
-// share exactly one pass (batch-while-busy), the leader must have run
-// alone, and every response must still route to its own request.
-func TestAssignMicroBatching(t *testing.T) {
+// TestAssignOnePassPerRequest holds one request's engine pass open, queues
+// seven single-object requests behind the engine lock, and releases: each
+// request must run its own pass, report batched=false, and get back only
+// its own assignment.
+func TestAssignOnePassPerRequest(t *testing.T) {
 	s, ts, entered, release := blockedPassServer(t, Config{Workers: 1})
 	modelID, res := assignFixture(t, ts)
 
@@ -241,9 +241,9 @@ func TestAssignMicroBatching(t *testing.T) {
 		return outcome{batched: resp.Batched}
 	}
 
-	// The leader finds the dispatcher idle and enters its pass at once.
-	leader := make(chan outcome, 1)
-	go func() { leader <- assign(0) }()
+	// The first request finds the engine idle and enters its pass at once.
+	first := make(chan outcome, 1)
+	go func() { first <- assign(0) }()
 	<-entered
 
 	const n = 7
@@ -262,24 +262,19 @@ func TestAssignMicroBatching(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool {
 		s.assignCache.mu.Lock()
-		d := s.assignCache.entries[entry.digest]
+		ce := s.assignCache.entries[entry.digest]
 		s.assignCache.mu.Unlock()
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.queued == n
+		return ce.waiting.Load() == n
 	})
 
 	release()
 	wg.Wait()
-	if out := <-leader; out.err != nil || out.batched {
-		t.Fatalf("leader: err %v batched %v, want its own unshared pass", out.err, out.batched)
-	}
-	for i, out := range queued {
+	for i, out := range append([]outcome{<-first}, queued...) {
 		if out.err != nil {
-			t.Fatalf("queued request %d: %v", i, out.err)
+			t.Fatalf("request %d: %v", i, out.err)
 		}
-		if !out.batched {
-			t.Fatalf("queued request %d reported batched=false, want its pass shared", i)
+		if out.batched {
+			t.Fatalf("request %d reported batched=true, want its own pass", i)
 		}
 	}
 
@@ -287,11 +282,11 @@ func TestAssignMicroBatching(t *testing.T) {
 	if a.Requests != n+1 || a.Objects != n+1 {
 		t.Fatalf("assign counters %+v, want %d requests/objects", a, n+1)
 	}
-	if a.EnginePasses != 2 {
-		t.Fatalf("%d engine passes, want 2 (the leader's, then one for the %d queued)", a.EnginePasses, n)
+	if a.EnginePasses != n+1 {
+		t.Fatalf("%d engine passes, want %d (one per request)", a.EnginePasses, n+1)
 	}
-	if a.BatchedRequests != n {
-		t.Fatalf("batched_requests = %d, want %d", a.BatchedRequests, n)
+	if a.BatchedRequests != 0 {
+		t.Fatalf("batched_requests = %d, want 0", a.BatchedRequests)
 	}
 	if a.EngineCacheMisses != 1 || a.EngineCacheHits < n {
 		t.Fatalf("engine cache hits=%d misses=%d, want 1 miss and ≥%d hits", a.EngineCacheHits, a.EngineCacheMisses, n)
@@ -299,8 +294,8 @@ func TestAssignMicroBatching(t *testing.T) {
 }
 
 // TestAssignConcurrentNoLeak hammers one model from many goroutines and
-// checks (under -race in CI) that results stay
-// isolated and no dispatcher goroutine outlives its requests.
+// checks (under -race in CI) that results stay isolated and no goroutine
+// outlives its requests.
 func TestAssignConcurrentNoLeak(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	modelID, res := assignFixture(t, ts)
@@ -519,38 +514,40 @@ func TestAssignCustomEpsilonBitwise(t *testing.T) {
 	}
 }
 
-// TestAssignDispatcherPanicContainment wedge-proofs the dispatcher: a
-// panicking engine pass (simulated with a nil engine) must fail the
-// waiting calls with an error instead of hanging them, and leadership
-// must be released so later requests still get answered rather than
-// queueing behind a dead leader forever.
-func TestAssignDispatcherPanicContainment(t *testing.T) {
-	d := &assignDispatcher{eng: nil, maxBatch: 4, met: (&Server{}).newServerMetrics()}
-	run := func() *assignCall {
+// TestAssignPanicContainment wedge-proofs the engine lock: a panicking
+// engine pass (simulated with a nil engine) must fail its request with an
+// error instead of hanging it, and release the lock so later requests
+// still get answered.
+func TestAssignPanicContainment(t *testing.T) {
+	ce := &cachedEngine{eng: nil, met: (&Server{}).newServerMetrics()}
+	run := func() error {
 		t.Helper()
-		call := &assignCall{queries: make([]infer.Query, 1), topK: 1}
-		done := make(chan struct{})
-		go func() { d.do(call); close(done) }()
+		errc := make(chan error, 1)
+		go func() {
+			_, err := ce.assign(make([]infer.Query, 1), 1)
+			errc <- err
+		}()
 		select {
-		case <-done:
+		case err := <-errc:
+			return err
 		case <-time.After(10 * time.Second):
-			t.Fatal("dispatcher wedged: do() never returned after a panicking pass")
+			t.Fatal("engine wedged: assign() never returned after a panicking pass")
+			return nil
 		}
-		return call
 	}
-	first := run()
-	if first.err == nil {
-		t.Fatal("panicked pass must fail the call, not return results")
+	if err := run(); err == nil {
+		t.Fatal("panicked pass must fail the request, not return results")
 	}
-	// Leadership was released: the next call is also answered (and fails
+	// The lock was released: the next request is also answered (and fails
 	// the same way, since the engine is still nil).
-	second := run()
-	if second.err == nil {
-		t.Fatal("second call after contained panic must also be answered")
+	if err := run(); err == nil {
+		t.Fatal("second request after contained panic must also be answered")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.leaderActive || len(d.pending) != 0 {
-		t.Fatalf("dispatcher state not reset: leaderActive=%v pending=%d", d.leaderActive, len(d.pending))
+	if !ce.mu.TryLock() {
+		t.Fatal("engine lock still held after contained panics")
+	}
+	ce.mu.Unlock()
+	if w := ce.waiting.Load(); w != 0 {
+		t.Fatalf("waiting = %d after contained panics, want 0", w)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // atomics — instrumentation cannot move the EM-iteration or assign-pass
 // steady states off 0 allocs/op. Every route is wrapped by instrument(),
 // which also assigns the per-request ID that structured logs thread
-// through jobs, persistence and the assign dispatcher, and applies the
+// through jobs, persistence and assign, and applies the
 // per-route write deadline (SSE streams exempt — they are supposed to
 // outlive any single write budget).
 
@@ -53,7 +53,7 @@ type serverMetrics struct {
 	assignShed        map[string]*metrics.Counter // by shed reason
 	assignOccupancy   *metrics.Histogram          // query objects per engine pass
 	assignPassSecs    *metrics.Histogram          // engine pass latency, seconds
-	assignQueueDepth  *metrics.Gauge              // queued query objects across dispatchers
+	assignQueueDepth  *metrics.Gauge              // query objects waiting for engine locks
 
 	networkMutations          *metrics.Counter
 	supervisorRefitsTriggered *metrics.Counter
@@ -89,20 +89,20 @@ func (s *Server) newServerMetrics() *serverMetrics {
 		assignObjects: reg.Counter("genclus_assign_objects_total",
 			"Query objects scored across all assign requests."),
 		assignBatched: reg.Counter("genclus_assign_batched_requests_total",
-			"Assign requests whose engine pass was shared with at least one other request."),
+			"Assign requests whose engine pass was shared with another request (always 0: one pass per request)."),
 		assignPasses: reg.Counter("genclus_assign_engine_passes_total",
-			"Shared inference engine passes executed."),
+			"Inference engine passes executed, one per assign request."),
 		assignCacheHits: reg.Counter("genclus_assign_engine_cache_hits_total",
 			"Per-model inference engine cache hits (by snapshot digest)."),
 		assignCacheMisses: reg.Counter("genclus_assign_engine_cache_misses_total",
 			"Per-model inference engine cache misses (engines built)."),
 		assignShed: map[string]*metrics.Counter{},
 		assignOccupancy: reg.Histogram("genclus_assign_pass_occupancy",
-			"Query objects coalesced into one engine pass.", metrics.CountBuckets()),
+			"Query objects scored in one engine pass.", metrics.CountBuckets()),
 		assignPassSecs: reg.Histogram("genclus_assign_pass_seconds",
 			"Inference engine pass latency.", metrics.DurationBuckets()),
 		assignQueueDepth: reg.Gauge("genclus_assign_queue_depth",
-			"Query objects queued behind busy assign dispatchers."),
+			"Query objects waiting for a busy assign engine."),
 		networkMutations: reg.Counter("genclus_network_mutations_total",
 			"Accepted network mutations (edges, objects, attributes) across all networks."),
 		supervisorRefitsTriggered: reg.Counter("genclus_supervisor_refits_triggered_total",

@@ -324,14 +324,9 @@ func TestAssignOverloadQueueFull(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool {
 		s.assignCache.mu.Lock()
-		d := s.assignCache.entries[entry.digest]
+		ce := s.assignCache.entries[entry.digest]
 		s.assignCache.mu.Unlock()
-		if d == nil {
-			return false
-		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.queued == maxQueue
+		return ce != nil && ce.waiting.Load() == maxQueue
 	})
 
 	// One more query object must be shed, typed.

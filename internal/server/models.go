@@ -32,11 +32,6 @@ type modelEntry struct {
 	created time.Time
 	digest  string // hex SHA-256 of the canonical snapshot bytes
 	size    int64  // canonical snapshot length in bytes
-	// precision is the snapshot's storage precision (wire flags for decoded
-	// snapshots, the fit options for locally-registered ones) — re-encoding
-	// must reproduce the same bytes, and listings serve it so operators can
-	// audit mixed-precision registries.
-	precision core.Precision
 
 	jobID     string // source job, "" for imported models
 	networkID string // source network, "" for imported models
@@ -76,7 +71,7 @@ func (s *Server) modelResponse(e *modelEntry) modelResponse {
 		SizeBytes:     e.size,
 		OptionsDigest: e.meta[metaOptionsDigest],
 		EMIterations:  e.model.EMIterations,
-		Precision:     snapshot.FormatPrecision(e.precision),
+		Precision:     snapshot.FormatPrecision(e.model.Precision),
 	}
 }
 
@@ -118,7 +113,6 @@ func newModelEntry(id string, snap *snapshot.Snapshot, data []byte, created time
 		created:   created,
 		digest:    snapshot.DataDigest(data),
 		size:      int64(len(data)),
-		precision: snap.Precision,
 		jobID:     snap.Meta[metaJobID],
 		networkID: snap.Meta[metaNetworkID],
 	}
@@ -127,9 +121,7 @@ func newModelEntry(id string, snap *snapshot.Snapshot, data []byte, created time
 // registerModel encodes the fitted model and registers it under a fresh id
 // (see persistAndAdmit). Its meta carries the source job and network.
 func (s *Server) registerModel(m *core.Model, meta map[string]string, created time.Time) (*modelEntry, error) {
-	// The fit's storage precision travels in the meta (persistFinishedJob
-	// records it); the wire flags follow it.
-	snap := &snapshot.Snapshot{Model: m, Meta: meta, Precision: snapshot.PrecisionFromMeta(meta)}
+	snap := &snapshot.Snapshot{Model: m, Meta: meta, Precision: m.Precision}
 	data, err := snapshot.Encode(snap)
 	if err != nil {
 		return nil, err
@@ -182,7 +174,7 @@ func (s *Server) exportBytes(e *modelEntry) ([]byte, error) {
 			}
 		}
 	}
-	return snapshot.Encode(&snapshot.Snapshot{Model: e.model, Meta: e.meta, Precision: e.precision})
+	return snapshot.Encode(&snapshot.Snapshot{Model: e.model, Meta: e.meta, Precision: e.model.Precision})
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {

@@ -105,7 +105,7 @@ func TestJobPrecisionEndToEnd(t *testing.T) {
 	if decoded.Precision != core.PrecisionFloat32 {
 		t.Fatalf("snapshot precision = %q, want float32", decoded.Precision)
 	}
-	if got := snapshot.PrecisionFromMeta(decoded.Meta); got != core.PrecisionFloat32 {
+	if got := decoded.Meta[snapshot.MetaPrecision]; got != "float32" {
 		t.Fatalf("meta precision = %q, want float32", got)
 	}
 

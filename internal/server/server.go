@@ -32,9 +32,8 @@
 // Registered models also serve online inference: POST
 // /v1/models/{id}/assign folds batches of new objects — links to known
 // objects plus optional partial attribute observations — into the model's
-// hidden space without refitting, with concurrent requests coalesced into
-// shared engine passes (see assign.go and docs/ARCHITECTURE.md,
-// "Inference").
+// hidden space without refitting, one engine pass per request under a
+// per-model lock (see assign.go and docs/ARCHITECTURE.md, "Inference").
 //
 // Uploaded networks are not frozen: the mutation endpoints stream edge,
 // object and attribute changes into new immutable view generations,
@@ -117,9 +116,8 @@ type Config struct {
 	MaxEMIters    int
 	MaxInitSeeds  int
 
-	// MaxAssignBatch caps both the query objects of a single assign
-	// request (the trust boundary) and the objects coalesced into one
-	// shared engine pass (default 256).
+	// MaxAssignBatch caps the query objects of a single assign request,
+	// and so of its engine pass (default 256).
 	MaxAssignBatch int
 	// MaxAssignLinks caps the links of a single assign query object
 	// (default 4096).
@@ -131,10 +129,10 @@ type Config struct {
 	// 64); least-recently-used engines are dropped beyond it and rebuilt
 	// on demand.
 	MaxAssignEngines int
-	// MaxAssignQueue bounds, per model, the query objects queued behind a
-	// busy dispatcher (default 4×MaxAssignBatch; negative disables the
-	// bound). Requests past the cap are shed with 429 "overloaded" instead
-	// of growing the pending list without limit.
+	// MaxAssignQueue bounds, per model, the query objects of requests
+	// waiting for the model's engine (default 4×MaxAssignBatch; negative
+	// disables the bound). Requests past the cap are shed with 429
+	// "overloaded" instead of piling up behind a slow pass.
 	MaxAssignQueue int
 	// MaxAssignInFlight caps assign requests concurrently inside admission
 	// control across all models (default 1024; negative disables).
@@ -349,8 +347,8 @@ type Server struct {
 	// persistence is disabled.
 	blobs     *diskstore.Store
 	recovered RecoveryStats
-	// assignCache holds the per-model inference engines behind their
-	// micro-batching dispatchers (see assign.go).
+	// assignCache holds the per-model inference engines, each behind the
+	// lock that serializes its passes (see assign.go).
 	assignCache assignEngines
 	// assignInFlight counts assign requests inside admission control (the
 	// in-flight cap compares against it; genclus_assign_in_flight reads it);
@@ -723,8 +721,7 @@ type healthResponse struct {
 	// durability contract is degraded — check the volume and the logs.
 	PersistFailures int64 `json:"persist_failures"`
 	// Assign surfaces the online-inference counters: request/object
-	// volume, the micro-batching coalescing ratio, and engine-cache
-	// effectiveness.
+	// volume, engine passes, and engine-cache effectiveness.
 	Assign assignStatsResponse `json:"assign"`
 	// Mutation surfaces the streaming-mutation and continuous-clustering
 	// counters: mutation volume, delta-log depth, live supervisors, the

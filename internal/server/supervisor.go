@@ -249,7 +249,7 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 	// An auto-refit of a float32 model stays float32: the refit replaces
 	// the model in place, and silently widening its storage would change
 	// snapshot bytes and replica traffic out from under the operator.
-	opts.Precision = e.precision
+	opts.Precision = e.model.Precision
 	j, err := s.submitFit(fitSpec{
 		networkID:  sup.networkID,
 		net:        net,
@@ -436,7 +436,7 @@ func (sup *supervisor) driftEngine(e *modelEntry) error {
 	eng, err := infer.NewEngine(e.model, infer.Options{
 		TopK:      1,
 		Epsilon:   sup.s.modelEpsilon(e),
-		Precision: e.precision,
+		Precision: e.model.Precision,
 		// The queries come from the network itself, already behind
 		// hin.Limits; request-style caps do not apply.
 		Unbounded: true,

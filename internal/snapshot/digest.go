@@ -76,9 +76,9 @@ func EpsilonFromMeta(meta map[string]string, k int) float64 {
 }
 
 // MetaPrecision is the provenance meta key recording the fit's storage
-// precision (Options.Precision). The wire flags already fix how the bytes
-// decode; the meta copy is what the model registry lists so operators can
-// audit mixed-precision registries without re-reading snapshot payloads.
+// precision (Options.Precision). The wire flags fix how the bytes decode
+// (Snapshot.Precision, and the decoded model's Precision); the meta copy
+// keeps the fit option in the provenance for auditing.
 const MetaPrecision = "precision"
 
 // FormatPrecision renders a precision for MetaPrecision ("" normalizes to
@@ -88,15 +88,4 @@ func FormatPrecision(p core.Precision) string {
 		return string(parsed)
 	}
 	return string(core.PrecisionFloat64)
-}
-
-// PrecisionFromMeta recovers the recorded storage precision. Absent or
-// unparsable entries degrade to the float64 default — bad provenance must
-// never fail serving.
-func PrecisionFromMeta(meta map[string]string) core.Precision {
-	p, err := core.ParsePrecision(meta[MetaPrecision])
-	if err != nil {
-		return core.PrecisionFloat64
-	}
-	return p
 }

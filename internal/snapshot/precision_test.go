@@ -195,23 +195,12 @@ func TestOptionsDigestPrecisionStability(t *testing.T) {
 	}
 }
 
-// TestPrecisionMeta round-trips the registry's provenance key.
+// TestPrecisionMeta pins how the provenance key renders precisions.
 func TestPrecisionMeta(t *testing.T) {
 	if got := FormatPrecision(""); got != "float64" {
 		t.Fatalf("FormatPrecision(\"\") = %q", got)
 	}
 	if got := FormatPrecision(core.PrecisionFloat32); got != "float32" {
 		t.Fatalf("FormatPrecision(float32) = %q", got)
-	}
-	if got := PrecisionFromMeta(map[string]string{MetaPrecision: "float32"}); got != core.PrecisionFloat32 {
-		t.Fatalf("PrecisionFromMeta = %q", got)
-	}
-	// Absent and unparsable meta degrade to float64: old persisted models
-	// predate the key.
-	if got := PrecisionFromMeta(nil); got != core.PrecisionFloat64 {
-		t.Fatalf("PrecisionFromMeta(nil) = %q", got)
-	}
-	if got := PrecisionFromMeta(map[string]string{MetaPrecision: "junk"}); got != core.PrecisionFloat64 {
-		t.Fatalf("PrecisionFromMeta(junk) = %q", got)
 	}
 }
