@@ -22,9 +22,9 @@ import (
 // atomics — instrumentation cannot move the EM-iteration or assign-pass
 // steady states off 0 allocs/op. Every route is wrapped by instrument(),
 // which also assigns the per-request ID that structured logs thread
-// through jobs, persistence and assign, and applies the
-// per-route write deadline (SSE streams exempt — they are supposed to
-// outlive any single write budget).
+// through jobs, persistence and assign, and applies the per-route write
+// deadline (SSE streams exempt — they are supposed to outlive any single
+// write budget).
 
 // serverMetrics holds every pre-registered instrument. The registry is the
 // only store of the daemon's counters: /healthz builds its assign and
