@@ -67,6 +67,8 @@ type AssignResponse struct {
 	Assignments []Assignment `json:"assignments"` // one per query object, in request order
 	// Batched is always false: the server runs one inference pass per
 	// request. It stays for /v1 compatibility.
+	//
+	// Deprecated: always false; do not read it.
 	Batched bool `json:"batched"`
 }
 
@@ -74,9 +76,10 @@ type AssignResponse struct {
 // request/object volume, engine passes, and per-model engine cache
 // effectiveness.
 type AssignStats struct {
-	Requests          int64 `json:"requests"`            // assign requests served
-	Objects           int64 `json:"objects"`             // query objects scored
-	BatchedRequests   int64 `json:"batched_requests"`    // always 0, kept for /v1 compatibility
+	Requests int64 `json:"requests"` // assign requests served
+	Objects  int64 `json:"objects"`  // query objects scored
+	// Deprecated: BatchedRequests is always 0, kept for /v1 compatibility.
+	BatchedRequests   int64 `json:"batched_requests"`
 	EnginePasses      int64 `json:"engine_passes"`       // inference passes executed, one per request
 	EngineCacheHits   int64 `json:"engine_cache_hits"`   // engine cache hits (by snapshot digest)
 	EngineCacheMisses int64 `json:"engine_cache_misses"` // engine cache misses (engines built)

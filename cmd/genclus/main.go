@@ -42,7 +42,6 @@ import (
 
 	"genclus"
 	"genclus/internal/infer"
-	"genclus/internal/snapshot"
 )
 
 type output struct {
@@ -232,21 +231,15 @@ type assignOut struct {
 // runAssign loads a model snapshot and folds the query file's objects into
 // its hidden space — offline scoring with no network and no fit. The
 // queries file is decoded by the same infer.DecodeRequest the daemon's
-// assign endpoint uses, and the snapshot's provenance meta (the fit's
-// epsilon, when the exporting daemon recorded it) is honored the same way,
-// so the output matches the daemon's bit for bit.
+// assign endpoint uses, and the engine reads the fit's Θ floor and storage
+// precision from the loaded model (a daemon export records the floor in
+// its meta; a library snapshot scores at the 1e-9 default), so the output
+// matches the daemon's bit for bit.
 func runAssign(modelPath, queriesPath, outPath string) {
-	raw, err := os.ReadFile(modelPath)
+	model, err := genclus.LoadModel(modelPath)
 	if err != nil {
 		fatal(err)
 	}
-	// Decode at the snapshot layer rather than genclus.LoadModel: the
-	// provenance meta (epsilon) is needed alongside the model.
-	snap, err := snapshot.Decode(raw, snapshot.DefaultLimits())
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", modelPath, err))
-	}
-	model := snap.Model
 	data, err := os.ReadFile(queriesPath)
 	if err != nil {
 		fatal(err)
@@ -256,12 +249,7 @@ func runAssign(modelPath, queriesPath, outPath string) {
 		fatal(fmt.Errorf("%s: %w", queriesPath, err))
 	}
 	// Offline scoring trusts its local input file: no serving limits.
-	eng, err := genclus.NewAssigner(model, genclus.AssignOptions{
-		TopK:      doc.TopK,
-		Epsilon:   snapshot.EpsilonFromMeta(snap.Meta, model.K),
-		Precision: snap.Precision,
-		Unbounded: true,
-	})
+	eng, err := genclus.NewAssigner(model, genclus.AssignOptions{TopK: doc.TopK, Unbounded: true})
 	if err != nil {
 		fatal(err)
 	}

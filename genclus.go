@@ -130,10 +130,11 @@ func NetworkFromJSONLimited(data []byte, lim Limits) (*Network, error) {
 type Options = core.Options
 
 // Precision selects the storage precision of a fit's learned parameters;
-// see Options.Precision.
+// see Options.Precision. The fitted model records it (Result.Precision),
+// and snapshots and assigners read it from there.
 type Precision = core.Precision
 
-// Precision values accepted by Options.Precision and AssignOptions.Precision.
+// Precision values accepted by Options.Precision.
 const (
 	PrecisionFloat64 = core.PrecisionFloat64
 	PrecisionFloat32 = core.PrecisionFloat32
@@ -193,13 +194,11 @@ func DefaultSnapshotLimits() SnapshotLimits { return snapshot.DefaultLimits() }
 // and readable by the genclus CLI (-from-model). The wire layout follows
 // the model's fitted storage precision (Options.Precision): a float32 fit
 // encodes — and later decodes — as float32. Result.History is not
-// persisted.
+// persisted, and neither is Result.Epsilon: the model decodes with the fit
+// default floor (a genclusd export records its fit's floor in the snapshot
+// meta, and DecodeModel restores it from there).
 func EncodeModel(m *Model) ([]byte, error) {
-	snap := &snapshot.Snapshot{Model: m}
-	if m != nil && m.Result != nil {
-		snap.Precision = m.Precision
-	}
-	return snapshot.Encode(snap)
+	return snapshot.Encode(&snapshot.Snapshot{Model: m})
 }
 
 // DecodeModel parses a binary model snapshot (EncodeModel, a genclusd
@@ -300,8 +299,11 @@ type Assignment = infer.Assignment
 // ClusterProb is one entry of an assignment's top-k list.
 type ClusterProb = infer.ClusterProb
 
-// AssignOptions configures an Assigner (top-k size, fold-in iteration
-// budget, epsilon floor, input limits). The zero value takes the defaults.
+// AssignOptions configures an Assigner (top-k size, an epsilon floor
+// override, input limits). The zero value takes the defaults, and the
+// assigner reads the fit's Θ floor and storage precision from the model
+// itself, so the zero value reproduces a converged model's training rows.
+// The fold-in iteration is capped at 100 passes.
 type AssignOptions = infer.Options
 
 // AssignLimits bounds what one AssignBatch call may process — the assign
@@ -330,7 +332,8 @@ func NewAssigner(m *Model, opts AssignOptions) (*Assigner, error) {
 }
 
 // AssignObjects is the one-call convenience form of online inference: it
-// builds a throwaway Assigner with default options and returns stable
+// builds a throwaway Assigner with default options — the model's own Θ
+// floor and storage precision — and returns stable
 // copies of the assignments (safe to retain, unlike an Assigner's
 // arena-backed results). Queries are local trusted input, so no
 // AssignLimits bounds apply — unlike a genclusd request, any batch size

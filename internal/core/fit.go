@@ -50,6 +50,12 @@ type Result struct {
 	// float32 fit round-trips through a snapshot in the float32 wire
 	// layout without the caller re-stating the option.
 	Precision Precision
+	// Epsilon is the Θ floor the fit ran under (Options.Epsilon). Fold-in
+	// assignment floors its posteriors at it, which reproducing the
+	// training rows bit for bit requires. Zero means the fit default
+	// (1e-9): a model rebuilt from state that did not record it — NewModel,
+	// or a snapshot without the epsilon meta key — reads zero.
+	Epsilon float64
 }
 
 // Fit runs GenClus (Algorithm 1) on the network and returns the fitted
@@ -173,6 +179,7 @@ func FitContext(ctx context.Context, net *hin.Network, opts Options) (*Model, er
 		EMIterations:    emTotal,
 		OuterIterations: outerRun,
 		Precision:       prec,
+		Epsilon:         opts.Epsilon,
 	}
 	for r := 0; r < net.NumRelations(); r++ {
 		res.Gamma[net.RelationName(r)] = s.gamma[r]

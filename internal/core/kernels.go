@@ -111,8 +111,9 @@ func linkRowK2(nr, tf []float64, cols []int, wts []float64, gr float64) {
 }
 
 // catPass adds one categorical attribute's responsibility terms to every
-// unnormalized row of the chunk, with the M-step statistics fused in (the
-// EM form; the fold-in Scorer calls the per-object kernels with st == nil).
+// unnormalized row of the chunk, with the M-step statistics fused in. Only
+// emRange calls it; the fold-in Scorer calls the generic scoreCatAttrInto
+// with st == nil.
 func catPass(rows, st, resp, betaT []float64, thetaOld [][]float64, terms [][]hin.TermCount, lo, hi, k int) {
 	switch {
 	case k == 4 && !forceGenericKernels:
@@ -153,45 +154,28 @@ func catPass(rows, st, resp, betaT []float64, thetaOld [][]float64, terms [][]hi
 func scoreCatAttrK4(nr, st, betaT, th []float64, tcs []hin.TermCount) {
 	th0, th1, th2, th3 := th[0], th[1], th[2], th[3]
 	a0, a1, a2, a3 := nr[0], nr[1], nr[2], nr[3]
-	if st == nil {
-		for _, tc := range tcs {
-			base := tc.Term * 4
-			bt := betaT[base : base+4 : base+4]
-			r0, r1, r2, r3 := th0*bt[0], th1*bt[1], th2*bt[2], th3*bt[3]
-			sum := ((r0 + r1) + r2) + r3
-			if sum <= 0 {
-				continue // term impossible under every component
-			}
-			inv := tc.Count / sum
-			a0 += r0 * inv
-			a1 += r1 * inv
-			a2 += r2 * inv
-			a3 += r3 * inv
+	for _, tc := range tcs {
+		base := tc.Term * 4
+		bt := betaT[base : base+4 : base+4]
+		r0, r1, r2, r3 := th0*bt[0], th1*bt[1], th2*bt[2], th3*bt[3]
+		sum := ((r0 + r1) + r2) + r3
+		if sum <= 0 {
+			continue // term impossible under every component
 		}
-	} else {
-		for _, tc := range tcs {
-			base := tc.Term * 4
-			bt := betaT[base : base+4 : base+4]
-			r0, r1, r2, r3 := th0*bt[0], th1*bt[1], th2*bt[2], th3*bt[3]
-			sum := ((r0 + r1) + r2) + r3
-			if sum <= 0 {
-				continue
-			}
-			inv := tc.Count / sum
-			stt := st[base : base+4 : base+4]
-			r0 *= inv
-			r1 *= inv
-			r2 *= inv
-			r3 *= inv
-			a0 += r0
-			a1 += r1
-			a2 += r2
-			a3 += r3
-			stt[0] += r0
-			stt[1] += r1
-			stt[2] += r2
-			stt[3] += r3
-		}
+		inv := tc.Count / sum
+		stt := st[base : base+4 : base+4]
+		r0 *= inv
+		r1 *= inv
+		r2 *= inv
+		r3 *= inv
+		a0 += r0
+		a1 += r1
+		a2 += r2
+		a3 += r3
+		stt[0] += r0
+		stt[1] += r1
+		stt[2] += r2
+		stt[3] += r3
 	}
 	nr[0], nr[1], nr[2], nr[3] = a0, a1, a2, a3
 }
@@ -231,13 +215,9 @@ func scoreGaussAttrK4(nr, gw, gwx, gwx2, mu, vr, hlv, th, xs []float64) {
 	vr0, vr1, vr2, vr3 := vr[0], vr[1], vr[2], vr[3]
 	h0, h1, h2, h3 := hlv[0], hlv[1], hlv[2], hlv[3]
 	a0, a1, a2, a3 := nr[0], nr[1], nr[2], nr[3]
-	fused := gw != nil
-	var w0, w1, w2, w3, x0, x1, x2, x3, q0, q1, q2, q3 float64
-	if fused {
-		w0, w1, w2, w3 = gw[0], gw[1], gw[2], gw[3]
-		x0, x1, x2, x3 = gwx[0], gwx[1], gwx[2], gwx[3]
-		q0, q1, q2, q3 = gwx2[0], gwx2[1], gwx2[2], gwx2[3]
-	}
+	w0, w1, w2, w3 := gw[0], gw[1], gw[2], gw[3]
+	x0, x1, x2, x3 := gwx[0], gwx[1], gwx[2], gwx[3]
+	q0, q1, q2, q3 := gwx2[0], gwx2[1], gwx2[2], gwx2[3]
 	for _, x := range xs {
 		d0 := x - mu0
 		l0 := lt0 - 0.5*d0*d0/vr0 - h0
@@ -276,27 +256,23 @@ func scoreGaussAttrK4(nr, gw, gwx, gwx2, mu, vr, hlv, th, xs []float64) {
 		a1 += r1
 		a2 += r2
 		a3 += r3
-		if fused {
-			w0 += r0
-			w1 += r1
-			w2 += r2
-			w3 += r3
-			x0 += r0 * x
-			x1 += r1 * x
-			x2 += r2 * x
-			x3 += r3 * x
-			q0 += r0 * x * x
-			q1 += r1 * x * x
-			q2 += r2 * x * x
-			q3 += r3 * x * x
-		}
+		w0 += r0
+		w1 += r1
+		w2 += r2
+		w3 += r3
+		x0 += r0 * x
+		x1 += r1 * x
+		x2 += r2 * x
+		x3 += r3 * x
+		q0 += r0 * x * x
+		q1 += r1 * x * x
+		q2 += r2 * x * x
+		q3 += r3 * x * x
 	}
 	nr[0], nr[1], nr[2], nr[3] = a0, a1, a2, a3
-	if fused {
-		gw[0], gw[1], gw[2], gw[3] = w0, w1, w2, w3
-		gwx[0], gwx[1], gwx[2], gwx[3] = x0, x1, x2, x3
-		gwx2[0], gwx2[1], gwx2[2], gwx2[3] = q0, q1, q2, q3
-	}
+	gw[0], gw[1], gw[2], gw[3] = w0, w1, w2, w3
+	gwx[0], gwx[1], gwx[2], gwx[3] = x0, x1, x2, x3
+	gwx2[0], gwx2[1], gwx2[2], gwx2[3] = q0, q1, q2, q3
 }
 
 // normalizePass runs the E-step's final pass over the chunk: every
@@ -358,37 +334,22 @@ func normalizeRowK4(dst, nr []float64, eps float64) bool {
 func scoreCatAttrK2(nr, st, betaT, th []float64, tcs []hin.TermCount) {
 	th0, th1 := th[0], th[1]
 	a0, a1 := nr[0], nr[1]
-	if st == nil {
-		for _, tc := range tcs {
-			base := tc.Term * 2
-			bt := betaT[base : base+2 : base+2]
-			r0, r1 := th0*bt[0], th1*bt[1]
-			sum := r0 + r1
-			if sum <= 0 {
-				continue
-			}
-			inv := tc.Count / sum
-			a0 += r0 * inv
-			a1 += r1 * inv
+	for _, tc := range tcs {
+		base := tc.Term * 2
+		bt := betaT[base : base+2 : base+2]
+		r0, r1 := th0*bt[0], th1*bt[1]
+		sum := r0 + r1
+		if sum <= 0 {
+			continue
 		}
-	} else {
-		for _, tc := range tcs {
-			base := tc.Term * 2
-			bt := betaT[base : base+2 : base+2]
-			r0, r1 := th0*bt[0], th1*bt[1]
-			sum := r0 + r1
-			if sum <= 0 {
-				continue
-			}
-			inv := tc.Count / sum
-			stt := st[base : base+2 : base+2]
-			r0 *= inv
-			r1 *= inv
-			a0 += r0
-			a1 += r1
-			stt[0] += r0
-			stt[1] += r1
-		}
+		inv := tc.Count / sum
+		stt := st[base : base+2 : base+2]
+		r0 *= inv
+		r1 *= inv
+		a0 += r0
+		a1 += r1
+		stt[0] += r0
+		stt[1] += r1
 	}
 	nr[0], nr[1] = a0, a1
 }

@@ -151,33 +151,13 @@ func normalizeRowInto(dst, nr []float64, eps float64) bool {
 	return true
 }
 
-// ScorerOptions configures a Scorer. The zero value takes the documented
-// defaults.
-type ScorerOptions struct {
-	// Epsilon floors every posterior entry exactly as Options.Epsilon floors
-	// Θ during a fit (default 1e-9 — DefaultOptions' value). Reproducing a
-	// model's training rows bit for bit requires the model's own epsilon.
-	Epsilon float64
-	// MaxIters caps the fold-in fixed-point iteration for queries with
-	// attribute observations (default 100). Link-only queries always finish
-	// in one pass.
-	MaxIters int
-	// Tol stops the fold-in iteration once max_k |Δθ| falls below it. Zero
-	// (the default) iterates until the row is bitwise stationary or MaxIters
-	// is exhausted — the setting the bitwise reproduction contract needs.
-	Tol float64
-	// Precision mirrors the fit's Options.Precision: under "float32" every
-	// normalized posterior row is rounded to float32-representable values
-	// exactly as the fit rounds Θ, which the bitwise reproduction contract
-	// requires against float32-fitted models. Empty or "float64" rounds
-	// nothing; unknown values are rejected.
-	Precision Precision
-}
-
-// defaults for ScorerOptions.
+// defaultScorerEpsilon is the Θ floor of a model that recorded none —
+// DefaultOptions' value. foldInMaxIters caps the fold-in fixed-point
+// iteration for queries with attribute observations; link-only queries
+// always finish in one pass.
 const (
-	defaultScorerEpsilon  = 1e-9
-	defaultScorerMaxIters = 100
+	defaultScorerEpsilon = 1e-9
+	foldInMaxIters       = 100
 )
 
 // Scorer is the fold-in kernel: it evaluates the E-step posterior of
@@ -200,24 +180,23 @@ const (
 //
 // Scope of the bitwise reproduction contract (assigning a converged
 // model's training objects returns its Θ rows exactly): it requires the
-// fit's own Epsilon, SymmetricPropagation off (a query has no in-links,
-// so the Scorer computes the out-link term only), and relation names
-// declared in lexicographic order (the Scorer's summation order — see
-// below — coincides with the fit's dense declaration order exactly then).
+// model's recorded Θ floor (Result.Epsilon; NewScorer reads it unless
+// handed another, and a model without one scores at the 1e-9 default),
+// SymmetricPropagation off (a query has no in-links, so the Scorer
+// computes the out-link term only), and relation names declared in
+// lexicographic order (the Scorer's summation order — see below —
+// coincides with the fit's dense declaration order exactly then). The
+// storage precision always comes from the model (Result.Precision).
 // Outside those conditions assignments are still valid posteriors of the
 // same model; they just may differ from the training rows in the last
 // bits (or, under symmetric propagation, by the missing in-link term).
 type Scorer struct {
 	k   int
 	eps float64
-
-	maxIters int
-	tol      float64
-	f32      bool // round posterior rows to float32 storage (fit parity)
+	f32 bool // round posterior rows to float32 storage (fit parity)
 
 	theta [][]float64 // model Θ rows, shared with the model (read-only)
 
-	relNames []string  // lexicographically sorted relation names
 	gamma    []float64 // γ by sorted-relation index
 	relIndex map[string]int
 
@@ -259,40 +238,34 @@ type scorerLink struct {
 // NewScorer builds the fold-in kernel for a fitted model. It precomputes
 // the derived read-only views the E-step consumes (term-major β transposes,
 // ½·ln σ² constants) and the name→index tables queries resolve against.
-// The model is shared, not copied: it must not be mutated while the Scorer
-// lives (fitted models are immutable in practice).
-func NewScorer(m *Model, opts ScorerOptions) (*Scorer, error) {
+// Posteriors are floored at eps, or at the model's own Θ floor when eps is
+// 0, and rounded to the model's storage precision. The model is shared,
+// not copied: it must not be mutated while the Scorer lives (fitted models
+// are immutable in practice).
+func NewScorer(m *Model, eps float64) (*Scorer, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: NewScorer: nil model")
 	}
 	if m.Result == nil || m.K < 2 || len(m.Theta) == 0 {
 		return nil, fmt.Errorf("core: NewScorer: model has no fitted state")
 	}
-	if opts.Epsilon == 0 {
-		opts.Epsilon = defaultScorerEpsilon
+	if eps == 0 {
+		eps = m.Epsilon
 	}
-	if !(opts.Epsilon > 0) || opts.Epsilon >= 1.0/float64(m.K) {
-		return nil, fmt.Errorf("core: NewScorer: Epsilon = %v, want in (0, 1/K)", opts.Epsilon)
+	if eps == 0 {
+		eps = defaultScorerEpsilon
 	}
-	if opts.MaxIters == 0 {
-		opts.MaxIters = defaultScorerMaxIters
+	if !(eps > 0) || eps >= 1.0/float64(m.K) {
+		return nil, fmt.Errorf("core: NewScorer: Epsilon = %v, want in (0, 1/K)", eps)
 	}
-	if opts.MaxIters < 1 {
-		return nil, fmt.Errorf("core: NewScorer: MaxIters = %d, want ≥ 1", opts.MaxIters)
-	}
-	if opts.Tol < 0 || math.IsNaN(opts.Tol) {
-		return nil, fmt.Errorf("core: NewScorer: Tol = %v, want ≥ 0", opts.Tol)
-	}
-	prec, err := ParsePrecision(string(opts.Precision))
+	prec, err := ParsePrecision(string(m.Precision))
 	if err != nil {
 		return nil, fmt.Errorf("core: NewScorer: %w", err)
 	}
 	k := m.K
 	s := &Scorer{
 		k:        k,
-		eps:      opts.Epsilon,
-		maxIters: opts.MaxIters,
-		tol:      opts.Tol,
+		eps:      eps,
 		f32:      prec == PrecisionFloat32,
 		theta:    m.Theta,
 		relIndex: make(map[string]int, len(m.Gamma)),
@@ -318,13 +291,13 @@ func NewScorer(m *Model, opts ScorerOptions) (*Scorer, error) {
 	// the Scorer's relation order — and with it the link summation order —
 	// is defined by sorted names. That order is part of the determinism
 	// contract (see docs/ARCHITECTURE.md, "Inference").
-	s.relNames = make([]string, 0, len(m.Gamma))
+	relNames := make([]string, 0, len(m.Gamma))
 	for name := range m.Gamma {
-		s.relNames = append(s.relNames, name)
+		relNames = append(relNames, name)
 	}
-	sort.Strings(s.relNames)
-	s.gamma = make([]float64, len(s.relNames))
-	for r, name := range s.relNames {
+	sort.Strings(relNames)
+	s.gamma = make([]float64, len(relNames))
+	for r, name := range relNames {
 		s.gamma[r] = m.Gamma[name]
 		s.relIndex[name] = r
 	}
@@ -377,22 +350,11 @@ func NewScorer(m *Model, opts ScorerOptions) (*Scorer, error) {
 // K returns the model's cluster count — the length Score's dst must have.
 func (s *Scorer) K() int { return s.k }
 
-// NumObjects returns the number of known (training) objects queries may
-// link to.
-func (s *Scorer) NumObjects() int { return len(s.theta) }
-
 // ObjectIndex resolves a known object's ID to its dense row index.
 func (s *Scorer) ObjectIndex(id string) (int, bool) {
 	v, ok := s.objIndex[id]
 	return v, ok
 }
-
-// Theta returns the membership row of known object v (shared; do not
-// mutate).
-func (s *Scorer) Theta(v int) []float64 { return s.theta[v] }
-
-// NumRelations returns the number of relations with a learned strength.
-func (s *Scorer) NumRelations() int { return len(s.relNames) }
 
 // RelationIndex resolves a relation name to the Scorer's dense relation
 // index (lexicographic name order).
@@ -400,9 +362,6 @@ func (s *Scorer) RelationIndex(name string) (int, bool) {
 	r, ok := s.relIndex[name]
 	return r, ok
 }
-
-// NumAttrs returns the number of attributes the model fitted.
-func (s *Scorer) NumAttrs() int { return len(s.attrs) }
 
 // AttrIndex resolves an attribute name to its position in the model's
 // attribute order.
@@ -455,7 +414,7 @@ func (s *Scorer) AddNumeric(a int, x float64) {
 // Score evaluates the accumulated query and writes the posterior membership
 // row into dst (length K). It returns the number of fold-in iterations run:
 // 1 for queries whose posterior is closed-form (no attribute observations),
-// up to MaxIters otherwise. A query with no links and no observations gets
+// up to 100 otherwise. A query with no links and no observations gets
 // the uniform row — the E-step's "no information" rule folded in from a
 // uniform prior.
 //
@@ -504,7 +463,7 @@ func (s *Scorer) Score(dst []float64) int {
 	// proportions; iterate them to a fixed point from the uniform prior
 	// with every model parameter frozen.
 	iters := 0
-	for iters < s.maxIters {
+	for iters < foldInMaxIters {
 		iters++
 		copy(s.row, s.linkVec)
 		for a := range s.attrs {
@@ -529,19 +488,10 @@ func (s *Scorer) Score(dst []float64) int {
 			f32Slice(s.cur)
 		}
 		stationary := true
-		if s.tol > 0 {
-			for i, x := range s.cur {
-				if math.Abs(x-s.prior[i]) >= s.tol {
-					stationary = false
-					break
-				}
-			}
-		} else {
-			for i, x := range s.cur {
-				if x != s.prior[i] {
-					stationary = false
-					break
-				}
+		for i, x := range s.cur {
+			if x != s.prior[i] {
+				stationary = false
+				break
 			}
 		}
 		s.prior, s.cur = s.cur, s.prior

@@ -39,12 +39,7 @@ type Engine struct {
 // NewEngine validates the model's fitted state and builds the assignment
 // engine.
 func NewEngine(m *core.Model, opts Options) (*Engine, error) {
-	sc, err := core.NewScorer(m, core.ScorerOptions{
-		Epsilon:   opts.Epsilon,
-		MaxIters:  opts.MaxFoldInIters,
-		Tol:       opts.Tol,
-		Precision: opts.Precision,
-	})
+	sc, err := core.NewScorer(m, opts.Epsilon)
 	if err != nil {
 		return nil, fmt.Errorf("infer: %w", err)
 	}

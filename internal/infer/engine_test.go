@@ -60,13 +60,20 @@ func testNet(t testing.TB, perTopic int, withNumeric bool) *hin.Network {
 // triggers once an iteration moves Θ by exactly nothing.
 func fitStationary(t testing.TB, net *hin.Network, parallelism int) *core.Model {
 	t.Helper()
+	return fitStationaryWith(t, net, func(o *core.Options) { o.Parallelism = parallelism })
+}
+
+// fitStationaryWith is fitStationary with the options further adjusted by
+// set.
+func fitStationaryWith(t testing.TB, net *hin.Network, set func(*core.Options)) *core.Model {
+	t.Helper()
 	opts := core.DefaultOptions(2)
 	opts.LearnGamma = false
 	opts.InitSeeds = 1
 	opts.OuterIters = 1
 	opts.EMIters = 5000
 	opts.EMTol = 1e-300
-	opts.Parallelism = parallelism
+	set(&opts)
 	m, err := core.Fit(net, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,12 +116,23 @@ func trainingQuery(net *hin.Network, v int) Query {
 // rows bit for bit, at Parallelism 1 and 4 (the fit is bitwise identical
 // across parallelism, so the assignments must be too). This is what pins
 // the engine to the EM E-step kernel: any divergence in arithmetic or
-// summation order fails here on the exact bits.
+// summation order fails here on the exact bits. The float32 and ε=1e-6
+// fits pin that the engine takes the fit's storage precision and Θ floor
+// from the model itself: every case builds its engine with zero Options.
 func TestAssignTrainingObjectsGolden(t *testing.T) {
 	net := testNet(t, 60, true)
-	for _, parallelism := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism-%d", parallelism), func(t *testing.T) {
-			m := fitStationary(t, net, parallelism)
+	cases := []struct {
+		name string
+		set  func(*core.Options)
+	}{
+		{"parallelism-1", func(o *core.Options) { o.Parallelism = 1 }},
+		{"parallelism-4", func(o *core.Options) { o.Parallelism = 4 }},
+		{"float32", func(o *core.Options) { o.Precision = core.PrecisionFloat32 }},
+		{"epsilon-1e-6", func(o *core.Options) { o.Epsilon = 1e-6 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := fitStationaryWith(t, net, tc.set)
 			eng, err := NewEngine(m, Options{})
 			if err != nil {
 				t.Fatal(err)

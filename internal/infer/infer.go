@@ -32,7 +32,6 @@ package infer
 import (
 	"fmt"
 
-	"genclus/internal/core"
 	"genclus/internal/hin"
 )
 
@@ -144,20 +143,12 @@ type Options struct {
 	// TopK is the number of entries in every Assignment.Top (default 1;
 	// clamped to K).
 	TopK int
-	// Epsilon floors posterior entries exactly as Options.Epsilon floors Θ
-	// during a fit (default 1e-9, the fit default). Bitwise reproduction of
-	// training rows requires the model's own epsilon.
+	// Epsilon overrides the Θ floor posterior entries are floored at. Zero
+	// (the default) takes the model's own floor (Result.Epsilon, or the fit
+	// default 1e-9 when the model recorded none), which bitwise
+	// reproduction of training rows requires. The storage precision always
+	// comes from the model.
 	Epsilon float64
-	// MaxFoldInIters caps the fixed-point iteration for queries with
-	// attribute observations (default 100).
-	MaxFoldInIters int
-	// Tol stops the fold-in iteration once max_k |Δθ| falls below it; zero
-	// (the default) iterates to bitwise stationarity.
-	Tol float64
-	// Precision mirrors the fit's storage precision: "float32" rounds every
-	// posterior row like a float32 fit rounds Θ, which reproducing a
-	// float32 model's training rows requires. Empty means float64.
-	Precision core.Precision
 	// Limits bounds AssignBatch inputs; the zero value takes DefaultLimits.
 	// Use Unbounded to disable bounding explicitly.
 	Limits Limits

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"genclus/internal/infer"
-	"genclus/internal/snapshot"
 )
 
 // Online inference: POST /v1/models/{id}/assign folds batches of new
@@ -38,6 +37,8 @@ type assignResponse struct {
 	Assignments []infer.AssignmentDoc `json:"assignments"`
 	// Batched is always false: every request runs its own engine pass. The
 	// field stays for /v1 compatibility.
+	//
+	// Deprecated: constant since one engine pass serves each request.
 	Batched bool `json:"batched"`
 }
 
@@ -49,6 +50,8 @@ type assignStatsResponse struct {
 	Objects int64 `json:"objects"`
 	// BatchedRequests is always 0: no request shares its engine pass. The
 	// field stays for /v1 compatibility.
+	//
+	// Deprecated: constant since one engine pass serves each request.
 	BatchedRequests int64 `json:"batched_requests"`
 	// EnginePasses counts engine passes executed, one per request.
 	EnginePasses int64 `json:"engine_passes"`
@@ -108,9 +111,7 @@ func (s *Server) engine(e *modelEntry) (*cachedEngine, error) {
 	s.metrics.assignCacheMisses.Inc()
 
 	eng, err := infer.NewEngine(e.model, infer.Options{
-		TopK:      e.model.K,         // responses trim to the requested top_k
-		Epsilon:   s.modelEpsilon(e), // the fit's own floor, when recorded
-		Precision: e.model.Precision, // the snapshot's storage precision
+		TopK: e.model.K, // responses trim to the requested top_k
 		Limits: infer.Limits{
 			// Batch size is bounded at decode (infer.DecodeRequest).
 			MaxBatch:  0,
@@ -135,17 +136,6 @@ func (s *Server) engine(e *modelEntry) (*cachedEngine, error) {
 	// entry is published.
 	s.dropEngine(e.digest)
 	return ce, nil
-}
-
-// modelEpsilon recovers the Θ floor the model was fitted with from its
-// snapshot provenance meta (recorded as an exact hex float since PR 5).
-// Models without the key — imports from older snapshots, or pre-upgrade
-// recoveries — fall back to the fit default by returning 0: their
-// assignments are still valid posteriors, just not guaranteed to
-// reproduce the training rows bit for bit when the fit used a
-// non-default epsilon.
-func (s *Server) modelEpsilon(e *modelEntry) float64 {
-	return snapshot.EpsilonFromMeta(e.meta, e.model.K)
 }
 
 // evictOverflowLocked applies the LRU cap; callers hold c.mu.

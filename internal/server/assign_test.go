@@ -11,9 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"genclus/internal/core"
+	"genclus"
 	"genclus/internal/infer"
-	"genclus/internal/snapshot"
 )
 
 // assignFixture fits one model on the standard two-topic test network and
@@ -425,41 +424,12 @@ func TestAssignEngineCacheSharedByDigest(t *testing.T) {
 	}
 }
 
-// TestModelEpsilonMeta pins the epsilon provenance contract: the engine
-// takes the fit's recorded Θ floor when the snapshot meta carries a valid
-// one, and falls back to the default (0) on absent, unparsable, or
-// out-of-domain values rather than failing serving.
-func TestModelEpsilonMeta(t *testing.T) {
-	model, err := core.NewModel(&core.Result{K: 2, Theta: [][]float64{{0.5, 0.5}}}, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Server{}
-	cases := []struct {
-		name string
-		meta map[string]string
-		want float64
-	}{
-		{"recorded", map[string]string{snapshot.MetaEpsilon: snapshot.FormatEpsilon(1e-3)}, 1e-3},
-		{"default recorded", map[string]string{snapshot.MetaEpsilon: snapshot.FormatEpsilon(1e-9)}, 1e-9},
-		{"absent", nil, 0},
-		{"junk", map[string]string{snapshot.MetaEpsilon: "not-a-float"}, 0},
-		{"zero", map[string]string{snapshot.MetaEpsilon: "0x0p+00"}, 0},
-		{"too large for K", map[string]string{snapshot.MetaEpsilon: "0x1p+00"}, 0},
-	}
-	for _, tc := range cases {
-		e := &modelEntry{model: model, meta: tc.meta}
-		if got := s.modelEpsilon(e); got != tc.want {
-			t.Errorf("%s: modelEpsilon = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestAssignCustomEpsilonBitwise drives the epsilon provenance end to end
 // over HTTP: a fit submitted with a non-default epsilon converges to an
-// exact fixed point, its snapshot meta records the epsilon, and the assign
-// engine — built from that provenance — reproduces the fitted Θ rows of
-// the training objects bit for bit.
+// exact fixed point, and assigning its training objects reproduces the
+// fitted Θ rows bit for bit — through the daemon's assign endpoint, and
+// through a zero-options engine over the exported snapshot decoded by the
+// library, which restores the fit's epsilon from the snapshot meta.
 func TestAssignCustomEpsilonBitwise(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	network, _ := testNetworkJSON(t, 12, 3)
@@ -477,24 +447,22 @@ func TestAssignCustomEpsilonBitwise(t *testing.T) {
 		t.Fatalf("fit did not reach an exact fixed point (%d EM iterations)", res.EMIterations)
 	}
 
-	// The exported snapshot must carry the fit's epsilon in its meta.
-	code, snap := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/models/"+status.ModelID+"/export", nil)
-	if code != http.StatusOK {
-		t.Fatalf("export: %d", code)
-	}
-	decoded, err := snapshot.Decode(snap, snapshot.DefaultLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshot.EpsilonFromMeta(decoded.Meta, 2); got != eps {
-		t.Fatalf("snapshot meta epsilon = %v, want %v", got, eps)
-	}
-
 	// Assigning the training objects reproduces Θ bitwise — which only
 	// works if the engine flooring matches the fit's epsilon.
 	req := infer.RequestDoc{}
 	for _, obj := range res.Objects {
 		req.Objects = append(req.Objects, trainingAssignObject(obj, network, t))
+	}
+	requireFitted := func(via string, got [][]float64) {
+		t.Helper()
+		for i, row := range got {
+			for k, x := range row {
+				if x != res.Objects[i].Theta[k] {
+					t.Fatalf("%s: object %s theta[%d]: assigned %v, fitted %v (epsilon not honored?)",
+						via, res.Objects[i].ID, k, x, res.Objects[i].Theta[k])
+				}
+			}
+		}
 	}
 	code, body := postAssign(t, ts, status.ModelID, req)
 	if code != http.StatusOK {
@@ -504,14 +472,46 @@ func TestAssignCustomEpsilonBitwise(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
+	served := make([][]float64, len(resp.Assignments))
 	for i, a := range resp.Assignments {
-		for k, x := range a.Theta {
-			if x != res.Objects[i].Theta[k] {
-				t.Fatalf("object %s theta[%d]: assigned %v, fitted %v (epsilon not honored?)",
-					a.ID, k, x, res.Objects[i].Theta[k])
-			}
-		}
+		served[i] = a.Theta
 	}
+	requireFitted("assign endpoint", served)
+
+	// The exported snapshot carries the fit's epsilon: decoded through the
+	// library, the model scores at it with zero engine options.
+	code, snap := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/models/"+status.ModelID+"/export", nil)
+	if code != http.StatusOK {
+		t.Fatalf("export: %d", code)
+	}
+	model, err := genclus.DecodeModel(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.Epsilon != eps {
+		t.Fatalf("decoded model epsilon = %v, want %v", model.Epsilon, eps)
+	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, queries, err := infer.DecodeRequest(payload, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := infer.NewEngine(model, infer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := eng.AssignBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make([][]float64, len(out))
+	for i, a := range out {
+		local[i] = a.Theta
+	}
+	requireFitted("decoded snapshot", local)
 }
 
 // TestAssignPanicContainment wedge-proofs the engine lock: a panicking

@@ -76,9 +76,8 @@ func (s *Server) modelResponse(e *modelEntry) modelResponse {
 }
 
 // snapshot meta keys the daemon records at export time. The epsilon key
-// (the fit's Θ floor, consumed by the assign engine) is owned by the
-// snapshot package so the CLI's offline -assign mode reads the same
-// convention: see snapshot.MetaEpsilon.
+// (the fit's Θ floor, which snapshot.Decode restores as Result.Epsilon) is
+// owned by the snapshot package: see snapshot.MetaEpsilon.
 const (
 	metaCreated       = "created"
 	metaJobID         = "job_id"
@@ -121,7 +120,7 @@ func newModelEntry(id string, snap *snapshot.Snapshot, data []byte, created time
 // registerModel encodes the fitted model and registers it under a fresh id
 // (see persistAndAdmit). Its meta carries the source job and network.
 func (s *Server) registerModel(m *core.Model, meta map[string]string, created time.Time) (*modelEntry, error) {
-	snap := &snapshot.Snapshot{Model: m, Meta: meta, Precision: m.Precision}
+	snap := &snapshot.Snapshot{Model: m, Meta: meta}
 	data, err := snapshot.Encode(snap)
 	if err != nil {
 		return nil, err
@@ -174,7 +173,7 @@ func (s *Server) exportBytes(e *modelEntry) ([]byte, error) {
 			}
 		}
 	}
-	return snapshot.Encode(&snapshot.Snapshot{Model: e.model, Meta: e.meta, Precision: e.model.Precision})
+	return snapshot.Encode(&snapshot.Snapshot{Model: e.model, Meta: e.meta})
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {

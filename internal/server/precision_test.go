@@ -102,8 +102,8 @@ func TestJobPrecisionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Precision != core.PrecisionFloat32 {
-		t.Fatalf("snapshot precision = %q, want float32", decoded.Precision)
+	if decoded.Model.Precision != core.PrecisionFloat32 {
+		t.Fatalf("snapshot precision = %q, want float32", decoded.Model.Precision)
 	}
 	if got := decoded.Meta[snapshot.MetaPrecision]; got != "float32" {
 		t.Fatalf("meta precision = %q, want float32", got)

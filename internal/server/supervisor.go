@@ -426,17 +426,15 @@ func (sup *supervisor) objectDrift(net *hin.Network, e *modelEntry, id string) f
 
 // driftEngine (re)builds the supervisor's private fold-in engine when the
 // newest model changed. It is never shared with /assign traffic — the
-// engine's scratch arena is single-goroutine — and it scores with the
-// model's own epsilon so posteriors match what training rows would
-// reproduce.
+// engine's scratch arena is single-goroutine — and, like every engine, it
+// scores with the model's own epsilon and precision so posteriors match
+// what training rows would reproduce.
 func (sup *supervisor) driftEngine(e *modelEntry) error {
 	if sup.engModelID == e.id && sup.eng != nil {
 		return nil
 	}
 	eng, err := infer.NewEngine(e.model, infer.Options{
-		TopK:      1,
-		Epsilon:   sup.s.modelEpsilon(e),
-		Precision: e.model.Precision,
+		TopK: 1,
 		// The queries come from the network itself, already behind
 		// hin.Limits; request-style caps do not apply.
 		Unbounded: true,

@@ -266,12 +266,13 @@ func Read(r io.Reader, lim Limits) (*Snapshot, error) {
 		EMIterations:    emIters,
 		OuterIterations: outerIters,
 		Precision:       prec,
+		Epsilon:         epsilonFromMeta(meta, k),
 	}
 	model, err := core.NewModel(res, ids)
 	if err != nil {
 		return nil, d.badf("reassemble model: %v", err)
 	}
-	return &Snapshot{Model: model, Meta: meta, Precision: prec}, nil
+	return &Snapshot{Model: model, Meta: meta}, nil
 }
 
 // msgTruncated is the FormatError message for inputs that end mid-section.

@@ -44,26 +44,26 @@ func DataDigest(data []byte) string {
 }
 
 // MetaEpsilon is the provenance meta key recording the fit's Θ floor
-// (Options.Epsilon). Online inference needs it because reproducing a
-// model's training rows bit for bit requires flooring posteriors at the
-// fit's own epsilon — which the fitted state itself does not carry. Both
-// consumers of daemon-exported snapshots (genclusd's assign engine and
-// the CLI's -assign mode) read it through EpsilonFromMeta.
+// (Options.Epsilon). The wire format does not carry Result.Epsilon, so
+// Decode restores it from this key: online inference needs it because
+// reproducing a model's training rows bit for bit requires flooring
+// posteriors at the fit's own epsilon. genclusd records it; library
+// snapshots (genclus.EncodeModel) carry none.
 const MetaEpsilon = "epsilon"
 
 // FormatEpsilon renders an epsilon as an exact hex float for MetaEpsilon:
-// the round trip through EpsilonFromMeta is bit-exact.
+// the round trip through Decode is bit-exact.
 func FormatEpsilon(eps float64) string {
 	return strconv.FormatFloat(eps, 'x', -1, 64)
 }
 
-// EpsilonFromMeta recovers the recorded Θ floor for a model with k
+// epsilonFromMeta recovers the recorded Θ floor for a model with k
 // clusters. It returns 0 — "use the fit default" — when the key is
 // absent (imports from older snapshots, models serialized without
 // provenance) or when the recorded value is unparsable or outside the
 // valid (0, 1/k) domain: a bad provenance entry must degrade assignment
-// precision, never fail serving.
-func EpsilonFromMeta(meta map[string]string, k int) float64 {
+// precision, never fail a decode.
+func epsilonFromMeta(meta map[string]string, k int) float64 {
 	v, ok := meta[MetaEpsilon]
 	if !ok {
 		return 0
@@ -77,8 +77,8 @@ func EpsilonFromMeta(meta map[string]string, k int) float64 {
 
 // MetaPrecision is the provenance meta key recording the fit's storage
 // precision (Options.Precision). The wire flags fix how the bytes decode
-// (Snapshot.Precision, and the decoded model's Precision); the meta copy
-// keeps the fit option in the provenance for auditing.
+// (the decoded model's Precision); the meta copy keeps the fit option in
+// the provenance for auditing.
 const MetaPrecision = "precision"
 
 // FormatPrecision renders a precision for MetaPrecision ("" normalizes to

@@ -42,7 +42,10 @@ func Write(w io.Writer, snap *Snapshot) error {
 	if snap == nil || snap.Model == nil {
 		return fmt.Errorf("snapshot: encode nil model")
 	}
-	prec, err := core.ParsePrecision(string(snap.Precision))
+	if snap.Model.Result == nil {
+		return fmt.Errorf("snapshot: encode model with nil Result")
+	}
+	prec, err := core.ParsePrecision(string(snap.Model.Precision))
 	if err != nil {
 		return fmt.Errorf("snapshot: encode: %w", err)
 	}
@@ -184,13 +187,10 @@ func (e *encoder) b(v byte) { e.w.WriteByte(v) }
 // and term probabilities, and strictly positive variances. Under float32
 // storage the variance check applies after narrowing — a float64 variance
 // tiny enough to round to a float32 zero would otherwise decode as invalid
-// (a float32 fit can't produce one, but Snapshot.Precision is settable on
+// (a float32 fit can't produce one, but Result.Precision is settable on
 // any model).
 func validateForEncode(m *core.Model, f32 bool) error {
 	res := m.Result
-	if res == nil {
-		return fmt.Errorf("snapshot: encode model with nil Result")
-	}
 	if res.K < 2 {
 		return fmt.Errorf("snapshot: encode model with K=%d, want ≥ 2", res.K)
 	}

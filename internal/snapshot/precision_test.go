@@ -34,9 +34,8 @@ func TestFloat32RoundTripByteIdentity(t *testing.T) {
 	net := fitNetwork(t, 12, 0)
 	m := fitModelF32(t, net)
 	snap := &Snapshot{
-		Model:     m,
-		Meta:      map[string]string{MetaPrecision: "float32"},
-		Precision: core.PrecisionFloat32,
+		Model: m,
+		Meta:  map[string]string{MetaPrecision: "float32"},
 	}
 	enc, err := Encode(snap)
 	if err != nil {
@@ -49,8 +48,8 @@ func TestFloat32RoundTripByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Precision != core.PrecisionFloat32 {
-		t.Fatalf("decoded Precision = %q, want float32", dec.Precision)
+	if dec.Model.Precision != core.PrecisionFloat32 {
+		t.Fatalf("decoded Precision = %q, want float32", dec.Model.Precision)
 	}
 	re, err := Encode(dec)
 	if err != nil {
@@ -79,7 +78,13 @@ func TestFloat32RoundTripByteIdentity(t *testing.T) {
 		t.Fatal("objective bits drifted")
 	}
 
-	enc64, err := Encode(&Snapshot{Model: m, Meta: snap.Meta})
+	res64 := *m.Result
+	res64.Precision = core.PrecisionFloat64
+	m64, err := core.NewModel(&res64, m.ObjectIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc64, err := Encode(&Snapshot{Model: m64, Meta: snap.Meta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +93,17 @@ func TestFloat32RoundTripByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFloat32EncodeRejectsUnrepresentable: Snapshot.Precision is settable on
+// TestFloat32EncodeRejectsUnrepresentable: Result.Precision is settable on
 // arbitrary models, so the encoder must refuse values that 4-byte storage
 // would corrupt — a mean beyond float32 range, a variance that underflows
 // float32 to zero — rather than silently saturating them.
 func TestFloat32EncodeRejectsUnrepresentable(t *testing.T) {
-	build := func(mu, vr float64) *core.Model {
+	build := func(mu, vr float64, prec core.Precision) *core.Model {
 		res := &core.Result{
-			K:     2,
-			Theta: [][]float64{{0.25, 0.75}, {0.5, 0.5}},
-			Gamma: map[string]float64{},
+			K:         2,
+			Precision: prec,
+			Theta:     [][]float64{{0.25, 0.75}, {0.5, 0.5}},
+			Gamma:     map[string]float64{},
 			Attrs: []core.AttrModel{{
 				Name:  "x",
 				Kind:  hin.Numeric,
@@ -110,18 +116,18 @@ func TestFloat32EncodeRejectsUnrepresentable(t *testing.T) {
 		}
 		return m
 	}
-	if _, err := Encode(&Snapshot{Model: build(1e300, 1), Precision: core.PrecisionFloat32}); err == nil {
+	if _, err := Encode(&Snapshot{Model: build(1e300, 1, core.PrecisionFloat32)}); err == nil {
 		t.Fatal("encode accepted a mean outside float32 range")
 	}
-	if _, err := Encode(&Snapshot{Model: build(0, 1e-50), Precision: core.PrecisionFloat32}); err == nil {
+	if _, err := Encode(&Snapshot{Model: build(0, 1e-50, core.PrecisionFloat32)}); err == nil {
 		t.Fatal("encode accepted a variance that underflows float32")
 	}
 	// The same model is fine as float64.
-	if _, err := Encode(&Snapshot{Model: build(1e300, 1e-50)}); err != nil {
+	if _, err := Encode(&Snapshot{Model: build(1e300, 1e-50, "")}); err != nil {
 		t.Fatalf("float64 encode rejected in-domain values: %v", err)
 	}
 	// And in-range values are fine as float32.
-	if _, err := Encode(&Snapshot{Model: build(2.5, 0.5), Precision: core.PrecisionFloat32}); err != nil {
+	if _, err := Encode(&Snapshot{Model: build(2.5, 0.5, core.PrecisionFloat32)}); err != nil {
 		t.Fatalf("float32 encode rejected representable values: %v", err)
 	}
 }
@@ -130,7 +136,8 @@ func TestFloat32EncodeRejectsUnrepresentable(t *testing.T) {
 // same ParsePrecision every other layer uses.
 func TestEncodeRejectsUnknownPrecision(t *testing.T) {
 	m := fitModel(t, fitNetwork(t, 6, 0))
-	_, err := Encode(&Snapshot{Model: m, Precision: "float16"})
+	m.Precision = "float16"
+	_, err := Encode(&Snapshot{Model: m})
 	var perr *core.PrecisionError
 	if !errors.As(err, &perr) {
 		t.Fatalf("want *core.PrecisionError, got %v", err)
@@ -176,8 +183,8 @@ func TestZeroFlagsDecodeAsFloat64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Precision != core.PrecisionFloat64 {
-		t.Fatalf("decoded Precision = %q, want float64", dec.Precision)
+	if dec.Model.Precision != core.PrecisionFloat64 {
+		t.Fatalf("decoded Precision = %q, want float64", dec.Model.Precision)
 	}
 }
 

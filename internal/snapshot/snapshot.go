@@ -77,17 +77,17 @@ type Snapshot struct {
 	// Model is the fitted model: Θ, γ, attribute component models,
 	// objectives and iteration counts, plus the source network's object IDs
 	// in Θ row order. Result.History is not carried across the codec.
+	// Result.Precision selects the storage width of the model floats on
+	// the wire: float64 (or empty) writes the flags-zero layout, float32
+	// sets FlagFloat32 and writes float32 payloads. Decode fills it from
+	// the flags word, so re-encoding a decoded snapshot reproduces its
+	// bytes. Result.Epsilon is not on the wire: Decode fills it from the
+	// MetaEpsilon key when present and valid.
 	Model *core.Model
 	// Meta is a small string map for provenance — the genclusd persister
 	// records the source job id, network id, finish time, and the options
 	// digest here. Keys are sorted on encode; nil and empty are equivalent.
 	Meta map[string]string
-	// Precision selects the storage width of the model floats on the wire:
-	// core.PrecisionFloat64 (or empty) writes the flags-zero float64 layout,
-	// core.PrecisionFloat32 sets FlagFloat32 and writes float32 payloads.
-	// Decode fills it from the flags word, so re-encoding a decoded
-	// snapshot reproduces its bytes.
-	Precision core.Precision
 }
 
 // Limits bounds what a decoded snapshot may allocate, in the same spirit as

@@ -363,3 +363,42 @@ func TestMinimalModelRoundTrip(t *testing.T) {
 		t.Fatalf("sparse sections drifted: %+v", dec.Model.Result)
 	}
 }
+
+// TestDecodeEpsilonFromMeta pins the epsilon provenance contract: Decode
+// restores Result.Epsilon from a valid MetaEpsilon entry, and leaves it 0
+// (the fit default) when the key is absent, unparsable, or outside the
+// (0, 1/K) domain, rather than failing the decode. The encoded model's own
+// in-memory Epsilon is set to a different value, so only the meta can
+// supply what Decode reports.
+func TestDecodeEpsilonFromMeta(t *testing.T) {
+	res := &core.Result{K: 2, Theta: [][]float64{{0.5, 0.5}}, Epsilon: 1e-4}
+	m, err := core.NewModel(res, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		meta map[string]string
+		want float64
+	}{
+		{"recorded", map[string]string{MetaEpsilon: FormatEpsilon(1e-3)}, 1e-3},
+		{"default recorded", map[string]string{MetaEpsilon: FormatEpsilon(1e-9)}, 1e-9},
+		{"absent", nil, 0},
+		{"junk", map[string]string{MetaEpsilon: "not-a-float"}, 0},
+		{"zero", map[string]string{MetaEpsilon: "0x0p+00"}, 0},
+		{"too large for K", map[string]string{MetaEpsilon: "0x1p+00"}, 0},
+	}
+	for _, tc := range cases {
+		enc, err := Encode(&Snapshot{Model: m, Meta: tc.meta})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		dec, err := Decode(enc, DefaultLimits())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := dec.Model.Epsilon; got != tc.want {
+			t.Errorf("%s: decoded Epsilon = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
