@@ -429,15 +429,15 @@ func benchAssignDaemon(b *testing.B) (*httptest.Server, string, [][]byte) {
 // the same invariant as a test). The measurement lands in BENCH_fit.json
 // under "em-iteration/midsize".
 func BenchmarkEMIteration(b *testing.B) {
-	eb, err := bench.NewEMIterationBench()
+	h, err := bench.NewEMHarness(1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	allocs := int64(testing.AllocsPerRun(5, eb.RunIteration))
+	allocs := int64(testing.AllocsPerRun(5, h.RunIteration))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eb.RunIteration()
+		h.RunIteration()
 	}
 	b.StopTimer()
 	nsPerOp := int64(0)
@@ -467,16 +467,16 @@ func BenchmarkEMIteration(b *testing.B) {
 func BenchmarkEMIterationParallel(b *testing.B) {
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			eb, err := bench.NewEMIterationBenchParallel(p)
+			h, err := bench.NewEMHarness(p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eb.Close()
-			allocs := int64(testing.AllocsPerRun(5, eb.RunIteration))
+			defer h.Close()
+			allocs := int64(testing.AllocsPerRun(5, h.RunIteration))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eb.RunIteration()
+				h.RunIteration()
 			}
 			b.StopTimer()
 			if p == 1 {
@@ -507,17 +507,17 @@ func BenchmarkEMIterationParallel(b *testing.B) {
 func BenchmarkStrengthStep(b *testing.B) {
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			eb, err := bench.NewEMIterationBenchParallel(p)
+			h, err := bench.NewEMHarness(p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eb.Close()
-			eb.RunStrengthStep() // warm-up sizes the strength scratch
-			allocs := int64(testing.AllocsPerRun(5, eb.RunStrengthStep))
+			defer h.Close()
+			h.RunStrengthStep() // warm-up sizes the strength scratch
+			allocs := int64(testing.AllocsPerRun(5, h.RunStrengthStep))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eb.RunStrengthStep()
+				h.RunStrengthStep()
 			}
 			b.StopTimer()
 			nsPerOp := int64(0)
@@ -550,17 +550,17 @@ var benchObjective float64
 func BenchmarkObjective(b *testing.B) {
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			eb, err := bench.NewEMIterationBenchParallel(p)
+			h, err := bench.NewEMHarness(p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eb.Close()
-			eb.RunObjective() // warm-up sizes the term slots
-			allocs := int64(testing.AllocsPerRun(5, func() { benchObjective = eb.RunObjective() }))
+			defer h.Close()
+			h.RunObjective() // warm-up sizes the term slots
+			allocs := int64(testing.AllocsPerRun(5, func() { benchObjective = h.RunObjective() }))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchObjective = eb.RunObjective()
+				benchObjective = h.RunObjective()
 			}
 			b.StopTimer()
 			nsPerOp := int64(0)

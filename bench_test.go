@@ -1,58 +1,15 @@
-// Benchmarks: one testing.B entry per table and figure of the paper's
-// evaluation section (plus the ablations). Each benchmark drives the same
-// experiment code cmd/experiments runs, at a reduced scale so the whole
-// suite completes quickly; run `cmd/experiments -run <id>` for the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// Benchmarks of the library's end-to-end paths: a full fit on each data
+// family, the weather generator and the link-prediction evaluation. The
+// paper's experiments run through cmd/experiments (full-scale numbers in
+// EXPERIMENTS.md) and their quality values are diffed exactly by
+// internal/bench's TestQualityLedger.
 package genclus_test
 
 import (
 	"testing"
 
 	"genclus"
-	"genclus/internal/bench"
 )
-
-// benchConfig keeps benchmark iterations fast while preserving every code
-// path of the full-scale experiments.
-func benchConfig() bench.Config {
-	return bench.Config{Scale: 0.06, Runs: 2, Seed: 1}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, ok := bench.Get(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	cfg := benchConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5AC(b *testing.B)              { runExperiment(b, "fig5") }
-func BenchmarkFig6ACP(b *testing.B)             { runExperiment(b, "fig6") }
-func BenchmarkTable1CaseStudy(b *testing.B)     { runExperiment(b, "table1") }
-func BenchmarkFig7WeatherSetting1(b *testing.B) { runExperiment(b, "fig7") }
-func BenchmarkFig8WeatherSetting2(b *testing.B) { runExperiment(b, "fig8") }
-func BenchmarkTable2LinkPredAC(b *testing.B)    { runExperiment(b, "table2") }
-func BenchmarkTable3LinkPredACP(b *testing.B)   { runExperiment(b, "table3") }
-func BenchmarkTable4LinkPredWeather(b *testing.B) {
-	runExperiment(b, "table4")
-}
-func BenchmarkFig9Strengths(b *testing.B)          { runExperiment(b, "fig9") }
-func BenchmarkTable5WeatherStrengths(b *testing.B) { runExperiment(b, "table5") }
-func BenchmarkFig10RunningCase(b *testing.B)       { runExperiment(b, "fig10") }
-func BenchmarkFig11Scalability(b *testing.B)       { runExperiment(b, "fig11") }
-func BenchmarkParallelEM(b *testing.B)             { runExperiment(b, "parallel") }
-func BenchmarkAblationAsymmetry(b *testing.B)      { runExperiment(b, "ablation-asym") }
-func BenchmarkAblationFixedGamma(b *testing.B)     { runExperiment(b, "ablation-gamma") }
-func BenchmarkAblationPrior(b *testing.B)          { runExperiment(b, "ablation-prior") }
-func BenchmarkSelectK(b *testing.B)                { runExperiment(b, "selectk") }
-func BenchmarkHoldoutLinkPred(b *testing.B)        { runExperiment(b, "ext-holdout") }
 
 // BenchmarkFitWeather measures a full GenClus fit on a mid-size weather
 // network — the end-to-end number a library user cares about.

@@ -7,16 +7,22 @@
 //
 //	experiments -list
 //	experiments -run fig5 [-scale 1] [-runs 20] [-seed 1]
-//	experiments -run all
+//	experiments -run all [-json FILE]
+//
+// -json writes the Quality values of every experiment run to FILE as one
+// JSON object keyed "<id>/<key>", sorted by key, each value in Go's
+// shortest round-trip float format. Timings are not written: they differ
+// from run to run. This is how the quality ledger of internal/bench is
+// regenerated:
+//
+//	experiments -run all -scale 0.06 -runs 2 -seed 5 -json internal/bench/testdata/quality_smoke.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"genclus/internal/bench"
@@ -24,12 +30,12 @@ import (
 
 func main() {
 	var (
-		list   = flag.Bool("list", false, "list available experiments")
-		run    = flag.String("run", "", "experiment id to run, or 'all'")
-		scale  = flag.Float64("scale", 1, "dataset size multiplier")
-		runs   = flag.Int("runs", 20, "random restarts for mean/std experiments")
-		seed   = flag.Int64("seed", 1, "base random seed")
-		csvDir = flag.String("csv", "", "also write <id>.csv files with the numeric results into this directory")
+		list    = flag.Bool("list", false, "list available experiments")
+		run     = flag.String("run", "", "experiment id to run, or 'all'")
+		scale   = flag.Float64("scale", 1, "dataset size multiplier")
+		runs    = flag.Int("runs", 20, "random restarts for mean/std experiments")
+		seed    = flag.Int64("seed", 1, "base random seed")
+		jsonOut = flag.String("json", "", "also write every run experiment's quality values, keyed <id>/<key>, to this JSON file")
 	)
 	flag.Parse()
 
@@ -58,6 +64,7 @@ func main() {
 		targets = []bench.Experiment{e}
 	}
 
+	quality := make(map[string]float64)
 	for _, e := range targets {
 		start := time.Now()
 		rep, err := e.Run(cfg)
@@ -69,31 +76,21 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, rep.ID, rep.Values); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
+		for k, v := range rep.Quality {
+			quality[rep.ID+"/"+k] = v
 		}
 		fmt.Printf("(%s completed in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
-}
-
-// writeCSV emits the report's machine-readable values as "key,value" rows,
-// sorted by key for stable diffs.
-func writeCSV(dir, id string, values map[string]float64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	if *jsonOut != "" {
+		// encoding/json sorts map keys and writes each float64 in its
+		// shortest round-trip form.
+		b, err := json.MarshalIndent(quality, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonOut, append(b, '\n'), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
 	}
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteString("key,value\n")
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s,%g\n", k, values[k])
-	}
-	return os.WriteFile(filepath.Join(dir, id+".csv"), []byte(sb.String()), 0o644)
 }

@@ -3,9 +3,10 @@
 // rows/series the paper reports, plus three ablations (asymmetric
 // propagation, fixed γ, prior σ) registered alongside them.
 //
-// Experiments are exposed three ways: through this registry (used by
-// cmd/experiments), through the Benchmark functions in the repository root,
-// and individually as plain functions for tests.
+// The registry is the one entry point: cmd/experiments runs it, and
+// TestQualityLedger diffs every report's Quality map exactly against
+// testdata/quality_smoke.json. It also builds the warmed EM harness behind
+// the EM-iteration, strength-step and objective benchmarks (NewEMHarness).
 package bench
 
 import (
@@ -21,7 +22,7 @@ import (
 )
 
 // Config controls how experiments run. Zero values are replaced by the
-// paper-faithful defaults (DefaultConfig).
+// paper-faithful defaults: Scale 1, Runs 20, Seed 1.
 type Config struct {
 	// Scale multiplies dataset sizes. 1.0 reproduces the configuration the
 	// harness was calibrated on; smaller values give quick smoke runs.
@@ -31,15 +32,6 @@ type Config struct {
 	Runs int
 	// Seed is the base seed; run r uses Seed + r·10007.
 	Seed int64
-	// Out receives the formatted report. Defaults to io.Discard-like no-op
-	// when nil (callers usually pass os.Stdout).
-	Out io.Writer
-}
-
-// DefaultConfig mirrors the paper's experimental setup at the calibrated
-// default scale.
-func DefaultConfig() Config {
-	return Config{Scale: 1, Runs: 20, Seed: 1}
 }
 
 func (c Config) normalized() Config {
@@ -67,25 +59,32 @@ func (c Config) scaled(n int, min int) int {
 }
 
 // Report is the outcome of one experiment: pre-formatted lines shaped like
-// the paper's table/figure, plus machine-readable values for tests.
+// the paper's table/figure, plus its numbers split by whether a rerun
+// reproduces them.
 type Report struct {
 	ID    string
 	Title string
 	Lines []string
-	// Values holds named numeric results (e.g. "GenClus/Overall/mean") so
-	// tests can assert on shapes without parsing text.
-	Values map[string]float64
+	// Quality holds the deterministic results (NMI, MAP, γ, entropies,
+	// model-selection scores), keyed like "GenClus/Overall/mean". The same
+	// Config reproduces them bit for bit.
+	Quality map[string]float64
+	// Timing holds wall-clock results in seconds or ratios of them
+	// (fig11's per-iteration times, parallel's speedups).
+	Timing map[string]float64
 }
 
 func newReport(id, title string) *Report {
-	return &Report{ID: id, Title: title, Values: make(map[string]float64)}
+	return &Report{ID: id, Title: title, Quality: make(map[string]float64), Timing: make(map[string]float64)}
 }
 
 func (r *Report) addf(format string, args ...interface{}) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
-func (r *Report) set(key string, v float64) { r.Values[key] = v }
+func (r *Report) set(key string, v float64) { r.Quality[key] = v }
+
+func (r *Report) setTime(key string, v float64) { r.Timing[key] = v }
 
 // WriteTo renders the report.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
@@ -157,15 +156,6 @@ func Get(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
-	}
-	return out
 }
 
 // --- shared helpers ---

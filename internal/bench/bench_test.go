@@ -2,15 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
-
-// smokeConfig keeps experiment smoke tests fast.
-func smokeConfig() Config {
-	return Config{Scale: 0.06, Runs: 2, Seed: 5}
-}
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of §5 must have an experiment, plus the three
@@ -21,9 +20,8 @@ func TestRegistryComplete(t *testing.T) {
 		"ablation-asym", "ablation-gamma", "ablation-prior",
 		"selectk", "ext-holdout",
 	}
-	ids := IDs()
-	if len(ids) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(ids), len(want))
+	if n := len(Registry()); n != len(want) {
+		t.Fatalf("registry has %d experiments, want %d", n, len(want))
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -69,214 +67,123 @@ func TestReportWriteTo(t *testing.T) {
 	}
 }
 
-func TestFig5Smoke(t *testing.T) {
-	rep, err := Fig5(smokeConfig())
+// TestQualityLedger runs every registered experiment at the smoke
+// configuration and diffs its Quality map exactly against the committed
+// ledger, naming every moved, missing or extra key. Fits are bitwise
+// deterministic at every Parallelism and GOAMD64 level and the baselines
+// are seeded, so there is no tolerance: a moved value is a changed fit.
+// The one way to regenerate the ledger is
+//
+//	go run ./cmd/experiments -run all -scale 0.06 -runs 2 -seed 5 -json internal/bench/testdata/quality_smoke.json
+//
+// and a re-record names every moved value in CHANGES.md. The generic
+// checks below hold whatever a re-record writes.
+func TestQualityLedger(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "quality_smoke.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []string{"NetPLSA", "iTopicModel", "GenClus"} {
-		if _, ok := rep.Values[m+"/Overall/mean"]; !ok {
-			t.Errorf("missing %s overall mean", m)
+	var ledger map[string]float64
+	if err := json.Unmarshal(raw, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	recorded := make(map[string]map[string]float64) // experiment id → key → value
+	for k, v := range ledger {
+		id, key, _ := strings.Cut(k, "/")
+		if recorded[id] == nil {
+			recorded[id] = make(map[string]float64)
+		}
+		recorded[id][key] = v
+	}
+	cfg := Config{Scale: 0.06, Runs: 2, Seed: 5}
+	for _, e := range Registry() {
+		t.Run(e.ID, func(t *testing.T) {
+			rep, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffQuality(t, recorded[e.ID], rep.Quality)
+			checkReport(t, rep)
+		})
+		delete(recorded, e.ID)
+	}
+	for id := range recorded {
+		t.Errorf("ledger holds values of unregistered experiment %q", id)
+	}
+}
+
+// diffQuality reports every key whose value moved, is missing from got, or
+// is not in the ledger.
+func diffQuality(t *testing.T, want, got map[string]float64) {
+	t.Helper()
+	keys := make([]string, 0, len(want)+len(got))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	// NMI values must be within [0, 1].
-	for key, v := range rep.Values {
-		if strings.HasSuffix(key, "/mean") && (v < 0 || v > 1) {
-			t.Errorf("%s = %v outside [0,1]", key, v)
-		}
-	}
-}
-
-func TestFig6Smoke(t *testing.T) {
-	rep, err := Fig6(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.Values["GenClus/paper/mean"]; !ok {
-		t.Error("fig6 should slice by paper type")
-	}
-}
-
-func TestTable1Smoke(t *testing.T) {
-	rep, err := Table1(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Lines) < 5 {
-		t.Errorf("table1 too short: %v", rep.Lines)
-	}
-	// The broad venue should have higher membership entropy than the
-	// focused one.
-	if rep.Values["broadVenueEntropy"] < rep.Values["focusedVenueEntropy"] {
-		t.Error("broad venue should have higher entropy than focused")
-	}
-}
-
-func TestFig7Smoke(t *testing.T) {
-	rep, err := Fig7(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 sizes × 3 obs × 3 methods = 27 values.
-	count := 0
-	for range rep.Values {
-		count++
-	}
-	if count != 27 {
-		t.Errorf("fig7 produced %d values, want 27", count)
-	}
-}
-
-func TestFig8Smoke(t *testing.T) {
-	rep, err := Fig8(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Lines) != 10 { // header + 9 rows
-		t.Errorf("fig8 has %d lines", len(rep.Lines))
-	}
-}
-
-func TestTable2Smoke(t *testing.T) {
-	rep, err := Table2(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 sims × 3 methods.
-	if len(rep.Values) != 9 {
-		t.Errorf("table2 has %d values", len(rep.Values))
-	}
-	for key, v := range rep.Values {
-		if v < 0 || v > 1 {
-			t.Errorf("MAP %s = %v outside [0,1]", key, v)
+	sort.Strings(keys)
+	for _, k := range keys {
+		w, inLedger := want[k]
+		g, inReport := got[k]
+		switch {
+		case !inReport:
+			t.Errorf("missing %s: ledger %v, report has no value", k, w)
+		case !inLedger:
+			t.Errorf("extra %s: report %v, not in ledger", k, g)
+		case math.Float64bits(w) != math.Float64bits(g):
+			t.Errorf("moved %s: ledger %v, now %v", k, w, g)
 		}
 	}
 }
 
-func TestTable3Smoke(t *testing.T) {
-	rep, err := Table3(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Values) != 9 {
-		t.Errorf("table3 has %d values", len(rep.Values))
-	}
-}
+// timingKeys is how many timing values each experiment reports: fig11's
+// 2 settings × 3 sizes × 3 observation counts and parallel's seconds and
+// speedup at 3 widths. Every other experiment reports quality only.
+var timingKeys = map[string]int{"fig11": 18, "parallel": 6}
 
-func TestTable4Smoke(t *testing.T) {
-	rep, err := Table4(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Values) != 3 {
-		t.Errorf("table4 has %d values", len(rep.Values))
-	}
-}
-
-func TestFig9Smoke(t *testing.T) {
-	rep, err := Fig9(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"AC/publish_in", "AC/coauthor", "ACP/written_by", "ACP/published_by_pc"} {
-		if _, ok := rep.Values[key]; !ok {
-			t.Errorf("fig9 missing %s", key)
+// checkReport asserts what must hold of any recording: finite quality
+// values, NMI and MAP in [0, 1], non-negative strengths, table 1's broad
+// venue less focused than its focused one, and positive timings.
+func checkReport(t *testing.T, rep *Report) {
+	t.Helper()
+	for k, v := range rep.Quality {
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			t.Errorf("%s = %v, not finite", k, v)
+		case unitInterval(rep.ID, k) && (v < 0 || v > 1):
+			t.Errorf("%s = %v outside [0, 1]", k, v)
+		case isStrength(rep.ID, k) && v < 0:
+			t.Errorf("strength %s = %v negative", k, v)
 		}
 	}
-	for key, v := range rep.Values {
-		if v < 0 {
-			t.Errorf("negative strength %s = %v", key, v)
+	if rep.ID == "table1" && !(rep.Quality["broadVenueEntropy"] > rep.Quality["focusedVenueEntropy"]) {
+		t.Errorf("broad venue entropy %v not above focused %v",
+			rep.Quality["broadVenueEntropy"], rep.Quality["focusedVenueEntropy"])
+	}
+	if len(rep.Timing) != timingKeys[rep.ID] {
+		t.Errorf("%d timing values, want %d", len(rep.Timing), timingKeys[rep.ID])
+	}
+	for k, v := range rep.Timing {
+		if !(v > 0) {
+			t.Errorf("timing %s = %v, want > 0", k, v)
 		}
 	}
 }
 
-func TestTable5Smoke(t *testing.T) {
-	rep, err := Table5(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
+// unitInterval reports whether a quality key is an NMI or a MAP.
+func unitInterval(id, key string) bool {
+	switch id {
+	case "fig5", "fig6", "fig7", "fig8", "table2", "table3", "table4", "ext-holdout", "ablation-gamma":
+		return true
 	}
-	if len(rep.Values) != 12 { // 3 sizes × 4 relations
-		t.Errorf("table5 has %d values", len(rep.Values))
-	}
+	return strings.Contains(key, "NMI") || strings.HasSuffix(key, "/MAP")
 }
 
-func TestFig10Smoke(t *testing.T) {
-	rep, err := Fig10(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 11 iterations (0..10), two NMI series each.
-	if _, ok := rep.Values["iter0/NMI(C)"]; !ok {
-		t.Error("fig10 missing iteration 0")
-	}
-	if _, ok := rep.Values["iter10/NMI(A)"]; !ok {
-		t.Error("fig10 missing iteration 10")
-	}
-}
-
-func TestFig11Smoke(t *testing.T) {
-	rep, err := Fig11(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Values) != 18 { // 2 settings × 3 sizes × 3 obs
-		t.Errorf("fig11 has %d values", len(rep.Values))
-	}
-	for key, v := range rep.Values {
-		if v <= 0 {
-			t.Errorf("non-positive timing %s = %v", key, v)
-		}
-	}
-}
-
-func TestParallelSmoke(t *testing.T) {
-	rep, err := Parallel(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.Values["workers=4/speedup"]; !ok {
-		t.Error("parallel missing 4-worker speedup")
-	}
-}
-
-func TestAblationsSmoke(t *testing.T) {
-	for _, run := range []func(Config) (*Report, error){AblationAsym, AblationGamma, AblationPrior} {
-		rep, err := run(smokeConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Values) == 0 {
-			t.Errorf("%s produced no values", rep.ID)
-		}
-	}
-}
-
-func TestHoldoutSmoke(t *testing.T) {
-	rep, err := Holdout(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Values) != 3 {
-		t.Errorf("ext-holdout has %d values", len(rep.Values))
-	}
-	for key, v := range rep.Values {
-		if v < 0 || v > 1 {
-			t.Errorf("holdout MAP %s = %v", key, v)
-		}
-	}
-}
-
-func TestSelectKDemoSmoke(t *testing.T) {
-	rep, err := SelectKDemo(smokeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rep.Values["bestK"]; !ok {
-		t.Error("selectk missing bestK")
-	}
-	for k := 2; k <= 6; k++ {
-		if _, ok := rep.Values[fmt.Sprintf("K=%d/BIC", k)]; !ok {
-			t.Errorf("selectk missing K=%d score", k)
-		}
-	}
+// isStrength reports whether a quality key is a learned strength γ.
+func isStrength(id, key string) bool {
+	return id == "fig9" || id == "table5" || (id == "ablation-prior" && strings.HasSuffix(key, "/publish_in"))
 }

@@ -54,31 +54,15 @@ func EMBenchNetwork() (*hin.Network, error) {
 	return b.Build()
 }
 
-// EMIterationBench wraps a warmed-up core.EMHarness on the EMBenchNetwork —
-// the fixture behind BenchmarkEMIteration (bench_fit_test.go) and the
-// steady-state zero-allocation regression test.
-type EMIterationBench struct {
-	h *core.EMHarness
-
-	// Objects and Links describe the fixture for reporting.
-	Objects, Links int
-}
-
-// NewEMIterationBench builds the network, prepares the harness with the
-// paper-default options at K=4 (single seed, serial — the deterministic
-// configuration the committed baseline uses), and runs warm-up iterations
-// so the first measured iteration is already in the zero-alloc steady
-// state.
-func NewEMIterationBench() (*EMIterationBench, error) {
-	return NewEMIterationBenchParallel(1)
-}
-
-// NewEMIterationBenchParallel is NewEMIterationBench with an explicit EM
-// worker count — the fixture behind the per-parallelism benchmark series
-// (em-iteration/midsize-p4, -p16). Parallelism changes only the wall clock,
-// never the results, so every variant runs the same arithmetic on the same
-// state; Close the bench to stop the worker pool.
-func NewEMIterationBenchParallel(parallelism int) (*EMIterationBench, error) {
+// NewEMHarness builds the EMBenchNetwork, prepares a core.EMHarness on it
+// with the paper-default options at K=4 (single seed) and the given EM
+// worker count, and runs warm-up iterations so the first measured iteration
+// is already in the zero-alloc steady state. It is the fixture behind
+// BenchmarkEMIteration, its per-parallelism series (em-iteration/midsize-p4,
+// -p16), the strength-step and objective benchmarks, and the zero-alloc
+// tests. Parallelism changes only the wall clock, never the results; Close
+// the harness to stop its worker pool.
+func NewEMHarness(parallelism int) (*core.EMHarness, error) {
 	net, err := EMBenchNetwork()
 	if err != nil {
 		return nil, err
@@ -94,19 +78,5 @@ func NewEMIterationBenchParallel(parallelism int) (*EMIterationBench, error) {
 	for i := 0; i < 3; i++ {
 		h.RunIteration()
 	}
-	return &EMIterationBench{h: h, Objects: net.NumObjects(), Links: net.NumEdges()}, nil
+	return h, nil
 }
-
-// RunIteration executes one steady-state E+M pass.
-func (eb *EMIterationBench) RunIteration() { eb.h.RunIteration() }
-
-// RunStrengthStep executes one relation-strength step on the warmed-up Θ,
-// from the same starting γ every call (see core.EMHarness.RunStrengthStep).
-func (eb *EMIterationBench) RunStrengthStep() { eb.h.RunStrengthStep() }
-
-// RunObjective evaluates g₁ on the warmed-up state and returns it (see
-// core.EMHarness.RunObjective).
-func (eb *EMIterationBench) RunObjective() float64 { return eb.h.RunObjective() }
-
-// Close stops the harness's worker pool, if any.
-func (eb *EMIterationBench) Close() { eb.h.Close() }

@@ -13,11 +13,11 @@ func TestEMIterationSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation breaks exact allocation accounting")
 	}
-	eb, err := NewEMIterationBench()
+	h, err := NewEMHarness(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(5, eb.RunIteration); allocs != 0 {
+	if allocs := testing.AllocsPerRun(5, h.RunIteration); allocs != 0 {
 		t.Fatalf("steady-state EM iteration allocates %v times per run, want 0", allocs)
 	}
 }
@@ -31,13 +31,13 @@ func TestEMIterationParallelSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation breaks exact allocation accounting")
 	}
 	for _, p := range []int{4, 16} {
-		eb, err := NewEMIterationBenchParallel(p)
+		h, err := NewEMHarness(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(5, eb.RunIteration); allocs != 0 {
+		if allocs := testing.AllocsPerRun(5, h.RunIteration); allocs != 0 {
 			t.Errorf("steady-state EM iteration at P=%d allocates %v times per run, want 0", p, allocs)
 		}
-		eb.Close()
+		h.Close()
 	}
 }

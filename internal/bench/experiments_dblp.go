@@ -19,13 +19,11 @@ func accuracyFigure(cfg Config, id, title string, gen func(seed int64) datagen.B
 	for _, m := range textMethods() {
 		series[m.name] = make(map[string][]float64)
 	}
+	ds, err := datagen.Biblio(gen(cfg.Seed)) // fixed dataset, varying method seeds
+	if err != nil {
+		return nil, err
+	}
 	for run := 0; run < cfg.Runs; run++ {
-		seed := cfg.runSeed(run)
-		ds, err := datagen.Biblio(gen(cfg.Seed)) // fixed dataset, varying method seeds
-		if err != nil {
-			return nil, err
-		}
-		_ = seed
 		for _, m := range textMethods() {
 			labels, _, err := m.run(ds, cfg.runSeed(run))
 			if err != nil {

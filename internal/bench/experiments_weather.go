@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -163,7 +164,8 @@ func Table5(cfg Config) (*Report, error) {
 }
 
 // Fig11 regenerates the scalability figure: execution time per EM iteration
-// for the three network sizes and three observation counts, both settings.
+// for the three network sizes and three observation counts, both settings,
+// at a fit's default width (GOMAXPROCS workers).
 func Fig11(cfg Config) (*Report, error) {
 	c := cfg.normalized()
 	rep := newReport("fig11", "Scalability test over number of objects (EM time per iteration)")
@@ -175,13 +177,13 @@ func Fig11(cfg Config) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				secPerIter, err := timeEMIteration(ds, c.Seed)
+				secPerIter, err := timeEMIteration(ds, c.Seed, runtime.GOMAXPROCS(0))
 				if err != nil {
 					return nil, err
 				}
 				objects := ds.Net.NumObjects()
 				rep.addf("%-10d %-10d %-6d %-14.6f", setting, objects, numObs, secPerIter)
-				rep.set(fmt.Sprintf("s%d/objects=%d/nobs=%d", setting, objects, numObs), secPerIter)
+				rep.setTime(fmt.Sprintf("s%d/objects=%d/nobs=%d", setting, objects, numObs), secPerIter)
 			}
 		}
 	}
@@ -189,14 +191,16 @@ func Fig11(cfg Config) (*Report, error) {
 }
 
 // timeEMIteration measures the wall time of one EM inner iteration (the
-// bottleneck component per §5.4) by timing a fixed number of iterations.
-func timeEMIteration(ds *datagen.Dataset, seed int64) (float64, error) {
+// bottleneck component per §5.4) with the given number of EM workers, by
+// timing a fixed number of iterations.
+func timeEMIteration(ds *datagen.Dataset, seed int64, workers int) (float64, error) {
 	const iters = 10
 	opts := core.DefaultOptions(ds.NumClusters)
 	opts.OuterIters = 1
 	opts.EMIters = iters
 	opts.InitSeeds = 1
 	opts.NewtonIters = 1
+	opts.Parallelism = workers
 	opts.Seed = seed
 	start := time.Now()
 	if _, err := core.Fit(ds.Net, opts); err != nil {
@@ -219,26 +223,17 @@ func Parallel(cfg Config) (*Report, error) {
 	rep.addf("%-10s %-14s %-10s", "workers", "sec/EM-iter", "speedup")
 	var base float64
 	for _, workers := range []int{1, 2, 4} {
-		const iters = 10
-		opts := core.DefaultOptions(ds.NumClusters)
-		opts.OuterIters = 1
-		opts.EMIters = iters
-		opts.InitSeeds = 1
-		opts.NewtonIters = 1
-		opts.Parallelism = workers
-		opts.Seed = c.Seed
-		start := time.Now()
-		if _, err := core.Fit(ds.Net, opts); err != nil {
+		sec, err := timeEMIteration(ds, c.Seed, workers)
+		if err != nil {
 			return nil, err
 		}
-		sec := time.Since(start).Seconds() / iters
 		if workers == 1 {
 			base = sec
 		}
 		speedup := base / sec
 		rep.addf("%-10d %-14.6f %-10.2f", workers, sec, speedup)
-		rep.set(fmt.Sprintf("workers=%d/sec", workers), sec)
-		rep.set(fmt.Sprintf("workers=%d/speedup", workers), speedup)
+		rep.setTime(fmt.Sprintf("workers=%d/sec", workers), sec)
+		rep.setTime(fmt.Sprintf("workers=%d/speedup", workers), speedup)
 	}
 	return rep, nil
 }

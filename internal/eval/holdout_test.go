@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"genclus/internal/hin"
@@ -94,5 +96,71 @@ func TestHoldoutMAPErrors(t *testing.T) {
 	}
 	if _, err := LinkPredictionMAPHoldout(train, theta, "points", nil, Similarities()[0]); err == nil {
 		t.Error("empty holdout should error")
+	}
+}
+
+// TestHoldoutMAPFoldsQueriesInIndexOrder pins the holdout MAP to one sum
+// order. Many queries with unlike average precisions make a sum in map
+// order differ in its last bits between calls; every call must equal the
+// per-query APs folded in ascending object index.
+func TestHoldoutMAPFoldsQueriesInIndexOrder(t *testing.T) {
+	const nSrc, nDst = 60, 23
+	rng := rand.New(rand.NewSource(3))
+	b := hin.NewBuilder()
+	for i := 0; i < nDst; i++ {
+		b.AddObject(fmt.Sprintf("t%02d", i), "dst")
+	}
+	for i := 0; i < nSrc; i++ {
+		src := fmt.Sprintf("s%02d", i)
+		b.AddObject(src, "src")
+		b.AddLink(src, fmt.Sprintf("t%02d", rng.Intn(nDst)), "points", 1)
+	}
+	train, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := train.RelationID("points")
+	theta := make([][]float64, train.NumObjects())
+	for v := range theta {
+		a := rng.Float64()
+		theta[v] = []float64{a, 1 - a}
+	}
+	var held []hin.Edge
+	for i := 0; i < nSrc; i++ {
+		s, _ := train.IndexOf(fmt.Sprintf("s%02d", i))
+		for j := 0; j < 1+i%3; j++ {
+			d, _ := train.IndexOf(fmt.Sprintf("t%02d", rng.Intn(nDst)))
+			held = append(held, hin.Edge{From: s, To: d, Rel: rel, Weight: 1})
+		}
+	}
+	sim := Similarities()[2]
+
+	// The reference: each query's AP on its own (a one-query MAP is that
+	// query's AP exactly), summed in ascending source index.
+	var sum float64
+	for i := 0; i < nSrc; i++ {
+		s, _ := train.IndexOf(fmt.Sprintf("s%02d", i))
+		var own []hin.Edge
+		for _, e := range held {
+			if e.From == s {
+				own = append(own, e)
+			}
+		}
+		ap, err := LinkPredictionMAPHoldout(train, theta, "points", own, sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += ap
+	}
+	want := sum / nSrc
+
+	for call := 0; call < 50; call++ {
+		got, err := LinkPredictionMAPHoldout(train, theta, "points", held, sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: holdout MAP = %v, want %v (ascending query order)", call, got, want)
+		}
 	}
 }

@@ -215,10 +215,6 @@ func LinkPredictionMAP(net *hin.Network, theta [][]float64, relation string, sim
 		return 0, fmt.Errorf("eval: no candidates of type %q", dstType)
 	}
 
-	type scored struct {
-		obj   int
-		score float64
-	}
 	var apSum float64
 	var queries int
 	for _, q := range net.ObjectsOfType(srcType) {
@@ -231,24 +227,7 @@ func LinkPredictionMAP(net *hin.Network, theta [][]float64, relation string, sim
 		if len(relevant) == 0 {
 			continue
 		}
-		list := make([]scored, 0, len(candidates))
-		for _, c := range candidates {
-			if c == q {
-				continue
-			}
-			list = append(list, scored{obj: c, score: sim.Func(theta[q], theta[c])})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].score != list[j].score {
-				return list[i].score > list[j].score
-			}
-			return list[i].obj < list[j].obj
-		})
-		ranked := make([]int, len(list))
-		for i, s := range list {
-			ranked[i] = s.obj
-		}
-		apSum += AveragePrecision(ranked, relevant)
+		apSum += queryAP(theta, q, candidates, nil, relevant, sim)
 		queries++
 	}
 	if queries == 0 {
@@ -291,40 +270,52 @@ func LinkPredictionMAPHoldout(trainNet *hin.Network, theta [][]float64, relation
 	}
 	candidates := trainNet.ObjectsOfType(dstType)
 
-	type scored struct {
-		obj   int
-		score float64
+	// Fold the queries in ascending object index: a sum in map order would
+	// change in its last bits from call to call.
+	queryIDs := make([]int, 0, len(relevant))
+	for q := range relevant {
+		queryIDs = append(queryIDs, q)
 	}
+	sort.Ints(queryIDs)
 	var apSum float64
-	var queries int
-	for q, rel_q := range relevant {
+	for _, q := range queryIDs {
 		seen := make(map[int]bool)
 		for _, e := range trainNet.OutEdges(q) {
 			if e.Rel == rel {
 				seen[e.To] = true
 			}
 		}
-		list := make([]scored, 0, len(candidates))
-		for _, c := range candidates {
-			if c == q || seen[c] {
-				continue
-			}
-			list = append(list, scored{obj: c, score: sim.Func(theta[q], theta[c])})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].score != list[j].score {
-				return list[i].score > list[j].score
-			}
-			return list[i].obj < list[j].obj
-		})
-		ranked := make([]int, len(list))
-		for i, s := range list {
-			ranked[i] = s.obj
-		}
-		apSum += AveragePrecision(ranked, rel_q)
-		queries++
+		apSum += queryAP(theta, q, candidates, seen, relevant[q], sim)
 	}
-	return apSum / float64(queries), nil
+	return apSum / float64(len(queryIDs)), nil
+}
+
+// queryAP ranks candidates by sim(θ_q, θ_c), best first with ties broken by
+// object index, skipping q itself and every candidate in skip, and returns
+// the average precision of relevant in that ranking.
+func queryAP(theta [][]float64, q int, candidates []int, skip, relevant map[int]bool, sim Similarity) float64 {
+	type scored struct {
+		obj   int
+		score float64
+	}
+	list := make([]scored, 0, len(candidates))
+	for _, c := range candidates {
+		if c == q || skip[c] {
+			continue
+		}
+		list = append(list, scored{obj: c, score: sim.Func(theta[q], theta[c])})
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].score != list[j].score {
+			return list[i].score > list[j].score
+		}
+		return list[i].obj < list[j].obj
+	})
+	ranked := make([]int, len(list))
+	for i, s := range list {
+		ranked[i] = s.obj
+	}
+	return AveragePrecision(ranked, relevant)
 }
 
 // MeanStd summarizes a series of per-run metric values.

@@ -29,11 +29,11 @@ func TestEMIterationParallelScaling(t *testing.T) {
 	}
 
 	measure := func(p int) time.Duration {
-		eb, err := bench.NewEMIterationBenchParallel(p)
+		h, err := bench.NewEMHarness(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer eb.Close()
+		defer h.Close()
 		const iters = 20
 		best := time.Duration(1<<63 - 1)
 		// Best-of-3 batches: scaling assertions on shared hardware need the
@@ -41,7 +41,7 @@ func TestEMIterationParallelScaling(t *testing.T) {
 		for batch := 0; batch < 3; batch++ {
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				eb.RunIteration()
+				h.RunIteration()
 			}
 			if d := time.Since(start) / iters; d < best {
 				best = d
