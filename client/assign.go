@@ -5,60 +5,36 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"genclus/internal/infer"
 )
+
+// The assign request and assignment documents are declared once, in
+// internal/infer, whose decoder genclusd and the genclus CLI's offline
+// -assign mode share; the SDK names them here.
 
 // AssignLink is one directed link from a query object to a known object of
 // the model, under a named relation.
-type AssignLink struct {
-	Relation string  `json:"rel"` // relation name with a learned strength in the model
-	To       string  `json:"to"`  // ID of a known (training) object
-	Weight   float64 `json:"w"`   // positive finite link weight
-}
+type AssignLink = infer.LinkDoc
 
 // AssignTermCount is one sparse term-count entry of a categorical
 // observation (same shape as the network document's term counts).
-type AssignTermCount struct {
-	Term  int     `json:"t"` // term index within the model's vocabulary
-	Count float64 `json:"c"` // positive finite count
-}
+type AssignTermCount = infer.TermDoc
 
 // AssignObject describes one out-of-sample object to fold into the model:
 // links into the known network plus optional partial attribute
 // observations. An object with neither links nor observations receives the
 // uniform posterior.
-type AssignObject struct {
-	ID      string                       `json:"id,omitempty"`      // caller-side identifier echoed on the assignment
-	Links   []AssignLink                 `json:"links,omitempty"`   // links to known objects
-	Terms   map[string][]AssignTermCount `json:"terms,omitempty"`   // categorical attribute name → term counts
-	Numeric map[string][]float64         `json:"numeric,omitempty"` // numeric attribute name → observations
-}
+type AssignObject = infer.ObjectDoc
 
 // AssignRequest is the POST /v1/models/{id}/assign body.
-type AssignRequest struct {
-	Objects []AssignObject `json:"objects"` // query objects (bounded by the server's assign batch limit)
-	// TopK sizes each assignment's top list (default 1, capped at the
-	// model's K).
-	TopK int `json:"top_k,omitempty"`
-}
+type AssignRequest = infer.RequestDoc
 
 // ClusterProb is one entry of an assignment's top-k list.
-type ClusterProb struct {
-	Cluster int     `json:"cluster"` // cluster index
-	P       float64 `json:"p"`       // posterior probability
-}
+type ClusterProb = infer.ClusterProbDoc
 
 // Assignment is one scored query object.
-type Assignment struct {
-	ID      string        `json:"id,omitempty"` // echo of the query object's id
-	Cluster int           `json:"cluster"`      // argmax hard assignment
-	Theta   []float64     `json:"theta"`        // soft posterior row (sums to 1)
-	Top     []ClusterProb `json:"top"`          // top-k clusters, descending probability
-	// FoldInIters is the number of fold-in iterations the query took: 1
-	// when the posterior is closed-form (no attribute observations), more
-	// when the query's own mixing proportions were iterated to a fixed
-	// point.
-	FoldInIters int `json:"fold_in_iters"`
-}
+type Assignment = infer.AssignmentDoc
 
 // AssignResponse is the assign endpoint's reply.
 type AssignResponse struct {

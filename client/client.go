@@ -233,7 +233,8 @@ type NetworkInfo struct {
 }
 
 // JobOptions overlays the paper-default fit options; nil fields keep the
-// defaults. It mirrors the service's options object field for field.
+// defaults. genclusd decodes the options object of a submission into this
+// type, so the SDK and the service cannot disagree on a field.
 type JobOptions struct {
 	Attributes           []string `json:"attributes,omitempty"`            // attribute subset defining the clustering purpose (empty = all)
 	OuterIters           *int     `json:"outer_iters,omitempty"`           // outer alternations between EM and strength learning
@@ -253,10 +254,11 @@ type JobOptions struct {
 	Precision            *string  `json:"precision,omitempty"`             // model storage precision: "float64" (default) or "float32"
 }
 
-// JobSpec is a fit submission. K is required unless WarmStartFrom names a
-// finished job (or WarmStartFromModel a registered model), in which case K
-// defaults to (and must match) that fit's K. Truth maps object IDs to
-// ground-truth labels and enables NMI/ARI/purity on the result.
+// JobSpec is a fit submission (the POST /v1/jobs body). K is required
+// unless WarmStartFrom names a finished job (or WarmStartFromModel a
+// registered model), in which case K defaults to (and must match) that
+// fit's K. Truth maps object IDs to ground-truth labels and enables
+// NMI/ARI/purity on the result.
 type JobSpec struct {
 	NetworkID     string         `json:"network_id"`                // id from UploadNetwork
 	K             int            `json:"k"`                         // number of clusters
@@ -271,12 +273,17 @@ type JobSpec struct {
 }
 
 // Progress is a fit progress report: completed outer iterations out of the
-// configured budget (the fit may stop earlier on convergence).
+// configured budget (the fit may stop earlier on convergence). Objective
+// and EMIterations are also span attributes on the job's trace; here they
+// stream without polling /v1/jobs/{id}/trace.
 type Progress struct {
-	Outer        int     `json:"outer"`                   // completed outer iterations (0 = initialized)
-	OuterTotal   int     `json:"outer_total"`             // configured outer-iteration budget
-	Objective    float64 `json:"objective,omitempty"`     // objective after the reported iteration
-	EMIterations int     `json:"em_iterations,omitempty"` // EM steps the iteration ran
+	Outer      int `json:"outer"`       // completed outer iterations (0 = initialized)
+	OuterTotal int `json:"outer_total"` // configured outer-iteration budget
+	// Objective is g₁ (Eq. 9) after the reported iteration.
+	Objective float64 `json:"objective,omitempty"`
+	// EMIterations is the fit's running total of EM iterations, including
+	// the best-of-seeds candidate runs.
+	EMIterations int `json:"em_iterations,omitempty"`
 }
 
 // Job is a job's status.
@@ -286,10 +293,14 @@ type Job struct {
 	State     JobState  `json:"state"`              // lifecycle state
 	Progress  *Progress `json:"progress,omitempty"` // latest progress report, if any
 	Error     string    `json:"error,omitempty"`    // failure reason (state "failed" only)
-	ModelID   string    `json:"model_id,omitempty"` // registry model of the finished fit (state "done" only)
+	// ModelID is the registry model the finished fit was published as
+	// (state "done" only): the handle for /v1/models and
+	// WarmStartFromModel.
+	ModelID string `json:"model_id,omitempty"`
 	// TraceID is the fit's 32-hex trace id: when the submission carried a
 	// traceparent (WithTraceparent) it equals that trace's id, and GET
-	// /v1/jobs/{id}/trace serves the fit's span timeline under it.
+	// /v1/jobs/{id}/trace serves the fit's span timeline under it. Empty
+	// for jobs recovered from disk after a restart.
 	TraceID  string `json:"trace_id,omitempty"`
 	Created  string `json:"created"`            // RFC 3339 submission time
 	Started  string `json:"started,omitempty"`  // RFC 3339 fit start time
@@ -321,7 +332,7 @@ type Result struct {
 	Gamma           map[string]float64 `json:"gamma"`             // relation name → learned strength γ(r)
 	Objective       float64            `json:"objective"`         // final g₁ (Eq. 9)
 	PseudoLL        float64            `json:"pseudo_ll"`         // final g′₂ (Eq. 14)
-	EMIterations    int                `json:"em_iterations"`     // total EM iterations executed
+	EMIterations    int                `json:"em_iterations"`     // total EM iterations executed (a warm start shows far fewer)
 	OuterIterations int                `json:"outer_iterations"`  // outer alternations actually run
 	Metrics         *Metrics           `json:"metrics,omitempty"` // eval vs submitted truth, if any
 }
@@ -351,7 +362,7 @@ func (r *Result) Model() (*genclus.Model, error) {
 	return genclus.NewModel(res, ids)
 }
 
-// Health is the service's liveness report.
+// Health is the service's liveness report (the /healthz body).
 type Health struct {
 	Status        string         `json:"status"`         // "ok" while serving
 	UptimeSeconds float64        `json:"uptime_seconds"` // seconds since start
@@ -361,7 +372,7 @@ type Health struct {
 	Jobs          map[string]int `json:"jobs"`           // job count per state
 	// PersistFailures counts fits whose snapshot or record failed to reach
 	// the server's data dir (served memory-only until restart); nonzero
-	// means durability is degraded on the server.
+	// means durability is degraded — check the volume and the server logs.
 	PersistFailures int64 `json:"persist_failures"`
 	// Assign surfaces the server's online-inference counters: assign
 	// request/object volume, engine passes, and engine cache
@@ -373,6 +384,20 @@ type Health struct {
 	// Replication surfaces replica-mode sync state (zero, with Active
 	// false, on a primary).
 	Replication ReplicationStats `json:"replication"`
+	// Runtime surfaces Go runtime telemetry: goroutines, heap size and
+	// cumulative GC work.
+	Runtime RuntimeStats `json:"runtime"`
+}
+
+// RuntimeStats is the /healthz runtime block. Each field is also a
+// /metrics gauge (genclus_goroutines, genclus_heap_alloc_bytes,
+// genclus_gc_pause_total_seconds, genclus_gc_cycles_total), and both are
+// read from one sample the server refreshes at most every 250 ms.
+type RuntimeStats struct {
+	Goroutines          int     `json:"goroutines"`             // live goroutines
+	HeapAllocBytes      uint64  `json:"heap_alloc_bytes"`       // bytes of live heap objects
+	GCPauseTotalSeconds float64 `json:"gc_pause_total_seconds"` // cumulative stop-the-world GC pause
+	GCCycles            uint32  `json:"gc_cycles"`              // completed GC cycles
 }
 
 // ModelInfo is one registry entry of the /v1/models API: identity and

@@ -5,55 +5,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"genclus/internal/deltalog"
 )
 
+// The mutation elements are declared once, in internal/deltalog, whose
+// decoder genclusd runs on every mutation body and whose records the
+// network's delta log stores; the SDK names them here.
+
 // Edge is one link to add to a stored network: object IDs, a relation name
-// (which may be new to the network) and a positive finite weight. The
-// field tags match the network document's link shape.
-type Edge struct {
-	From     string  `json:"from"` // source object ID
-	To       string  `json:"to"`   // target object ID
-	Relation string  `json:"rel"`  // relation name
-	Weight   float64 `json:"w"`    // positive finite link weight
-}
+// (which may be new to the network) and a positive finite weight.
+type Edge = deltalog.Link
 
 // EdgeRef names an edge to remove by its (from, relation, to) triple.
 // Removal deletes every parallel edge matching the triple; a triple that
-// matches no edge is a 400 — removal of the absent is a contradiction, not
-// a no-op.
-type EdgeRef struct {
-	From     string `json:"from"` // source object ID
-	To       string `json:"to"`   // target object ID
-	Relation string `json:"rel"`  // relation name
-}
+// matches no edge is a 400.
+type EdgeRef = deltalog.EdgeRef
 
 // TermCount is one sparse categorical observation entry, in the network
 // document's compact {"t":term,"c":count} shape.
-type TermCount struct {
-	Term  int     `json:"t"` // term index within the attribute's vocabulary
-	Count float64 `json:"c"` // positive finite count
-}
+type TermCount = deltalog.TermCount
 
 // NewObject is one object to add to a stored network: an ID new to the
 // network, a type, and optional attribute observations keyed by declared
-// attribute name. Objects without observations are the paper's
-// incomplete-attribute case and cluster through their links.
-type NewObject struct {
-	ID      string                 `json:"id"`                // object ID, unique within the network
-	Type    string                 `json:"type"`              // object type (τ)
-	Terms   map[string][]TermCount `json:"terms,omitempty"`   // categorical attribute name → term counts
-	Numeric map[string][]float64   `json:"numeric,omitempty"` // numeric attribute name → observations
-}
+// attribute name.
+type NewObject = deltalog.Object
 
 // AttributePatch replaces one existing object's observations for the named
-// attributes. An attribute present with an empty list clears the object's
-// observation (making the attribute incomplete for that object);
-// attributes not named are untouched.
-type AttributePatch struct {
-	ID      string                 `json:"id"`                // existing object ID
-	Terms   map[string][]TermCount `json:"terms,omitempty"`   // categorical attribute name → replacement term counts
-	Numeric map[string][]float64   `json:"numeric,omitempty"` // numeric attribute name → replacement observations
-}
+// attributes; an attribute present with an empty list is cleared.
+type AttributePatch = deltalog.AttrPatch
 
 // MutationResult reports one applied mutation: the network's new view
 // generation (monotonic from 0 at upload, +1 per mutation) and its size
@@ -65,7 +45,8 @@ type MutationResult struct {
 	Objects    int    `json:"objects"`    // |V| after the mutation
 	Links      int    `json:"links"`      // |E| after the mutation
 	// DeltaLogDepth is the number of mutations in the network's crash-safe
-	// delta log (replayed on restart; purged when the network expires).
+	// delta log after this one (replayed on restart; purged when the
+	// network expires).
 	DeltaLogDepth int `json:"delta_log_depth"`
 }
 
@@ -77,11 +58,11 @@ type SupervisorStatus struct {
 	NetworkID string `json:"network_id"` // the supervised network
 	// Active reports whether a supervisor goroutine is watching the
 	// network (one starts with its first mutation and stops when the
-	// network expires).
+	// network expires; never with supervision disabled).
 	Active     bool `json:"active"`
 	Generation int  `json:"generation"` // current live view generation
-	// DeltaLogDepth is the number of logged mutations awaiting the next
-	// snapshot-equivalent refit.
+	// DeltaLogDepth is the number of mutation records the network's delta
+	// log has taken since upload; refits do not reset it.
 	DeltaLogDepth int `json:"delta_log_depth"`
 	// LastRefitGeneration is the view generation of the newest completed
 	// (or abandoned) auto-refit; PendingMutations = Generation − this.
@@ -104,12 +85,14 @@ type SupervisorStatus struct {
 
 // MutationStats are the server's streaming-mutation counters from
 // /healthz: mutation volume, aggregate delta-log depth, live supervisors,
-// the worst current drift score, and fleet-wide auto-refit counters.
+// the latest drift score, and fleet-wide auto-refit counters.
 type MutationStats struct {
-	Mutations       int64   `json:"mutations"`        // mutations applied since start
-	DeltaLogDepth   int64   `json:"delta_log_depth"`  // logged mutations across all networks
-	Supervisors     int64   `json:"supervisors"`      // live supervisor goroutines
-	DriftScore      float64 `json:"drift_score"`      // max drift score across supervised networks
+	Mutations     int64 `json:"mutations"`       // mutations applied since start
+	DeltaLogDepth int64 `json:"delta_log_depth"` // logged mutations across all live networks
+	Supervisors   int64 `json:"supervisors"`     // live supervisor goroutines
+	// DriftScore is the most recent drift score any supervisor computed,
+	// whichever network it watches — not a maximum across networks.
+	DriftScore      float64 `json:"drift_score"`
 	RefitsTriggered int64   `json:"refits_triggered"` // auto-refits scheduled
 	RefitsSucceeded int64   `json:"refits_succeeded"` // auto-refits that published a model
 	RefitsFailed    int64   `json:"refits_failed"`    // auto-refits that errored or were abandoned

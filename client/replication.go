@@ -5,7 +5,7 @@ import (
 	"net/http"
 )
 
-// ReplicationStats mirrors the server's replication sync-state block (on
+// ReplicationStats is the server's replication sync-state block (on
 // /healthz and inside ReplicationStatus). On a primary every field is zero
 // and Active is false.
 type ReplicationStats struct {

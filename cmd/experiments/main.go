@@ -51,6 +51,16 @@ func main() {
 		return
 	}
 
+	// bench.Config would silently replace these with its defaults (full
+	// scale, 20 runs), so reject them here instead.
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "experiments: -scale must be > 0, got %v\n", *scale)
+		os.Exit(2)
+	}
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -runs must be at least 1, got %d\n", *runs)
+		os.Exit(2)
+	}
 	cfg := bench.Config{Scale: *scale, Runs: *runs, Seed: *seed}
 	var targets []bench.Experiment
 	if *run == "all" {

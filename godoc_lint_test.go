@@ -17,8 +17,10 @@ import (
 // substrate (the snapshot codec whose errors and limits cross the API,
 // and the crash-safe blob store genclusd's durability rests on), and the
 // online inference engine whose query/assignment types the facade
-// re-exports (Assigner, AssignQuery, Assignment, …).
-var documentedPackages = []string{".", "client", "internal/hin", "internal/infer", "internal/metrics", "internal/snapshot", "internal/store"}
+// re-exports (Assigner, AssignQuery, Assignment, …), the mutation
+// subsystem whose element types the SDK aliases (Edge, NewObject, …), and
+// the metrics registry.
+var documentedPackages = []string{".", "client", "internal/deltalog", "internal/hin", "internal/infer", "internal/metrics", "internal/snapshot", "internal/store"}
 
 // TestExportedIdentifiersAreDocumented is the godoc linter CI runs (the
 // repo cannot assume revive/golint binaries exist): every exported

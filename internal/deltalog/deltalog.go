@@ -42,38 +42,46 @@ const (
 	OpAttributes Op = "attributes"
 )
 
+// The mutation element types below are also the Go SDK's (package client
+// names them Edge, EdgeRef, TermCount, NewObject and AttributePatch), so
+// their field tags are /v1 wire contract as well as log record format.
+
 // Link is one link to add: object IDs, a relation name (which may be new
 // to the network) and a positive finite weight. The field tags match the
 // network document's link shape.
 type Link struct {
-	From     string  `json:"from"`
-	To       string  `json:"to"`
-	Relation string  `json:"rel"`
-	Weight   float64 `json:"w"`
+	From     string  `json:"from"` // source object ID
+	To       string  `json:"to"`   // target object ID
+	Relation string  `json:"rel"`  // relation name
+	Weight   float64 `json:"w"`    // positive finite link weight
 }
 
 // EdgeRef names an edge to remove by its (from, relation, to) triple.
-// Removal deletes every parallel edge matching the triple.
+// Removal deletes every parallel edge matching the triple; a triple that
+// matches no edge is an ApplyError — removal of the absent is a
+// contradiction, not a no-op.
 type EdgeRef struct {
-	From     string `json:"from"`
-	To       string `json:"to"`
-	Relation string `json:"rel"`
+	From     string `json:"from"` // source object ID
+	To       string `json:"to"`   // target object ID
+	Relation string `json:"rel"`  // relation name
 }
 
 // TermCount is one sparse categorical observation entry, in the network
 // document's compact {"t":term,"c":count} shape.
 type TermCount struct {
-	Term  int     `json:"t"`
-	Count float64 `json:"c"`
+	Term  int     `json:"t"` // term index within the attribute's vocabulary
+	Count float64 `json:"c"` // positive finite count
 }
 
 // Object is one object to add: an ID new to the network, a type, and
-// optional attribute observations keyed by attribute name.
+// optional attribute observations keyed by declared attribute name.
+// Objects without observations are the paper's incomplete-attribute case
+// and cluster through their links.
 type Object struct {
-	ID      string                 `json:"id"`
-	Type    string                 `json:"type"`
-	Terms   map[string][]TermCount `json:"terms,omitempty"`
-	Numeric map[string][]float64   `json:"numeric,omitempty"`
+	ID      string                 `json:"id"`                // object ID, unique within the network
+	Type    string                 `json:"type"`              // object type (τ)
+	Terms   map[string][]TermCount `json:"terms,omitempty"`   // categorical attribute name → term counts
+	Numeric map[string][]float64   `json:"numeric,omitempty"` // numeric attribute name → observations
 }
 
 // AttrPatch replaces one existing object's observations for the named
@@ -81,22 +89,22 @@ type Object struct {
 // observation (the incomplete-attribute case); attributes not named are
 // untouched.
 type AttrPatch struct {
-	ID      string                 `json:"id"`
-	Terms   map[string][]TermCount `json:"terms,omitempty"`
-	Numeric map[string][]float64   `json:"numeric,omitempty"`
+	ID      string                 `json:"id"`                // existing object ID
+	Terms   map[string][]TermCount `json:"terms,omitempty"`   // categorical attribute name → replacement term counts
+	Numeric map[string][]float64   `json:"numeric,omitempty"` // numeric attribute name → replacement observations
 }
 
 // Mutation is one decoded mutation — the union of the three op payloads,
 // discriminated by Op. Only the fields of the matching op may be set.
 type Mutation struct {
-	Op Op `json:"op"`
+	Op Op `json:"op"` // the mutation surface; selects the payload below
 	// OpEdges payload.
-	Add    []Link    `json:"add,omitempty"`
-	Remove []EdgeRef `json:"remove,omitempty"`
+	Add    []Link    `json:"add,omitempty"`    // links to add
+	Remove []EdgeRef `json:"remove,omitempty"` // edges to remove
 	// OpObjects payload. Links may reference both existing and newly added
 	// objects.
-	Objects []Object `json:"objects,omitempty"`
-	Links   []Link   `json:"links,omitempty"`
+	Objects []Object `json:"objects,omitempty"` // objects to add
+	Links   []Link   `json:"links,omitempty"`   // links touching them
 	// OpAttributes payload.
 	Set []AttrPatch `json:"set,omitempty"`
 }

@@ -9,23 +9,29 @@ import (
 	"genclus/internal/hin"
 )
 
-// The assign request document: the one JSON shape both serving surfaces
-// accept — the daemon's POST /v1/models/{id}/assign body and the CLI's
-// -assign queries file. A single decoder keeps the two surfaces from
-// drifting apart, which is what makes their outputs bitwise comparable.
+// The assign documents: the one JSON shape both serving surfaces speak —
+// the daemon's POST /v1/models/{id}/assign body and reply, and the CLI's
+// -assign queries file and output. A single decoder keeps the two surfaces
+// from drifting apart, which is what makes their outputs bitwise
+// comparable. The Go SDK (package client) names these types as
+// AssignRequest, AssignObject, AssignLink, AssignTermCount, ClusterProb
+// and Assignment.
 
 // RequestDoc is an assign request document.
 type RequestDoc struct {
-	// Objects are the query objects to fold in.
+	// Objects are the query objects to fold in, bounded by the server's
+	// assign batch limit.
 	Objects []ObjectDoc `json:"objects"`
-	// TopK sizes each assignment's top list (0 means the consumer's
-	// default of 1; capped at the model's K).
-	TopK int `json:"top_k"`
+	// TopK sizes each assignment's top list (0 or absent means the
+	// consumer's default of 1; capped at the model's K).
+	TopK int `json:"top_k,omitempty"`
 }
 
-// ObjectDoc is one query object in the document shape: links by relation
-// name and known-object id, observations as attribute-name keyed maps —
-// the same idiom as the hin network document.
+// ObjectDoc is one out-of-sample query object: links into the known
+// network by relation name and known-object id, plus optional partial
+// attribute observations as attribute-name keyed maps — the same idiom as
+// the hin network document. An object with neither links nor observations
+// receives the uniform posterior.
 type ObjectDoc struct {
 	// ID is an optional caller-side identifier echoed on the assignment.
 	ID string `json:"id,omitempty"`
@@ -37,11 +43,12 @@ type ObjectDoc struct {
 	Numeric map[string][]float64 `json:"numeric,omitempty"`
 }
 
-// LinkDoc is one link from a query object to a known object.
+// LinkDoc is one directed link from a query object to a known object,
+// under a named relation.
 type LinkDoc struct {
-	// Relation is the relation name.
+	// Relation is a relation name with a learned strength in the model.
 	Relation string `json:"rel"`
-	// To is the known object's ID.
+	// To is the ID of a known (training) object.
 	To string `json:"to"`
 	// Weight is the positive finite link weight.
 	Weight float64 `json:"w"`
@@ -49,13 +56,13 @@ type LinkDoc struct {
 
 // TermDoc is one sparse term count, matching the network document format.
 type TermDoc struct {
-	// Term is the term index within the attribute's vocabulary.
+	// Term is the term index within the model's vocabulary.
 	Term int `json:"t"`
 	// Count is the positive finite count.
 	Count float64 `json:"c"`
 }
 
-// ClusterProbDoc is one top-k entry in the response document shape.
+// ClusterProbDoc is one entry of an assignment's top-k list.
 type ClusterProbDoc struct {
 	// Cluster is the cluster index.
 	Cluster int `json:"cluster"`
@@ -63,9 +70,7 @@ type ClusterProbDoc struct {
 	P float64 `json:"p"`
 }
 
-// AssignmentDoc is one scored object in the response document shape,
-// shared — like the request document — by the daemon's assign endpoint
-// and the CLI's -assign output, so the two surfaces stay byte-comparable.
+// AssignmentDoc is one scored query object in the response document shape.
 type AssignmentDoc struct {
 	// ID echoes the query object's id.
 	ID string `json:"id,omitempty"`
@@ -75,7 +80,10 @@ type AssignmentDoc struct {
 	Theta []float64 `json:"theta"`
 	// Top lists the top-k clusters, descending probability.
 	Top []ClusterProbDoc `json:"top"`
-	// FoldInIters is the fold-in iteration count (see Assignment).
+	// FoldInIters is the number of fold-in iterations the query took: 1
+	// when the posterior is closed-form (no attribute observations), more
+	// when the query's own mixing proportions were iterated to a fixed
+	// point.
 	FoldInIters int `json:"fold_in_iters"`
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/infer"
 )
 
@@ -23,46 +24,10 @@ import (
 // requests into shared passes would save no work. The engine pass itself is
 // deterministic and allocation-free in steady state (see internal/infer).
 
-// ---- wire types ----
-//
-// Both document shapes are owned by internal/infer — RequestDoc decoded
-// by infer.DecodeRequest, AssignmentDoc produced by infer.AssignmentDocs
-// — so the daemon and the CLI's offline -assign mode speak byte-for-byte
-// the same format; only the endpoint envelope lives here.
-
-// assignResponse is the endpoint's reply.
-type assignResponse struct {
-	ModelID     string                `json:"model_id"`
-	K           int                   `json:"k"`
-	Assignments []infer.AssignmentDoc `json:"assignments"`
-	// Batched is always false: every request runs its own engine pass. The
-	// field stays for /v1 compatibility.
-	//
-	// Deprecated: constant since one engine pass serves each request.
-	Batched bool `json:"batched"`
-}
-
-// assignStatsResponse is the healthz assign block.
-type assignStatsResponse struct {
-	// Requests counts assign requests that reached an engine pass.
-	Requests int64 `json:"requests"`
-	// Objects counts query objects scored across all requests.
-	Objects int64 `json:"objects"`
-	// BatchedRequests is always 0: no request shares its engine pass. The
-	// field stays for /v1 compatibility.
-	//
-	// Deprecated: constant since one engine pass serves each request.
-	BatchedRequests int64 `json:"batched_requests"`
-	// EnginePasses counts engine passes executed, one per request.
-	EnginePasses int64 `json:"engine_passes"`
-	// EngineCacheHits / EngineCacheMisses count per-model engine cache
-	// lookups by snapshot digest.
-	EngineCacheHits   int64 `json:"engine_cache_hits"`
-	EngineCacheMisses int64 `json:"engine_cache_misses"`
-	// ShedRequests counts assign requests rejected with 429 "overloaded"
-	// by admission control (queue bound, in-flight cap, or rate limit).
-	ShedRequests int64 `json:"shed_requests"`
-}
+// The request and assignment documents are internal/infer's (RequestDoc
+// decoded by infer.DecodeRequest, AssignmentDoc produced by
+// infer.AssignmentDocs), so the daemon and the CLI's offline -assign mode
+// speak byte-for-byte the same format; the envelope is client.AssignResponse.
 
 // ---- engine cache ----
 
@@ -206,7 +171,7 @@ func (m *serverMetrics) recordPass(objects int, elapsed time.Duration) {
 // earlier increments, which the later loads see too: every read satisfies
 // passes ≤ requests ≤ objects without a lock. Nothing increments the
 // batched counter any more; it reads 0.
-func (m *serverMetrics) assignStats() assignStatsResponse {
+func (m *serverMetrics) assignStats() client.AssignStats {
 	passes := m.assignPasses.Value()
 	batched := m.assignBatched.Value()
 	requests := m.assignRequests.Value()
@@ -215,7 +180,7 @@ func (m *serverMetrics) assignStats() assignStatsResponse {
 	for _, c := range m.assignShed {
 		shed += c.Value()
 	}
-	return assignStatsResponse{
+	return client.AssignStats{
 		Requests:          requests,
 		Objects:           objects,
 		BatchedRequests:   batched,
@@ -396,7 +361,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeAssignError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, assignResponse{
+	writeJSON(w, http.StatusOK, client.AssignResponse{
 		ModelID:     e.id,
 		K:           ce.eng.K(),
 		Assignments: docs,

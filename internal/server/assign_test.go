@@ -12,13 +12,14 @@ import (
 	"time"
 
 	"genclus"
+	"genclus/client"
 	"genclus/internal/infer"
 )
 
 // assignFixture fits one model on the standard two-topic test network and
 // returns its model id plus the finished job's result (for cross-checking
 // assignments against the fitted memberships).
-func assignFixture(t *testing.T, ts *httptest.Server) (modelID string, res resultResponse) {
+func assignFixture(t *testing.T, ts *httptest.Server) (modelID string, res client.Result) {
 	t.Helper()
 	jobID, status := finishJob(t, ts, 1)
 	if status.ModelID == "" {
@@ -30,7 +31,7 @@ func assignFixture(t *testing.T, ts *httptest.Server) (modelID string, res resul
 // trainingAssignObject rebuilds one training object's links and text
 // observation as an assign query, reading them straight out of the fitted
 // result's network document counterpart.
-func trainingAssignObject(obj objectResult, network []byte, t *testing.T) infer.ObjectDoc {
+func trainingAssignObject(obj client.ObjectResult, network []byte, t *testing.T) infer.ObjectDoc {
 	t.Helper()
 	var doc struct {
 		Objects []struct {
@@ -79,8 +80,8 @@ func TestAssignEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	network, _ := testNetworkJSON(t, 12, 1)
 	netID := uploadNetwork(t, ts, network)
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(1, 1)})
-	status := waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(1, 1)})
+	status := waitForState(t, ts, jobID, client.StateDone)
 	res := fetchResult(t, ts, jobID)
 
 	req := infer.RequestDoc{TopK: 2}
@@ -91,7 +92,7 @@ func TestAssignEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("assign: status %d: %s", code, body)
 	}
-	var resp assignResponse
+	var resp client.AssignResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestAssignEndpoint(t *testing.T) {
 	if code2 != http.StatusOK {
 		t.Fatalf("second assign: %d", code2)
 	}
-	var resp2 assignResponse
+	var resp2 client.AssignResponse
 	if err := json.Unmarshal(body2, &resp2); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestAssignEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("assign default top_k: %d: %s", code, body)
 	}
-	var one assignResponse
+	var one client.AssignResponse
 	if err := json.Unmarshal(body, &one); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestAssignRejections(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("empty object after rejections: %d: %s", code, body)
 	}
-	var resp assignResponse
+	var resp client.AssignResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestAssignOnePassPerRequest(t *testing.T) {
 			return outcome{err: err}
 		}
 		defer hr.Body.Close()
-		var resp assignResponse
+		var resp client.AssignResponse
 		if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil || hr.StatusCode != http.StatusOK {
 			return outcome{err: fmt.Errorf("status %d err %v", hr.StatusCode, err)}
 		}
@@ -315,7 +316,7 @@ func TestAssignConcurrentNoLeak(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				var resp assignResponse
+				var resp client.AssignResponse
 				err = json.NewDecoder(hr.Body).Decode(&resp)
 				hr.Body.Close()
 				if err != nil || hr.StatusCode != http.StatusOK {
@@ -363,7 +364,7 @@ func TestAssignEngineCacheSharedByDigest(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("import: %d: %s", code, body)
 	}
-	var imported modelResponse
+	var imported client.ModelInfo
 	if err := json.Unmarshal(body, &imported); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestAssignEngineCacheSharedByDigest(t *testing.T) {
 		t.Fatalf("assign import: %d: %s", code, body)
 	}
 
-	var health healthResponse
+	var health client.Health
 	_, hb := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/healthz", nil)
 	if err := json.Unmarshal(hb, &health); err != nil {
 		t.Fatal(err)
@@ -407,7 +408,7 @@ func TestAssignEngineCacheSharedByDigest(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("re-import: %d: %s", code, body)
 	}
-	var again modelResponse
+	var again client.ModelInfo
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -437,11 +438,11 @@ func TestAssignCustomEpsilonBitwise(t *testing.T) {
 	outer, em, seeds := 1, 3000, 1
 	emTol, eps := 1e-300, 1e-6
 	learn := false
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, EMIters: &em, EMTol: &emTol, InitSeeds: &seeds,
 		LearnGamma: &learn, Epsilon: &eps,
 	}})
-	status := waitForState(t, ts, jobID, jobDone)
+	status := waitForState(t, ts, jobID, client.StateDone)
 	res := fetchResult(t, ts, jobID)
 	if res.EMIterations >= em {
 		t.Fatalf("fit did not reach an exact fixed point (%d EM iterations)", res.EMIterations)
@@ -468,7 +469,7 @@ func TestAssignCustomEpsilonBitwise(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("assign: %d: %s", code, body)
 	}
-	var resp assignResponse
+	var resp client.AssignResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,15 @@ import (
 // The events endpoint streams a job's lifecycle as Server-Sent Events:
 //
 //	event: state     data: the same JSON as GET /v1/jobs/{id}
-//	event: progress  data: {"outer":N,"outer_total":M}
+//	event: progress  data: {"outer":N,"outer_total":M,"objective":G,"em_iterations":E}
 //
-// A "state" event is sent immediately on connect, a "progress" event for
-// each fit progress report (coalesced: a slow consumer sees the latest, not
-// every intermediate), and a final "state" event when the job reaches a
-// terminal state, after which the stream ends. The handler returns as soon
-// as the client disconnects, so an abandoned stream never pins a goroutine.
+// G is g₁ (Eq. 9) after outer iteration N and E the fit's running EM
+// total (client.Progress). A "state" event is sent immediately on connect,
+// a "progress" event for each fit progress report (coalesced: a slow
+// consumer sees the latest, not every intermediate), and a final "state"
+// event when the job reaches a terminal state, after which the stream
+// ends. The handler returns as soon as the client disconnects, so an
+// abandoned stream never pins a goroutine.
 
 // sseWriter frames SSE events onto a flushable ResponseWriter.
 type sseWriter struct {
@@ -57,7 +59,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	sub := j.subscribe()
 	defer j.unsubscribe(sub)
 
-	if err := sse.event("state", s.jobResponse(j)); err != nil {
+	if err := sse.event("state", s.jobDoc(j)); err != nil {
 		return
 	}
 	for {
@@ -80,7 +82,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				_ = sse.event("progress", progressDoc(p))
 			default:
 			}
-			_ = sse.event("state", s.jobResponse(j))
+			_ = sse.event("state", s.jobDoc(j))
 			return
 		}
 	}

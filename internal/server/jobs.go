@@ -8,31 +8,12 @@ import (
 	"sync"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/eval"
 	"genclus/internal/hin"
 	"genclus/internal/trace"
 )
-
-// jobState is the lifecycle of a fit job.
-type jobState string
-
-const (
-	jobQueued    jobState = "queued"
-	jobRunning   jobState = "running"
-	jobDone      jobState = "done"
-	jobFailed    jobState = "failed"
-	jobCancelled jobState = "cancelled"
-)
-
-// resultMetrics are the eval quality scores computed against the optional
-// ground truth submitted with the job.
-type resultMetrics struct {
-	NMI     float64 `json:"nmi"`
-	ARI     float64 `json:"ari"`
-	Purity  float64 `json:"purity"`
-	Labeled int     `json:"labeled_objects"`
-}
 
 // objectInfo pins an object's identity at job completion so results stay
 // servable after the source network is evicted.
@@ -71,7 +52,7 @@ type job struct {
 	span *trace.Span
 
 	mu       sync.Mutex
-	state    jobState
+	state    client.JobState
 	progress core.Progress
 	errMsg   string
 	result   *core.Model
@@ -84,7 +65,7 @@ type job struct {
 	// channel has capacity 1 with drop-oldest delivery: a slow consumer
 	// only ever misses intermediate progress, never the latest.
 	subs     map[chan core.Progress]struct{}
-	metrics  *resultMetrics
+	metrics  *client.Metrics
 	started  time.Time
 	finished time.Time
 	cancel   context.CancelFunc
@@ -98,18 +79,14 @@ type job struct {
 
 // jobSnapshot is a consistent copy of a job's mutable state.
 type jobSnapshot struct {
-	state             jobState
+	state             client.JobState
 	progress          core.Progress
 	errMsg            string
 	result            *core.Model
 	objects           []objectInfo
 	modelID           string
-	metrics           *resultMetrics
+	metrics           *client.Metrics
 	started, finished time.Time
-}
-
-func (s jobSnapshot) terminal() bool {
-	return s.state == jobDone || s.state == jobFailed || s.state == jobCancelled
 }
 
 func (j *job) snapshot() jobSnapshot {
@@ -177,10 +154,10 @@ func (j *job) publishProgress(p core.Progress) {
 // terminal transition wins) and releases waiters. It reports whether THIS
 // call performed the transition, so exactly one caller accounts the
 // terminal state even when a cancel races a worker.
-func (j *job) finish(state jobState, errMsg string, now time.Time) bool {
+func (j *job) finish(state client.JobState, errMsg string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == jobDone || j.state == jobFailed || j.state == jobCancelled {
+	if j.state.Terminal() {
 		return false
 	}
 	j.state = state
@@ -267,13 +244,13 @@ func (m *manager) cancelJob(j *job) {
 	j.mu.Lock()
 	j.cancelRequested = true
 	cancel := j.cancel
-	queued := j.state == jobQueued
+	queued := j.state == client.StateQueued
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	if queued && j.finish(jobCancelled, "cancelled before start", m.now()) {
-		m.countTerminal(j, jobCancelled, "cancelled before start")
+	if queued && j.finish(client.StateCancelled, "cancelled before start", m.now()) {
+		m.countTerminal(j, client.StateCancelled, "cancelled before start")
 	}
 }
 
@@ -286,8 +263,8 @@ func (m *manager) close() {
 	for {
 		select {
 		case j := <-m.queue:
-			if j.finish(jobCancelled, "server shutting down", m.now()) {
-				m.countTerminal(j, jobCancelled, "server shutting down")
+			if j.finish(client.StateCancelled, "server shutting down", m.now()) {
+				m.countTerminal(j, client.StateCancelled, "server shutting down")
 			}
 		default:
 			return
@@ -298,10 +275,10 @@ func (m *manager) close() {
 // countTerminal accounts one terminal transition this caller performed —
 // the state counter plus a structured log line keyed by job ID. Callers
 // that know the job ran also observe run time via observeRun.
-func (m *manager) countTerminal(j *job, state jobState, errMsg string) {
+func (m *manager) countTerminal(j *job, state client.JobState, errMsg string) {
 	m.met.fitJobs[state].Inc()
 	level := slog.LevelInfo
-	if state == jobFailed {
+	if state == client.StateFailed {
 		level = slog.LevelWarn
 	}
 	m.log.LogAttrs(context.Background(), level, "job finished",
@@ -330,8 +307,8 @@ func (m *manager) run(j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg := fmt.Sprintf("fit panicked: %v", r)
-			if j.finish(jobFailed, msg, m.now()) {
-				m.countTerminal(j, jobFailed, msg)
+			if j.finish(client.StateFailed, msg, m.now()) {
+				m.countTerminal(j, client.StateFailed, msg)
 			}
 		}
 	}()
@@ -339,11 +316,11 @@ func (m *manager) run(j *job) {
 	defer cancel()
 
 	j.mu.Lock()
-	if j.state != jobQueued || j.cancelRequested { // cancelled while queued
+	if j.state != client.StateQueued || j.cancelRequested { // cancelled while queued
 		j.mu.Unlock()
 		return
 	}
-	j.state = jobRunning
+	j.state = client.StateRunning
 	j.started = m.now()
 	started := j.started
 	j.cancel = cancel
@@ -360,7 +337,7 @@ func (m *manager) run(j *job) {
 	// finishRun settles a job this worker actually started: the terminal
 	// transition plus run-time observation (metrics only count a
 	// transition this call performed — a racing cancel already counted).
-	finishRun := func(state jobState, errMsg string, finished time.Time) {
+	finishRun := func(state client.JobState, errMsg string, finished time.Time) {
 		if !j.finish(state, errMsg, finished) {
 			return
 		}
@@ -393,15 +370,15 @@ func (m *manager) run(j *job) {
 			j.span.Record("job.persist", finished, m.now())
 		}
 		m.met.fitEMIters.Observe(float64(res.EMIterations))
-		finishRun(jobDone, "", finished)
+		finishRun(client.StateDone, "", finished)
 	case errors.Is(err, context.Canceled):
 		msg := "cancelled"
 		if m.ctx.Err() != nil {
 			msg = "server shutting down"
 		}
-		finishRun(jobCancelled, msg, m.now())
+		finishRun(client.StateCancelled, msg, m.now())
 	default:
-		finishRun(jobFailed, err.Error(), m.now())
+		finishRun(client.StateFailed, err.Error(), m.now())
 	}
 }
 
@@ -431,7 +408,7 @@ func (m *manager) progressHook(j *job, started time.Time) func(core.Progress) {
 
 // computeMetrics scores the fit against the labeled subset of objects.
 // Returns nil when no truth was submitted or the metrics are undefined.
-func computeMetrics(res *core.Model, truth []int) *resultMetrics {
+func computeMetrics(res *core.Model, truth []int) *client.Metrics {
 	if truth == nil {
 		return nil
 	}
@@ -458,5 +435,5 @@ func computeMetrics(res *core.Model, truth []int) *resultMetrics {
 	if err != nil {
 		return nil
 	}
-	return &resultMetrics{NMI: nmi, ARI: ari, Purity: purity, Labeled: len(p)}
+	return &client.Metrics{NMI: nmi, ARI: ari, Purity: purity, Labeled: len(p)}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/metrics"
 	"genclus/internal/trace"
 )
@@ -42,7 +43,7 @@ type serverMetrics struct {
 	fitQueueWait *metrics.Histogram // submit → fit start, seconds
 	fitRun       *metrics.Histogram // fit start → terminal, seconds
 	fitEMIters   *metrics.Histogram // EM iterations per finished fit
-	fitJobs      map[jobState]*metrics.Counter
+	fitJobs      map[client.JobState]*metrics.Counter
 
 	assignRequests    *metrics.Counter
 	assignObjects     *metrics.Counter
@@ -83,7 +84,7 @@ func (s *Server) newServerMetrics() *serverMetrics {
 			"Wall-clock fit time from start to terminal state.", metrics.DurationBuckets()),
 		fitEMIters: reg.Histogram("genclus_fit_em_iterations",
 			"EM iterations a finished fit executed (warm starts should sit far left of cold).", metrics.CountBuckets()),
-		fitJobs: map[jobState]*metrics.Counter{},
+		fitJobs: map[client.JobState]*metrics.Counter{},
 		assignRequests: reg.Counter("genclus_assign_requests_total",
 			"Assign requests that reached an engine pass."),
 		assignObjects: reg.Counter("genclus_assign_objects_total",
@@ -114,7 +115,7 @@ func (s *Server) newServerMetrics() *serverMetrics {
 		persistFailures: reg.Counter("genclus_persist_failures_total",
 			"Fits whose snapshot or job record failed to reach the data dir (durability degraded)."),
 	}
-	for _, st := range []jobState{jobDone, jobFailed, jobCancelled} {
+	for _, st := range []client.JobState{client.StateDone, client.StateFailed, client.StateCancelled} {
 		m.fitJobs[st] = reg.Counter("genclus_fit_jobs_total",
 			"Fit jobs by terminal state.", "state", string(st))
 	}
@@ -148,11 +149,11 @@ func (s *Server) newServerMetrics() *serverMetrics {
 	reg.GaugeFunc("genclus_supervisor_drift_score",
 		"Most recent drift score any supervisor computed (mean TV distance, 0..1).",
 		func() float64 { return math.Float64frombits(m.driftBits.Load()) })
-	for _, st := range []jobState{jobQueued, jobRunning, jobDone, jobFailed, jobCancelled} {
+	for _, st := range []client.JobState{client.StateQueued, client.StateRunning, client.StateDone, client.StateFailed, client.StateCancelled} {
 		st := st
 		reg.GaugeFunc("genclus_jobs",
 			"Jobs in the job table by state.",
-			func() float64 { return float64(s.store.jobCounts()[st]) },
+			func() float64 { return float64(s.store.jobCounts()[string(st)]) },
 			"state", string(st))
 	}
 	// Replica-mode sync state, computed at scrape time from the syncer's
@@ -192,16 +193,6 @@ func (s *Server) newServerMetrics() *serverMetrics {
 
 // ---- runtime telemetry ----
 
-// runtimeStatsResponse is the /healthz runtime block, mirrored 1:1 onto the
-// genclus_goroutines / genclus_heap_alloc_bytes / genclus_gc_* gauges
-// (parity pinned by TestHealthzMetricsParity).
-type runtimeStatsResponse struct {
-	Goroutines          int     `json:"goroutines"`
-	HeapAllocBytes      uint64  `json:"heap_alloc_bytes"`
-	GCPauseTotalSeconds float64 `json:"gc_pause_total_seconds"`
-	GCCycles            uint32  `json:"gc_cycles"`
-}
-
 // runtimeSampleTTL bounds how often the daemon calls runtime.ReadMemStats:
 // one /metrics scrape reads four runtime gauges, and each ReadMemStats is a
 // stop-the-world, so the four share a single cached sample (as do
@@ -216,8 +207,10 @@ type runtimeSampler struct {
 	goroutines int
 }
 
-// runtimeTelemetry returns the current (TTL-cached) runtime stats block.
-func (s *Server) runtimeTelemetry() runtimeStatsResponse {
+// runtimeTelemetry returns the current (TTL-cached) runtime stats block,
+// mirrored 1:1 onto the genclus_goroutines / genclus_heap_alloc_bytes /
+// genclus_gc_* gauges (parity pinned by TestHealthzMetricsParity).
+func (s *Server) runtimeTelemetry() client.RuntimeStats {
 	rs := &s.runtimeSamples
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -226,7 +219,7 @@ func (s *Server) runtimeTelemetry() runtimeStatsResponse {
 		rs.goroutines = runtime.NumGoroutine()
 		rs.at = now
 	}
-	return runtimeStatsResponse{
+	return client.RuntimeStats{
 		Goroutines:          rs.goroutines,
 		HeapAllocBytes:      rs.mem.HeapAlloc,
 		GCPauseTotalSeconds: float64(rs.mem.PauseTotalNs) / 1e9,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/infer"
 	"genclus/internal/metrics"
 )
@@ -28,13 +29,13 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
 	return string(body)
 }
 
-func fetchHealth(t *testing.T, ts *httptest.Server) healthResponse {
+func fetchHealth(t *testing.T, ts *httptest.Server) client.Health {
 	t.Helper()
 	code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/healthz", nil)
 	if code != http.StatusOK {
 		t.Fatalf("healthz: status %d", code)
 	}
-	var h healthResponse
+	var h client.Health
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -163,26 +164,26 @@ func TestHealthzMetricsParity(t *testing.T) {
 			if tag == "" || tag == "-" {
 				continue
 			}
-			if f.Type == reflect.TypeOf(assignStatsResponse{}) {
+			if f.Type == reflect.TypeOf(client.AssignStats{}) {
 				continue // flattened below under "assign."
 			}
-			if f.Type == reflect.TypeOf(mutationStatsResponse{}) {
+			if f.Type == reflect.TypeOf(client.MutationStats{}) {
 				continue // flattened below under "mutation."
 			}
-			if f.Type == reflect.TypeOf(replicationStatsResponse{}) {
+			if f.Type == reflect.TypeOf(client.ReplicationStats{}) {
 				continue // flattened below under "replication."
 			}
-			if f.Type == reflect.TypeOf(runtimeStatsResponse{}) {
+			if f.Type == reflect.TypeOf(client.RuntimeStats{}) {
 				continue // flattened below under "runtime."
 			}
 			fields = append(fields, prefix+tag)
 		}
 	}
-	collect("", reflect.TypeOf(healthResponse{}))
-	collect("assign.", reflect.TypeOf(assignStatsResponse{}))
-	collect("mutation.", reflect.TypeOf(mutationStatsResponse{}))
-	collect("replication.", reflect.TypeOf(replicationStatsResponse{}))
-	collect("runtime.", reflect.TypeOf(runtimeStatsResponse{}))
+	collect("", reflect.TypeOf(client.Health{}))
+	collect("assign.", reflect.TypeOf(client.AssignStats{}))
+	collect("mutation.", reflect.TypeOf(client.MutationStats{}))
+	collect("replication.", reflect.TypeOf(client.ReplicationStats{}))
+	collect("runtime.", reflect.TypeOf(client.RuntimeStats{}))
 
 	for _, f := range fields {
 		if healthzNonCounters[f] {

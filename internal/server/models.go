@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/snapshot"
 	diskstore "genclus/internal/store"
@@ -37,30 +38,10 @@ type modelEntry struct {
 	networkID string // source network, "" for imported models
 }
 
-// modelResponse is the registry's wire representation of one model.
-type modelResponse struct {
-	ID            string `json:"id"`
-	K             int    `json:"k"`
-	Objects       int    `json:"objects"`
-	JobID         string `json:"job_id,omitempty"`
-	NetworkID     string `json:"network_id,omitempty"`
-	Created       string `json:"created"`
-	Digest        string `json:"digest"`
-	SizeBytes     int64  `json:"size_bytes"`
-	OptionsDigest string `json:"options_digest,omitempty"`
-	EMIterations  int    `json:"em_iterations"`
-	// Precision is the snapshot's storage precision ("float64" or
-	// "float32"), served on both the list and single-model responses.
-	Precision string `json:"precision"`
-}
-
-// modelsResponse is the GET /v1/models body.
-type modelsResponse struct {
-	Models []modelResponse `json:"models"`
-}
-
-func (s *Server) modelResponse(e *modelEntry) modelResponse {
-	return modelResponse{
+// modelInfo returns the registry's wire representation of one model,
+// served on the list, get and import responses.
+func (s *Server) modelInfo(e *modelEntry) client.ModelInfo {
+	return client.ModelInfo{
 		ID:            e.id,
 		K:             e.model.K,
 		Objects:       len(e.model.Theta),
@@ -178,11 +159,11 @@ func (s *Server) exportBytes(e *modelEntry) ([]byte, error) {
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 	entries := s.store.listModels()
-	out := modelsResponse{Models: make([]modelResponse, 0, len(entries))}
+	models := make([]client.ModelInfo, 0, len(entries))
 	for _, e := range entries {
-		out.Models = append(out.Models, s.modelResponse(e))
+		models = append(models, s.modelInfo(e))
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, map[string][]client.ModelInfo{"models": models})
 }
 
 func (s *Server) lookupModel(w http.ResponseWriter, r *http.Request) (*modelEntry, bool) {
@@ -200,7 +181,7 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.modelResponse(e))
+	writeJSON(w, http.StatusOK, s.modelInfo(e))
 }
 
 func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
@@ -272,5 +253,5 @@ func (s *Server) handleImportModel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.admitModel(e)
-	writeJSON(w, http.StatusCreated, s.modelResponse(e))
+	writeJSON(w, http.StatusCreated, s.modelInfo(e))
 }

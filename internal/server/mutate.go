@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 
+	"genclus/client"
 	"genclus/internal/deltalog"
 	"genclus/internal/hin"
 	diskstore "genclus/internal/store"
@@ -28,69 +29,11 @@ import (
 // uploads stay memory-only until their first mutation).
 const bucketNetworks = "networks"
 
-// mutationResponse acknowledges one applied mutation.
-type mutationResponse struct {
-	NetworkID string `json:"network_id"`
-	// Generation counts mutations applied to this network since upload or
-	// recovery; monotonically increasing, one per acknowledged request.
-	Generation int `json:"generation"`
-	// Objects and Links are the new view's totals.
-	Objects int `json:"objects"`
-	Links   int `json:"links"`
-	// DeltaLogDepth is the network's delta-log depth after this append.
-	DeltaLogDepth int `json:"delta_log_depth"`
-}
-
-// supervisorStatusResponse is the GET /v1/networks/{id}/supervisor reply.
-type supervisorStatusResponse struct {
-	NetworkID string `json:"network_id"`
-	// Active reports whether a supervisor goroutine watches this network
-	// (false until the first mutation, or when supervision is disabled).
-	Active     bool `json:"active"`
-	Generation int  `json:"generation"`
-	// DeltaLogDepth counts mutations logged over the network's lifetime.
-	DeltaLogDepth int `json:"delta_log_depth"`
-	// LastRefitGeneration is the generation the most recent auto-refit
-	// captured; PendingMutations = Generation − LastRefitGeneration.
-	LastRefitGeneration int `json:"last_refit_generation"`
-	PendingMutations    int `json:"pending_mutations"`
-	// DriftScore is the last evaluated drift signal: mean total-variation
-	// distance between touched objects' fold-in posteriors and the
-	// newest model's frozen memberships, in [0, 1].
-	DriftScore float64 `json:"drift_score"`
-	// RefitJobID is the in-flight auto-refit job, "" when idle;
-	// LastModelID the model the last successful auto-refit published.
-	RefitJobID  string `json:"refit_job_id,omitempty"`
-	LastModelID string `json:"last_model_id,omitempty"`
-	// Refit trigger/success/failure counters, monotone.
-	RefitsTriggered int64 `json:"refits_triggered"`
-	RefitsSucceeded int64 `json:"refits_succeeded"`
-	RefitsFailed    int64 `json:"refits_failed"`
-}
-
-// mutationStatsResponse is the healthz mutation block. Monotone counters
-// and the drift score come from the metrics registry; the instantaneous
-// fields (delta-log depth, supervisor count) are computed from the store at
-// read time.
-type mutationStatsResponse struct {
-	// Mutations counts acknowledged mutation requests.
-	Mutations int64 `json:"mutations"`
-	// DeltaLogDepth sums delta-log depth across live networks.
-	DeltaLogDepth int64 `json:"delta_log_depth"`
-	// Supervisors counts live continuous-clustering supervisors.
-	Supervisors int64 `json:"supervisors"`
-	// DriftScore is the most recently evaluated drift signal.
-	DriftScore float64 `json:"drift_score"`
-	// RefitsTriggered/Succeeded/Failed count supervisor-scheduled refits.
-	RefitsTriggered int64 `json:"refits_triggered"`
-	RefitsSucceeded int64 `json:"refits_succeeded"`
-	RefitsFailed    int64 `json:"refits_failed"`
-}
-
-// mutationStats builds the healthz mutation block; st supplies the
-// instantaneous fields.
-func (m *serverMetrics) mutationStats(st *store) mutationStatsResponse {
-	return mutationStatsResponse{
+// mutationStats builds the healthz mutation block. Monotone counters and
+// the drift score come from the metrics registry; st supplies the
+// instantaneous fields (delta-log depth, supervisor count) at read time.
+func (m *serverMetrics) mutationStats(st *store) client.MutationStats {
+	return client.MutationStats{
 		Mutations:       m.networkMutations.Value(),
 		DeltaLogDepth:   int64(st.deltaDepth()),
 		Supervisors:     int64(st.numSupervisors()),
@@ -182,7 +125,7 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op delta
 		slog.String("op", string(op)),
 		slog.Int("generation", gen),
 	)
-	writeJSON(w, http.StatusOK, mutationResponse{
+	writeJSON(w, http.StatusOK, client.MutationResult{
 		NetworkID:     id,
 		Generation:    gen,
 		Objects:       next.NumObjects(),
@@ -253,24 +196,12 @@ func (s *Server) handleSupervisorStatus(w http.ResponseWriter, r *http.Request) 
 	dlog := e.dlog
 	sup := e.sup
 	st.mu.Unlock()
-	resp := supervisorStatusResponse{
-		NetworkID:  id,
-		Active:     sup != nil,
-		Generation: gen,
-	}
+	resp := client.SupervisorStatus{NetworkID: id, Generation: gen}
 	if dlog != nil {
 		resp.DeltaLogDepth = dlog.Depth()
 	}
 	if sup != nil {
-		ss := sup.status()
-		resp.LastRefitGeneration = ss.lastRefitGen
-		resp.PendingMutations = gen - ss.lastRefitGen
-		resp.DriftScore = ss.lastDrift
-		resp.RefitJobID = ss.refitJobID
-		resp.LastModelID = ss.lastModelID
-		resp.RefitsTriggered = ss.triggered
-		resp.RefitsSucceeded = ss.succeeded
-		resp.RefitsFailed = ss.failed
+		sup.status(&resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/deltalog"
 	"genclus/internal/hin"
 	diskstore "genclus/internal/store"
@@ -16,10 +17,10 @@ import (
 
 // mutate posts one mutation and returns status + decoded response (zero on
 // non-200).
-func mutate(t *testing.T, ts *httptest.Server, method, path, doc string) (int, mutationResponse) {
+func mutate(t *testing.T, ts *httptest.Server, method, path, doc string) (int, client.MutationResult) {
 	t.Helper()
 	code, body := doReq(t, ts.Client(), method, ts.URL+path, []byte(doc))
-	var resp mutationResponse
+	var resp client.MutationResult
 	if code == http.StatusOK {
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatalf("mutation response not JSON: %s", body)
@@ -28,13 +29,13 @@ func mutate(t *testing.T, ts *httptest.Server, method, path, doc string) (int, m
 	return code, resp
 }
 
-func supStatus(t *testing.T, ts *httptest.Server, netID string) supervisorStatusResponse {
+func supStatus(t *testing.T, ts *httptest.Server, netID string) client.SupervisorStatus {
 	t.Helper()
 	code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/networks/"+netID+"/supervisor", nil)
 	if code != http.StatusOK {
 		t.Fatalf("supervisor status: %d: %s", code, body)
 	}
-	var resp supervisorStatusResponse
+	var resp client.SupervisorStatus
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +196,12 @@ func TestMutationIsolatesInFlightViews(t *testing.T) {
 	network, _ := testNetworkJSON(t, 10, 1)
 	netID := uploadNetwork(t, ts, network)
 
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
 	if code, _ := mutate(t, ts, http.MethodPost, "/v1/networks/"+netID+"/objects",
 		`{"objects":[{"id":"late1","type":"doc"}]}`); code != http.StatusOK {
 		t.Fatal("mutation failed")
 	}
-	waitForState(t, ts, jobID, jobDone)
+	waitForState(t, ts, jobID, client.StateDone)
 	res := fetchResult(t, ts, jobID)
 	if len(res.Objects) != 20 {
 		t.Fatalf("pre-mutation fit saw %d objects, want the pinned 20", len(res.Objects))

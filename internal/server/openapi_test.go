@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"genclus/client"
+	"genclus/internal/deltalog"
+	"genclus/internal/infer"
 )
 
 // scanSpec feeds each non-blank, non-comment line of docs/openapi.yaml to
@@ -118,26 +122,61 @@ func parseSchemaProperties(t *testing.T, schema string) map[string]bool {
 	return props
 }
 
-// TestOpenAPIHealthSchemaMatchesResponse pins the Health schema to the
-// /healthz payload in both directions: every JSON field healthResponse
-// serves is documented, and every documented property is still served.
-func TestOpenAPIHealthSchemaMatchesResponse(t *testing.T) {
-	declared := parseSchemaProperties(t, "Health")
-	served := make(map[string]bool)
-	typ := reflect.TypeOf(healthResponse{})
-	for i := 0; i < typ.NumField(); i++ {
-		if tag := strings.Split(typ.Field(i).Tag.Get("json"), ",")[0]; tag != "" && tag != "-" {
-			served[tag] = true
+// TestOpenAPISchemasMatchGoTypes pins every components/schemas entry that
+// has exactly one Go type to that type's JSON fields, in both directions:
+// every field the type encodes is documented, and every documented
+// property is still encoded. ObservationPatch is not listed: it is a
+// fragment the mutation schemas include through allOf.
+func TestOpenAPISchemasMatchGoTypes(t *testing.T) {
+	for _, tc := range []struct {
+		schema string
+		typ    any
+	}{
+		{"MutationLink", deltalog.Link{}},
+		{"EdgeRef", deltalog.EdgeRef{}},
+		{"MutationResponse", client.MutationResult{}},
+		{"SupervisorStatus", client.SupervisorStatus{}},
+		{"MutationStats", client.MutationStats{}},
+		{"NetworkResponse", client.NetworkInfo{}},
+		{"JobRequest", client.JobSpec{}},
+		{"JobOptions", client.JobOptions{}},
+		{"Progress", client.Progress{}},
+		{"JobStatus", client.Job{}},
+		{"ObjectResult", client.ObjectResult{}},
+		{"ResultMetrics", client.Metrics{}},
+		{"JobResult", client.Result{}},
+		{"ModelInfo", client.ModelInfo{}},
+		{"AssignRequest", infer.RequestDoc{}},
+		{"AssignObject", infer.ObjectDoc{}},
+		{"ClusterProb", infer.ClusterProbDoc{}},
+		{"Assignment", infer.AssignmentDoc{}},
+		{"AssignResponse", client.AssignResponse{}},
+		{"AssignStats", client.AssignStats{}},
+		{"Health", client.Health{}},
+		{"RuntimeStats", client.RuntimeStats{}},
+		{"ReplicationStats", client.ReplicationStats{}},
+		{"ReplicationStatus", client.ReplicationStatus{}},
+		{"TraceSpan", traceSpanResponse{}},
+		{"Trace", traceResponse{}},
+		{"TraceList", traceListResponse{}},
+	} {
+		declared := parseSchemaProperties(t, tc.schema)
+		typ := reflect.TypeOf(tc.typ)
+		encoded := make(map[string]bool)
+		for i := 0; i < typ.NumField(); i++ {
+			if tag := strings.Split(typ.Field(i).Tag.Get("json"), ",")[0]; tag != "" && tag != "-" {
+				encoded[tag] = true
+			}
 		}
-	}
-	for name := range served {
-		if !declared[name] {
-			t.Errorf("/healthz serves %q, but the openapi Health schema does not list it", name)
+		for name := range encoded {
+			if !declared[name] {
+				t.Errorf("%v encodes %q, but the openapi %s schema does not list it", typ, name, tc.schema)
+			}
 		}
-	}
-	for name := range declared {
-		if !served[name] {
-			t.Errorf("the openapi Health schema lists %q, which /healthz does not serve", name)
+		for name := range declared {
+			if !encoded[name] {
+				t.Errorf("the openapi %s schema lists %q, which %v does not encode", tc.schema, name, typ)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/deltalog"
 	"genclus/internal/hin"
@@ -44,18 +45,18 @@ const (
 // what the snapshot does not: the job identity, timing, the object types
 // (aligned with the snapshot's object IDs) and eval metrics.
 type jobRecord struct {
-	ID          string         `json:"id"`
-	NetworkID   string         `json:"network_id"`
-	ModelID     string         `json:"model_id"`
-	Created     time.Time      `json:"created"`
-	Started     time.Time      `json:"started"`
-	Finished    time.Time      `json:"finished"`
-	Outer       int            `json:"outer"`                   // final progress, so a recovered
-	OuterTotal  int            `json:"outer_total"`             // job's status reads like a live one
-	Objective   float64        `json:"objective,omitempty"`     // final objective (progress parity)
-	EMIters     int            `json:"em_iterations,omitempty"` // EM steps of the final iteration
-	ObjectTypes []string       `json:"object_types"`
-	Metrics     *resultMetrics `json:"metrics,omitempty"`
+	ID          string          `json:"id"`
+	NetworkID   string          `json:"network_id"`
+	ModelID     string          `json:"model_id"`
+	Created     time.Time       `json:"created"`
+	Started     time.Time       `json:"started"`
+	Finished    time.Time       `json:"finished"`
+	Outer       int             `json:"outer"`                   // final progress, so a recovered
+	OuterTotal  int             `json:"outer_total"`             // job's status reads like a live one
+	Objective   float64         `json:"objective,omitempty"`     // final g₁ (progress parity)
+	EMIters     int             `json:"em_iterations,omitempty"` // running EM total, best-of-seeds candidates included
+	ObjectTypes []string        `json:"object_types"`
+	Metrics     *client.Metrics `json:"metrics,omitempty"`
 }
 
 // persistFinishedJob runs on the worker goroutine after the fitted state is
@@ -221,7 +222,7 @@ func (s *Server) recoverFromDisk() error {
 			id:        rec.ID,
 			networkID: rec.NetworkID,
 			created:   rec.Created,
-			state:     jobDone,
+			state:     client.StateDone,
 			progress:  core.Progress{Outer: rec.Outer, OuterTotal: rec.OuterTotal, Objective: rec.Objective, EMIterations: rec.EMIters},
 			result:    entry.model,
 			objects:   objects,

@@ -11,18 +11,24 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/snapshot"
 )
 
 // finishJob uploads a network, runs a quick fit to done, and returns the
 // job id plus its final status (which carries the registry model id).
-func finishJob(t *testing.T, ts *httptest.Server, seed int64) (string, jobResponse) {
+func finishJob(t *testing.T, ts *httptest.Server, seed int64) (string, client.Job) {
 	t.Helper()
 	network, truth := testNetworkJSON(t, 12, seed)
 	netID := uploadNetwork(t, ts, network)
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(seed, 1), Truth: truth})
-	status := waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(seed, 1), Truth: truth})
+	status := waitForState(t, ts, jobID, client.StateDone)
 	return jobID, status
+}
+
+// modelsResponse is the GET /v1/models body.
+type modelsResponse struct {
+	Models []client.ModelInfo `json:"models"`
 }
 
 func listModels(t *testing.T, ts *httptest.Server) modelsResponse {
@@ -85,7 +91,7 @@ func TestModelRegistryLifecycle(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("import: %d: %s", code, body)
 	}
-	var imported modelResponse
+	var imported client.ModelInfo
 	if err := json.Unmarshal(body, &imported); err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +109,16 @@ func TestModelRegistryLifecycle(t *testing.T) {
 	// The imported model warm-starts a fit on the same network.
 	network, _ := testNetworkJSON(t, 12, 1)
 	netID := uploadNetwork(t, ts, network)
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, WarmStartFromModel: imported.ID, Options: quickOpts(1, 1)})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, WarmStartFromModel: imported.ID, Options: quickOpts(1, 1)})
 	code, body = doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload)
 	if code != http.StatusAccepted {
 		t.Fatalf("warm_start_from_model submit: %d: %s", code, body)
 	}
-	var warm jobResponse
+	var warm client.Job
 	if err := json.Unmarshal(body, &warm); err != nil {
 		t.Fatal(err)
 	}
-	waitForState(t, ts, warm.ID, jobDone)
+	waitForState(t, ts, warm.ID, client.StateDone)
 
 	// Delete both; the registry empties and a re-delete 404s.
 	for _, id := range []string{info.ID, imported.ID} {
@@ -130,7 +136,7 @@ func TestModelRegistryLifecycle(t *testing.T) {
 	}
 
 	// Mutually exclusive warm-start sources are rejected.
-	payload, _ = json.Marshal(jobRequest{NetworkID: netID, WarmStartFrom: jobID, WarmStartFromModel: imported.ID})
+	payload, _ = json.Marshal(client.JobSpec{NetworkID: netID, WarmStartFrom: jobID, WarmStartFromModel: imported.ID})
 	if code, _ = doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload); code != http.StatusBadRequest {
 		t.Fatalf("dual warm start: %d, want 400", code)
 	}
@@ -150,8 +156,8 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 	_, ts2 := testServer(t, Config{Workers: 1})
 	network, _ := testNetworkJSON(t, 12, 2)
 	netID := uploadNetwork(t, ts2, network)
-	jobID := submitJob(t, ts2, jobRequest{NetworkID: netID, K: 4, Options: quickOpts(2, 1)})
-	waitForState(t, ts2, jobID, jobDone)
+	jobID := submitJob(t, ts2, client.JobSpec{NetworkID: netID, K: 4, Options: quickOpts(2, 1)})
+	waitForState(t, ts2, jobID, client.StateDone)
 	models := listModels(t, ts2)
 	_, data := doReq(t, ts2.Client(), http.MethodGet, ts2.URL+"/v1/models/"+models.Models[0].ID+"/export", nil)
 
@@ -229,7 +235,7 @@ func TestRecoverAfterRestart(t *testing.T) {
 	// The finished job is served again, result intact — including the
 	// final progress report, so a recovered status reads like a live one.
 	st := jobStatus(t, ts2, jobID)
-	if st.State != jobDone || st.ModelID != status.ModelID {
+	if st.State != client.StateDone || st.ModelID != status.ModelID {
 		t.Fatalf("recovered job status: %+v", st)
 	}
 	if st.Progress == nil || *st.Progress != *status.Progress {
@@ -259,12 +265,12 @@ func TestRecoverAfterRestart(t *testing.T) {
 	// warm_start_from against the recovered job.
 	network, _ := testNetworkJSON(t, 12, 3)
 	netID := uploadNetwork(t, ts2, network)
-	for _, req := range []jobRequest{
+	for _, req := range []client.JobSpec{
 		{NetworkID: netID, WarmStartFromModel: status.ModelID, Options: quickOpts(3, 1)},
 		{NetworkID: netID, WarmStartFrom: jobID, Options: quickOpts(3, 1)},
 	} {
 		id := submitJob(t, ts2, req)
-		waitForState(t, ts2, id, jobDone)
+		waitForState(t, ts2, id, client.StateDone)
 		res := fetchResult(t, ts2, id)
 		if res.EMIterations >= result1.EMIterations {
 			t.Fatalf("warm start from recovered state did not converge faster: %d vs %d EM iterations",
@@ -374,7 +380,7 @@ func TestEvictedJobAnswersTypedCode(t *testing.T) {
 
 	network, _ := testNetworkJSON(t, 12, 6)
 	netID := uploadNetwork(t, ts, network)
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, WarmStartFrom: jobID})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, WarmStartFrom: jobID})
 	code, body = doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload)
 	if code != http.StatusNotFound {
 		t.Fatalf("warm start from evicted job: %d", code)
@@ -408,7 +414,7 @@ func TestHealthzCountsModels(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
-	var h healthResponse
+	var h client.Health
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/infer"
 	"genclus/internal/snapshot"
@@ -18,7 +19,7 @@ func TestJobRejectsUnknownPrecision(t *testing.T) {
 	network, _ := testNetworkJSON(t, 6, 3)
 	netID := uploadNetwork(t, ts, network)
 	bad := "float16"
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{Precision: &bad}})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{Precision: &bad}})
 	code, body := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload)
 	if code != http.StatusBadRequest {
 		t.Fatalf("job with precision %q: status %d, want 400 (%s)", bad, code, body)
@@ -42,11 +43,11 @@ func TestJobPrecisionEndToEnd(t *testing.T) {
 	emTol := 1e-300
 	learn := false
 	prec := "float32"
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, EMIters: &em, EMTol: &emTol, InitSeeds: &seeds,
 		LearnGamma: &learn, Precision: &prec,
 	}})
-	status := waitForState(t, ts, jobID, jobDone)
+	status := waitForState(t, ts, jobID, client.StateDone)
 	res := fetchResult(t, ts, jobID)
 	if res.EMIterations >= em {
 		t.Fatalf("float32 fit did not reach an exact fixed point (%d EM iterations)", res.EMIterations)
@@ -64,7 +65,7 @@ func TestJobPrecisionEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("get model: %d", code)
 	}
-	var mr modelResponse
+	var mr client.ModelInfo
 	if err := json.Unmarshal(body, &mr); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestJobPrecisionEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("assign: %d: %s", code, body)
 	}
-	var resp assignResponse
+	var resp client.AssignResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +134,10 @@ func TestJobPrecisionEndToEnd(t *testing.T) {
 
 	// A default fit keeps reporting float64 — the precision field exists on
 	// every response, not just float32 models.
-	defID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	defID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, InitSeeds: &seeds,
 	}})
-	defStatus := waitForState(t, ts, defID, jobDone)
+	defStatus := waitForState(t, ts, defID, client.StateDone)
 	code, body = doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/models/"+defStatus.ModelID, nil)
 	if code != http.StatusOK {
 		t.Fatalf("get default model: %d", code)
@@ -158,10 +159,10 @@ func TestImportPreservesPrecision(t *testing.T) {
 	netID := uploadNetwork(t, ts, network)
 	outer, seeds := 1, 1
 	prec := "float32"
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, InitSeeds: &seeds, Precision: &prec,
 	}})
-	status := waitForState(t, ts, jobID, jobDone)
+	status := waitForState(t, ts, jobID, client.StateDone)
 	code, raw := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/models/"+status.ModelID+"/export", nil)
 	if code != http.StatusOK {
 		t.Fatalf("export: %d", code)
@@ -171,7 +172,7 @@ func TestImportPreservesPrecision(t *testing.T) {
 	if code != http.StatusCreated && code != http.StatusOK {
 		t.Fatalf("import: %d: %s", code, body)
 	}
-	var imported modelResponse
+	var imported client.ModelInfo
 	if err := json.Unmarshal(body, &imported); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/replica"
 	"genclus/internal/snapshot"
 	diskstore "genclus/internal/store"
@@ -94,37 +95,13 @@ func (s *Server) startReplication() error {
 	return nil
 }
 
-// replicationStatsResponse is the sync-state block served on /healthz (and
-// inside GET /v1/replication). On a primary every field is zero and Active
-// is false.
-type replicationStatsResponse struct {
-	// Active reports replica mode; Primary is the followed base URL.
-	Active  bool   `json:"active"`
-	Primary string `json:"primary,omitempty"`
-	// LagSeconds is the staleness bound: seconds since the last successful
-	// sync pass (since startup before the first one).
-	LagSeconds float64 `json:"lag_seconds"`
-	// Syncs/SyncErrors count completed and failed passes; ModelsSynced and
-	// ModelsDeleted count models installed and removed by the sync loop.
-	Syncs         uint64 `json:"syncs"`
-	SyncErrors    uint64 `json:"sync_errors"`
-	ModelsSynced  uint64 `json:"models_synced"`
-	ModelsDeleted uint64 `json:"models_deleted"`
-	// ConsecutiveFailures is the current failure streak driving backoff.
-	ConsecutiveFailures int `json:"consecutive_failures"`
-	// LastSync is the RFC 3339 time of the last successful pass; LastError
-	// the message of the last failed one ("" after a success).
-	LastSync  string `json:"last_sync,omitempty"`
-	LastError string `json:"last_error,omitempty"`
-}
-
 // replicationStats snapshots the syncer state (zero block on a primary).
-func (s *Server) replicationStats() replicationStatsResponse {
+func (s *Server) replicationStats() client.ReplicationStats {
 	if s.syncer == nil {
-		return replicationStatsResponse{}
+		return client.ReplicationStats{}
 	}
 	st := s.syncer.Status()
-	out := replicationStatsResponse{
+	out := client.ReplicationStats{
 		Active:              true,
 		Primary:             st.Primary,
 		LagSeconds:          st.LagSeconds,
@@ -141,23 +118,12 @@ func (s *Server) replicationStats() replicationStatsResponse {
 	return out
 }
 
-// replicationResponse is the GET /v1/replication body: the node's role,
-// its registry size, and (replicas only) the live sync state.
-type replicationResponse struct {
-	// Mode is "primary" or "replica".
-	Mode string `json:"mode"`
-	// Models is the local registry size — on a converged replica it equals
-	// the primary's.
-	Models int                      `json:"models"`
-	Sync   replicationStatsResponse `json:"sync"`
-}
-
 func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 	mode := "primary"
 	if s.cfg.ReplicaOf != "" {
 		mode = "replica"
 	}
-	writeJSON(w, http.StatusOK, replicationResponse{
+	writeJSON(w, http.StatusOK, client.ReplicationStatus{
 		Mode:   mode,
 		Models: s.store.numModels(),
 		Sync:   s.replicationStats(),

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/infer"
 )
 
@@ -40,13 +41,13 @@ func waitModelSynced(t *testing.T, ts *httptest.Server, id, digest string) {
 	})
 }
 
-func getReplication(t *testing.T, ts *httptest.Server) replicationResponse {
+func getReplication(t *testing.T, ts *httptest.Server) client.ReplicationStatus {
 	t.Helper()
 	code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/replication", nil)
 	if code != http.StatusOK {
 		t.Fatalf("replication: status %d: %s", code, body)
 	}
-	var out replicationResponse
+	var out client.ReplicationStatus
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func TestReplicaSyncServeDelete(t *testing.T) {
 	_, primary := testServer(t, Config{Workers: 1})
 	network, _ := testNetworkJSON(t, 12, 1)
 	netID := uploadNetwork(t, primary, network)
-	jobID := submitJob(t, primary, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(1, 1)})
-	status := waitForState(t, primary, jobID, jobDone)
+	jobID := submitJob(t, primary, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(1, 1)})
+	status := waitForState(t, primary, jobID, client.StateDone)
 	res := fetchResult(t, primary, jobID)
 	modelID := status.ModelID
 

@@ -80,6 +80,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/hin"
 	"genclus/internal/replica"
@@ -540,6 +541,13 @@ func (s *Server) janitor() {
 }
 
 // ---- wire types ----
+//
+// The /v1 request and response documents are the Go SDK's exported types
+// (package client), which the handlers encode and decode directly; the
+// assign documents and the mutation elements are internal/infer's and
+// internal/deltalog's, which the SDK aliases. This package declares only
+// the error body, the trace bodies (trace.go) and the persisted jobRecord
+// (persist.go).
 
 // errorResponse carries the human-readable error and, for conditions a
 // client should distinguish programmatically, a stable machine-readable
@@ -555,50 +563,9 @@ type errorResponse struct {
 // codeJobEvicted is the error code for 404s on TTL-evicted jobs.
 const codeJobEvicted = "job_evicted"
 
-type networkResponse struct {
-	ID         string   `json:"id"`
-	Objects    int      `json:"objects"`
-	Links      int      `json:"links"`
-	Relations  []string `json:"relations"`
-	Attributes []string `json:"attributes"`
-}
-
-// jobRequest is a fit submission. K is required unless warm_start_from or
-// warm_start_from_model is set (in which case it defaults to — and must
-// match — the source fit's K); every Options field is optional and overlays
-// core.DefaultOptions(K). Truth optionally maps object IDs to ground-truth
-// cluster labels, enabling eval metrics on the result. WarmStartFrom names
-// a finished job — and WarmStartFromModel a registry model — whose fitted
-// state seeds this fit; the two are mutually exclusive.
-type jobRequest struct {
-	NetworkID          string         `json:"network_id"`
-	K                  int            `json:"k"`
-	Options            *jobOptions    `json:"options,omitempty"`
-	Truth              map[string]int `json:"truth,omitempty"`
-	WarmStartFrom      string         `json:"warm_start_from,omitempty"`
-	WarmStartFromModel string         `json:"warm_start_from_model,omitempty"`
-}
-
-type jobOptions struct {
-	Attributes           []string `json:"attributes,omitempty"`
-	OuterIters           *int     `json:"outer_iters,omitempty"`
-	EMIters              *int     `json:"em_iters,omitempty"`
-	EMTol                *float64 `json:"em_tol,omitempty"`
-	OuterTol             *float64 `json:"outer_tol,omitempty"`
-	NewtonIters          *int     `json:"newton_iters,omitempty"`
-	PriorSigma           *float64 `json:"prior_sigma,omitempty"`
-	Seed                 *int64   `json:"seed,omitempty"`
-	InitSeeds            *int     `json:"init_seeds,omitempty"`
-	InitSeedSteps        *int     `json:"init_seed_steps,omitempty"`
-	Parallelism          *int     `json:"parallelism,omitempty"`
-	LearnGamma           *bool    `json:"learn_gamma,omitempty"`
-	InitialGamma         *float64 `json:"initial_gamma,omitempty"`
-	SymmetricPropagation *bool    `json:"symmetric_propagation,omitempty"`
-	Epsilon              *float64 `json:"epsilon,omitempty"`
-	Precision            *string  `json:"precision,omitempty"`
-}
-
-func (jo *jobOptions) apply(opts *core.Options) {
+// applyJobOptions overlays a submission's options on core.DefaultOptions(K);
+// nil fields keep the defaults.
+func applyJobOptions(jo *client.JobOptions, opts *core.Options) {
 	if jo == nil {
 		return
 	}
@@ -653,88 +620,9 @@ func (jo *jobOptions) apply(opts *core.Options) {
 	}
 }
 
-type progressResponse struct {
-	Outer      int `json:"outer"`
-	OuterTotal int `json:"outer_total"`
-	// Objective is the relation-strength objective after the reported
-	// iteration; EMIterations is how many EM steps it ran. The same numbers
-	// appear as span attributes on the job's trace — these fields make them
-	// streamable without polling /v1/jobs/{id}/trace.
-	Objective    float64 `json:"objective,omitempty"`
-	EMIterations int     `json:"em_iterations,omitempty"`
-}
-
 // progressDoc converts a core progress report to its wire shape.
-func progressDoc(p core.Progress) *progressResponse {
-	return &progressResponse{Outer: p.Outer, OuterTotal: p.OuterTotal, Objective: p.Objective, EMIterations: p.EMIterations}
-}
-
-type jobResponse struct {
-	ID        string            `json:"id"`
-	NetworkID string            `json:"network_id"`
-	State     jobState          `json:"state"`
-	Progress  *progressResponse `json:"progress,omitempty"`
-	Error     string            `json:"error,omitempty"`
-	// ModelID names the registry model the finished fit was published as
-	// (state "done" only) — the handle for /v1/models and
-	// warm_start_from_model.
-	ModelID string `json:"model_id,omitempty"`
-	// TraceID is the fit's 32-hex trace id — feed it to GET
-	// /v1/jobs/{id}/trace (or /v1/traces/{id} once finished) for the span
-	// timeline. Empty for jobs recovered from disk after a restart.
-	TraceID  string `json:"trace_id,omitempty"`
-	Created  string `json:"created"`
-	Started  string `json:"started,omitempty"`
-	Finished string `json:"finished,omitempty"`
-}
-
-type objectResult struct {
-	ID      string    `json:"id"`
-	Type    string    `json:"type"`
-	Cluster int       `json:"cluster"`
-	Theta   []float64 `json:"theta"`
-}
-
-type resultResponse struct {
-	ID        string             `json:"id"`
-	K         int                `json:"k"`
-	Objects   []objectResult     `json:"objects"`
-	Gamma     map[string]float64 `json:"gamma"`
-	Objective float64            `json:"objective"`
-	PseudoLL  float64            `json:"pseudo_ll"`
-	// EMIterations/OuterIterations expose the fit's work: a warm-started
-	// job should show far fewer than its cold-start source.
-	EMIterations    int            `json:"em_iterations"`
-	OuterIterations int            `json:"outer_iterations"`
-	Metrics         *resultMetrics `json:"metrics,omitempty"`
-}
-
-type healthResponse struct {
-	Status        string           `json:"status"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Workers       int              `json:"workers"`
-	Networks      int              `json:"networks"`
-	Models        int              `json:"models"`
-	Jobs          map[jobState]int `json:"jobs"`
-	// PersistFailures counts fits whose snapshot or record failed to reach
-	// the data dir (served memory-only until restart). Nonzero means the
-	// durability contract is degraded — check the volume and the logs.
-	PersistFailures int64 `json:"persist_failures"`
-	// Assign surfaces the online-inference counters: request/object
-	// volume, engine passes, and engine-cache effectiveness.
-	Assign assignStatsResponse `json:"assign"`
-	// Mutation surfaces the streaming-mutation and continuous-clustering
-	// counters: mutation volume, delta-log depth, live supervisors, the
-	// latest drift score, and supervisor refit outcomes.
-	Mutation mutationStatsResponse `json:"mutation"`
-	// Replication surfaces replica-mode sync state: lag, pass/error
-	// counters, and models synced/deleted. Zero (active=false) on a
-	// primary.
-	Replication replicationStatsResponse `json:"replication"`
-	// Runtime surfaces Go runtime telemetry — goroutine count, heap size,
-	// and cumulative GC work — sampled at most every runtimeSampleTTL so a
-	// scrape storm cannot turn ReadMemStats into a stop-the-world hammer.
-	Runtime runtimeStatsResponse `json:"runtime"`
+func progressDoc(p core.Progress) *client.Progress {
+	return &client.Progress{Outer: p.Outer, OuterTotal: p.OuterTotal, Objective: p.Objective, EMIterations: p.EMIterations}
 }
 
 // ---- handlers ----
@@ -809,7 +697,7 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 	// the same network just finds them ready).
 	net.PrepareCSR()
 	id := s.store.addNetwork(net)
-	writeJSON(w, http.StatusCreated, networkResponse{
+	writeJSON(w, http.StatusCreated, client.NetworkInfo{
 		ID:         id,
 		Objects:    net.NumObjects(),
 		Links:      net.NumEdges(),
@@ -832,7 +720,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req jobRequest
+	var req client.JobSpec
 	if err := json.Unmarshal(data, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "parse job request: %v", err)
 		return
@@ -850,7 +738,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		truth:      req.Truth,
 		parent:     spanContext(r.Context()),
 	}
-	req.Options.apply(&spec.opts)
+	applyJobOptions(req.Options, &spec.opts)
 	if req.WarmStartFrom != "" && req.WarmStartFromModel != "" {
 		writeError(w, http.StatusBadRequest, "warm_start_from and warm_start_from_model are mutually exclusive")
 		return
@@ -866,7 +754,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		snap := prior.snapshot()
-		if snap.state != jobDone {
+		if snap.state != client.StateDone {
 			writeError(w, http.StatusConflict, "warm-start job %s is %s, not done", req.WarmStartFrom, snap.state)
 			return
 		}
@@ -897,7 +785,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		slog.String("job", j.id),
 		slog.String("network", req.NetworkID),
 	)
-	writeJSON(w, http.StatusAccepted, s.jobResponse(j))
+	writeJSON(w, http.StatusAccepted, s.jobDoc(j))
 }
 
 // fitSpec is one fit submission, from a client (POST /v1/jobs) or from a
@@ -957,7 +845,7 @@ func (s *Server) submitFit(spec fitSpec) (*job, error) {
 		created:    s.cfg.now(),
 		generation: spec.generation,
 		net:        spec.net,
-		state:      jobQueued,
+		state:      client.StateQueued,
 		done:       make(chan struct{}),
 	}
 	// The fit's own trace starts now and continues the parent's trace, so a
@@ -1034,9 +922,11 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 	return j, true
 }
 
-func (s *Server) jobResponse(j *job) jobResponse {
+// jobDoc is a job's status document: the GET /v1/jobs/{id} body and the
+// payload of the SSE "state" event.
+func (s *Server) jobDoc(j *job) client.Job {
 	snap := j.snapshot()
-	resp := jobResponse{
+	resp := client.Job{
 		ID:        j.id,
 		NetworkID: j.networkID,
 		State:     snap.state,
@@ -1047,7 +937,7 @@ func (s *Server) jobResponse(j *job) jobResponse {
 	if j.span != nil {
 		resp.TraceID = j.span.TraceID().String()
 	}
-	if snap.state != jobQueued {
+	if snap.state != client.StateQueued {
 		resp.Progress = progressDoc(snap.progress)
 	}
 	if !snap.started.IsZero() {
@@ -1064,7 +954,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobResponse(j))
+	writeJSON(w, http.StatusOK, s.jobDoc(j))
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -1073,22 +963,22 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := j.snapshot()
-	if snap.state != jobDone {
+	if snap.state != client.StateDone {
 		writeError(w, http.StatusConflict, "job %s is %s, not done", j.id, snap.state)
 		return
 	}
 	res := snap.result
-	objects := make([]objectResult, len(snap.objects))
+	objects := make([]client.ObjectResult, len(snap.objects))
 	labels := res.HardLabels()
 	for v, info := range snap.objects {
-		objects[v] = objectResult{
+		objects[v] = client.ObjectResult{
 			ID:      info.ID,
 			Type:    info.Type,
 			Cluster: labels[v],
 			Theta:   res.Theta[v],
 		}
 	}
-	writeJSON(w, http.StatusOK, resultResponse{
+	writeJSON(w, http.StatusOK, client.Result{
 		ID:              j.id,
 		K:               res.K,
 		Objects:         objects,
@@ -1107,11 +997,11 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.manager.cancelJob(j)
-	writeJSON(w, http.StatusOK, s.jobResponse(j))
+	writeJSON(w, http.StatusOK, s.jobDoc(j))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthResponse{
+	writeJSON(w, http.StatusOK, client.Health{
 		Status:          "ok",
 		UptimeSeconds:   s.cfg.now().Sub(s.started).Seconds(),
 		Workers:         s.cfg.Workers,

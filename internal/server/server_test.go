@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/hin"
 )
 
@@ -104,34 +105,34 @@ func uploadNetwork(t *testing.T, ts *httptest.Server, network []byte) string {
 	if code != http.StatusCreated {
 		t.Fatalf("upload: status %d: %s", code, body)
 	}
-	var resp networkResponse
+	var resp client.NetworkInfo
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp.ID
 }
 
-func submitJob(t *testing.T, ts *httptest.Server, req jobRequest) string {
+func submitJob(t *testing.T, ts *httptest.Server, req client.JobSpec) string {
 	t.Helper()
 	payload, _ := json.Marshal(req)
 	code, body := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", code, body)
 	}
-	var resp jobResponse
+	var resp client.Job
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp.ID
 }
 
-func jobStatus(t *testing.T, ts *httptest.Server, id string) jobResponse {
+func jobStatus(t *testing.T, ts *httptest.Server, id string) client.Job {
 	t.Helper()
 	code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/jobs/"+id, nil)
 	if code != http.StatusOK {
 		t.Fatalf("status: %d: %s", code, body)
 	}
-	var resp jobResponse
+	var resp client.Job
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func jobStatus(t *testing.T, ts *httptest.Server, id string) jobResponse {
 }
 
 // waitForState polls the status endpoint until the job reaches want.
-func waitForState(t *testing.T, ts *httptest.Server, id string, want jobState) jobResponse {
+func waitForState(t *testing.T, ts *httptest.Server, id string, want client.JobState) client.Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -147,22 +148,22 @@ func waitForState(t *testing.T, ts *httptest.Server, id string, want jobState) j
 		if resp.State == want {
 			return resp
 		}
-		if resp.State == jobFailed && want != jobFailed {
+		if resp.State == client.StateFailed && want != client.StateFailed {
 			t.Fatalf("job %s failed: %s", id, resp.Error)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached state %q", id, want)
-	return jobResponse{}
+	return client.Job{}
 }
 
-func fetchResult(t *testing.T, ts *httptest.Server, id string) resultResponse {
+func fetchResult(t *testing.T, ts *httptest.Server, id string) client.Result {
 	t.Helper()
 	code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/jobs/"+id+"/result", nil)
 	if code != http.StatusOK {
 		t.Fatalf("result: %d: %s", code, body)
 	}
-	var resp resultResponse
+	var resp client.Result
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +171,9 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) resultResponse {
 }
 
 // quickOpts keeps test fits fast.
-func quickOpts(seed int64, parallelism int) *jobOptions {
+func quickOpts(seed int64, parallelism int) *client.JobOptions {
 	outer, em, initSeeds := 3, 5, 2
-	return &jobOptions{
+	return &client.JobOptions{
 		OuterIters:  &outer,
 		EMIters:     &em,
 		InitSeeds:   &initSeeds,
@@ -186,8 +187,8 @@ func TestUploadFitPollResult(t *testing.T) {
 	network, truth := testNetworkJSON(t, 30, 1)
 	netID := uploadNetwork(t, ts, network)
 
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(7, 1), Truth: truth})
-	status := waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(7, 1), Truth: truth})
+	status := waitForState(t, ts, jobID, client.StateDone)
 	if status.Progress == nil || status.Progress.Outer == 0 {
 		t.Errorf("finished job reports no progress: %+v", status.Progress)
 	}
@@ -213,8 +214,8 @@ func TestUploadFitPollResult(t *testing.T) {
 
 	// Same seed, second run → identical assignments (the determinism
 	// guarantee the API documents).
-	jobID2 := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
-	waitForState(t, ts, jobID2, jobDone)
+	jobID2 := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
+	waitForState(t, ts, jobID2, client.StateDone)
 	res2 := fetchResult(t, ts, jobID2)
 	for i := range res.Objects {
 		if res.Objects[i].Cluster != res2.Objects[i].Cluster {
@@ -238,14 +239,14 @@ func TestConcurrentJobsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i, p int) {
 			defer wg.Done()
-			ids[i] = submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(11, p)})
+			ids[i] = submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(11, p)})
 		}(i, p)
 	}
 	wg.Wait()
 
-	results := make([]resultResponse, len(ids))
+	results := make([]client.Result, len(ids))
 	for i, id := range ids {
-		waitForState(t, ts, id, jobDone)
+		waitForState(t, ts, id, client.StateDone)
 		results[i] = fetchResult(t, ts, id)
 	}
 	base := results[0]
@@ -280,16 +281,16 @@ func TestCancelMidFit(t *testing.T) {
 
 	outer, em, par, initSeeds := 1_000_000, 50, 2, 1
 	var seed int64 = 5
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, EMIters: &em, Parallelism: &par, InitSeeds: &initSeeds, Seed: &seed,
 	}})
-	waitForState(t, ts, jobID, jobRunning)
+	waitForState(t, ts, jobID, client.StateRunning)
 
 	code, _ := doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, nil)
 	if code != http.StatusOK {
 		t.Fatalf("cancel: status %d", code)
 	}
-	status := waitForState(t, ts, jobID, jobCancelled)
+	status := waitForState(t, ts, jobID, client.StateCancelled)
 	if status.Error == "" {
 		t.Error("cancelled job carries no reason")
 	}
@@ -323,20 +324,20 @@ func TestCancelQueuedJob(t *testing.T) {
 	netID := uploadNetwork(t, ts, network)
 
 	outer, em, initSeeds := 1_000_000, 50, 1
-	slow := &jobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
-	blocker := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
-	waitForState(t, ts, blocker, jobRunning)
+	slow := &client.JobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
+	blocker := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
+	waitForState(t, ts, blocker, client.StateRunning)
 
-	queued := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
+	queued := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
 	if code, _ := doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+queued, nil); code != http.StatusOK {
 		t.Fatalf("cancel queued: status %d", code)
 	}
-	waitForState(t, ts, queued, jobCancelled)
+	waitForState(t, ts, queued, client.StateCancelled)
 
 	if code, _ := doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+blocker, nil); code != http.StatusOK {
 		t.Fatal("cancel blocker failed")
 	}
-	waitForState(t, ts, blocker, jobCancelled)
+	waitForState(t, ts, blocker, client.StateCancelled)
 }
 
 func TestMalformedPayloadsAre4xx(t *testing.T) {
@@ -398,12 +399,12 @@ func TestQueueBackpressure(t *testing.T) {
 	netID := uploadNetwork(t, ts, network)
 
 	outer, em, initSeeds := 1_000_000, 50, 1
-	slow := &jobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
-	running := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
-	waitForState(t, ts, running, jobRunning)
-	queued := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
+	slow := &client.JobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
+	running := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
+	waitForState(t, ts, running, client.StateRunning)
+	queued := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
 
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, K: 2, Options: slow})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, K: 2, Options: slow})
 	code, body := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("third submission: status %d, want 503: %s", code, body)
@@ -411,7 +412,7 @@ func TestQueueBackpressure(t *testing.T) {
 
 	for _, id := range []string{running, queued} {
 		doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-		waitForState(t, ts, id, jobCancelled)
+		waitForState(t, ts, id, client.StateCancelled)
 	}
 }
 
@@ -420,14 +421,14 @@ func TestResultBeforeDoneIs409(t *testing.T) {
 	network, _ := testNetworkJSON(t, 400, 9)
 	netID := uploadNetwork(t, ts, network)
 	outer, em, initSeeds := 1_000_000, 50, 1
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2,
-		Options: &jobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}})
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2,
+		Options: &client.JobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}})
 	code, _ := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/jobs/"+jobID+"/result", nil)
 	if code != http.StatusConflict {
 		t.Fatalf("result of unfinished job: status %d, want 409", code)
 	}
 	doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, nil)
-	waitForState(t, ts, jobID, jobCancelled)
+	waitForState(t, ts, jobID, client.StateCancelled)
 }
 
 // fakeClock drives TTL eviction without real sleeping.
@@ -453,8 +454,8 @@ func TestTTLEviction(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, JobTTL: time.Minute, now: clock.Now})
 	network, _ := testNetworkJSON(t, 10, 10)
 	netID := uploadNetwork(t, ts, network)
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(1, 1)})
-	waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(1, 1)})
+	waitForState(t, ts, jobID, client.StateDone)
 
 	// Within the TTL nothing is evicted.
 	s.store.sweep()
@@ -467,7 +468,7 @@ func TestTTLEviction(t *testing.T) {
 	if code, _ := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/jobs/"+jobID, nil); code != http.StatusNotFound {
 		t.Fatalf("finished job survived the TTL sweep: %d", code)
 	}
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, K: 2})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, K: 2})
 	if code, _ := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload); code != http.StatusNotFound {
 		t.Fatalf("idle network survived the TTL sweep: %d", code)
 	}
@@ -482,10 +483,10 @@ func TestTTLPinsNetworkWithQueuedJob(t *testing.T) {
 	netID := uploadNetwork(t, ts, network)
 
 	outer, em, initSeeds := 1_000_000, 50, 1
-	slow := &jobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
-	running := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
-	waitForState(t, ts, running, jobRunning)
-	queued := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
+	slow := &client.JobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
+	running := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
+	waitForState(t, ts, running, client.StateRunning)
+	queued := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
 
 	clock.Advance(10 * time.Minute)
 	s.store.sweep()
@@ -495,7 +496,7 @@ func TestTTLPinsNetworkWithQueuedJob(t *testing.T) {
 
 	for _, id := range []string{running, queued} {
 		doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
-		waitForState(t, ts, id, jobCancelled)
+		waitForState(t, ts, id, client.StateCancelled)
 	}
 }
 
@@ -513,10 +514,10 @@ func TestCloseFailsOverQueuedJobs(t *testing.T) {
 	network, _ := testNetworkJSON(t, 400, 13)
 	netID := uploadNetwork(t, ts, network)
 	outer, em, initSeeds := 1_000_000, 50, 1
-	slow := &jobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
-	running := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
-	waitForState(t, ts, running, jobRunning)
-	queued := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: slow})
+	slow := &client.JobOptions{OuterIters: &outer, EMIters: &em, InitSeeds: &initSeeds}
+	running := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
+	waitForState(t, ts, running, client.StateRunning)
+	queued := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: slow})
 
 	s.Close()
 
@@ -530,7 +531,7 @@ func TestCloseFailsOverQueuedJobs(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("job %s (state %s) never terminal after Close", id, j.snapshot().state)
 		}
-		if state := j.snapshot().state; state != jobCancelled {
+		if state := j.snapshot().state; state != client.StateCancelled {
 			t.Fatalf("job %s state after Close = %s, want cancelled", id, state)
 		}
 	}
@@ -542,7 +543,7 @@ func TestHealthz(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
-	var resp healthResponse
+	var resp client.Health
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +555,7 @@ func TestHealthz(t *testing.T) {
 // readSSE consumes the events stream of a job until the final "state"
 // event (terminal) or the stream ends, returning the event names in order
 // and the last state payload seen.
-func readSSE(t *testing.T, body io.Reader) (names []string, lastState jobResponse, progressSeen int) {
+func readSSE(t *testing.T, body io.Reader) (names []string, lastState client.Job, progressSeen int) {
 	t.Helper()
 	sc := bufio.NewScanner(body)
 	var evType, data string
@@ -596,12 +597,12 @@ func TestJobEventsStream(t *testing.T) {
 	// until the stream is attached — that guarantees the subscription
 	// observes live progress instead of racing a fast fit.
 	blockOuter, blockEM, one := 1_000_000, 50, 1
-	blocker := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	blocker := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &blockOuter, EMIters: &blockEM, InitSeeds: &one,
 	}})
-	waitForState(t, ts, blocker, jobRunning)
+	waitForState(t, ts, blocker, client.StateRunning)
 
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(3, 1)})
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(3, 1)})
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + jobID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -621,7 +622,7 @@ func TestJobEventsStream(t *testing.T) {
 	if progress == 0 {
 		t.Error("no progress events on a multi-iteration fit")
 	}
-	if last.State != jobDone {
+	if last.State != client.StateDone {
 		t.Fatalf("final state event reports %q, want done", last.State)
 	}
 	if last.Progress == nil || last.Progress.Outer == 0 {
@@ -636,7 +637,7 @@ func TestJobEventsStream(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	names2, last2, _ := readSSE(t, resp2.Body)
-	if len(names2) == 0 || last2.State != jobDone {
+	if len(names2) == 0 || last2.State != client.StateDone {
 		t.Fatalf("finished-job stream: events %v, state %q", names2, last2.State)
 	}
 
@@ -657,10 +658,10 @@ func TestJobEventsClientDisconnect(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	outer, em, par, initSeeds := 1_000_000, 50, 1, 1
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, EMIters: &em, Parallelism: &par, InitSeeds: &initSeeds,
 	}})
-	waitForState(t, ts, jobID, jobRunning)
+	waitForState(t, ts, jobID, client.StateRunning)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+jobID+"/events", nil)
@@ -682,7 +683,7 @@ func TestJobEventsClientDisconnect(t *testing.T) {
 	// Cancel the job; afterwards every goroutine the stream and fit spawned
 	// must exit even though the subscriber vanished first.
 	doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, nil)
-	waitForState(t, ts, jobID, jobCancelled)
+	waitForState(t, ts, jobID, client.StateCancelled)
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -709,14 +710,14 @@ func TestWarmStartFromJob(t *testing.T) {
 	outer, em := 20, 30
 	emTol, outerTol := 1e-9, 1e-9
 	var seed int64 = 7
-	coldID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	coldID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, EMIters: &em, EMTol: &emTol, OuterTol: &outerTol, Seed: &seed,
 	}})
-	waitForState(t, ts, coldID, jobDone)
+	waitForState(t, ts, coldID, client.StateDone)
 	cold := fetchResult(t, ts, coldID)
 
-	warmID := submitJob(t, ts, jobRequest{NetworkID: netID, WarmStartFrom: coldID})
-	waitForState(t, ts, warmID, jobDone)
+	warmID := submitJob(t, ts, client.JobSpec{NetworkID: netID, WarmStartFrom: coldID})
+	waitForState(t, ts, warmID, client.StateDone)
 	warm := fetchResult(t, ts, warmID)
 
 	if warm.K != cold.K {
@@ -732,27 +733,27 @@ func TestWarmStartFromJob(t *testing.T) {
 	}
 
 	// Error surface: unknown source job, unfinished source job, K mismatch.
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, WarmStartFrom: "job_missing"})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, WarmStartFrom: "job_missing"})
 	if code, _ := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload); code != http.StatusNotFound {
 		t.Fatalf("warm start from unknown job: status %d, want 404", code)
 	}
-	payload, _ = json.Marshal(jobRequest{NetworkID: netID, K: 3, WarmStartFrom: coldID})
+	payload, _ = json.Marshal(client.JobSpec{NetworkID: netID, K: 3, WarmStartFrom: coldID})
 	if code, _ := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload); code != http.StatusBadRequest {
 		t.Fatalf("warm start with mismatched K: status %d, want 400", code)
 	}
 
 	slow := 1_000_000
 	one := 1
-	runningID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	runningID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &slow, EMIters: &em, InitSeeds: &one,
 	}})
-	waitForState(t, ts, runningID, jobRunning)
-	payload, _ = json.Marshal(jobRequest{NetworkID: netID, WarmStartFrom: runningID})
+	waitForState(t, ts, runningID, client.StateRunning)
+	payload, _ = json.Marshal(client.JobSpec{NetworkID: netID, WarmStartFrom: runningID})
 	if code, _ := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", payload); code != http.StatusConflict {
 		t.Fatalf("warm start from running job: status %d, want 409", code)
 	}
 	doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+runningID, nil)
-	waitForState(t, ts, runningID, jobCancelled)
+	waitForState(t, ts, runningID, client.StateCancelled)
 }
 
 // TestDrainStreamsEndsLiveStream: a graceful shutdown must not be held
@@ -765,10 +766,10 @@ func TestDrainStreamsEndsLiveStream(t *testing.T) {
 	netID := uploadNetwork(t, ts, network)
 
 	outer, em, one := 1_000_000, 50, 1
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: &jobOptions{
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: &client.JobOptions{
 		OuterIters: &outer, EMIters: &em, InitSeeds: &one,
 	}})
-	waitForState(t, ts, jobID, jobRunning)
+	waitForState(t, ts, jobID, client.StateRunning)
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + jobID + "/events")
 	if err != nil {
@@ -793,5 +794,5 @@ func TestDrainStreamsEndsLiveStream(t *testing.T) {
 	}
 
 	doReq(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+jobID, nil)
-	waitForState(t, ts, jobID, jobCancelled)
+	waitForState(t, ts, jobID, client.StateCancelled)
 }

@@ -274,7 +274,7 @@ func (st *store) sweep() (evictedJobs []string, evictedNets map[string]*networkE
 	pinned := make(map[string]bool)
 	for id, j := range st.jobs {
 		snap := j.snapshot()
-		if snap.terminal() {
+		if snap.state.Terminal() {
 			if now.Sub(snap.finished) > st.ttl {
 				delete(st.jobs, id)
 				st.evictedJobs[id] = now
@@ -402,12 +402,12 @@ func (st *store) numModels() int {
 }
 
 // jobCounts tallies jobs by state for /healthz.
-func (st *store) jobCounts() map[jobState]int {
+func (st *store) jobCounts() map[string]int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make(map[jobState]int)
+	out := make(map[string]int)
 	for _, j := range st.jobs {
-		out[j.snapshot().state]++
+		out[string(j.snapshot().state)]++
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/hin"
 	"genclus/internal/infer"
@@ -316,7 +317,7 @@ func (sup *supervisor) settleRefit() {
 		return
 	}
 	snap := j.snapshot()
-	if snap.state == jobDone {
+	if snap.state == client.StateDone {
 		sup.mu.Lock()
 		sup.succeeded++
 		sup.lastModelID = snap.modelID
@@ -455,31 +456,21 @@ func (sup *supervisor) driftEngine(e *modelEntry) error {
 	return nil
 }
 
-// status is the supervisor's introspection snapshot for GET
-// /v1/networks/{id}/supervisor.
-type supervisorStatus struct {
-	lastRefitGen int
-	lastDrift    float64
-	lastModelID  string
-	refitJobID   string
-	triggered    int64
-	succeeded    int64
-	failed       int64
-}
-
-func (sup *supervisor) status() supervisorStatus {
+// status fills the supervisor's fields of the GET
+// /v1/networks/{id}/supervisor report; st.Generation must already hold the
+// live view generation.
+func (sup *supervisor) status(st *client.SupervisorStatus) {
 	sup.mu.Lock()
 	defer sup.mu.Unlock()
-	st := supervisorStatus{
-		lastRefitGen: sup.lastRefitGen,
-		lastDrift:    sup.lastDrift,
-		lastModelID:  sup.lastModelID,
-		triggered:    sup.triggered,
-		succeeded:    sup.succeeded,
-		failed:       sup.failed,
-	}
+	st.Active = true
+	st.LastRefitGeneration = sup.lastRefitGen
+	st.PendingMutations = st.Generation - sup.lastRefitGen
+	st.DriftScore = sup.lastDrift
+	st.LastModelID = sup.lastModelID
+	st.RefitsTriggered = sup.triggered
+	st.RefitsSucceeded = sup.succeeded
+	st.RefitsFailed = sup.failed
 	if sup.refit != nil {
-		st.refitJobID = sup.refit.id
+		st.RefitJobID = sup.refit.id
 	}
-	return st
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/snapshot"
 )
 
@@ -27,8 +28,8 @@ func TestSupervisorAutoRefitUnderLoad(t *testing.T) {
 	network, _ := testNetworkJSON(t, 20, 1)
 	netID := uploadNetwork(t, ts, network)
 
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
-	baseModelID := waitForState(t, ts, jobID, jobDone).ModelID
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
+	baseModelID := waitForState(t, ts, jobID, client.StateDone).ModelID
 	if baseModelID == "" {
 		t.Fatal("finished fit published no model")
 	}
@@ -69,7 +70,7 @@ func TestSupervisorAutoRefitUnderLoad(t *testing.T) {
 		}
 	}
 
-	var st supervisorStatusResponse
+	var st client.SupervisorStatus
 	waitFor(t, 60*time.Second, func() bool {
 		st = supStatus(t, ts, netID)
 		return st.RefitsSucceeded == 1
@@ -103,8 +104,8 @@ func TestSupervisorAutoRefitUnderLoad(t *testing.T) {
 	// Manual warm start from the same base model on the same generation-3
 	// view must reproduce the auto-refit model bit for bit (meta differs —
 	// job id, timestamps — so compare the meta-free encodings).
-	manualJob := submitJob(t, ts, jobRequest{NetworkID: netID, WarmStartFromModel: baseModelID})
-	manualModelID := waitForState(t, ts, manualJob, jobDone).ModelID
+	manualJob := submitJob(t, ts, client.JobSpec{NetworkID: netID, WarmStartFromModel: baseModelID})
+	manualModelID := waitForState(t, ts, manualJob, client.StateDone).ModelID
 	manualEntry, ok := s.store.model(manualModelID)
 	if !ok {
 		t.Fatal("manual refit model not in the registry")
@@ -141,8 +142,8 @@ func TestSupervisorDriftTrigger(t *testing.T) {
 	})
 	network, _ := testNetworkJSON(t, 10, 1)
 	netID := uploadNetwork(t, ts, network)
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
-	waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
+	waitForState(t, ts, jobID, client.StateDone)
 
 	// A brand-new object with no links: the drift sample is exactly this
 	// object, which the model cannot place — drift 1.0 ≥ 0.5.
@@ -151,7 +152,7 @@ func TestSupervisorDriftTrigger(t *testing.T) {
 		t.Fatal("mutation failed")
 	}
 
-	var st supervisorStatusResponse
+	var st client.SupervisorStatus
 	waitFor(t, 60*time.Second, func() bool {
 		st = supStatus(t, ts, netID)
 		return st.RefitsSucceeded == 1
@@ -175,8 +176,8 @@ func TestSupervisorStopsWithServer(t *testing.T) {
 	})
 	network, _ := testNetworkJSON(t, 10, 1)
 	netID := uploadNetwork(t, ts, network)
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
-	waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(7, 1)})
+	waitForState(t, ts, jobID, client.StateDone)
 	if code, _ := mutate(t, ts, http.MethodPost, "/v1/networks/"+netID+"/objects",
 		`{"objects":[{"id":"x1","type":"doc"}]}`); code != http.StatusOK {
 		t.Fatal("mutation failed")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/trace"
 )
 
@@ -55,7 +56,7 @@ func TestJobTraceTimeline(t *testing.T) {
 	opts := quickOpts(11, 1)
 	learn := false
 	opts.LearnGamma = &learn
-	payload, _ := json.Marshal(jobRequest{NetworkID: netID, K: 2, Options: opts})
+	payload, _ := json.Marshal(client.JobSpec{NetworkID: netID, K: 2, Options: opts})
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestJobTraceTimeline(t *testing.T) {
 	if hr.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", hr.StatusCode, body)
 	}
-	var jr jobResponse
+	var jr client.Job
 	if err := json.Unmarshal(body, &jr); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestJobTraceTimeline(t *testing.T) {
 		t.Fatalf("job trace_id %q, want the caller's trace id %q", jr.TraceID, wantTrace)
 	}
 
-	waitForState(t, ts, jr.ID, jobDone)
+	waitForState(t, ts, jr.ID, client.StateDone)
 	tr := fetchTrace(t, ts, "/v1/jobs/"+jr.ID+"/trace")
 	if tr.TraceID != wantTrace {
 		t.Fatalf("trace id %q, want caller's %q", tr.TraceID, wantTrace)
@@ -91,8 +92,8 @@ func TestJobTraceTimeline(t *testing.T) {
 	if root.End == "" {
 		t.Error("terminal job's root span still open")
 	}
-	if st, _ := root.Attrs["state"].(string); st != string(jobDone) {
-		t.Errorf("root state attr %v, want %q", root.Attrs["state"], jobDone)
+	if st, _ := root.Attrs["state"].(string); st != string(client.StateDone) {
+		t.Errorf("root state attr %v, want %q", root.Attrs["state"], client.StateDone)
 	}
 	if len(spansNamed(tr, "job.queue_wait")) != 1 {
 		t.Error("missing job.queue_wait span")
@@ -309,8 +310,8 @@ func TestSupervisorDecisionTrace(t *testing.T) {
 	})
 	network, _ := testNetworkJSON(t, 10, 5)
 	netID := uploadNetwork(t, ts, network)
-	jobID := submitJob(t, ts, jobRequest{NetworkID: netID, K: 2, Options: quickOpts(3, 1)})
-	waitForState(t, ts, jobID, jobDone)
+	jobID := submitJob(t, ts, client.JobSpec{NetworkID: netID, K: 2, Options: quickOpts(3, 1)})
+	waitForState(t, ts, jobID, client.StateDone)
 
 	// A brand-new linkless object the model has never seen: maximal drift,
 	// so the next evaluation tick decides to refit.
