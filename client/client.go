@@ -79,21 +79,36 @@ func New(baseURL string, opts ...Option) *Client {
 
 // APIError is a non-2xx response from the service, carrying the HTTP
 // status, the server's error message, and — when the server set one — its
-// machine-readable error code.
+// machine-readable error code. Its JSON form is the service's error body,
+// {"error", "code", "request_id"}, which genclusd writes from this type.
 type APIError struct {
-	StatusCode int    // HTTP status the service answered with
-	Message    string // server-side error description
-	Code       string // machine-readable condition (e.g. "job_evicted"), "" when unset
+	StatusCode int    `json:"-"`              // HTTP status the service answered with
+	Message    string `json:"error"`          // server-side error description
+	Code       string `json:"code,omitempty"` // machine-readable condition (one of the Code constants), "" when unset
 	// RequestID is the server-assigned id of the failed request — its trace
 	// id. Quote it in bug reports; the server resolves it on GET
 	// /v1/traces/{id} while the trace is retained. "" from servers (or
 	// proxies) that sent none.
-	RequestID string
+	RequestID string `json:"request_id,omitempty"`
 	// RetryAfter is the server's Retry-After hint on 429 responses (zero
 	// when the server sent none); retries honor it over the exponential
 	// backoff when it is longer.
-	RetryAfter time.Duration
+	RetryAfter time.Duration `json:"-"`
 }
+
+// The machine-readable error codes the service sets on APIError.Code, for
+// conditions a client should distinguish programmatically.
+const (
+	// CodeJobEvicted marks a 404 for a job that existed but outlived its
+	// TTL, as opposed to never having existed (ErrJobEvicted).
+	CodeJobEvicted = "job_evicted"
+	// CodeOverloaded marks a 429 from assign admission control: the
+	// request was shed before any work happened (ErrOverloaded).
+	CodeOverloaded = "overloaded"
+	// CodeReadOnlyReplica marks a 403 from a mutating route on a read-only
+	// replica (ErrReadOnlyReplica).
+	CodeReadOnlyReplica = "read_only_replica"
+)
 
 // Error implements the error interface. The server's request id, when
 // present, rides along so any logged error is traceable server-side.
@@ -114,11 +129,11 @@ func (e *APIError) Error() string {
 func (e *APIError) Is(target error) bool {
 	switch target {
 	case ErrJobEvicted:
-		return e.Code == codeJobEvicted
+		return e.Code == CodeJobEvicted
 	case ErrOverloaded:
-		return e.Code == codeOverloaded
+		return e.Code == CodeOverloaded
 	case ErrReadOnlyReplica:
-		return e.Code == codeReadOnlyReplica
+		return e.Code == CodeReadOnlyReplica
 	case ErrUnavailable:
 		switch e.StatusCode {
 		case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -128,17 +143,6 @@ func (e *APIError) Is(target error) bool {
 	return false
 }
 
-// codeJobEvicted is the server's error code for 404s on TTL-evicted jobs.
-const codeJobEvicted = "job_evicted"
-
-// codeOverloaded is the server's error code on 429s from assign admission
-// control.
-const codeOverloaded = "overloaded"
-
-// codeReadOnlyReplica is the server's error code on 403s from mutating
-// routes of a read-only replica.
-const codeReadOnlyReplica = "read_only_replica"
-
 // ErrOverloaded reports that the service shed the request under load (a
 // full assign queue, the global in-flight cap, or the configured rate
 // limit) with a 429. Idempotent requests retry automatically, honoring the
@@ -147,8 +151,8 @@ const codeReadOnlyReplica = "read_only_replica"
 var ErrOverloaded = errors.New("genclusd: overloaded, retry later")
 
 // ErrReadOnlyReplica reports a write sent to a read-only replica (a
-// genclusd running with -replica-of): the server answered 403 with code
-// "read_only_replica". Route the request to the primary instead — a
+// genclusd running with -replica-of): the server answered 403 with
+// CodeReadOnlyReplica. Route the request to the primary instead — a
 // MultiEndpoint does so automatically. Test with errors.Is; the concrete
 // error remains an *APIError with the full server message.
 var ErrReadOnlyReplica = errors.New("genclusd: read-only replica, send writes to the primary")
@@ -724,8 +728,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 		return nil, &transportError{method: method, path: path, err: err}
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg, code, reqID := errorMessage(data)
-		ae := &APIError{StatusCode: resp.StatusCode, Message: msg, Code: code, RequestID: reqID}
+		ae := apiError(resp.StatusCode, data)
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			ae.RetryAfter = time.Duration(secs) * time.Second
 		}
@@ -734,19 +737,16 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 	return data, nil
 }
 
-// errorMessage extracts the server's {"error", "code", "request_id"} body,
-// falling back to the raw text for non-JSON errors (proxies, older
-// servers).
-func errorMessage(body []byte) (msg, code, reqID string) {
-	var er struct {
-		Error     string `json:"error"`
-		Code      string `json:"code"`
-		RequestID string `json:"request_id"`
+// apiError builds the *APIError for a non-2xx response from the server's
+// error body, falling back to the raw text for non-JSON errors (proxies,
+// older servers).
+func apiError(status int, body []byte) *APIError {
+	ae := &APIError{}
+	if err := json.Unmarshal(body, ae); err != nil || ae.Message == "" {
+		ae = &APIError{Message: strings.TrimSpace(string(body))}
 	}
-	if err := json.Unmarshal(body, &er); err == nil && er.Error != "" {
-		return er.Error, er.Code, er.RequestID
-	}
-	return strings.TrimSpace(string(body)), "", ""
+	ae.StatusCode = status
+	return ae
 }
 
 // transient reports whether an error is worth retrying: anything

@@ -98,30 +98,13 @@ type MutationStats struct {
 	RefitsFailed    int64   `json:"refits_failed"`    // auto-refits that errored or were abandoned
 }
 
-// edgesMutation is the POST /v1/networks/{id}/edges body.
-type edgesMutation struct {
-	Add    []Edge    `json:"add,omitempty"`
-	Remove []EdgeRef `json:"remove,omitempty"`
-}
-
-// objectsMutation is the POST /v1/networks/{id}/objects body.
-type objectsMutation struct {
-	Objects []NewObject `json:"objects"`
-	Links   []Edge      `json:"links,omitempty"`
-}
-
-// attributesMutation is the PATCH /v1/networks/{id}/attributes body.
-type attributesMutation struct {
-	Set []AttributePatch `json:"set"`
-}
-
 // AddEdges adds links to a stored network (POST /v1/networks/{id}/edges),
 // publishing a new view generation. Relations may be new to the network;
 // both endpoints must exist. Like SubmitJob, mutations are NOT retried: a
 // retry after an ambiguous failure could apply the mutation twice (adds
 // are not idempotent — a repeated add duplicates parallel edges).
 func (c *Client) AddEdges(ctx context.Context, networkID string, edges []Edge) (*MutationResult, error) {
-	return c.mutate(ctx, http.MethodPost, networkID, "edges", edgesMutation{Add: edges})
+	return c.mutate(ctx, http.MethodPost, networkID, "edges", deltalog.Mutation{Add: edges})
 }
 
 // RemoveEdges removes edges from a stored network by (from, relation, to)
@@ -130,7 +113,7 @@ func (c *Client) AddEdges(ctx context.Context, networkID string, edges []Edge) (
 // with a 400 and no new generation is published. Not retried, like all
 // mutations.
 func (c *Client) RemoveEdges(ctx context.Context, networkID string, refs []EdgeRef) (*MutationResult, error) {
-	return c.mutate(ctx, http.MethodPost, networkID, "edges", edgesMutation{Remove: refs})
+	return c.mutate(ctx, http.MethodPost, networkID, "edges", deltalog.Mutation{Remove: refs})
 }
 
 // AddObjects adds objects — optionally with attribute observations and
@@ -139,7 +122,7 @@ func (c *Client) RemoveEdges(ctx context.Context, networkID string, refs []EdgeR
 // ones or to each other. Object IDs must be new to the network. Not
 // retried, like all mutations.
 func (c *Client) AddObjects(ctx context.Context, networkID string, objects []NewObject, links []Edge) (*MutationResult, error) {
-	return c.mutate(ctx, http.MethodPost, networkID, "objects", objectsMutation{Objects: objects, Links: links})
+	return c.mutate(ctx, http.MethodPost, networkID, "objects", deltalog.Mutation{Objects: objects, Links: links})
 }
 
 // PatchAttributes replaces attribute observations on existing objects
@@ -148,14 +131,16 @@ func (c *Client) AddObjects(ctx context.Context, networkID string, objects []New
 // memberships rest on links and its remaining observations. Not retried,
 // like all mutations.
 func (c *Client) PatchAttributes(ctx context.Context, networkID string, patches []AttributePatch) (*MutationResult, error) {
-	return c.mutate(ctx, http.MethodPatch, networkID, "attributes", attributesMutation{Set: patches})
+	return c.mutate(ctx, http.MethodPatch, networkID, "attributes", deltalog.Mutation{Set: patches})
 }
 
-// mutate issues one mutation request and decodes the applied-generation
-// response. Validation failures come back as *APIError: 400 for malformed
-// or contradictory mutations, 413 for mutations that would push the
-// network past the server's limits, 404 for an unknown network.
-func (c *Client) mutate(ctx context.Context, method, networkID, surface string, doc any) (*MutationResult, error) {
+// mutate issues one mutation request — the body is a deltalog.Mutation
+// without its op, which the endpoint implies — and decodes the
+// applied-generation response. Validation failures come back as
+// *APIError: 400 for malformed or contradictory mutations, 413 for
+// mutations that would push the network past the server's limits, 404
+// for an unknown network.
+func (c *Client) mutate(ctx context.Context, method, networkID, surface string, doc deltalog.Mutation) (*MutationResult, error) {
 	payload, err := json.Marshal(doc)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode mutation: %w", err)

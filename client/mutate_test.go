@@ -2,6 +2,11 @@ package client_test
 
 import (
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,5 +133,64 @@ func TestSDKMutateAndSupervise(t *testing.T) {
 	}
 	if st, err = c.SupervisorStatus(ctx, info.ID); err != nil || st.Generation != 4 {
 		t.Fatalf("generation after failed mutation: %+v, %v", st, err)
+	}
+}
+
+// TestMutationRequestBodies pins the exact bytes each SDK mutation call
+// sends: a deltalog.Mutation whose op the endpoint implies, so the body
+// omits it.
+func TestMutationRequestBodies(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		got = append(got, r.Method+" "+r.URL.Path+" "+string(body))
+		mu.Unlock()
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := t.Context()
+	link := client.Edge{From: "a", To: "b", Relation: "cites", Weight: 1.5}
+	for _, call := range []func() (*client.MutationResult, error){
+		func() (*client.MutationResult, error) { return c.AddEdges(ctx, "n1", []client.Edge{link}) },
+		func() (*client.MutationResult, error) {
+			return c.RemoveEdges(ctx, "n1", []client.EdgeRef{{From: "a", To: "b", Relation: "cites"}})
+		},
+		func() (*client.MutationResult, error) {
+			return c.AddObjects(ctx, "n1", []client.NewObject{{
+				ID: "x", Type: "doc",
+				Terms:   map[string][]client.TermCount{"text": {{Term: 2, Count: 3}}},
+				Numeric: map[string][]float64{"year": {2001}},
+			}}, []client.Edge{link})
+		},
+		func() (*client.MutationResult, error) {
+			return c.AddObjects(ctx, "n1", []client.NewObject{{ID: "y", Type: "doc"}}, nil)
+		},
+		func() (*client.MutationResult, error) {
+			return c.PatchAttributes(ctx, "n1", []client.AttributePatch{{ID: "x", Numeric: map[string][]float64{"year": {}}}})
+		},
+	} {
+		if _, err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		`POST /v1/networks/n1/edges {"add":[{"from":"a","to":"b","rel":"cites","w":1.5}]}`,
+		`POST /v1/networks/n1/edges {"remove":[{"from":"a","to":"b","rel":"cites"}]}`,
+		`POST /v1/networks/n1/objects {"objects":[{"id":"x","type":"doc","terms":{"text":[{"t":2,"c":3}]},"numeric":{"year":[2001]}}],"links":[{"from":"a","to":"b","rel":"cites","w":1.5}]}`,
+		`POST /v1/networks/n1/objects {"objects":[{"id":"y","type":"doc"}]}`,
+		`PATCH /v1/networks/n1/attributes {"set":[{"id":"x","numeric":{"year":[]}}]}`,
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != len(want) {
+		t.Fatalf("requests:\n%s", strings.Join(got, "\n"))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("request %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
 	}
 }

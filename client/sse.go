@@ -46,8 +46,7 @@ func (c *Client) StreamEvents(ctx context.Context, jobID string, fn func(Event) 
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg, code, reqID := errorMessage(data)
-		return &APIError{StatusCode: resp.StatusCode, Message: msg, Code: code, RequestID: reqID}
+		return apiError(resp.StatusCode, data)
 	}
 
 	sc := bufio.NewScanner(resp.Body)

@@ -40,17 +40,18 @@
 // /v1/models/{id}/assign: batches of new objects fold into a model's
 // hidden space without refitting. Each request runs its own inference pass
 // under the model's engine lock. -assign-max-batch caps a single request's
-// batch. Admission control sheds overload with typed 429 "overloaded"
-// responses: -assign-max-queue bounds the query objects waiting for one
-// model's engine, -assign-max-inflight caps concurrent assign requests
-// globally, and -assign-rps adds an optional token-bucket rate limit.
+// batch. Admission control sheds overload with typed 429 responses (code
+// client.CodeOverloaded): -assign-max-queue bounds the query objects
+// waiting for one model's engine, -assign-max-inflight caps concurrent
+// assign requests globally, and -assign-rps adds an optional token-bucket
+// rate limit.
 //
 // With -replica-of URL the daemon runs as a read-only replica of another
 // genclusd: a sync loop mirrors the primary's /v1/models registry by
 // snapshot digest (pulling only changed models over /v1/models/{id}/export,
 // verified against the advertised SHA-256 before install), /assign and
 // every read endpoint serve from the synced registry, and mutating routes
-// answer a typed 403 {"code":"read_only_replica"}. -sync-interval sets the
+// answer a typed 403 (client.CodeReadOnlyReplica). -sync-interval sets the
 // pull cadence; GET /v1/replication, /healthz and /metrics expose sync lag
 // and counters. Combine with -data-dir so a restarted replica resumes from
 // its persisted registry instead of re-downloading everything.

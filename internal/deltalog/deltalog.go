@@ -95,9 +95,11 @@ type AttrPatch struct {
 }
 
 // Mutation is one decoded mutation — the union of the three op payloads,
-// discriminated by Op. Only the fields of the matching op may be set.
+// discriminated by Op. Only the fields of the matching op may be set. It is
+// both the delta-log record (Op always set) and the request body the Go
+// SDK sends to the mutation endpoints (Op omitted: the endpoint implies it).
 type Mutation struct {
-	Op Op `json:"op"` // the mutation surface; selects the payload below
+	Op Op `json:"op,omitempty"` // the mutation surface; selects the payload below
 	// OpEdges payload.
 	Add    []Link    `json:"add,omitempty"`    // links to add
 	Remove []EdgeRef `json:"remove,omitempty"` // edges to remove

@@ -12,23 +12,25 @@
 // cheap — an unchanged model is never re-downloaded, and a replica
 // restarted on its data dir resumes from whatever it had persisted.
 //
-// The Syncer owns no models itself; it drives a Registry implementation
-// (the server's model registry, or a fake in tests). Failures back off
-// exponentially and are surfaced via Status for /healthz, /metrics and
-// GET /v1/replication.
+// Both requests go through the Go SDK (package client) with its retries
+// off, so the Syncer's own backoff is the only retry policy, and every
+// response body is capped at MaxSnapshotBytes. The Syncer owns no models
+// itself; it drives a Registry implementation (the server's model
+// registry, or a fake in tests). Failures back off exponentially and are
+// surfaced as a client.ReplicationStats for /healthz, /metrics and GET
+// /v1/replication.
 package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/snapshot"
 	"genclus/internal/trace"
 )
@@ -55,57 +57,37 @@ type Config struct {
 	Registry Registry
 	// Interval is the pause between successful sync passes (default 2s).
 	Interval time.Duration
-	// MaxBackoff caps the exponential backoff between failed passes
-	// (default 30s, never below Interval).
-	MaxBackoff time.Duration
-	// Timeout bounds one whole sync pass — listing plus every export it
-	// decides to pull (default 1m).
-	Timeout time.Duration
-	// MaxSnapshotBytes caps a single export download (default 32 MiB, the
-	// daemon's default request-body bound); a primary advertising a bigger
-	// snapshot fails the pass rather than ballooning replica memory.
+	// MaxSnapshotBytes caps every response body from the primary — the
+	// listing and each export (default 32 MiB, the daemon's default
+	// request-body bound); a primary advertising a bigger snapshot fails
+	// the pass rather than ballooning replica memory.
 	MaxSnapshotBytes int64
-	// HTTPClient overrides the transport (default http.DefaultClient).
-	HTTPClient *http.Client
 	// Logger receives sync progress and failure lines (default
 	// slog.Default()).
 	Logger *slog.Logger
 	// Tracer, when set, records one trace per sync pass and propagates its
 	// traceparent on every list/export request, so a replica's pulls join
-	// up with the primary's request traces. Nil traces nothing.
+	// up with the primary's request traces. Nil records nothing; the
+	// requests then carry the traceparents the SDK mints.
 	Tracer *trace.Recorder
 	// Now is the test clock hook (default time.Now).
 	Now func() time.Time
 }
 
-// Status is a point-in-time snapshot of the sync loop's state.
-type Status struct {
-	Primary string // primary base URL
-	// Syncs counts completed passes; SyncErrors counts failed ones. A pass
-	// fails on any listing/transport/backpressure error and on any
-	// per-model verification or install failure within it.
-	Syncs      uint64
-	SyncErrors uint64
-	// ModelsSynced and ModelsDeleted count models installed and removed
-	// across all passes (not registry sizes).
-	ModelsSynced  uint64
-	ModelsDeleted uint64
-	// ConsecutiveFailures is the current failure streak driving backoff
-	// (0 after a successful pass).
-	ConsecutiveFailures int
-	LastAttempt         time.Time // when the last pass started
-	LastSync            time.Time // when the last successful pass finished
-	LastError           string    // message of the last failed pass ("" after success)
-	// LagSeconds is the staleness bound: time since the last successful
-	// pass (or since the Syncer was created, before the first one).
-	LagSeconds float64
-}
+const (
+	// maxBackoff caps the exponential backoff between failed passes (never
+	// below Interval).
+	maxBackoff = 30 * time.Second
+	// passTimeout bounds one whole sync pass — listing plus every export
+	// it decides to pull.
+	passTimeout = time.Minute
+)
 
 // Syncer runs the replication loop. Create with New, then Start; Stop
 // cancels any in-flight pass and waits for the loop goroutine to exit.
 type Syncer struct {
 	cfg    Config
-	hc     *http.Client
+	c      *client.Client
 	log    *slog.Logger
 	now    func() time.Time
 	cancel context.CancelFunc // aborts in-flight requests on Stop
@@ -115,16 +97,10 @@ type Syncer struct {
 	stopOnce  sync.Once
 	stopped   chan struct{}
 
-	mu       sync.Mutex
-	created  time.Time
-	syncs    uint64
-	errs     uint64
-	synced   uint64
-	deleted  uint64
-	failures int
-	attempt  time.Time
-	success  time.Time
-	lastErr  string
+	mu sync.Mutex
+	st client.ReplicationStats // counters; Status fills in LagSeconds
+	// since is the lag origin: creation, then each successful pass's end.
+	since time.Time
 }
 
 // New validates the config and builds a stopped Syncer.
@@ -138,21 +114,8 @@ func New(cfg Config) (*Syncer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 30 * time.Second
-	}
-	if cfg.MaxBackoff < cfg.Interval {
-		cfg.MaxBackoff = cfg.Interval
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = time.Minute
-	}
 	if cfg.MaxSnapshotBytes <= 0 {
 		cfg.MaxSnapshotBytes = 32 << 20
-	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -162,17 +125,32 @@ func New(cfg Config) (*Syncer, error) {
 	if now == nil {
 		now = time.Now
 	}
+	hc := &http.Client{Transport: cappedTransport(cfg.MaxSnapshotBytes)}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Syncer{
 		cfg:     cfg,
-		hc:      hc,
+		c:       client.New(cfg.Primary, client.WithHTTPClient(hc), client.WithRetries(0, 0)),
 		log:     log,
 		now:     now,
 		ctx:     ctx,
 		cancel:  cancel,
 		stopped: make(chan struct{}),
-		created: now(),
+		st:      client.ReplicationStats{Active: true, Primary: cfg.Primary},
+		since:   now(),
 	}, nil
+}
+
+// cappedTransport wraps every response body in a reader that fails past n
+// bytes, so neither the listing nor an export can outgrow the cap.
+type cappedTransport int64
+
+// RoundTrip implements http.RoundTripper over http.DefaultTransport.
+func (n cappedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		resp.Body = http.MaxBytesReader(nil, resp.Body, int64(n))
+	}
+	return resp, err
 }
 
 // Start launches the sync loop: an immediate first pass, then one per
@@ -195,7 +173,7 @@ func (s *Syncer) Stop() {
 func (s *Syncer) run() {
 	defer close(s.stopped)
 	for {
-		ctx, cancel := context.WithTimeout(s.ctx, s.cfg.Timeout)
+		ctx, cancel := context.WithTimeout(s.ctx, passTimeout)
 		_ = s.SyncOnce(ctx)
 		cancel()
 		select {
@@ -210,9 +188,9 @@ func (s *Syncer) run() {
 // success, exponential backoff while failing.
 func (s *Syncer) nextDelay() time.Duration {
 	s.mu.Lock()
-	failures := s.failures
+	failures := s.st.ConsecutiveFailures
 	s.mu.Unlock()
-	return backoff(s.cfg.Interval, failures, s.cfg.MaxBackoff)
+	return backoff(s.cfg.Interval, failures, max(maxBackoff, s.cfg.Interval))
 }
 
 // backoff is the delay schedule: base after success (failures == 0), then
@@ -232,15 +210,11 @@ func backoff(base time.Duration, failures int, max time.Duration) time.Duration 
 // The loop calls it on its own cadence; tests (and operators embedding the
 // Syncer) may call it directly.
 func (s *Syncer) SyncOnce(ctx context.Context) error {
-	s.mu.Lock()
-	s.attempt = s.now()
-	s.mu.Unlock()
-
 	// One trace per pass; its traceparent rides every outbound request via
 	// the context, so the primary's request traces share this trace id.
 	span := s.cfg.Tracer.StartTrace("replica.sync_pass", trace.SpanContext{}, s.now())
 	span.SetAttr("primary", s.cfg.Primary)
-	ctx = withTraceparent(ctx, span.Context().Traceparent())
+	ctx = client.WithTraceparent(ctx, span.Context().Traceparent())
 	installed, removed, err := s.pass(ctx)
 	span.SetAttr("models_synced", installed)
 	span.SetAttr("models_deleted", removed)
@@ -250,19 +224,20 @@ func (s *Syncer) SyncOnce(ctx context.Context) error {
 	span.End(s.now())
 
 	s.mu.Lock()
-	s.synced += uint64(installed)
-	s.deleted += uint64(removed)
+	s.st.ModelsSynced += uint64(installed)
+	s.st.ModelsDeleted += uint64(removed)
 	if err != nil {
-		s.errs++
-		s.failures++
-		s.lastErr = err.Error()
+		s.st.SyncErrors++
+		s.st.ConsecutiveFailures++
+		s.st.LastError = err.Error()
 	} else {
-		s.syncs++
-		s.failures = 0
-		s.lastErr = ""
-		s.success = s.now()
+		s.since = s.now()
+		s.st.Syncs++
+		s.st.ConsecutiveFailures = 0
+		s.st.LastError = ""
+		s.st.LastSync = s.since.UTC().Format(time.RFC3339Nano)
 	}
-	failures := s.failures
+	failures := s.st.ConsecutiveFailures
 	s.mu.Unlock()
 
 	if err != nil {
@@ -282,16 +257,18 @@ func (s *Syncer) SyncOnce(ctx context.Context) error {
 }
 
 // pass is one reconciliation: list, pull what differs, delete what the
-// primary dropped. A listing or transport/backpressure failure aborts the
-// pass before any install (no partial state from a sick primary, and no
-// hammering one that answered 429/503); a per-model digest mismatch or
-// install failure skips that model but lets the rest of the pass proceed.
-// Deletes run only off a successfully-fetched listing, so an unreachable
-// primary can never mass-delete a replica's registry.
+// primary dropped. A failed listing aborts the pass before any install, and
+// a failed export (transport, backpressure, an over-cap body) aborts it at
+// that model — no hammering a primary that answered 429/503 — keeping what
+// earlier models installed. A per-model digest mismatch or install failure
+// skips that model but lets the rest of the pass proceed; the pass's error
+// joins every one of them. Deletes run only after every export, off a
+// successfully-fetched listing, so an unreachable primary can never
+// mass-delete a replica's registry.
 func (s *Syncer) pass(ctx context.Context) (installed, removed int, err error) {
-	listed, err := s.listPrimary(ctx)
+	listed, err := s.c.ListModels(ctx)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("replica: list models: %w", err)
 	}
 	local := s.cfg.Registry.LocalModels()
 	var modelErrs []error
@@ -299,13 +276,17 @@ func (s *Syncer) pass(ctx context.Context) (installed, removed int, err error) {
 		if local[m.ID] == m.Digest {
 			continue
 		}
-		data, err := s.export(ctx, m.ID)
+		data, err := s.c.ExportModel(ctx, m.ID)
+		if client.IsNotFound(err) {
+			continue // deleted between listing and export; next pass reconciles
+		}
 		if err != nil {
-			var he *httpError
-			if errors.As(err, &he) && he.status == http.StatusNotFound {
-				continue // deleted between listing and export; next pass reconciles
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				err = fmt.Errorf("snapshot exceeds %d bytes", tooBig.Limit)
 			}
-			return installed, 0, err
+			modelErrs = append(modelErrs, fmt.Errorf("replica: export model %s: %w", m.ID, err))
+			return installed, 0, errors.Join(modelErrs...)
 		}
 		if got := snapshot.DataDigest(data); got != m.Digest {
 			modelErrs = append(modelErrs, fmt.Errorf("model %s: export digest %s does not match listed %s", m.ID, got, m.Digest))
@@ -334,117 +315,13 @@ func (s *Syncer) pass(ctx context.Context) (installed, removed int, err error) {
 	return installed, removed, errors.Join(modelErrs...)
 }
 
-// listedModel is the slice of the primary's /v1/models row the sync needs.
-type listedModel struct {
-	ID     string `json:"id"`
-	Digest string `json:"digest"`
-}
-
-// httpError is a non-2xx primary response, kept typed so the pass can tell
-// "model vanished" (404) from backpressure and faults.
-type httpError struct {
-	op     string
-	status int
-}
-
-func (e *httpError) Error() string {
-	return fmt.Sprintf("replica: %s: primary answered %d", e.op, e.status)
-}
-
-// traceparentKey carries the sync pass's traceparent header value through
-// the context to every outbound request the pass makes.
-type traceparentKey struct{}
-
-// withTraceparent stores a non-empty traceparent on the context.
-func withTraceparent(ctx context.Context, tp string) context.Context {
-	if tp == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, traceparentKey{}, tp)
-}
-
-// injectTraceparent sets the pass's traceparent header, if any, on an
-// outbound request.
-func injectTraceparent(req *http.Request) {
-	if tp, ok := req.Context().Value(traceparentKey{}).(string); ok {
-		req.Header.Set("traceparent", tp)
-	}
-}
-
-// listPrimary fetches the primary's model registry listing.
-func (s *Syncer) listPrimary(ctx context.Context) ([]listedModel, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.cfg.Primary+"/v1/models", nil)
-	if err != nil {
-		return nil, fmt.Errorf("replica: build list request: %w", err)
-	}
-	injectTraceparent(req)
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica: list models: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, &httpError{op: "list models", status: resp.StatusCode}
-	}
-	var out struct {
-		Models []listedModel `json:"models"`
-	}
-	// The listing is rows of metadata; even a maxed-out registry is far
-	// below the snapshot cap.
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.cfg.MaxSnapshotBytes)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("replica: decode model listing: %w", err)
-	}
-	return out.Models, nil
-}
-
-// export downloads one model's snapshot bytes, capped at MaxSnapshotBytes.
-func (s *Syncer) export(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.cfg.Primary+"/v1/models/"+id+"/export", nil)
-	if err != nil {
-		return nil, fmt.Errorf("replica: build export request: %w", err)
-	}
-	injectTraceparent(req)
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica: export model %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, &httpError{op: "export model " + id, status: resp.StatusCode}
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxSnapshotBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("replica: read export of model %s: %w", id, err)
-	}
-	if int64(len(data)) > s.cfg.MaxSnapshotBytes {
-		return nil, fmt.Errorf("replica: export of model %s exceeds %d bytes", id, s.cfg.MaxSnapshotBytes)
-	}
-	return data, nil
-}
-
 // Status returns the loop's current counters and staleness.
-func (s *Syncer) Status() Status {
+func (s *Syncer) Status() client.ReplicationStats {
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Status{
-		Primary:             s.cfg.Primary,
-		Syncs:               s.syncs,
-		SyncErrors:          s.errs,
-		ModelsSynced:        s.synced,
-		ModelsDeleted:       s.deleted,
-		ConsecutiveFailures: s.failures,
-		LastAttempt:         s.attempt,
-		LastSync:            s.success,
-		LastError:           s.lastErr,
-	}
-	since := s.created
-	if !s.success.IsZero() {
-		since = s.success
-	}
-	if lag := now.Sub(since).Seconds(); lag > 0 {
+	st := s.st
+	if lag := now.Sub(s.since).Seconds(); lag > 0 {
 		st.LagSeconds = lag
 	}
 	return st

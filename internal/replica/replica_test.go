@@ -8,12 +8,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"genclus/client"
 	"genclus/internal/snapshot"
+	"genclus/internal/trace"
 )
 
 // fakePrimary is a scriptable /v1/models + /v1/models/{id}/export server.
@@ -27,6 +30,7 @@ type fakePrimary struct {
 	failRemaining int  // how many export requests failStatus applies to (-1 = all)
 	listStatus    int  // non-zero: answer listings with this status
 	exportHits    map[string]int
+	traceparents  []string // the traceparent header of every request, in order
 
 	srv *httptest.Server
 }
@@ -48,14 +52,17 @@ func newFakePrimary(t *testing.T) *fakePrimary {
 func (p *fakePrimary) handleList(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.traceparents = append(p.traceparents, r.Header.Get("traceparent"))
 	if p.listStatus != 0 {
 		w.WriteHeader(p.listStatus)
 		return
 	}
-	var rows []listedModel
+	var rows []client.ModelInfo
 	for id, data := range p.models {
-		rows = append(rows, listedModel{ID: id, Digest: snapshot.DataDigest(data)})
+		rows = append(rows, client.ModelInfo{ID: id, Digest: snapshot.DataDigest(data)})
 	}
+	// Sorted by id, so a pass exports models in a known order.
+	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	json.NewEncoder(w).Encode(map[string]any{"models": rows})
 }
 
@@ -64,6 +71,7 @@ func (p *fakePrimary) handleExport(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.exportHits[id]++
+	p.traceparents = append(p.traceparents, r.Header.Get("traceparent"))
 	if p.failStatus != 0 && p.failRemaining != 0 {
 		if p.failRemaining > 0 {
 			p.failRemaining--
@@ -324,7 +332,7 @@ func TestSyncBackpressureAbortsPass(t *testing.T) {
 	if st := s.Status(); st.ConsecutiveFailures != 2 {
 		t.Fatalf("ConsecutiveFailures = %d, want 2", st.ConsecutiveFailures)
 	}
-	if d1, d2 := backoff(s.cfg.Interval, 1, s.cfg.MaxBackoff), s.nextDelay(); d2 <= d1 {
+	if d1, d2 := backoff(s.cfg.Interval, 1, maxBackoff), s.nextDelay(); d2 <= d1 {
 		t.Fatalf("backoff did not grow: %v then %v", d1, d2)
 	}
 
@@ -385,6 +393,101 @@ func TestSyncExportNotFoundSkipsModel(t *testing.T) {
 	}
 	if _, ok := reg.get("m-b"); !ok {
 		t.Fatal("m-b missing: 404 on a sibling aborted the pass")
+	}
+}
+
+// TestSyncExportFailureKeepsModelErrors fails the second export of a
+// pass after the first one's digest mismatched: the pass's error must name
+// both, not just the export that aborted it.
+func TestSyncExportFailureKeepsModelErrors(t *testing.T) {
+	p := newFakePrimary(t)
+	p.set("m-a", []byte("bytes-a"))
+	p.set("m-b", []byte("bytes-b"))
+	p.corruptExport = true
+	mux := p.srv.Config.Handler
+	p.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/models/m-b/export" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
+	reg := newFakeRegistry()
+	s := testSyncer(t, p.srv.URL, reg)
+
+	err := s.SyncOnce(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "m-a") || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("err = %v, want m-a's digest mismatch", err)
+	}
+	if !strings.Contains(err.Error(), "m-b") || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("err = %v, want m-b's 503", err)
+	}
+	if st := s.Status(); st.LastError != err.Error() || reg.size() != 0 {
+		t.Fatalf("status %+v, %d models installed", st, reg.size())
+	}
+}
+
+// TestSyncRefusesOversizedExport serves a listing under MaxSnapshotBytes
+// and an export over it: the pass fails and installs nothing.
+func TestSyncRefusesOversizedExport(t *testing.T) {
+	p := newFakePrimary(t)
+	p.set("m-big", []byte(strings.Repeat("x", 8192)))
+	reg := newFakeRegistry()
+	s, err := New(Config{
+		Primary:          p.srv.URL,
+		Registry:         reg,
+		MaxSnapshotBytes: 2048,
+		Logger:           slog.New(slog.NewTextHandler(testWriter{t}, nil)),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// The error names the model, so it is the export that failed, not the
+	// listing.
+	if err := s.SyncOnce(context.Background()); err == nil || !strings.Contains(err.Error(), "m-big") {
+		t.Fatalf("oversized export: err = %v, want m-big's export refused", err)
+	}
+	if _, ok := reg.get("m-big"); ok {
+		t.Fatal("oversized export was installed")
+	}
+	if st := s.Status(); st.SyncErrors != 1 {
+		t.Fatalf("SyncErrors = %d, want 1", st.SyncErrors)
+	}
+}
+
+// TestSyncPropagatesPassTrace checks that every request of one pass carries
+// a traceparent in the trace the pass recorded.
+func TestSyncPropagatesPassTrace(t *testing.T) {
+	p := newFakePrimary(t)
+	p.set("m-a", []byte("bytes-a"))
+	p.set("m-b", []byte("bytes-b"))
+	rec := trace.NewRecorder(4)
+	s, err := New(Config{
+		Primary:  p.srv.URL,
+		Registry: newFakeRegistry(),
+		Tracer:   rec,
+		Logger:   slog.New(slog.NewTextHandler(testWriter{t}, nil)),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := s.SyncOnce(context.Background()); err != nil {
+		t.Fatalf("pass: %v", err)
+	}
+	traces := rec.Recent()
+	if len(traces) != 1 || traces[0].Spans[0].Name != "replica.sync_pass" {
+		t.Fatalf("recorded traces: %+v, want one replica.sync_pass", traces)
+	}
+	want := traces[0].TraceID
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.traceparents) != 3 {
+		t.Fatalf("requests: %d, want a listing and two exports", len(p.traceparents))
+	}
+	for i, tp := range p.traceparents {
+		if sc, ok := trace.Parse(tp); !ok || sc.TraceID != want {
+			t.Errorf("request %d traceparent %q, want trace id %s", i, tp, want)
+		}
 	}
 }
 

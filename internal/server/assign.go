@@ -139,11 +139,6 @@ const (
 	shedRateLimit = "rate_limit"
 )
 
-// codeOverloaded is the machine-readable error code on 429 responses from
-// assign admission control; clients should back off (the response carries
-// Retry-After) and retry.
-const codeOverloaded = "overloaded"
-
 // overloadError is an admission-control rejection: which limiter shed the
 // request and how long the client should wait before retrying.
 type overloadError struct {
@@ -398,5 +393,5 @@ func (s *Server) rejectOverloaded(w http.ResponseWriter, oe *overloadError) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeErrorCode(w, http.StatusTooManyRequests, codeOverloaded, "%s", oe.msg)
+	writeErrorCode(w, http.StatusTooManyRequests, client.CodeOverloaded, "%s", oe.msg)
 }

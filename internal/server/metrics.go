@@ -345,7 +345,7 @@ func (s *Server) instrument(rt Route) http.HandlerFunc {
 		if rt.mutating && s.cfg.ReplicaOf != "" {
 			// Read-only replica: refuse writes inside the envelope so the
 			// 403 still lands in metrics, the trace ring and the request log.
-			writeErrorCode(ww, http.StatusForbidden, codeReadOnlyReplica,
+			writeErrorCode(ww, http.StatusForbidden, client.CodeReadOnlyReplica,
 				"this node is a read-only replica of %s; send writes to the primary", s.cfg.ReplicaOf)
 		} else {
 			rt.handler(ww, r.WithContext(ctx))

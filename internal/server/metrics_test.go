@@ -271,12 +271,12 @@ func assertOverloaded(t *testing.T, code int, body []byte, header http.Header) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", code, body)
 	}
-	var er errorResponse
+	var er client.APIError
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("429 body not JSON: %s", body)
 	}
-	if er.Code != codeOverloaded {
-		t.Fatalf("429 code %q, want %q (%s)", er.Code, codeOverloaded, body)
+	if er.Code != client.CodeOverloaded {
+		t.Fatalf("429 code %q, want %q (%s)", er.Code, client.CodeOverloaded, body)
 	}
 	if len(er.RequestID) != 32 {
 		t.Fatalf("429 request_id %q, want the 32-hex trace id (%s)", er.RequestID, body)

@@ -122,6 +122,28 @@ func parseSchemaProperties(t *testing.T, schema string) map[string]bool {
 	return props
 }
 
+// TestOpenAPIErrorCodesMatchClient pins the openapi Error.code enum to the
+// SDK's Code constants, the one Go declaration of the error codes.
+func TestOpenAPIErrorCodesMatchClient(t *testing.T) {
+	var enum string
+	inError, inCode := false, false
+	scanSpec(t, func(indent int, trimmed string) {
+		switch {
+		case indent <= 4:
+			inError = indent == 4 && trimmed == "Error:"
+			inCode = false
+		case inError && indent == 8:
+			inCode = trimmed == "code:"
+		case inCode && indent == 10 && strings.HasPrefix(trimmed, "enum:"):
+			enum = strings.TrimSpace(strings.TrimPrefix(trimmed, "enum:"))
+		}
+	})
+	want := "[" + strings.Join([]string{client.CodeJobEvicted, client.CodeOverloaded, client.CodeReadOnlyReplica}, ", ") + "]"
+	if enum != want {
+		t.Fatalf("openapi Error.code enum %q, want %q", enum, want)
+	}
+}
+
 // TestOpenAPISchemasMatchGoTypes pins every components/schemas entry that
 // has exactly one Go type to that type's JSON fields, in both directions:
 // every field the type encodes is documented, and every documented
@@ -146,6 +168,7 @@ func TestOpenAPISchemasMatchGoTypes(t *testing.T) {
 		{"ResultMetrics", client.Metrics{}},
 		{"JobResult", client.Result{}},
 		{"ModelInfo", client.ModelInfo{}},
+		{"Error", client.APIError{}},
 		{"AssignRequest", infer.RequestDoc{}},
 		{"AssignObject", infer.ObjectDoc{}},
 		{"ClusterProb", infer.ClusterProbDoc{}},

@@ -356,8 +356,8 @@ func TestEvictedJobAnswersTypedCode(t *testing.T) {
 		s.dropPersistedJob(id)
 	}
 
-	decodeErr := func(body []byte) errorResponse {
-		var er errorResponse
+	decodeErr := func(body []byte) client.APIError {
+		var er client.APIError
 		if err := json.Unmarshal(body, &er); err != nil {
 			t.Fatalf("error body not JSON: %s", body)
 		}
@@ -367,14 +367,14 @@ func TestEvictedJobAnswersTypedCode(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("evicted status: %d", code)
 	}
-	if er := decodeErr(body); er.Code != codeJobEvicted {
+	if er := decodeErr(body); er.Code != client.CodeJobEvicted {
 		t.Fatalf("evicted status body lacks code: %s", body)
 	}
 	code, body = doReq(t, ts.Client(), http.MethodGet, ts.URL+"/v1/jobs/"+jobID+"/result", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("evicted result: %d", code)
 	}
-	if er := decodeErr(body); er.Code != codeJobEvicted {
+	if er := decodeErr(body); er.Code != client.CodeJobEvicted {
 		t.Fatalf("evicted result body lacks code: %s", body)
 	}
 
@@ -385,7 +385,7 @@ func TestEvictedJobAnswersTypedCode(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("warm start from evicted job: %d", code)
 	}
-	if er := decodeErr(body); er.Code != codeJobEvicted {
+	if er := decodeErr(body); er.Code != client.CodeJobEvicted {
 		t.Fatalf("warm-start body lacks code: %s", body)
 	}
 

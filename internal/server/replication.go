@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"net/http"
-	"time"
 
 	"genclus/client"
 	"genclus/internal/replica"
@@ -16,16 +15,12 @@ import (
 // registry against the primary's /v1/models listing (pull-by-digest over
 // /v1/models/{id}/export, bytes verified against the advertised SHA-256
 // and decoded behind the same trust-boundary limits an import faces),
-// mutating routes answer a typed 403 {"code":"read_only_replica"}, and
+// mutating routes answer a typed 403 (client.CodeReadOnlyReplica), and
 // /assign serves from the synced registry — a fleet of replicas scales
 // fold-in inference horizontally while fits stay on the primary. Sync
 // state is surfaced on /healthz, /metrics and GET /v1/replication; with a
 // data dir the synced models persist, so a restarted replica resumes from
 // its local registry and re-downloads nothing whose digest still matches.
-
-// codeReadOnlyReplica is the error code on 403s from mutating routes in
-// replica mode.
-const codeReadOnlyReplica = "read_only_replica"
 
 // replicaRegistry adapts the server's model registry to replica.Registry.
 // Installs run the full import trust boundary (snapshot.Decode checks CRC,
@@ -100,22 +95,7 @@ func (s *Server) replicationStats() client.ReplicationStats {
 	if s.syncer == nil {
 		return client.ReplicationStats{}
 	}
-	st := s.syncer.Status()
-	out := client.ReplicationStats{
-		Active:              true,
-		Primary:             st.Primary,
-		LagSeconds:          st.LagSeconds,
-		Syncs:               st.Syncs,
-		SyncErrors:          st.SyncErrors,
-		ModelsSynced:        st.ModelsSynced,
-		ModelsDeleted:       st.ModelsDeleted,
-		ConsecutiveFailures: st.ConsecutiveFailures,
-		LastError:           st.LastError,
-	}
-	if !st.LastSync.IsZero() {
-		out.LastSync = st.LastSync.UTC().Format(time.RFC3339Nano)
-	}
-	return out
+	return s.syncer.Status()
 }
 
 func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {

@@ -143,12 +143,12 @@ func TestReplicaReadOnlyRoutes(t *testing.T) {
 			t.Errorf("%s %s: status %d, want 403", tc.method, tc.path, code)
 			continue
 		}
-		var er errorResponse
+		var er client.APIError
 		if err := json.Unmarshal(body, &er); err != nil {
 			t.Fatal(err)
 		}
-		if er.Code != codeReadOnlyReplica {
-			t.Errorf("%s %s: code %q, want %q", tc.method, tc.path, er.Code, codeReadOnlyReplica)
+		if er.Code != client.CodeReadOnlyReplica {
+			t.Errorf("%s %s: code %q, want %q", tc.method, tc.path, er.Code, client.CodeReadOnlyReplica)
 		}
 		if len(er.RequestID) != 32 {
 			t.Errorf("%s %s: request_id %q, want the 32-hex trace id", tc.method, tc.path, er.RequestID)

@@ -56,7 +56,7 @@
 // With Config.ReplicaOf set the server runs as a read-only replica of
 // another genclusd: a background loop mirrors the primary's model registry
 // by snapshot digest, mutating routes answer a typed 403
-// {"code":"read_only_replica"}, and /assign serves from the synced
+// (client.CodeReadOnlyReplica), and /assign serves from the synced
 // registry — see replication.go and docs/ARCHITECTURE.md, "Replication".
 //
 // The /v1 surface is additive-only: fields and endpoints may be added, but
@@ -133,11 +133,11 @@ type Config struct {
 	// MaxAssignQueue bounds, per model, the query objects of requests
 	// waiting for the model's engine (default 4×MaxAssignBatch; negative
 	// disables the bound). Requests past the cap are shed with 429
-	// "overloaded" instead of piling up behind a slow pass.
+	// client.CodeOverloaded instead of piling up behind a slow pass.
 	MaxAssignQueue int
 	// MaxAssignInFlight caps assign requests concurrently inside admission
 	// control across all models (default 1024; negative disables).
-	// Overflow is shed with 429 "overloaded".
+	// Overflow is shed with 429 client.CodeOverloaded.
 	MaxAssignInFlight int
 	// AssignRPS, when positive, rate-limits assign admissions to this many
 	// requests per second via a token bucket of AssignBurst tokens
@@ -195,7 +195,8 @@ type Config struct {
 	// ReplicaOf, when set to a primary's base URL, runs this server as a
 	// read-only replica: a sync loop mirrors the primary's model registry
 	// by digest (see replication.go), mutating routes answer a typed 403
-	// "read_only_replica", and /assign serves from the synced registry.
+	// client.CodeReadOnlyReplica, and /assign serves from the synced
+	// registry.
 	ReplicaOf string
 	// SyncInterval is the pause between successful replica sync passes
 	// (default 2s; only meaningful with ReplicaOf).
@@ -448,7 +449,8 @@ type Route struct {
 	sse bool
 	// mutating marks routes that change server state; in replica mode
 	// (Config.ReplicaOf) the instrument middleware answers them with a
-	// typed 403 "read_only_replica" instead of dispatching the handler.
+	// typed 403 client.CodeReadOnlyReplica instead of dispatching the
+	// handler.
 	mutating bool
 }
 
@@ -545,23 +547,9 @@ func (s *Server) janitor() {
 // The /v1 request and response documents are the Go SDK's exported types
 // (package client), which the handlers encode and decode directly; the
 // assign documents and the mutation elements are internal/infer's and
-// internal/deltalog's, which the SDK aliases. This package declares only
-// the error body, the trace bodies (trace.go) and the persisted jobRecord
-// (persist.go).
-
-// errorResponse carries the human-readable error and, for conditions a
-// client should distinguish programmatically, a stable machine-readable
-// code (currently only "job_evicted": the job existed but outlived its
-// TTL, as opposed to never having existed). RequestID is the request's
-// trace id — quote it in bug reports and feed it to GET /v1/traces/{id}.
-type errorResponse struct {
-	Error     string `json:"error"`
-	Code      string `json:"code,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// codeJobEvicted is the error code for 404s on TTL-evicted jobs.
-const codeJobEvicted = "job_evicted"
+// internal/deltalog's, which the SDK aliases, and the error body is
+// client.APIError. This package declares only the trace bodies (trace.go)
+// and the persisted jobRecord (persist.go).
 
 // applyJobOptions overlays a submission's options on core.DefaultOptions(K);
 // nil fields keep the defaults.
@@ -634,12 +622,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...), RequestID: responseRequestID(w)})
+	writeErrorCode(w, code, "", format, args...)
 }
 
 // writeErrorCode is writeError with a machine-readable error code attached.
 func writeErrorCode(w http.ResponseWriter, code int, apiCode, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...), Code: apiCode, RequestID: responseRequestID(w)})
+	writeJSON(w, code, client.APIError{Message: fmt.Sprintf(format, args...), Code: apiCode, RequestID: responseRequestID(w)})
 }
 
 // responseRequestID recovers the request's trace id from the instrumented
@@ -747,7 +735,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		prior, ok := s.store.job(req.WarmStartFrom)
 		if !ok {
 			if s.store.jobEvicted(req.WarmStartFrom) {
-				writeErrorCode(w, http.StatusNotFound, codeJobEvicted, "warm-start job %q was evicted after its TTL", req.WarmStartFrom)
+				writeErrorCode(w, http.StatusNotFound, client.CodeJobEvicted, "warm-start job %q was evicted after its TTL", req.WarmStartFrom)
 			} else {
 				writeError(w, http.StatusNotFound, "unknown warm-start job %q", req.WarmStartFrom)
 			}
@@ -913,7 +901,7 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 	j, ok := s.store.job(id)
 	if !ok {
 		if s.store.jobEvicted(id) {
-			writeErrorCode(w, http.StatusNotFound, codeJobEvicted, "job %q was evicted after its TTL", id)
+			writeErrorCode(w, http.StatusNotFound, client.CodeJobEvicted, "job %q was evicted after its TTL", id)
 		} else {
 			writeError(w, http.StatusNotFound, "unknown job %q", id)
 		}

@@ -393,6 +393,36 @@ func TestMalformedPayloadsAre4xx(t *testing.T) {
 	}
 }
 
+// TestErrorBodyBytes pins the error document's exact encoding: a
+// client.APIError written as {"error","code","request_id"}, in that order,
+// with code and request_id omitted when empty.
+func TestErrorBodyBytes(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/job_x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"error":"unknown job \"job_x\"","request_id":"0123456789abcdef0123456789abcdef"}` + "\n"; string(body) != want {
+		t.Errorf("404 body %q, want %q", body, want)
+	}
+
+	rec := httptest.NewRecorder()
+	writeErrorCode(rec, http.StatusTooManyRequests, client.CodeOverloaded, "shed: %s", "queue full")
+	if want := `{"error":"shed: queue full","code":"overloaded"}` + "\n"; rec.Body.String() != want {
+		t.Errorf("429 body %q, want %q", rec.Body.String(), want)
+	}
+}
+
 func TestQueueBackpressure(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
 	network, _ := testNetworkJSON(t, 400, 8)

@@ -178,7 +178,7 @@ func TestTraceEndpoints(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", code)
 	}
-	var er errorResponse
+	var er client.APIError
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRequestIDInErrorBodies(t *testing.T) {
 	if hr.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d: %s", hr.StatusCode, body)
 	}
-	var er errorResponse
+	var er client.APIError
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
