@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -179,16 +180,14 @@ var ErrUnavailable = errors.New("genclusd: endpoint unavailable")
 
 // transportError wraps a request that failed before any HTTP status
 // arrived, so errors.Is(err, ErrUnavailable) holds while the underlying
-// cause (including context cancellation) stays reachable via Unwrap.
+// cause (including context cancellation) stays reachable via Unwrap. The
+// cause is a *url.Error, which already names the method and URL.
 type transportError struct {
-	method, path string
-	err          error
+	err error
 }
 
 // Error implements the error interface.
-func (e *transportError) Error() string {
-	return fmt.Sprintf("client: %s %s: %v", e.method, e.path, e.err)
-}
+func (e *transportError) Error() string { return "client: " + e.err.Error() }
 
 // Unwrap exposes the net-level cause for errors.Is/As chains.
 func (e *transportError) Unwrap() error { return e.err }
@@ -717,7 +716,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, &transportError{method: method, path: path, err: err}
+		return nil, &transportError{err: err}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
@@ -725,7 +724,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 		// A connection severed mid-body (a crashed or restarted server) is
 		// as much a transport failure as a refused dial; keep it typed so
 		// retry and endpoint failover recognize it.
-		return nil, &transportError{method: method, path: path, err: err}
+		return nil, &transportError{err: &url.Error{Op: "read body of " + method, URL: req.URL.String(), Err: err}}
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		ae := apiError(resp.StatusCode, data)

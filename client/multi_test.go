@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"genclus/client"
@@ -91,6 +93,40 @@ func TestTransportErrorsAreUnavailable(t *testing.T) {
 	}
 	if errors.Is(err, client.ErrUnavailable) {
 		t.Fatalf("canceled context must not read as unavailable: %v", err)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestTransportErrorMessage pins the text of a transport failure: the
+// *url.Error cause names the request, and the SDK adds only its "client: "
+// prefix — for a failed round trip and for a body severed mid-read alike.
+func TestTransportErrorMessage(t *testing.T) {
+	cause := errors.New("connection reset by peer")
+	for _, c := range []struct {
+		name string
+		rt   roundTripFunc
+		want string
+	}{
+		{"round trip", func(*http.Request) (*http.Response, error) { return nil, cause },
+			`client: Get "http://primary:8080/v1/models": connection reset by peer`},
+		{"body", func(r *http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+				Body: io.NopCloser(iotest.ErrReader(cause))}, nil
+		}, `client: read body of GET "http://primary:8080/v1/models": connection reset by peer`},
+	} {
+		sdk := client.New("http://primary:8080", client.WithRetries(0, 0),
+			client.WithHTTPClient(&http.Client{Transport: c.rt}))
+		_, err := sdk.ListModels(context.Background())
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		if !errors.Is(err, cause) || !errors.Is(err, client.ErrUnavailable) {
+			t.Errorf("%s: %v must wrap its cause and match ErrUnavailable", c.name, err)
+		}
 	}
 }
 

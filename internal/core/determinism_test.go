@@ -242,10 +242,13 @@ const (
 	goldenSymmetricChecksum = 0xf4560d9951a246b0
 	// goldenGammaZeroChecksum pins a fit whose strength step holds a γ at
 	// its 0 bound (γ(published_by_pc) on the gammaZero fit below), the
-	// path the projected line search stalls on. Captured from the serial
-	// strength step at commit 8b06b1d, before the step moved onto the
-	// worker pool.
-	goldenGammaZeroChecksum = 0xc6fa5308ae39a390
+	// path whose projected Newton direction starts downhill. Re-captured
+	// when learnStrengths began ending the Newton loop there instead of
+	// backtracking through trials that cannot raise g′₂ (γ moves by less
+	// than NewtonTol; see docs/ARCHITECTURE.md). The value before was
+	// 0xc6fa5308ae39a390, captured from the serial strength step at commit
+	// 8b06b1d.
+	goldenGammaZeroChecksum = 0x5524faed98e2faa0
 	// goldenWeatherChecksum pins a K=4 fit on a weather Setting 1 network
 	// of 600 sensors (two EM chunks, so P > 1 runs the pool), the one
 	// golden with Gaussian attributes at K=4 and objects that observe only

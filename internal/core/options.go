@@ -60,7 +60,8 @@ type Options struct {
 	NewtonIters int
 
 	// NewtonTol stops the Newton iteration when ‖γ_{s} − γ_{s−1}‖∞ falls
-	// below it.
+	// below it. The iteration also stops, with no line search, when the
+	// projected Newton path max(0, γ − tΔ) starts downhill.
 	NewtonTol float64
 
 	// PriorSigma is σ of the zero-mean Gaussian prior on γ (paper: 0.1).

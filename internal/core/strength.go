@@ -47,6 +47,8 @@ type strengthStats struct {
 	piv   []int
 	delta []float64
 	trial []float64
+
+	passes int // g′₂ evaluations so far; tests count a step's passes
 }
 
 // buildStrengthStats (re)fills the state's reusable strength statistics
@@ -164,6 +166,7 @@ func (st *strengthStats) alphaOf(gamma []float64, oi int, alpha []float64) {
 //
 // It allocates nothing.
 func (st *strengthStats) pseudoLogLikelihood(gamma []float64, priorSigma float64) float64 {
+	st.passes++
 	st.owner.argGamma = gamma
 	st.owner.runPhase(phasePseudoLL, st.units())
 	nRel := st.nRel
@@ -277,7 +280,9 @@ func (st *strengthStats) gradHessRange(gamma []float64, lo, hi int, ws *workerSc
 }
 
 // learnStrengths runs the safeguarded Newton–Raphson iteration of §4.2 with
-// the γ ≥ 0 projection from Algorithm 1. It returns the achieved g′₂.
+// the γ ≥ 0 projection from Algorithm 1. It returns the achieved g′₂. A
+// Newton path that starts downhill ends the loop without a line search: at
+// a γ held at its 0 bound, its up to 40 trials could not raise g′₂.
 //
 // Once the first call has sized the state's scratch, the step allocates
 // nothing: buildStrengthStats, gradHess, the nRel×nRel Newton solve and
@@ -294,6 +299,19 @@ func (s *state) learnStrengths() float64 {
 		// negative definite (Appendix B), so −H is SPD and Cholesky is the
 		// natural factorization — it also asserts definiteness for free.
 		delta := st.newtonDirection(grad, hess)
+		// Slope of the projected path γ(t) = max(0, γ − tΔ) at t → 0⁺: the
+		// projection holds a γ_r at 0 whose Δ_r > 0, so it adds nothing. g′₂
+		// is strictly concave, so if the path does not start uphill every
+		// trial on its first piece loses g′₂: converged, with no trial.
+		var slope float64
+		for r := range gamma {
+			if !(gamma[r] == 0 && delta[r] > 0) {
+				slope -= grad[r] * delta[r]
+			}
+		}
+		if !(slope > 0) {
+			break
+		}
 		// Backtracking line search on the Newton step, projecting onto the
 		// feasible set γ ≥ 0 at every trial point.
 		step := 1.0

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"genclus/internal/datagen"
 	"genclus/internal/hin"
 	"genclus/internal/linalg"
 )
@@ -477,4 +479,206 @@ func TestObjectiveSteadyStateZeroAlloc(t *testing.T) {
 			s.pool.stop()
 		}
 	}
+}
+
+// learnStrengthsReference is the strength step as it ran before
+// learnStrengths checked the slope of the projected path: every Newton
+// step runs the backtracking line search, even when the path starts
+// downhill. It moves gamma in place and returns the achieved g′₂. It also
+// copies into stop the γ at the start of the first Newton step whose
+// projected path starts downhill (the final γ if none does), returns g′₂
+// there as stopG2, and counts such steps in downhill.
+func (s *state) learnStrengthsReference(gamma, stop []float64) (cur, stopG2 float64, downhill int) {
+	st := s.buildStrengthStats()
+	sigma := s.opts.PriorSigma
+	cur = st.pseudoLogLikelihood(gamma, sigma)
+	defer func() {
+		if downhill == 0 {
+			copy(stop, gamma)
+			stopG2 = cur
+		}
+	}()
+
+	for it := 0; it < s.opts.NewtonIters; it++ {
+		grad, hess := st.gradHess(gamma, sigma)
+		delta := st.newtonDirection(grad, hess)
+		if !(projectedSlope(gamma, grad, delta) > 0) {
+			if downhill == 0 {
+				copy(stop, gamma)
+				stopG2 = cur
+			}
+			downhill++
+		}
+		step := 1.0
+		improved := false
+		trial := st.trial
+		for ls := 0; ls < 40; ls++ {
+			for r := range gamma {
+				trial[r] = gamma[r] - step*delta[r]
+				if trial[r] < 0 {
+					trial[r] = 0
+				}
+			}
+			val := st.pseudoLogLikelihood(trial, sigma)
+			if val >= cur {
+				maxMove := 0.0
+				for r := range gamma {
+					if d := math.Abs(trial[r] - gamma[r]); d > maxMove {
+						maxMove = d
+					}
+				}
+				copy(gamma, trial)
+				improvedEnough := val > cur+math.Abs(cur)*1e-12
+				cur = val
+				improved = true
+				if maxMove < s.opts.NewtonTol || !improvedEnough {
+					return cur, stopG2, downhill
+				}
+				break
+			}
+			step /= 2
+		}
+		if !improved {
+			break
+		}
+	}
+	return cur, stopG2, downhill
+}
+
+// projectedSlope is d/dt g′₂(max(0, γ − tΔ)) at t → 0⁺, given ∇g′₂ at γ:
+// −Σ_r ∇_r·Δ_r over the relations the projection lets move.
+func projectedSlope(gamma, grad, delta []float64) float64 {
+	var s float64
+	for r := range gamma {
+		if !(gamma[r] == 0 && delta[r] > 0) {
+			s -= grad[r] * delta[r]
+		}
+	}
+	return s
+}
+
+// strengthFixture is a network and the options Fit would run it with.
+type strengthFixture struct {
+	name string
+	net  *hin.Network
+	opts Options
+}
+
+// strengthFixtures are the networks whose strength steps the tests below
+// replay: the gamma-zero and weather goldens' networks at the default
+// outer and EM iteration counts, and the social network of
+// TestSocialNetworkEndToEnd with its options.
+func strengthFixtures(t *testing.T) []strengthFixture {
+	t.Helper()
+	zds := gammaZeroDataset(t)
+	wds, err := datagen.Weather(datagen.WeatherSetting1(300, 300, 20, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := datagen.DefaultSocialConfig(23)
+	scfg.NumUsers, scfg.NumVideos, scfg.NumComments = 150, 75, 200
+	sds, err := datagen.Social(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts := DefaultOptions(sds.NumClusters)
+	sopts.Seed = 24
+	sopts.PriorSigma = 0.5
+	return []strengthFixture{
+		{"gamma-zero", zds.Net, DefaultOptions(zds.NumClusters)},
+		{"weather", wds.Net, DefaultOptions(wds.NumClusters)},
+		{"social", sds.Net, sopts},
+	}
+}
+
+// alternate runs Fit's outer alternation by hand — the same initialization
+// and EM steps, every outer iteration (no OuterTol stop) — calling step in
+// place of each strength step. It returns the final state; the caller
+// stops its pool.
+func alternate(f strengthFixture, step func(s *state, outer int)) *state {
+	pool := newWorkerPool(f.net.NumObjects(), f.opts)
+	s, _, _, _ := initializeState(context.Background(), f.net, f.opts, pool)
+	for outer := 0; outer < f.opts.OuterIters; outer++ {
+		s.runEM(f.opts.EMIters)
+		step(s, outer)
+		s.roundGamma()
+	}
+	return s
+}
+
+// TestLearnStrengthsMatchesReference replays every strength step of three
+// fits against the reference step from the same Θ and γ. learnStrengths
+// must stop bit for bit where the reference first meets a Newton step
+// whose projected path starts downhill (a stall), and everything the
+// reference does after that may move γ by less than NewtonTol only. Steps
+// without a stall must match the reference bit for bit to the end.
+func TestLearnStrengthsMatchesReference(t *testing.T) {
+	for _, f := range strengthFixtures(t) {
+		ref := make([]float64, f.net.NumRelations())
+		stop := make([]float64, len(ref))
+		var stalled int
+		s := alternate(f, func(s *state, outer int) {
+			copy(ref, s.gamma)
+			refG2, stopG2, downhill := s.learnStrengthsReference(ref, stop)
+			g2 := s.learnStrengths()
+			if downhill > 0 {
+				stalled++
+			}
+			var move float64
+			for r := range ref {
+				move = math.Max(move, math.Abs(s.gamma[r]-ref[r]))
+				if math.Float64bits(s.gamma[r]) != math.Float64bits(stop[r]) {
+					t.Errorf("%s step %d: γ[%d] = %v, want %v, the reference's γ at its first stall (%d stalls)",
+						f.name, outer, r, s.gamma[r], stop[r], downhill)
+				}
+			}
+			if math.Float64bits(g2) != math.Float64bits(stopG2) {
+				t.Errorf("%s step %d: g′₂ = %v, want %v, the reference's g′₂ at its first stall (%d stalls)",
+					f.name, outer, g2, stopG2, downhill)
+			}
+			if !(move < f.opts.NewtonTol) {
+				t.Errorf("%s step %d: |γ − γ_ref|∞ = %v, want < NewtonTol = %v (γ = %v, γ_ref = %v)",
+					f.name, outer, move, f.opts.NewtonTol, s.gamma, ref)
+			}
+			if downhill == 0 && math.Float64bits(g2) != math.Float64bits(refG2) {
+				t.Errorf("%s step %d: g′₂ = %v, reference %v, with no stall", f.name, outer, g2, refG2)
+			}
+		})
+		if s.pool != nil {
+			s.pool.stop()
+		}
+		if stalled == 0 {
+			t.Errorf("%s: no strength step stalls, so the early exit is not exercised", f.name)
+		}
+		t.Logf("%s: %d of %d strength steps stall", f.name, stalled, f.opts.OuterIters)
+	}
+}
+
+// TestStrengthStepStallPasses: once γ(published_by_pc) sits at its 0 bound,
+// the reference step backtracks through dozens of trials that cannot raise
+// g′₂. From the fitted state, one strength step must make at most two g′₂
+// passes: the one at the starting γ and at most one trial.
+func TestStrengthStepStallPasses(t *testing.T) {
+	f := strengthFixtures(t)[0]
+	s := alternate(f, func(s *state, _ int) { s.learnStrengths() })
+	if s.pool != nil {
+		defer s.pool.stop()
+	}
+	zero, _ := f.net.RelationID(datagen.RelPublishedByP)
+	if s.gamma[zero] != 0 {
+		t.Fatalf("γ(%s) = %v, want the fixture to end at the 0 bound", datagen.RelPublishedByP, s.gamma[zero])
+	}
+	gamma := append([]float64(nil), s.gamma...)
+	s.strength.passes = 0
+	s.learnStrengthsReference(gamma, make([]float64, len(gamma)))
+	refPasses := s.strength.passes
+	s.strength.passes = 0
+	s.learnStrengths()
+	if got := s.strength.passes; got > 2 {
+		t.Errorf("strength step made %d g′₂ passes, want ≤ 2 (the reference made %d)", got, refPasses)
+	}
+	if refPasses <= 2 {
+		t.Errorf("reference step made %d g′₂ passes: the fixture no longer stalls", refPasses)
+	}
+	t.Logf("g′₂ passes: %d, reference %d", s.strength.passes, refPasses)
 }
