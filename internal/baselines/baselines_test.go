@@ -72,7 +72,7 @@ func subsetNMI(t *testing.T, labels map[int]int, pred []int) float64 {
 
 func TestNetPLSARecoversTopics(t *testing.T) {
 	net, labels := textNetwork(t, 30, false, 3)
-	res, err := NetPLSA(net, DefaultPLSAOptions(2))
+	res, err := NetPLSA(net, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestNetPLSARecoversTopics(t *testing.T) {
 
 func TestITopicModelRecoversTopics(t *testing.T) {
 	net, labels := textNetwork(t, 30, false, 4)
-	res, err := ITopicModel(net, DefaultPLSAOptions(2))
+	res, err := ITopicModel(net, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestITopicModelHandlesTextlessObjects(t *testing.T) {
 	// iTopicModel folds neighbor memberships into the same update, so
 	// textless hubs should follow their group.
 	net, labels := textNetwork(t, 20, true, 5)
-	res, err := ITopicModel(net, DefaultPLSAOptions(2))
+	res, err := ITopicModel(net, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestITopicModelHandlesTextlessObjects(t *testing.T) {
 
 func TestPLSAThetaValid(t *testing.T) {
 	net, _ := textNetwork(t, 15, true, 6)
-	for name, run := range map[string]func(*hin.Network, PLSAOptions) (*Result, error){
+	for name, run := range map[string]func(*hin.Network, int, int64) (*Result, error){
 		"NetPLSA": NetPLSA, "iTopicModel": ITopicModel,
 	} {
-		res, err := run(net, DefaultPLSAOptions(2))
+		res, err := run(net, 2, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -141,19 +141,10 @@ func TestPLSAThetaValid(t *testing.T) {
 
 func TestPLSAOptionValidation(t *testing.T) {
 	net, _ := textNetwork(t, 5, false, 7)
-	bad := []PLSAOptions{
-		{K: 1, Iters: 10, Lambda: 0.5},
-		{K: 2, Iters: 0, Lambda: 0.5},
-		{K: 2, Iters: 10, Lambda: -0.1},
-		{K: 2, Iters: 10, Lambda: 1.5},
-		{K: 2, Iters: 10, Lambda: 0.5, Attribute: "ghost"},
+	if _, err := NetPLSA(net, 1, 1); err == nil {
+		t.Error("K < 2 should fail")
 	}
-	for i, o := range bad {
-		if _, err := NetPLSA(net, o); err == nil {
-			t.Errorf("options %d should fail", i)
-		}
-	}
-	if _, err := NetPLSA(nil, DefaultPLSAOptions(2)); err == nil {
+	if _, err := NetPLSA(nil, 2, 1); err == nil {
 		t.Error("nil network should fail")
 	}
 	// Numeric-only network has no categorical attribute.
@@ -164,12 +155,8 @@ func TestPLSAOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NetPLSA(numNet, DefaultPLSAOptions(2)); err == nil {
+	if _, err := NetPLSA(numNet, 2, 1); err == nil {
 		t.Error("no categorical attribute should fail")
-	}
-	// Attribute of wrong kind.
-	if _, err := NetPLSA(numNet, func() PLSAOptions { o := DefaultPLSAOptions(2); o.Attribute = "x"; return o }()); err == nil {
-		t.Error("numeric attribute name should fail for PLSA")
 	}
 }
 
@@ -217,9 +204,9 @@ func TestKMeansValidation(t *testing.T) {
 		t.Error("ragged points should fail")
 	}
 	bad := DefaultKMeansOptions(2)
-	bad.Iters = 0
+	bad.Restarts = 0
 	if _, err := KMeans(pts, bad); err == nil {
-		t.Error("zero iters should fail")
+		t.Error("zero restarts should fail")
 	}
 }
 
@@ -331,7 +318,7 @@ func TestSpectralCombineOnWeather(t *testing.T) {
 		t.Fatal(err)
 	}
 	Standardize(feats)
-	res, err := SpectralCombine(ds.Net, feats, DefaultSpectralOptions(4))
+	res, err := SpectralCombine(ds.Net, feats, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,19 +350,19 @@ func TestSpectralValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	feats := [][]float64{{1}, {2}, {3}}
-	if _, err := SpectralCombine(nil, feats, DefaultSpectralOptions(2)); err == nil {
+	if _, err := SpectralCombine(nil, feats, 2, 1); err == nil {
 		t.Error("nil network should fail")
 	}
-	if _, err := SpectralCombine(net, feats[:2], DefaultSpectralOptions(2)); err == nil {
+	if _, err := SpectralCombine(net, feats[:2], 2, 1); err == nil {
 		t.Error("feature-count mismatch should fail")
 	}
-	bad := DefaultSpectralOptions(2)
-	bad.NetworkWeight = 2
-	if _, err := SpectralCombine(net, feats, bad); err == nil {
-		t.Error("NetworkWeight > 1 should fail")
-	}
-	if _, err := SpectralCombine(net, feats, DefaultSpectralOptions(5)); err == nil {
+	if _, err := SpectralCombine(net, feats, 5, 1); err == nil {
 		t.Error("K > n should fail")
+	}
+	for _, ragged := range [][][]float64{{{1, 2}, {2}, {3, 4}}, {{1}, {2, 3}, {4}}} {
+		if _, err := SpectralCombine(net, ragged, 2, 1); err == nil {
+			t.Errorf("ragged feature rows %v should fail", ragged)
+		}
 	}
 }
 

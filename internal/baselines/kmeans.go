@@ -8,10 +8,12 @@ import (
 	"genclus/internal/hin"
 )
 
+// kmeansIters caps the Lloyd iterations of one k-means run.
+const kmeansIters = 100
+
 // KMeansOptions configures the Lloyd's-algorithm baseline.
 type KMeansOptions struct {
 	K        int
-	Iters    int
 	Restarts int // independent restarts; best inertia wins
 	Seed     int64
 	// RandomInit picks initial centers uniformly from the points instead of
@@ -24,13 +26,13 @@ type KMeansOptions struct {
 
 // DefaultKMeansOptions mirrors the experiment defaults.
 func DefaultKMeansOptions(k int) KMeansOptions {
-	return KMeansOptions{K: k, Iters: 100, Restarts: 5, Seed: 1}
+	return KMeansOptions{K: k, Restarts: 5, Seed: 1}
 }
 
 // PaperKMeansOptions reproduces the era-typical baseline the paper used:
 // one random-initialized run.
 func PaperKMeansOptions(k int) KMeansOptions {
-	return KMeansOptions{K: k, Iters: 100, Restarts: 1, Seed: 1, RandomInit: true}
+	return KMeansOptions{K: k, Restarts: 1, Seed: 1, RandomInit: true}
 }
 
 // KMeans clusters the points (rows) into K groups with k-means++
@@ -44,8 +46,8 @@ func KMeans(points [][]float64, opts KMeansOptions) (*Result, error) {
 	if opts.K < 2 || opts.K > n {
 		return nil, fmt.Errorf("baselines: KMeans K = %d out of range 2..%d", opts.K, n)
 	}
-	if opts.Iters < 1 || opts.Restarts < 1 {
-		return nil, fmt.Errorf("baselines: KMeans needs positive Iters and Restarts")
+	if opts.Restarts < 1 {
+		return nil, fmt.Errorf("baselines: KMeans needs positive Restarts")
 	}
 	dim := len(points[0])
 	for i, p := range points {
@@ -58,7 +60,7 @@ func KMeans(points [][]float64, opts KMeansOptions) (*Result, error) {
 	bestInertia := math.Inf(1)
 	var bestLabels []int
 	for restart := 0; restart < opts.Restarts; restart++ {
-		labels, inertia := kmeansOnce(points, opts.K, opts.Iters, rng, opts.RandomInit)
+		labels, inertia := kmeansOnce(points, opts.K, rng, opts.RandomInit)
 		if inertia < bestInertia {
 			bestInertia = inertia
 			bestLabels = labels
@@ -67,7 +69,7 @@ func KMeans(points [][]float64, opts KMeansOptions) (*Result, error) {
 	return &Result{Labels: bestLabels, Theta: oneHot(bestLabels, opts.K, 1e-9)}, nil
 }
 
-func kmeansOnce(points [][]float64, k, iters int, rng *rand.Rand, randomInit bool) ([]int, float64) {
+func kmeansOnce(points [][]float64, k int, rng *rand.Rand, randomInit bool) ([]int, float64) {
 	n := len(points)
 	dim := len(points[0])
 	var centers [][]float64
@@ -79,7 +81,7 @@ func kmeansOnce(points [][]float64, k, iters int, rng *rand.Rand, randomInit boo
 	labels := make([]int, n)
 	counts := make([]int, k)
 
-	for it := 0; it < iters; it++ {
+	for it := 0; it < kmeansIters; it++ {
 		changed := false
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)

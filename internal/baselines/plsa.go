@@ -25,57 +25,29 @@ type Result struct {
 	Labels []int
 }
 
-// PLSAOptions configures the two topic-model baselines.
-type PLSAOptions struct {
-	K         int
-	Attribute string  // categorical attribute to model; "" = first categorical
-	Iters     int     // EM iterations
-	Lambda    float64 // network coupling weight (meaning differs per method)
-	Seed      int64
-	SmoothEta float64 // Laplace smoothing for β
-	Epsilon   float64 // Θ floor
-}
+// The topic-model baselines' settings, as the experiments run them.
+const (
+	plsaIters   = 60   // EM iterations
+	plsaLambda  = 0.5  // network coupling weight (meaning differs per method)
+	plsaSmooth  = 1e-3 // Laplace smoothing for β
+	plsaEpsilon = 1e-9 // Θ floor
+)
 
-// DefaultPLSAOptions mirrors the defaults used in the experiments.
-func DefaultPLSAOptions(k int) PLSAOptions {
-	return PLSAOptions{K: k, Iters: 60, Lambda: 0.5, Seed: 1, SmoothEta: 1e-3, Epsilon: 1e-9}
-}
-
-func (o PLSAOptions) validate(net *hin.Network) (attr int, err error) {
+// plsaAttribute checks the arguments of the topic models and returns the
+// attribute they model: the network's first categorical attribute.
+func plsaAttribute(net *hin.Network, k int) (int, error) {
 	if net == nil {
 		return 0, fmt.Errorf("baselines: nil network")
 	}
-	if o.K < 2 {
-		return 0, fmt.Errorf("baselines: K = %d, want ≥ 2", o.K)
+	if k < 2 {
+		return 0, fmt.Errorf("baselines: K = %d, want ≥ 2", k)
 	}
-	if o.Iters < 1 {
-		return 0, fmt.Errorf("baselines: Iters = %d, want ≥ 1", o.Iters)
-	}
-	if o.Lambda < 0 || o.Lambda > 1 {
-		return 0, fmt.Errorf("baselines: Lambda = %v, want in [0,1]", o.Lambda)
-	}
-	attr = -1
-	if o.Attribute != "" {
-		a, ok := net.AttrID(o.Attribute)
-		if !ok {
-			return 0, fmt.Errorf("baselines: attribute %q not in network", o.Attribute)
-		}
-		if net.Attr(a).Kind != hin.Categorical {
-			return 0, fmt.Errorf("baselines: attribute %q is not categorical", o.Attribute)
-		}
-		attr = a
-	} else {
-		for a := 0; a < net.NumAttrs(); a++ {
-			if net.Attr(a).Kind == hin.Categorical {
-				attr = a
-				break
-			}
-		}
-		if attr < 0 {
-			return 0, fmt.Errorf("baselines: network has no categorical attribute")
+	for a := 0; a < net.NumAttrs(); a++ {
+		if net.Attr(a).Kind == hin.Categorical {
+			return a, nil
 		}
 	}
-	return attr, nil
+	return 0, fmt.Errorf("baselines: network has no categorical attribute")
 }
 
 // plsaState carries the shared PLSA machinery.
@@ -83,22 +55,21 @@ type plsaState struct {
 	net   *hin.Network
 	attr  int
 	k     int
-	opts  PLSAOptions
 	theta [][]float64
 	beta  [][]float64
 }
 
-func newPLSAState(net *hin.Network, attr int, opts PLSAOptions) *plsaState {
-	rng := rand.New(rand.NewSource(opts.Seed))
+func newPLSAState(net *hin.Network, attr, k int, seed int64) *plsaState {
+	rng := rand.New(rand.NewSource(seed))
 	n := net.NumObjects()
 	vocab := net.Attr(attr).VocabSize
-	s := &plsaState{net: net, attr: attr, k: opts.K, opts: opts}
+	s := &plsaState{net: net, attr: attr, k: k}
 	s.theta = make([][]float64, n)
 	for v := 0; v < n; v++ {
-		s.theta[v] = stats.SampleSimplexUniform(rng, opts.K)
-		stats.FloorAndNormalize(s.theta[v], opts.Epsilon)
+		s.theta[v] = stats.SampleSimplexUniform(rng, k)
+		stats.FloorAndNormalize(s.theta[v], plsaEpsilon)
 	}
-	s.beta = make([][]float64, opts.K)
+	s.beta = make([][]float64, k)
 	for k := range s.beta {
 		row := make([]float64, vocab)
 		for l := range row {
@@ -147,13 +118,13 @@ func (s *plsaState) updateBeta(betaStat [][]float64) {
 	for k := 0; k < s.k; k++ {
 		var sum float64
 		for l := 0; l < vocab; l++ {
-			sum += betaStat[k][l] + s.opts.SmoothEta
+			sum += betaStat[k][l] + plsaSmooth
 		}
 		if sum <= 0 {
 			continue
 		}
 		for l := 0; l < vocab; l++ {
-			s.beta[k][l] = (betaStat[k][l] + s.opts.SmoothEta) / sum
+			s.beta[k][l] = (betaStat[k][l] + plsaSmooth) / sum
 		}
 	}
 }
@@ -204,17 +175,17 @@ func neighborAverage(net *hin.Network, theta [][]float64, v int, out []float64) 
 // θ_v ← (1−λ)·θ_v + λ·avg_{u∼v} θ_u that implements the harmonic
 // regularizer. Objects without text keep their previous θ in the PLSA step
 // and only move through smoothing.
-func NetPLSA(net *hin.Network, opts PLSAOptions) (*Result, error) {
-	attr, err := opts.validate(net)
+func NetPLSA(net *hin.Network, k int, seed int64) (*Result, error) {
+	attr, err := plsaAttribute(net, k)
 	if err != nil {
 		return nil, err
 	}
-	s := newPLSAState(net, attr, opts)
+	s := newPLSAState(net, attr, k, seed)
 	n := net.NumObjects()
-	evidence := make([]float64, opts.K)
-	smooth := make([]float64, opts.K)
+	evidence := make([]float64, k)
+	smooth := make([]float64, k)
 
-	for it := 0; it < opts.Iters; it++ {
+	for it := 0; it < plsaIters; it++ {
 		betaStat := s.newBetaStat()
 		newTheta := make([][]float64, n)
 		for v := 0; v < n; v++ {
@@ -222,10 +193,10 @@ func NetPLSA(net *hin.Network, opts PLSAOptions) (*Result, error) {
 				evidence[i] = 0
 			}
 			mass := s.plsaEvidence(v, evidence, betaStat)
-			row := make([]float64, opts.K)
+			row := make([]float64, k)
 			if mass > 0 {
 				copy(row, evidence)
-				stats.FloorAndNormalize(row, opts.Epsilon)
+				stats.FloorAndNormalize(row, plsaEpsilon)
 			} else {
 				copy(row, s.theta[v]) // no text: PLSA has no opinion
 			}
@@ -236,9 +207,9 @@ func NetPLSA(net *hin.Network, opts PLSAOptions) (*Result, error) {
 		for v := 0; v < n; v++ {
 			if neighborAverage(net, newTheta, v, smooth) {
 				for i := range newTheta[v] {
-					newTheta[v][i] = (1-opts.Lambda)*newTheta[v][i] + opts.Lambda*smooth[i]
+					newTheta[v][i] = (1-plsaLambda)*newTheta[v][i] + plsaLambda*smooth[i]
 				}
-				stats.FloorAndNormalize(newTheta[v], opts.Epsilon)
+				stats.FloorAndNormalize(newTheta[v], plsaEpsilon)
 			}
 		}
 		s.theta = newTheta
@@ -255,19 +226,16 @@ func NetPLSA(net *hin.Network, opts PLSAOptions) (*Result, error) {
 //
 // which is exactly GenClus's Eq. 10 with every γ(r) frozen at λ. Objects
 // without text are set to the pure neighbor average.
-func ITopicModel(net *hin.Network, opts PLSAOptions) (*Result, error) {
-	attr, err := opts.validate(net)
+func ITopicModel(net *hin.Network, k int, seed int64) (*Result, error) {
+	attr, err := plsaAttribute(net, k)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Lambda == 0 {
-		opts.Lambda = 1
-	}
-	s := newPLSAState(net, attr, opts)
+	s := newPLSAState(net, attr, k, seed)
 	n := net.NumObjects()
-	row := make([]float64, opts.K)
+	row := make([]float64, k)
 
-	for it := 0; it < opts.Iters; it++ {
+	for it := 0; it < plsaIters; it++ {
 		betaStat := s.newBetaStat()
 		newTheta := make([][]float64, n)
 		for v := 0; v < n; v++ {
@@ -277,20 +245,20 @@ func ITopicModel(net *hin.Network, opts PLSAOptions) (*Result, error) {
 			s.plsaEvidence(v, row, betaStat)
 			// Link term with uniform strengths.
 			for _, e := range net.OutEdges(v) {
-				g := opts.Lambda * e.Weight
+				g := plsaLambda * e.Weight
 				tu := s.theta[e.To]
 				for i := range row {
 					row[i] += g * tu[i]
 				}
 			}
-			dst := make([]float64, opts.K)
+			dst := make([]float64, k)
 			var mass float64
 			for _, x := range row {
 				mass += x
 			}
 			if mass > 0 {
 				copy(dst, row)
-				stats.FloorAndNormalize(dst, opts.Epsilon)
+				stats.FloorAndNormalize(dst, plsaEpsilon)
 			} else {
 				copy(dst, s.theta[v])
 			}

@@ -237,18 +237,14 @@ type method struct {
 func textMethods() []method {
 	return []method{
 		{name: "NetPLSA", run: func(ds *datagen.Dataset, seed int64) ([]int, [][]float64, error) {
-			opts := baselines.DefaultPLSAOptions(ds.NumClusters)
-			opts.Seed = seed
-			res, err := baselines.NetPLSA(ds.Net, opts)
+			res, err := baselines.NetPLSA(ds.Net, ds.NumClusters, seed)
 			if err != nil {
 				return nil, nil, err
 			}
 			return res.Labels, res.Theta, nil
 		}},
 		{name: "iTopicModel", run: func(ds *datagen.Dataset, seed int64) ([]int, [][]float64, error) {
-			opts := baselines.DefaultPLSAOptions(ds.NumClusters)
-			opts.Seed = seed
-			res, err := baselines.ITopicModel(ds.Net, opts)
+			res, err := baselines.ITopicModel(ds.Net, ds.NumClusters, seed)
 			if err != nil {
 				return nil, nil, err
 			}

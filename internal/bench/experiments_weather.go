@@ -65,9 +65,7 @@ func weatherGrid(cfg Config, id, title string, setting int) (*Report, error) {
 			}
 
 			stdFeats := baselines.Standardize(feats)
-			spOpts := baselines.DefaultSpectralOptions(ds.NumClusters)
-			spOpts.Seed = c.Seed
-			sp, err := baselines.SpectralCombine(ds.Net, stdFeats, spOpts)
+			sp, err := baselines.SpectralCombine(ds.Net, stdFeats, ds.NumClusters, c.Seed)
 			if err != nil {
 				return nil, err
 			}

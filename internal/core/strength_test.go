@@ -66,6 +66,17 @@ func TestStrengthGradientFiniteDifference(t *testing.T) {
 	}
 }
 
+// mulVec returns m·x as a new vector.
+func mulVec(m *linalg.Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		for j, v := range x {
+			out[i] += m.At(i, j) * v
+		}
+	}
+	return out
+}
+
 // TestStrengthHessianFiniteDifference verifies Eq. 17 against finite
 // differences of the gradient.
 func TestStrengthHessianFiniteDifference(t *testing.T) {
@@ -74,7 +85,8 @@ func TestStrengthHessianFiniteDifference(t *testing.T) {
 	gamma := []float64{1.2, 0.8}
 	// gradHess returns buffers it reuses on the next call: keep copies.
 	_, h0 := st.gradHess(gamma, s.opts.PriorSigma)
-	hess := h0.Clone()
+	hess := linalg.NewMatrix(h0.Rows, h0.Cols)
+	copy(hess.Data, h0.Data)
 	const h = 1e-5
 	for r1 := 0; r1 < 2; r1++ {
 		gp := append([]float64(nil), gamma...)
@@ -113,7 +125,7 @@ func TestStrengthHessianSymmetricNegDef(t *testing.T) {
 		// xᵀHx < 0 for random x ≠ 0.
 		for probe := 0; probe < 20; probe++ {
 			x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-			hx := hess.MulVec(x)
+			hx := mulVec(hess, x)
 			quad := x[0]*hx[0] + x[1]*hx[1]
 			if quad >= 0 {
 				t.Fatalf("Hessian not negative definite: xᵀHx = %v", quad)
@@ -361,7 +373,7 @@ func TestNewtonDirectionFallbacks(t *testing.T) {
 	// scratch, so LU must start again from a fresh copy of H.
 	set(-1, 2, 1)
 	delta := st.newtonDirection(grad, hess)
-	hd := hess.MulVec(delta)
+	hd := mulVec(hess, delta)
 	for r := range grad {
 		if math.Abs(hd[r]-grad[r]) > 1e-10 {
 			t.Errorf("LU path: (H·Δ)[%d] = %v, want ∇ = %v", r, hd[r], grad[r])

@@ -6,41 +6,21 @@ import (
 )
 
 // TopEigen computes the k algebraically-largest eigenpairs of a symmetric
-// matrix via shifted power iteration with Hotelling deflation. The shift
-// (a Gershgorin bound) makes the matrix positive definite so the dominant
-// eigenvalue of the shifted matrix corresponds to the algebraically largest
-// of the original — spectral clustering needs largest, not largest-magnitude.
+// n×n operator via shifted power iteration with Hotelling deflation. apply
+// writes A·x into y and never sees the matrix itself, so A need not be
+// stored. shift must bound |λ| (a Gershgorin row-sum bound does), so that
+// A + shift·I ⪰ 0 and its dominant eigenvalue is the algebraically largest
+// of A — spectral clustering needs largest, not largest-magnitude.
 //
 // rngSeed seeds the deterministic start vectors. Accuracy is adequate for
 // clustering embeddings (the downstream k-means only needs the invariant
-// subspace, not digits of λ).
-func TopEigen(a *Matrix, k int, rngSeed int64) (values []float64, vectors *Matrix, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("linalg: TopEigen needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
+// subspace, not digits of λ). vectors[c] is the c-th eigenvector.
+func TopEigen(n, k int, shift float64, apply func(y, x []float64), rngSeed int64) (values []float64, vectors [][]float64, err error) {
 	if k <= 0 || k > n {
 		return nil, nil, fmt.Errorf("linalg: TopEigen k=%d out of range 1..%d", k, n)
 	}
-	// Gershgorin shift: shift = max_i Σ_j |a_ij| bounds |λ| so A + shift·I ⪰ 0.
-	var shift float64
-	for i := 0; i < n; i++ {
-		var rowSum float64
-		for j := 0; j < n; j++ {
-			rowSum += math.Abs(a.At(i, j))
-		}
-		if rowSum > shift {
-			shift = rowSum
-		}
-	}
-	shifted := a.Clone()
-	for i := 0; i < n; i++ {
-		shifted.Add(i, i, shift)
-	}
-
 	values = make([]float64, 0, k)
-	vectors = NewMatrix(n, k)
-	basis := make([][]float64, 0, k)
+	vectors = make([][]float64, 0, k)
 
 	state := uint64(rngSeed)*2654435761 + 1
 	nextRand := func() float64 {
@@ -54,16 +34,19 @@ func TopEigen(a *Matrix, k int, rngSeed int64) (values []float64, vectors *Matri
 	const maxIter = 3000
 	const tol = 1e-10
 	for comp := 0; comp < k; comp++ {
-		x := make([]float64, n)
+		x, y := make([]float64, n), make([]float64, n)
 		for i := range x {
 			x[i] = nextRand() - 0.5
 		}
-		orthogonalize(x, basis)
+		orthogonalize(x, vectors)
 		normalize(x)
 		var lambda, prev float64
 		for iter := 0; iter < maxIter; iter++ {
-			y := shifted.MulVec(x)
-			orthogonalize(y, basis)
+			apply(y, x)
+			for i, v := range x {
+				y[i] += shift * v
+			}
+			orthogonalize(y, vectors)
 			lambda = dot(x, y)
 			nrm := norm(y)
 			if nrm < 1e-300 {
@@ -73,18 +56,14 @@ func TopEigen(a *Matrix, k int, rngSeed int64) (values []float64, vectors *Matri
 			for i := range y {
 				y[i] /= nrm
 			}
+			x, y = y, x
 			if iter > 0 && math.Abs(lambda-prev) <= tol*math.Max(1, math.Abs(lambda)) {
-				x = y
 				break
 			}
 			prev = lambda
-			x = y
 		}
-		basis = append(basis, x)
+		vectors = append(vectors, x)
 		values = append(values, lambda-shift)
-		for i := 0; i < n; i++ {
-			vectors.Set(i, comp, x[i])
-		}
 	}
 	return values, vectors, nil
 }

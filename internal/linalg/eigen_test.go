@@ -19,11 +19,11 @@ func eigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("linalg: eigenSym needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	if !isSymmetric(a, 1e-9*math.Max(1, a.MaxAbs())) {
+	if !isSymmetric(a, 1e-9*math.Max(1, maxAbs(a))) {
 		return nil, nil, fmt.Errorf("linalg: eigenSym needs a symmetric matrix")
 	}
 	n := a.Rows
-	w := a.Clone()
+	w := clone(a)
 	v := identity(n)
 
 	const maxSweeps = 100
@@ -35,7 +35,7 @@ func eigenSym(a *Matrix) (values []float64, vectors *Matrix, err error) {
 				off += 2 * w.At(i, j) * w.At(i, j)
 			}
 		}
-		if math.Sqrt(off) < 1e-12*math.Max(1, w.MaxAbs()) {
+		if math.Sqrt(off) < 1e-12*math.Max(1, maxAbs(w)) {
 			break
 		}
 		for p := 0; p < n-1; p++ {
@@ -186,7 +186,7 @@ func TestEigenSymReconstruction(t *testing.T) {
 			}
 		}
 		// A ≈ V·diag(λ)·Vᵀ.
-		resid := a.Clone()
+		resid := clone(a)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				for k := 0; k < n; k++ {
@@ -194,8 +194,8 @@ func TestEigenSymReconstruction(t *testing.T) {
 				}
 			}
 		}
-		if resid.MaxAbs() > 1e-8*math.Max(1, a.MaxAbs()) {
-			t.Fatalf("reconstruction error %v", resid.MaxAbs())
+		if maxAbs(resid) > 1e-8*math.Max(1, maxAbs(a)) {
+			t.Fatalf("reconstruction error %v", maxAbs(resid))
 		}
 		// Sorted descending.
 		for i := 1; i < n; i++ {
@@ -216,6 +216,24 @@ func TestEigenSymRejectsAsymmetric(t *testing.T) {
 	}
 }
 
+// denseApply returns the operator y ← a·x that TopEigen takes.
+func denseApply(a *Matrix) func(y, x []float64) {
+	return func(y, x []float64) { copy(y, mulVec(a, x)) }
+}
+
+// gershgorin returns max_i Σ_j |a_ij|, a bound on every |λ| of a.
+func gershgorin(a *Matrix) float64 {
+	var shift float64
+	for i := 0; i < a.Rows; i++ {
+		var rowSum float64
+		for j := 0; j < a.Cols; j++ {
+			rowSum += math.Abs(a.At(i, j))
+		}
+		shift = math.Max(shift, rowSum)
+	}
+	return shift
+}
+
 func TestTopEigenMatchesJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
@@ -233,7 +251,7 @@ func TestTopEigenMatchesJacobi(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 3
-		vals, vecs, err := TopEigen(a, k, int64(trial))
+		vals, vecs, err := TopEigen(n, k, gershgorin(a), denseApply(a), int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +260,8 @@ func TestTopEigenMatchesJacobi(t *testing.T) {
 				t.Errorf("trial %d: top eigenvalue %d = %v, Jacobi %v", trial, i, vals[i], full[i])
 			}
 			// Residual ‖A·v − λ·v‖ must be small.
-			v := make([]float64, n)
-			for r := 0; r < n; r++ {
-				v[r] = vecs.At(r, i)
-			}
-			av := a.MulVec(v)
+			v := vecs[i]
+			av := mulVec(a, v)
 			var res float64
 			for r := 0; r < n; r++ {
 				d := av[r] - vals[i]*v[r]
@@ -261,14 +276,11 @@ func TestTopEigenMatchesJacobi(t *testing.T) {
 
 func TestTopEigenArgValidation(t *testing.T) {
 	a := identity(3)
-	if _, _, err := TopEigen(a, 0, 1); err == nil {
+	if _, _, err := TopEigen(3, 0, 1, denseApply(a), 1); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, _, err := TopEigen(a, 4, 1); err == nil {
+	if _, _, err := TopEigen(3, 4, 1, denseApply(a), 1); err == nil {
 		t.Error("k>n should error")
-	}
-	if _, _, err := TopEigen(NewMatrix(2, 3), 1, 1); err == nil {
-		t.Error("non-square should error")
 	}
 }
 
@@ -283,19 +295,18 @@ func TestTopEigenOrthonormal(t *testing.T) {
 			a.Set(j, i, v)
 		}
 	}
-	_, vecs, err := TopEigen(a, 4, 99)
+	_, vecs, err := TopEigen(n, 4, gershgorin(a), denseApply(a), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := transposeMul(vecs, vecs)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			want := 0.0
 			if i == j {
 				want = 1
 			}
-			if math.Abs(g.At(i, j)-want) > 1e-6 {
-				t.Fatalf("top eigenvectors not orthonormal at (%d,%d): %v", i, j, g.At(i, j))
+			if g := dot(vecs[i], vecs[j]); math.Abs(g-want) > 1e-6 {
+				t.Fatalf("top eigenvectors not orthonormal at (%d,%d): %v", i, j, g)
 			}
 		}
 	}

@@ -1,20 +1,16 @@
-// Package linalg is a small dense linear-algebra substrate built for the two
+// Package linalg is a small linear-algebra substrate built for the two
 // numeric kernels this reproduction needs:
 //
 //   - solving the symmetric |R|×|R| Newton system H·Δ = ∇ in GenClus's
 //     link-strength learning step (paper §4.2), in place and without
 //     allocating, and
 //   - eigen-decompositions for the SpectralCombine baseline (Shiga et al.
-//     KDD'07 style): a power-iteration-with-deflation solver for the large
-//     similarity matrices the weather experiments produce.
+//     KDD'07 style): a matrix-free power-iteration-with-deflation solver for
+//     the large similarity matrices the weather experiments produce, which
+//     are applied as operators and never stored.
 //
 // The module is stdlib-only, so everything here is written from scratch.
 package linalg
-
-import (
-	"fmt"
-	"math"
-)
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -39,57 +35,10 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// MulVec returns m·x as a new vector.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// AddMatrix returns m + b as a new matrix.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: AddMatrix dimension mismatch")
-	}
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute element value (∞-norm over entries).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }

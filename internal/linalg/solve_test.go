@@ -18,7 +18,7 @@ func randomVec(rng *rand.Rand, n int) []float64 {
 
 // residualOK reports whether A·x matches b to a relative 1e-8.
 func residualOK(a *Matrix, x, b []float64) bool {
-	ax := a.MulVec(x)
+	ax := mulVec(a, x)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-8*math.Max(1, math.Abs(b[i])) {
 			return false
@@ -64,12 +64,12 @@ func TestCholeskySolveProperty(t *testing.T) {
 		a := randomSPD(rng, n)
 		b := randomVec(rng, n)
 		x := make([]float64, n)
-		if err := SolveSPDInPlace(a.Clone(), b, x); err != nil {
+		if err := SolveSPDInPlace(clone(a), b, x); err != nil {
 			return false
 		}
 		// Solving with x aliasing b gives the same bits.
 		xb := append([]float64(nil), b...)
-		if err := SolveSPDInPlace(a.Clone(), xb, xb); err != nil {
+		if err := SolveSPDInPlace(clone(a), xb, xb); err != nil {
 			return false
 		}
 		for i := range x {
@@ -91,11 +91,11 @@ func TestCholeskyMatchesLU(t *testing.T) {
 		a := randomSPD(rng, n)
 		b := randomVec(rng, n)
 		xc := make([]float64, n)
-		if err := SolveSPDInPlace(a.Clone(), b, xc); err != nil {
+		if err := SolveSPDInPlace(clone(a), b, xc); err != nil {
 			t.Fatal(err)
 		}
 		xl := make([]float64, n)
-		if err := SolveInPlace(a.Clone(), make([]int, n), b, xl); err != nil {
+		if err := SolveInPlace(clone(a), make([]int, n), b, xl); err != nil {
 			t.Fatal(err)
 		}
 		for i := range xc {
@@ -142,7 +142,7 @@ func TestLUSolveKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify A·x = b.
-	ax := fromRows(rows).MulVec(x)
+	ax := mulVec(fromRows(rows), x)
 	for i := range b {
 		if math.Abs(ax[i]-b[i]) > 1e-10 {
 			t.Fatalf("A·x = %v, want %v", ax, b)
@@ -158,7 +158,7 @@ func TestLUSolveProperty(t *testing.T) {
 		a := randomSPD(rng, n)
 		b := randomVec(rng, n)
 		x := make([]float64, n)
-		if err := SolveInPlace(a.Clone(), make([]int, n), b, x); err != nil {
+		if err := SolveInPlace(clone(a), make([]int, n), b, x); err != nil {
 			return false
 		}
 		return residualOK(a, x, b)
