@@ -1,6 +1,6 @@
 // The fit-performance benchmark harness. BenchmarkFitRefit (cold fit vs
 // warm refit) and BenchmarkEMIteration (one steady-state E+M pass over the
-// CSR link storage) are the committed perf baselines: an unfiltered run
+// sorted edge list) are the committed perf baselines: an unfiltered run
 // (any -benchtime) rewrites its own entries in BENCH_fit.json at the repo
 // root, so the file tracks the code and future PRs have a trajectory to
 // compare against. CI runs both with -benchtime=1x as a smoke pass and
@@ -423,8 +423,9 @@ func benchAssignDaemon(b *testing.B) (*httptest.Server, string, [][]byte) {
 
 // BenchmarkEMIteration measures one steady-state E+M pass of the EM hot
 // path on the mid-size synthetic network (4000 objects, ~24k links, two
-// relations, K=4) — the number the CSR link storage and the preallocated
-// scratch exist to improve. Allocations are the headline: the steady state
+// relations, K=4): one link pass over each object's run of the sorted
+// edge list, then the attribute and normalization passes, all in
+// preallocated scratch. Allocations are the headline: the steady state
 // must stay at 0 allocs/op (TestEMIterationSteadyStateZeroAlloc enforces
 // the same invariant as a test). The measurement lands in BENCH_fit.json
 // under "em-iteration/midsize".

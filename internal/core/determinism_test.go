@@ -166,7 +166,7 @@ func fitChecksum(res *Result) uint64 {
 // interleave relations (objects receive "cites" and "refs" links from
 // alternating sources), exercising the symmetric-propagation summation
 // order — the one EM path that walks the merged in-link view instead of
-// the per-relation CSR matrices.
+// each object's out-link run.
 func interleavedNetwork(tb testing.TB, perTopic int, seed int64) *hin.Network {
 	rng := rand.New(rand.NewSource(seed))
 	b := hin.NewBuilder()

@@ -409,16 +409,16 @@ func (s *state) emIteration() {
 // place; all reads go through the thetaOld snapshot, so ranges can run
 // concurrently.
 //
-// The work is organized as chunk-wide passes — one per relation over the
-// CSR rows, one per attribute, then a normalization pass — with every
-// object's unnormalized row accumulating in acc.rows. Each Θ_t entry still
-// receives its contributions in exactly the pre-CSR order (out-links
-// relation-major with ascending targets, then in-links in edge order, then
+// The work is organized as chunk-wide passes — one over the out-links, one
+// per attribute, then a normalization pass — with every object's
+// unnormalized row accumulating in acc.rows. Each Θ_t entry receives its
+// contributions in one fixed order (out-links in edge-list order:
+// relation-major with ascending targets; then in-links in edge order; then
 // attributes in declaration order), so the floating-point summation tree —
-// and therefore the fit — is bitwise unchanged; the passes only hoist model
-// pointers out of the object loop, walk each CSR sequentially, and read
-// Θ_{t−1} through the flat panel (see kernels.go for the inner loops and
-// the vectorization-safety rules they obey).
+// and therefore the fit — is bitwise reproducible; the passes only hoist
+// model pointers out of the object loop and read Θ_{t−1} through the flat
+// panel (see kernels.go for the inner loops and the vectorization-safety
+// rules they obey).
 func (s *state) emRange(lo, hi int, acc *emAccum) {
 	// K-sized buffers are resliced to [:k:k] so the compiler can prove the
 	// inner loops in-bounds and drop the checks.
@@ -433,20 +433,13 @@ func (s *state) emRange(lo, hi int, acc *emAccum) {
 	thetaOld := s.thetaOld
 	tf := s.thetaOldF
 
-	// Link passes: Σ_{e=<v,u>} γ(φ(e)) w(e) θ_{u,k}^{t−1}, one relation at
-	// a time.
-	for r := 0; r < s.nRel; r++ {
-		gr := gamma[r]
-		if gr == 0 {
-			continue
-		}
-		linkPass(rows, tf, &s.outCSR[r], lo, hi, k, gr)
-	}
+	// Link pass: Σ_{e=<v,u>} γ(φ(e)) w(e) θ_{u,k}^{t−1} over each object's
+	// out-links.
+	linkPass(rows, tf, gamma, s.net, lo, hi, k)
 	if s.opts.SymmetricPropagation {
-		// Merged in-link view in global edge order: matches the pre-CSR
-		// edge-index iteration bit for bit. A zero-strength or zero-weight
-		// in-link contributes +0.0 to non-negative accumulators — exactly
-		// what skipping it would leave — so no branch guards it.
+		// Merged in-link view, in global edge order. A zero-strength or
+		// zero-weight in-link contributes +0.0 to non-negative accumulators
+		// — exactly what skipping it would leave — so no branch guards it.
 		for v := lo; v < hi; v++ {
 			nr := rows[(v-lo)*k : (v-lo)*k+k : (v-lo)*k+k]
 			for j, end := s.inStart[v], s.inStart[v+1]; j < end; j++ {

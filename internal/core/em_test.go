@@ -362,6 +362,12 @@ func TestFitValidation(t *testing.T) {
 		func() Options { o := DefaultOptions(2); o.Epsilon = 0; return o }(),
 		func() Options { o := DefaultOptions(2); o.Epsilon = 0.9; return o }(),
 		func() Options { o := DefaultOptions(2); o.SmoothEta = -1; return o }(),
+		func() Options { o := DefaultOptions(2); o.SmoothEta = math.NaN(); return o }(),
+		func() Options { o := DefaultOptions(2); o.EMTol = -1; return o }(),
+		func() Options { o := DefaultOptions(2); o.EMTol = math.NaN(); return o }(),
+		func() Options { o := DefaultOptions(2); o.OuterTol = math.NaN(); return o }(),
+		func() Options { o := DefaultOptions(2); o.NewtonTol = -1; return o }(),
+		func() Options { o := DefaultOptions(2); o.NewtonTol = math.NaN(); return o }(),
 		func() Options { o := DefaultOptions(2); o.VarFloor = 0; return o }(),
 		func() Options { o := DefaultOptions(2); o.InitSeeds = 0; return o }(),
 		func() Options { o := DefaultOptions(2); o.InitSeeds = 3; o.InitSeedSteps = 0; return o }(),

@@ -16,7 +16,7 @@ type EMHarness struct {
 }
 
 // NewEMHarness validates opts against net and prepares a fitting state
-// exactly as a single-seed Fit would (CSR link views materialized, scratch
+// exactly as a single-seed Fit would (in-link view materialized, scratch
 // sized). When opts.Parallelism > 1 the harness starts a persistent worker
 // pool so parallel iterations dispatch without spawning goroutines — call
 // Close when done with the harness to stop it. Warm-up: the first

@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the vectorization-oriented inner loops of the E-step: the
-// per-relation link pass and the categorical attribute pass, each with a
+// out-link pass and the categorical attribute pass, each with a
 // generic form plus K-specialized forms that keep the K accumulators in
 // registers across the edge/term loop. Every specialization is bitwise
 // identical to the generic form — same operations, same floating-point
@@ -35,43 +35,29 @@ import (
 // bits. Not for concurrent mutation — tests set it around serial fits only.
 var forceGenericKernels bool
 
-// linkPass adds the γ-weighted out-link term of one relation to every
-// unnormalized row of the chunk: rows[v][i] += Σ_j gr·w(v,j)·Θold[col(v,j)][i],
-// edges in CSR row order (ascending target).
-func linkPass(rows, tf []float64, m *hin.CSR, lo, hi, k int, gr float64) {
-	start := m.Start
+// linkPass adds the γ-weighted out-link term to every unnormalized row of
+// the chunk: rows[v][i] += Σ_{e=<v,u>} γ(φ(e))·w(e)·Θold[u][i], walking v's
+// run of the sorted edge list (relation-major, ascending target, duplicates
+// in build order). A zero-strength relation's links add +0.0.
+func linkPass(rows, tf, gamma []float64, net *hin.Network, lo, hi, k int) {
 	switch {
 	case k == 4 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
-			rowLo, rowHi := start[v], start[v+1]
-			if rowLo == rowHi {
-				continue
-			}
 			b := (v - lo) * 4
-			linkRowK4(rows[b:b+4:b+4], tf, m.Col[rowLo:rowHi], m.Weight[rowLo:rowHi], gr)
+			linkRowK4(rows[b:b+4:b+4], tf, gamma, net.OutEdges(v))
 		}
 	case k == 2 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
-			rowLo, rowHi := start[v], start[v+1]
-			if rowLo == rowHi {
-				continue
-			}
 			b := (v - lo) * 2
-			linkRowK2(rows[b:b+2:b+2], tf, m.Col[rowLo:rowHi], m.Weight[rowLo:rowHi], gr)
+			linkRowK2(rows[b:b+2:b+2], tf, gamma, net.OutEdges(v))
 		}
 	default:
 		for v := lo; v < hi; v++ {
-			rowLo, rowHi := start[v], start[v+1]
-			if rowLo == rowHi {
-				continue
-			}
-			cols := m.Col[rowLo:rowHi]
-			wts := m.Weight[rowLo:rowHi]
 			b := (v - lo) * k
 			nr := rows[b : b+k : b+k]
-			for j, c := range cols {
-				g := gr * wts[j]
-				tb := c * k
+			for _, e := range net.OutEdges(v) {
+				g := gamma[e.Rel] * e.Weight
+				tb := e.To * k
 				tu := tf[tb : tb+k : tb+k]
 				for i := range tu {
 					nr[i] += g * tu[i]
@@ -83,11 +69,11 @@ func linkPass(rows, tf []float64, m *hin.CSR, lo, hi, k int, gr float64) {
 
 // linkRowK4 is linkPass's inner loop for K=4 with the four accumulators held
 // in registers across the row's edges.
-func linkRowK4(nr, tf []float64, cols []int, wts []float64, gr float64) {
+func linkRowK4(nr, tf, gamma []float64, out []hin.Edge) {
 	a0, a1, a2, a3 := nr[0], nr[1], nr[2], nr[3]
-	for j, c := range cols {
-		g := gr * wts[j]
-		tb := c * 4
+	for _, e := range out {
+		g := gamma[e.Rel] * e.Weight
+		tb := e.To * 4
 		t := tf[tb : tb+4 : tb+4]
 		a0 += g * t[0]
 		a1 += g * t[1]
@@ -98,11 +84,11 @@ func linkRowK4(nr, tf []float64, cols []int, wts []float64, gr float64) {
 }
 
 // linkRowK2 is linkRowK4 for K=2.
-func linkRowK2(nr, tf []float64, cols []int, wts []float64, gr float64) {
+func linkRowK2(nr, tf, gamma []float64, out []hin.Edge) {
 	a0, a1 := nr[0], nr[1]
-	for j, c := range cols {
-		g := gr * wts[j]
-		tb := c * 2
+	for _, e := range out {
+		g := gamma[e.Rel] * e.Weight
+		tb := e.To * 2
 		t := tf[tb : tb+2 : tb+2]
 		a0 += g * t[0]
 		a1 += g * t[1]

@@ -217,8 +217,8 @@ func (o Options) Validate(net *hin.Network) error {
 	if o.EMIters < 1 {
 		return fmt.Errorf("core: EMIters = %d, want ≥ 1", o.EMIters)
 	}
-	if o.EMTol < 0 || o.OuterTol < 0 {
-		return fmt.Errorf("core: tolerances must be ≥ 0 (EMTol=%v, OuterTol=%v)", o.EMTol, o.OuterTol)
+	if !(o.EMTol >= 0) || !(o.OuterTol >= 0) || !(o.NewtonTol >= 0) {
+		return fmt.Errorf("core: tolerances must be ≥ 0 (EMTol=%v, OuterTol=%v, NewtonTol=%v)", o.EMTol, o.OuterTol, o.NewtonTol)
 	}
 	if o.NewtonIters < 1 {
 		return fmt.Errorf("core: NewtonIters = %d, want ≥ 1", o.NewtonIters)
@@ -232,7 +232,7 @@ func (o Options) Validate(net *hin.Network) error {
 	if _, err := ParsePrecision(string(o.Precision)); err != nil {
 		return err
 	}
-	if o.SmoothEta < 0 {
+	if !(o.SmoothEta >= 0) {
 		return fmt.Errorf("core: SmoothEta = %v, want ≥ 0", o.SmoothEta)
 	}
 	if !(o.VarFloor > 0) {
@@ -261,8 +261,8 @@ func (o Options) Validate(net *hin.Network) error {
 				return fmt.Errorf("core: InitTheta row %d has %d entries, want K=%d", v, len(row), o.K)
 			}
 			for _, x := range row {
-				if x < 0 {
-					return fmt.Errorf("core: InitTheta row %d has negative entry", v)
+				if !(x >= 0) || math.IsInf(x, 1) {
+					return fmt.Errorf("core: InitTheta row %d has entry %v, want finite ≥ 0", v, x)
 				}
 			}
 		}

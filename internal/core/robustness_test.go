@@ -247,6 +247,17 @@ func TestInitThetaWarmStart(t *testing.T) {
 	if _, err := Fit(net, bad3); err == nil {
 		t.Error("negative InitTheta should be rejected")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		bad4 := DefaultOptions(2)
+		bad4.InitTheta = make([][]float64, net.NumObjects())
+		for v := range bad4.InitTheta {
+			bad4.InitTheta[v] = []float64{0.5, 0.5}
+		}
+		bad4.InitTheta[3][1] = x
+		if _, err := Fit(net, bad4); err == nil {
+			t.Errorf("InitTheta entry %v should be rejected", x)
+		}
+	}
 }
 
 // TestInitialGammaOption: the starting strengths must scale as configured.

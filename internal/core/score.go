@@ -420,8 +420,8 @@ func (s *Scorer) AddNumeric(a int, x float64) {
 //
 // Link contributions accumulate in (relation, addition order) order after a
 // stable sort by (relation index, target index) — the same
-// relation-major, ascending-target order the EM loop walks its CSR views
-// in — and attribute terms follow in the model's attribute order, so
+// relation-major, ascending-target order the EM loop walks each object's
+// out-links in — and attribute terms follow in the model's attribute order, so
 // scoring a training object with its own links and observations replays
 // the fit's summation tree exactly.
 func (s *Scorer) Score(dst []float64) int {
@@ -505,8 +505,8 @@ func (s *Scorer) Score(dst []float64) int {
 
 // linkSorter stable-sorts a query's links by (relation, target) through a
 // pointer receiver, so sorting allocates nothing: stability keeps
-// duplicate links in their added order — matching the CSR contract that
-// duplicates are kept as adjacent entries in build order — and
+// duplicate links in their added order — matching the edge-list contract
+// that duplicates are kept as adjacent entries in build order — and
 // sort.Stable's O(n log n) bounds the cost of a hostile link list (the
 // serving limit allows thousands of links per query; an insertion sort
 // there would be quadratic CPU inside the serialized engine pass).

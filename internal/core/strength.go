@@ -54,9 +54,9 @@ type strengthStats struct {
 // buildStrengthStats (re)fills the state's reusable strength statistics
 // from the current Θ. The aggregate arrays are sized once per fit — their
 // shape depends only on the immutable network and K — and each object's
-// rows are rebuilt on the pool. Links are walked through the per-relation
-// CSR views in the same (relation, target) order the sorted edge list
-// yields, keeping the sums bitwise identical to the pre-CSR path.
+// rows are rebuilt on the pool. Each object's out-links are walked in
+// edge-list order, so every (object, relation) slot sums its links by
+// ascending target, duplicates in build order.
 func (s *state) buildStrengthStats() *strengthStats {
 	st := &s.strength
 	if !s.strengthReady {
@@ -106,24 +106,17 @@ func (s *state) strengthRows(lo, hi int, logTheta []float64) {
 		for c := 0; c < k; c++ {
 			logTheta[c] = math.Log(ti[c])
 		}
-		for r := 0; r < nRel; r++ {
-			m := &s.outCSR[r]
-			lo, hi := m.Start[v], m.Start[v+1]
-			if lo == hi {
-				continue
+		for _, e := range s.net.OutEdges(v) {
+			slot := oi*nRel + e.Rel
+			base := slot * k
+			tj := s.theta[e.To]
+			var ce float64
+			for c := 0; c < k; c++ {
+				st.sik[base+c] += e.Weight * tj[c]
+				ce += tj[c] * logTheta[c]
 			}
-			base := (oi*nRel + r) * k
-			for j := lo; j < hi; j++ {
-				w := m.Weight[j]
-				tj := s.theta[m.Col[j]]
-				var ce float64
-				for c := 0; c < k; c++ {
-					st.sik[base+c] += w * tj[c]
-					ce += tj[c] * logTheta[c]
-				}
-				st.s[oi*nRel+r] += w
-				st.f[oi*nRel+r] += w * ce
-			}
+			st.s[slot] += e.Weight
+			st.f[slot] += e.Weight * ce
 		}
 	}
 }

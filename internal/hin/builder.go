@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Builder incrementally assembles a Network. It is not safe for concurrent
@@ -284,17 +283,11 @@ func (b *Builder) Build() (*Network, error) {
 		n.typeIndex[o.Type] = append(n.typeIndex[o.Type], v)
 	}
 
-	// CSR out-adjacency: sort edges by (From, Rel, To) for deterministic
-	// iteration order, then compute offsets.
-	sort.Slice(n.edges, func(i, j int) bool {
-		a, bb := n.edges[i], n.edges[j]
-		if a.From != bb.From {
-			return a.From < bb.From
-		}
-		if a.Rel != bb.Rel {
-			return a.Rel < bb.Rel
-		}
-		return a.To < bb.To
+	// Out-adjacency: sort edges by (From, Rel, To) for deterministic
+	// iteration order, then compute per-object offsets. The sort is
+	// stable, so duplicate links keep the order they were added in.
+	slices.SortStableFunc(n.edges, func(a, bb Edge) int {
+		return cmp.Or(cmp.Compare(a.From, bb.From), cmp.Compare(a.Rel, bb.Rel), cmp.Compare(a.To, bb.To))
 	})
 	nObj := len(n.objects)
 	n.outStart = make([]int, nObj+1)

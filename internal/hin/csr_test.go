@@ -1,132 +1,66 @@
 package hin
 
 import (
-	"sort"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// checkCSRInvariants verifies the structural soundness of a network's CSR
-// link views against its canonical edge list:
+// checkCSRInvariants verifies the link storage every fit walks against the
+// canonical edge list:
 //
-//   - every relation has an out view with |V|+1 non-decreasing row
-//     offsets covering exactly that relation's links;
-//   - walking the out views object-major, relation-major reproduces
-//     Edges() exactly — same order, same duplicates, same weights — which
-//     is the determinism contract the EM loop relies on;
-//   - each relation's out view holds the same multiset of links as that
-//     relation's slice of the edge list;
+//   - OutEdges(v) is object v's run of Edges(): the runs, walked in object
+//     order, reproduce Edges() exactly — same order, same duplicates, same
+//     weights — which is the summation order the E-step and the strength
+//     statistics rely on;
+//   - each run is sorted by (Rel, To), agrees with OutDegree, and holds
+//     in-range relation ids, in-range targets and positive finite weights;
 //   - the merged in-link view is ordered by (From, Rel) within each target
 //     and agrees with InDegree.
 //
-// The fuzzer calls it on every decodable input.
+// Build order of duplicate links is asserted by TestCSRDuplicateLinks,
+// which knows the order the links were added in. The fuzzer calls this on
+// every decodable input.
 func checkCSRInvariants(t testing.TB, net *Network) {
 	t.Helper()
 	nObj := net.NumObjects()
 	nRel := net.NumRelations()
-	outs := net.RelationCSRs()
-	if len(outs) != nRel {
-		t.Fatalf("CSR views: %d out for %d relations", len(outs), nRel)
-	}
-
-	checkShape := func(m *CSR, name string) {
-		if m.NumRows() != nObj {
-			t.Fatalf("%s has %d rows, want %d", name, m.NumRows(), nObj)
-		}
-		if m.Start[0] != 0 || m.Start[nObj] != m.NNZ() {
-			t.Fatalf("%s offsets don't cover entries: Start[0]=%d Start[n]=%d nnz=%d", name, m.Start[0], m.Start[nObj], m.NNZ())
-		}
-		if len(m.Weight) != m.NNZ() {
-			t.Fatalf("%s has %d weights for %d entries", name, len(m.Weight), m.NNZ())
-		}
-		for v := 0; v < nObj; v++ {
-			if m.Start[v] > m.Start[v+1] {
-				t.Fatalf("%s offsets decrease at row %d", name, v)
-			}
-			cols, _ := m.Row(v)
-			if len(cols) != m.RowNNZ(v) {
-				t.Fatalf("%s Row/RowNNZ disagree at %d", name, v)
-			}
-			for _, c := range cols {
-				if c < 0 || c >= nObj {
-					t.Fatalf("%s row %d has column %d outside [0,%d)", name, v, c, nObj)
-				}
-			}
-		}
-	}
-
-	totalOut := 0
-	for r := 0; r < nRel; r++ {
-		checkShape(&outs[r], "out["+net.RelationName(r)+"]")
-		totalOut += outs[r].NNZ()
-	}
-	if totalOut != net.NumEdges() {
-		t.Fatalf("CSR views store %d out links for %d edges", totalOut, net.NumEdges())
-	}
-
-	// Walking out views object-major, relation-major must reproduce the
-	// canonical edge list exactly (order, duplicates, weights).
-	i := 0
 	edges := net.Edges()
+	i := 0
 	for v := 0; v < nObj; v++ {
-		for r := 0; r < nRel; r++ {
-			cols, wts := outs[r].Row(v)
-			for j := range cols {
-				if i >= len(edges) {
-					t.Fatalf("out views yield more links than edges")
-				}
-				e := edges[i]
-				if e.From != v || e.Rel != r || e.To != cols[j] || e.Weight != wts[j] {
-					t.Fatalf("out-view walk diverges from edge %d: got (%d -[%d]-> %d, w=%v), want (%d -[%d]-> %d, w=%v)",
-						i, v, r, cols[j], wts[j], e.From, e.Rel, e.To, e.Weight)
-				}
-				i++
+		out := net.OutEdges(v)
+		if len(out) != net.OutDegree(v) {
+			t.Fatalf("OutEdges(%d) has %d links, OutDegree %d", v, len(out), net.OutDegree(v))
+		}
+		for j, e := range out {
+			if i >= len(edges) {
+				t.Fatalf("out-link runs yield more links than edges")
 			}
+			if e != edges[i] {
+				t.Fatalf("OutEdges(%d)[%d] = %+v, edge %d = %+v", v, j, e, i, edges[i])
+			}
+			if e.From != v {
+				t.Fatalf("OutEdges(%d)[%d] starts at object %d", v, j, e.From)
+			}
+			if e.Rel < 0 || e.Rel >= nRel || e.To < 0 || e.To >= nObj {
+				t.Fatalf("OutEdges(%d)[%d] = %+v out of range (%d relations, %d objects)", v, j, e, nRel, nObj)
+			}
+			if !(e.Weight > 0) || math.IsInf(e.Weight, 1) {
+				t.Fatalf("OutEdges(%d)[%d] has weight %v", v, j, e.Weight)
+			}
+			if j > 0 {
+				p := out[j-1]
+				if e.Rel < p.Rel || (e.Rel == p.Rel && e.To < p.To) {
+					t.Fatalf("OutEdges(%d) not in (Rel, To) order at %d: %+v after %+v", v, j, e, p)
+				}
+			}
+			i++
 		}
 	}
 	if i != len(edges) {
-		t.Fatalf("out views yield %d links for %d edges", i, len(edges))
-	}
-
-	// Each out view holds its relation's (From, To, Weight) multiset of the
-	// edge list.
-	type link struct {
-		from, to int
-		w        float64
-	}
-	sortLinks := func(ls []link) {
-		sort.Slice(ls, func(i, j int) bool {
-			if ls[i].from != ls[j].from {
-				return ls[i].from < ls[j].from
-			}
-			if ls[i].to != ls[j].to {
-				return ls[i].to < ls[j].to
-			}
-			return ls[i].w < ls[j].w
-		})
-	}
-	fromEdges := make([][]link, nRel)
-	for _, e := range edges {
-		fromEdges[e.Rel] = append(fromEdges[e.Rel], link{e.From, e.To, e.Weight})
-	}
-	for r := 0; r < nRel; r++ {
-		var fromOut []link
-		for v := 0; v < nObj; v++ {
-			cols, wts := outs[r].Row(v)
-			for j := range cols {
-				fromOut = append(fromOut, link{v, cols[j], wts[j]})
-			}
-		}
-		sortLinks(fromOut)
-		sortLinks(fromEdges[r])
-		if len(fromOut) != len(fromEdges[r]) {
-			t.Fatalf("relation %d: %d out links, %d edges", r, len(fromOut), len(fromEdges[r]))
-		}
-		for j := range fromOut {
-			if fromOut[j] != fromEdges[r][j] {
-				t.Fatalf("relation %d: out link %d = %+v, edge %+v", r, j, fromOut[j], fromEdges[r][j])
-			}
-		}
+		t.Fatalf("out-link runs yield %d links for %d edges", i, len(edges))
 	}
 
 	// Merged in-link view: (From, Rel)-ordered per target, length-consistent.
@@ -147,9 +81,9 @@ func TestCSRToyNetwork(t *testing.T) {
 	checkCSRInvariants(t, buildToy(t))
 }
 
-// TestCSREmptyRelation: a relation interned without any links still gets a
-// (all-empty-rows) CSR, and relations emptied by FilterEdges keep
-// their dense ids with zero entries.
+// TestCSREmptyRelation: a relation interned without any links keeps its
+// dense id and appears in no object's out-links, and relations emptied by
+// FilterEdges keep their dense ids.
 func TestCSREmptyRelation(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -165,8 +99,12 @@ func TestCSREmptyRelation(t *testing.T) {
 	if !ok {
 		t.Fatal("interned relation lost")
 	}
-	if nnz := net.RelationCSR(lonely).NNZ(); nnz != 0 {
-		t.Fatalf("empty relation stores %d links", nnz)
+	for v := 0; v < net.NumObjects(); v++ {
+		for _, e := range net.OutEdges(v) {
+			if e.Rel == lonely {
+				t.Fatalf("empty relation stores link %+v", e)
+			}
+		}
 	}
 
 	filtered, err := FilterEdges(net, func(Edge) bool { return false })
@@ -179,7 +117,7 @@ func TestCSREmptyRelation(t *testing.T) {
 	}
 }
 
-// TestCSRSelfLinks: a self-link appears in the object's own out-view row.
+// TestCSRSelfLinks: a self-link appears in the object's own out-links.
 func TestCSRSelfLinks(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -193,16 +131,17 @@ func TestCSRSelfLinks(t *testing.T) {
 	checkCSRInvariants(t, net)
 	va, _ := net.IndexOf("a")
 	r, _ := net.RelationID("self")
-	cols, wts := net.RelationCSR(r).Row(va)
-	if len(cols) != 2 || cols[0] != va || wts[0] != 2 {
-		t.Fatalf("self-link missing from out row: cols=%v wts=%v", cols, wts)
+	out := net.OutEdges(va)
+	if len(out) != 2 || out[0] != (Edge{From: va, To: va, Rel: r, Weight: 2}) {
+		t.Fatalf("self-link missing from out-links: %+v", out)
 	}
 }
 
 // TestCSRDuplicateLinks: duplicate (src, dst, relation) links stay separate
-// adjacent entries whose weights accumulate when walked — coalescing them
-// would change the EM summation tree and break bitwise determinism against
-// the edge-list order.
+// adjacent entries, in the order they were added, whose weights accumulate
+// when walked — coalescing or reordering them would change the EM
+// summation tree. The second network is large enough that an unstable
+// sort would reorder its duplicates.
 func TestCSRDuplicateLinks(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -218,12 +157,46 @@ func TestCSRDuplicateLinks(t *testing.T) {
 	va, _ := net.IndexOf("a")
 	vc, _ := net.IndexOf("c")
 	r, _ := net.RelationID("r")
-	cols, wts := net.RelationCSR(r).Row(va)
-	if len(cols) != 2 || cols[0] != vc || cols[1] != vc {
-		t.Fatalf("duplicate links not kept as separate entries: cols=%v", cols)
+	other, _ := net.RelationID("other")
+	want := []Edge{
+		{From: va, To: vc, Rel: r, Weight: 1},
+		{From: va, To: vc, Rel: r, Weight: 2.5},
+		{From: va, To: vc, Rel: other, Weight: 4},
 	}
-	if total := wts[0] + wts[1]; total != 3.5 {
-		t.Fatalf("duplicate weights accumulate to %v, want 3.5", total)
+	if out := net.OutEdges(va); !slices.Equal(out, want) {
+		t.Fatalf("duplicate links not kept as separate entries in build order: %+v", out)
+	}
+	if out := net.OutEdges(va); out[0].Weight+out[1].Weight != 3.5 {
+		t.Fatalf("duplicate weights accumulate to %v, want 3.5", out[0].Weight+out[1].Weight)
+	}
+
+	// Many objects, each with three copies of a few links added in
+	// descending object order; the weight records the build order.
+	const nObj, copies = 50, 3
+	b = NewBuilder()
+	for v := 0; v < nObj; v++ {
+		b.AddObject(fmt.Sprint("o", v), "t")
+	}
+	w := 1.0
+	for c := 0; c < copies; c++ {
+		for v := nObj - 1; v >= 0; v-- {
+			b.AddLink(fmt.Sprint("o", v), fmt.Sprint("o", (v*7)%nObj), "r", w)
+			b.AddLink(fmt.Sprint("o", v), fmt.Sprint("o", (v+1)%nObj), "r", w+0.5)
+			w++
+		}
+	}
+	net, err = b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCSRInvariants(t, net)
+	for v := 0; v < nObj; v++ {
+		out := net.OutEdges(v)
+		for j := 1; j < len(out); j++ {
+			if out[j].To == out[j-1].To && out[j].Rel == out[j-1].Rel && out[j].Weight < out[j-1].Weight {
+				t.Fatalf("OutEdges(%d) reorders duplicate links: %+v", v, out)
+			}
+		}
 	}
 }
 
@@ -231,14 +204,14 @@ func TestCSRDuplicateLinks(t *testing.T) {
 // accessors must observe one consistent build (run with -race).
 func TestPrepareCSRConcurrent(t *testing.T) {
 	net := buildToy(t)
-	views := make([][]CSR, 8)
+	views := make([][]int, 8)
 	var wg sync.WaitGroup
 	for i := range views {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			net.PrepareCSR()
-			views[i] = net.RelationCSRs()
+			_, views[i], _, _ = net.InLinkArrays()
 		}(i)
 	}
 	wg.Wait()

@@ -23,7 +23,7 @@ var fuzzLimits = Limits{
 // networks, both fail with equal *LimitErrors, both fail otherwise, or the
 // document repeats a recognised key and FromJSONLimited rejects it. A
 // decoded network must also survive a marshal → decode round trip
-// unchanged in shape, with sound CSR views. Panics, disagreement and
+// unchanged in shape, with sound link storage. Panics, disagreement and
 // round-trip drift are the bugs being hunted.
 func FuzzDecodeNetwork(f *testing.F) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.json"))
@@ -44,7 +44,7 @@ func FuzzDecodeNetwork(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"objects":[{"id":"a","type":"t"}]}`))
 	f.Add([]byte(`{"attributes":[{"name":"n","kind":"numeric"}],"objects":[{"id":"a","type":"t","numeric":{"n":[1e308,-1e308]}}]}`))
-	// Self-links and duplicate (src, dst, relation) links: the CSR builder
+	// Self-links and duplicate (src, dst, relation) links: the edge sort
 	// must keep duplicates as separate adjacent entries (never coalesce).
 	f.Add([]byte(`{"objects":[{"id":"a","type":"t"},{"id":"b","type":"t"}],` +
 		`"links":[{"from":"a","to":"a","rel":"self","w":1},` +
@@ -75,8 +75,8 @@ func FuzzDecodeNetwork(f *testing.F) {
 				net.NumObjects(), again.NumObjects(), net.NumEdges(), again.NumEdges(),
 				net.NumRelations(), again.NumRelations(), net.NumAttrs(), again.NumAttrs())
 		}
-		// Any decodable network must also yield structurally sound CSR
-		// link views — the storage every fit walks.
+		// Any decodable network must also yield structurally sound link
+		// storage — the out-link runs and in-link view every fit walks.
 		checkCSRInvariants(t, net)
 	})
 }

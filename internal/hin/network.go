@@ -6,8 +6,10 @@
 // titles) or lists of numeric readings (e.g. sensor temperatures).
 //
 // Networks are constructed through a Builder, validated once, and immutable
-// afterwards; adjacency is stored CSR-style so the clustering algorithms can
-// stream over out-links and in-links without per-query allocation.
+// afterwards. The links are stored once, sorted by (From, Rel, To) with
+// per-object offsets, so each object's out-links are one contiguous run
+// (OutEdges); a merged in-link view is built lazily beside it. The
+// clustering algorithms stream over both without per-query allocation.
 package hin
 
 import (
@@ -78,15 +80,17 @@ type Network struct {
 	relations []string
 	relIndex  map[string]int
 
-	edges    []Edge // sorted by (From, Rel, To)
+	edges    []Edge // sorted by (From, Rel, To): the one out-link store
 	outStart []int  // CSR offsets into edges by From
 	inStart  []int  // in-link counts per object, as CSR offsets by To
 
-	// csr holds the lazily-built per-relation CSR link views the EM hot
-	// path walks (see csr.go). Built at most once per network; csrOnce
-	// makes concurrent fits of a shared network safe.
-	csrOnce sync.Once
-	csr     *csrViews
+	// The lazily-built merged in-link view (see PrepareCSR). Built at most
+	// once per network; csrOnce makes concurrent fits of a shared network
+	// safe.
+	csrOnce  sync.Once
+	inFrom   []int
+	inRel    []int
+	inWeight []float64
 
 	attrs     []AttrSpec
 	attrIndex map[string]int
@@ -148,10 +152,13 @@ func (n *Network) RelationID(name string) (int, bool) {
 // returned slice is shared; callers must not mutate it.
 func (n *Network) Relations() []string { return n.relations }
 
-// Edges returns all edges sorted by (From, Rel, To). Shared; do not mutate.
+// Edges returns all edges sorted by (From, Rel, To), duplicate links in the
+// order they were added. Shared; do not mutate.
 func (n *Network) Edges() []Edge { return n.edges }
 
-// OutEdges returns the out-links of object v (shared slice; do not mutate).
+// OutEdges returns the out-links of object v: its run of Edges(), so sorted
+// by (Rel, To) with duplicates in the order they were added (shared slice;
+// do not mutate).
 func (n *Network) OutEdges(v int) []Edge { return n.edges[n.outStart[v]:n.outStart[v+1]] }
 
 // OutDegree returns the number of out-links of v.

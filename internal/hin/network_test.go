@@ -433,7 +433,8 @@ func assertNetworksEqual(t *testing.T, a, b *Network) {
 }
 
 // TestRandomNetworkInvariantsQuick property-tests Build on random networks:
-// CSR adjacency must partition the edge set regardless of insertion order.
+// the per-object out-link runs must partition the edge set regardless of
+// insertion order.
 func TestRandomNetworkInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

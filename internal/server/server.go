@@ -109,10 +109,11 @@ type Config struct {
 	// is a one-request memory bomb.
 	MaxK int
 	// MaxOuterIters, MaxEMIters and MaxInitSeeds cap the corresponding
-	// job options (defaults 1e6, 10_000, 1024). They bound per-job
-	// compute only loosely — a runaway job is cancellable via DELETE —
-	// but keep a single request from scheduling effectively unbounded
-	// work by accident.
+	// job options (defaults 1e6, 10_000, 1024); MaxEMIters also caps
+	// init_seed_steps, the EM iterations each candidate seed runs. They
+	// bound per-job compute only loosely — a runaway job is cancellable
+	// via DELETE — but keep a single request from scheduling effectively
+	// unbounded work by accident.
 	MaxOuterIters int
 	MaxEMIters    int
 	MaxInitSeeds  int
@@ -679,10 +680,10 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	// Materialize the sparse link views at the trust boundary, once per
-	// upload, so the first fit of this network does not pay the CSR build
-	// inside its job slot (PrepareCSR is idempotent — a concurrent fit of
-	// the same network just finds them ready).
+	// Materialize the in-link view at the trust boundary, once per upload,
+	// so the first fit of this network does not pay its build inside its
+	// job slot (PrepareCSR is idempotent — a concurrent fit of the same
+	// network just finds it ready).
 	net.PrepareCSR()
 	id := s.store.addNetwork(net)
 	writeJSON(w, http.StatusCreated, client.NetworkInfo{
@@ -866,6 +867,9 @@ func (s *Server) checkJobBounds(opts core.Options) error {
 	}
 	if opts.EMIters > s.cfg.MaxEMIters {
 		return fmt.Errorf("em_iters %d exceeds limit %d", opts.EMIters, s.cfg.MaxEMIters)
+	}
+	if opts.InitSeedSteps > s.cfg.MaxEMIters {
+		return fmt.Errorf("init_seed_steps %d exceeds limit %d", opts.InitSeedSteps, s.cfg.MaxEMIters)
 	}
 	if opts.InitSeeds > s.cfg.MaxInitSeeds {
 		return fmt.Errorf("init_seeds %d exceeds limit %d", opts.InitSeeds, s.cfg.MaxInitSeeds)

@@ -372,6 +372,8 @@ func TestMalformedPayloadsAre4xx(t *testing.T) {
 		{"job: k memory bomb", "POST", "/v1/jobs", fmt.Sprintf(`{"network_id":%q,"k":1000000000}`, netID), 400},
 		{"job: unbounded iterations", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"outer_iters":2000000000}}`, netID), 400},
+		{"job: unbounded seed steps", "POST", "/v1/jobs",
+			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"init_seed_steps":2000000000}}`, netID), 400},
 		{"job: unknown attribute", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"attributes":["nope"]}}`, netID), 400},
 		{"job: truth on unknown object", "POST", "/v1/jobs",
