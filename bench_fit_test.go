@@ -30,6 +30,8 @@ import (
 	"genclus/client"
 	"genclus/internal/bench"
 	"genclus/internal/datagen"
+	"genclus/internal/infer"
+	"genclus/internal/infer/infertest"
 	"genclus/internal/server"
 )
 
@@ -636,4 +638,55 @@ func BenchmarkDecodeNetwork(b *testing.B) {
 			})
 		})
 	}
+}
+
+// benchQueries keeps BenchmarkDecodeAssignRequest's result observable.
+var benchQueries []infer.Query
+
+// BenchmarkDecodeAssignRequest measures the assign route's decode: one
+// infer.DecodeRequest call, under genclusd's default batch bound of 256,
+// on the bodies the serve workloads send — 8 papers of a default-scale
+// A–C–P network (1,200 authors, 1,800 papers, 20 venues) cloned with their
+// links and term counts, about 2.7 KB each. Each op decodes the next of 16
+// such bodies. The result lands in BENCH_fit.json as
+// "infer/decode-assign", with allocs/op: a decode allocates per request
+// and per escaped string, plus the growth of its staging slices, never
+// per link or term count. CI gates it like hin/decode.
+func BenchmarkDecodeAssignRequest(b *testing.B) {
+	ds, err := datagen.Biblio(datagen.DefaultBiblioConfig(datagen.SchemaACP, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies, err := infertest.RequestBodies(ds.Net, 16, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	decode := func() {
+		body := bodies[next%len(bodies)]
+		next++
+		if _, benchQueries, err = infer.DecodeRequest(body, 256); err != nil {
+			b.Fatal(err)
+		}
+	}
+	allocs := int64(testing.AllocsPerRun(len(bodies), decode))
+	var size int
+	for _, body := range bodies {
+		size += len(body)
+	}
+	b.SetBytes(int64(size / len(bodies)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	b.StopTimer()
+	nsPerOp := int64(0)
+	if b.N > 0 {
+		nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+	}
+	const key = "infer/decode-assign"
+	mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
+		key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+	})
 }

@@ -646,8 +646,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemp
 	if err != nil {
 		return err
 	}
-	if out == nil || len(data) == 0 {
+	if out == nil {
 		return nil
+	}
+	if len(data) == 0 {
+		return fmt.Errorf("client: %s %s answered an empty body, want a document", method, path)
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)

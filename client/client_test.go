@@ -453,3 +453,22 @@ func TestSDKWaitPollingFallback(t *testing.T) {
 		})
 	}
 }
+
+// TestSDKEmptyBodyIsAnError checks that a 2xx answer with no body, where
+// the call expects a document, is an error rather than a zero value with
+// a nil error (which made WaitForResult poll a zero Job until its
+// deadline).
+func TestSDKEmptyBodyIsAnError(t *testing.T) {
+	empty := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer empty.Close()
+	c := client.New(empty.URL, client.WithRetries(0, 0))
+	ctx := context.Background()
+	if job, err := c.JobStatus(ctx, "job_x"); err == nil || !strings.Contains(err.Error(), "empty body") {
+		t.Fatalf("status from an empty 200: job %+v, err %v", job, err)
+	}
+	if res, err := c.JobResult(ctx, "job_x"); err == nil || !strings.Contains(err.Error(), "empty body") {
+		t.Fatalf("result from an empty 200: result %+v, err %v", res, err)
+	}
+}

@@ -244,12 +244,12 @@ func runAssign(modelPath, queriesPath, outPath string) {
 	if err != nil {
 		fatal(err)
 	}
-	doc, queries, err := infer.DecodeRequest(data, 0) // local file: no batch bound
+	topK, queries, err := infer.DecodeRequest(data, 0) // local file: no batch bound
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", queriesPath, err))
 	}
 	// Offline scoring trusts its local input file: no serving limits.
-	eng, err := genclus.NewAssigner(model, genclus.AssignOptions{TopK: doc.TopK, Unbounded: true})
+	eng, err := genclus.NewAssigner(model, genclus.AssignOptions{TopK: topK, Unbounded: true})
 	if err != nil {
 		fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestDecodeStopsStoringPastALimit(t *testing.T) {
 		sb.WriteString(`","type":"t","numeric":{"n":[1,2,3]}}`)
 	}
 	sb.WriteString(`]}`)
-	d := &decoder{data: []byte(sb.String()), lim: Limits{MaxObjects: 10}, strs: make(map[string]string)}
+	d := newDecoder([]byte(sb.String()), Limits{MaxObjects: 10})
 	if err := d.document(); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (e *LimitError) Error() string {
 // There is deliberately no unbounded FromJSON: the bounded decoder is the
 // only path from bytes to a Network, and "unbounded" is spelled Limits{}.
 func FromJSONLimited(data []byte, lim Limits) (*Network, error) {
-	d := &decoder{data: data, lim: lim, strs: make(map[string]string)}
+	d := newDecoder(data, lim)
 	if err := d.document(); err != nil {
 		return nil, fmt.Errorf("hin: parse network JSON: %w", err)
 	}

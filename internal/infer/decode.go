@@ -1,0 +1,322 @@
+package infer
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"genclus/internal/hin"
+	"genclus/internal/jsonscan"
+)
+
+// DecodeError reports a structurally malformed assign request document —
+// unparsable JSON, no objects, a negative top_k. Serving paths map it to
+// 400; limit overflows come back as *LimitError instead.
+type DecodeError struct {
+	// Msg describes what was rejected.
+	Msg string
+}
+
+// Error implements the error interface.
+func (e *DecodeError) Error() string { return e.Msg }
+
+// DecodeRequest parses an assign request document (a RequestDoc) into
+// engine queries, in request order, and returns them with the request's
+// top_k. maxBatch > 0 bounds the number of objects (overflow is a
+// *LimitError); structural problems are a *DecodeError, checked in the
+// order: the document parses, it has objects, they fit maxBatch, top_k is
+// not negative. Map-keyed attribute observations are sorted by name, so
+// the decoded queries — and any later validation error — are a pure
+// function of the document bytes. Semantic validation (unknown names,
+// out-of-vocabulary terms, non-finite values) is Engine.Validate's job.
+//
+// The document is read in one pass on the shared JSON scanner, with no
+// reflection and no intermediate RequestDoc. Its accept/reject decisions
+// and the queries it returns are those of encoding/json decoding into a
+// RequestDoc, except that a repeated recognised key (a field of one
+// object, or an attribute of one terms or numeric map) is a *DecodeError
+// naming the key.
+func DecodeRequest(data []byte, maxBatch int) (topK int, queries []Query, err error) {
+	d := &requestDecoder{Scanner: jsonscan.Scanner{Data: data}, text: string(data), maxBatch: maxBatch}
+	if err := d.Document("the assign request", d.request); err != nil {
+		return 0, nil, &DecodeError{Msg: fmt.Sprintf("parse assign request: %v", err)}
+	}
+	switch {
+	case d.nObjects == 0:
+		return 0, nil, &DecodeError{Msg: "assign request has no objects"}
+	case maxBatch > 0 && d.nObjects > maxBatch:
+		return 0, nil, &LimitError{Query: -1, What: "batch size", Got: d.nObjects, Limit: maxBatch}
+	case d.topK < 0:
+		return 0, nil, &DecodeError{Msg: "top_k must be ≥ 0"}
+	}
+	return d.topK, d.queries(), nil
+}
+
+// requestDecoder stages an assign request's queries as it reads them:
+// every query's links, term counts and numeric values go to one slice per
+// kind, and queries assembles the Query values once the document has
+// parsed. Once the object count passes maxBatch the rest of the document
+// is still validated, but nothing more is stored.
+type requestDecoder struct {
+	jsonscan.Scanner
+	text     string // the document as a string: a string token without escapes is a substring of it
+	maxBatch int
+	nObjects int
+	topK     int
+	full     bool
+
+	objects []objectStage
+	links   []Link
+	tcs     []hin.TermCount
+	nums    []float64
+	cats    []obsStage // terms map entries, sorted by name within each object
+	numObs  []obsStage // numeric map entries, sorted by name within each object
+	keys    jsonscan.KeySet
+}
+
+// objectStage is one stored query object: its id and the end of its run
+// in each staging slice (its run starts where the previous object's ends).
+type objectStage struct {
+	id                string
+	links, cats, nums int
+}
+
+// obsStage is one terms or numeric map entry: the attribute and its run
+// of term counts or values.
+type obsStage struct {
+	attr       string
+	start, end int
+}
+
+var (
+	requestFields = jsonscan.NewFields("objects", "top_k")
+	objectFields  = jsonscan.NewFields("id", "links", "terms", "numeric")
+	linkFields    = jsonscan.NewFields("rel", "to", "w")
+	termFields    = jsonscan.NewFields("t", "c")
+)
+
+// queries assembles the staged objects into queries. Empty runs are nil,
+// as in a Query built from a RequestDoc.
+func (d *requestDecoder) queries() []Query {
+	out := make([]Query, len(d.objects))
+	cats := make([]CatObs, len(d.cats))
+	for i, o := range d.cats {
+		cats[i] = CatObs{Attr: o.attr, Terms: d.tcs[o.start:o.end:o.end]}
+	}
+	nums := make([]NumObs, len(d.numObs))
+	for i, o := range d.numObs {
+		nums[i] = NumObs{Attr: o.attr, Values: d.nums[o.start:o.end:o.end]}
+	}
+	var link, cat, num int
+	for i, o := range d.objects {
+		q := &out[i]
+		q.ID = o.id
+		if o.links > link {
+			q.Links = d.links[link:o.links:o.links]
+		}
+		if o.cats > cat {
+			q.Terms = cats[cat:o.cats:o.cats]
+		}
+		if o.nums > num {
+			q.Numeric = nums[num:o.nums:o.nums]
+		}
+		link, cat, num = o.links, o.cats, o.nums
+	}
+	return out
+}
+
+// str returns a string token's decoded contents: a substring of the
+// document when it holds no escape, else a fresh string.
+func (d *requestDecoder) str(tok jsonscan.Span) string {
+	if !tok.Slow {
+		return d.text[tok.Start:tok.End]
+	}
+	return string(d.Bytes(tok))
+}
+
+func (d *requestDecoder) request() error {
+	return d.Object(requestFields, 1, func(f int) (err error) {
+		if f == 0 {
+			return d.Array(2, "objects", d.objectElem)
+		}
+		d.topK, err = d.Int("top_k")
+		return err
+	})
+}
+
+// objectElem reads one element of "objects"; null is the zero object.
+func (d *requestDecoder) objectElem(depth int, null bool) error {
+	d.nObjects++
+	if d.maxBatch > 0 && d.nObjects > d.maxBatch {
+		d.full = true
+	}
+	var id string
+	if !null {
+		err := d.Object(objectFields, depth, func(f int) (err error) {
+			switch f {
+			case 0:
+				var tok jsonscan.Span
+				if tok, err = d.StringValue("id"); err == nil && !d.full {
+					id = d.str(tok)
+				}
+			case 1:
+				err = d.Array(depth+1, "links", d.linkElem)
+			default:
+				err = d.obsMap(depth+1, f == 3)
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if !d.full {
+		d.objects = append(d.objects, objectStage{id: id, links: len(d.links), cats: len(d.cats), nums: len(d.numObs)})
+	}
+	return nil
+}
+
+// linkElem reads one element of "links"; null is the zero link.
+func (d *requestDecoder) linkElem(depth int, null bool) error {
+	var l Link
+	if !null {
+		err := d.Object(linkFields, depth, func(f int) (err error) {
+			var tok jsonscan.Span
+			switch f {
+			case 0:
+				if tok, err = d.StringValue("rel"); err == nil && !d.full {
+					l.Relation = d.str(tok)
+				}
+			case 1:
+				if tok, err = d.StringValue("to"); err == nil && !d.full {
+					l.To = d.str(tok)
+				}
+			default:
+				l.Weight, err = d.Float("w")
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if !d.full {
+		d.links = append(d.links, l)
+	}
+	return nil
+}
+
+// obsMap reads an object's "terms" or "numeric" map (null is absent). An
+// entry whose value is null is an attribute observed with no values, as
+// encoding/json leaves it in the map.
+func (d *requestDecoder) obsMap(depth int, numeric bool) error {
+	what, entries, staged := "terms", &d.cats, func() int { return len(d.tcs) }
+	if numeric {
+		what, entries, staged = "numeric", &d.numObs, func() int { return len(d.nums) }
+	}
+	switch d.Peek() {
+	case 'n':
+		return d.Literal("null")
+	case '{':
+	default:
+		return d.Mismatch(what, "an object")
+	}
+	d.Pos++
+	d.keys.Reset()
+	mark := len(*entries)
+	for first := true; ; first = false {
+		ks, key, done, err := d.NextKey(first)
+		if err != nil {
+			return err
+		}
+		if done {
+			break
+		}
+		attr := d.text[ks.Start:ks.End]
+		if ks.Slow {
+			attr = string(key)
+		}
+		if !d.keys.Add(attr) {
+			return fmt.Errorf("repeated attribute %q in %s at offset %d", attr, what, d.Pos)
+		}
+		e := obsStage{attr: attr, start: staged()}
+		switch d.Peek() {
+		case 'n':
+			err = d.Literal("null")
+		case '[':
+			d.Pos++
+			if numeric {
+				err = d.numList()
+			} else {
+				err = d.termList(depth + 2)
+			}
+		default:
+			err = d.Mismatch(what+" value", "an array")
+		}
+		if err != nil {
+			return err
+		}
+		if !d.full {
+			e.end = staged()
+			*entries = append(*entries, e)
+		}
+	}
+	slices.SortFunc((*entries)[mark:], func(a, b obsStage) int { return strings.Compare(a.attr, b.attr) })
+	return nil
+}
+
+// termList reads the elements of a term-count list after its '['; depth
+// is the nesting level of each {"t","c"} element.
+func (d *requestDecoder) termList(depth int) error {
+	for first := true; ; first = false {
+		done, err := d.NextElem(first)
+		if err != nil || done {
+			return err
+		}
+		var tc hin.TermCount
+		switch d.Peek() {
+		case 'n':
+			err = d.Literal("null")
+		case '{':
+			d.Pos++
+			tc, err = d.termCount(depth)
+		default:
+			err = d.Mismatch("term count", "an object")
+		}
+		if err != nil {
+			return err
+		}
+		if !d.full {
+			d.tcs = append(d.tcs, tc)
+		}
+	}
+}
+
+func (d *requestDecoder) termCount(depth int) (tc hin.TermCount, err error) {
+	err = d.Object(termFields, depth, func(f int) (err error) {
+		if f == 0 {
+			tc.Term, err = d.Int("t")
+		} else {
+			tc.Count, err = d.Float("c")
+		}
+		return err
+	})
+	return tc, err
+}
+
+// numList reads the elements of a numeric observation list after its '['.
+func (d *requestDecoder) numList() error {
+	for first := true; ; first = false {
+		done, err := d.NextElem(first)
+		if err != nil || done {
+			return err
+		}
+		x, err := d.Float("numeric observation")
+		if err != nil {
+			return err
+		}
+		if !d.full {
+			d.nums = append(d.nums, x)
+		}
+	}
+}

@@ -1,14 +1,5 @@
 package infer
 
-import (
-	"encoding/json"
-	"fmt"
-	"maps"
-	"slices"
-
-	"genclus/internal/hin"
-)
-
 // The assign documents: the one JSON shape both serving surfaces speak —
 // the daemon's POST /v1/models/{id}/assign body and reply, and the CLI's
 // -assign queries file and output. A single decoder keeps the two surfaces
@@ -17,7 +8,9 @@ import (
 // AssignRequest, AssignObject, AssignLink, AssignTermCount, ClusterProb
 // and Assignment.
 
-// RequestDoc is an assign request document.
+// RequestDoc is an assign request document. Clients encode it;
+// DecodeRequest reads its shape straight into queries, building no
+// RequestDoc.
 type RequestDoc struct {
 	// Objects are the query objects to fold in, bounded by the server's
 	// assign batch limit.
@@ -110,61 +103,4 @@ func AssignmentDocs(res []Assignment, topK int) []AssignmentDoc {
 		out[i] = doc
 	}
 	return out
-}
-
-// DecodeError reports a structurally malformed assign request document —
-// unparsable JSON, no objects, a negative top_k. Serving paths map it to
-// 400; limit overflows come back as *LimitError instead.
-type DecodeError struct {
-	// Msg describes what was rejected.
-	Msg string
-}
-
-// Error implements the error interface.
-func (e *DecodeError) Error() string { return e.Msg }
-
-// DecodeRequest parses an assign request document and converts it into
-// engine queries, in request order. maxBatch > 0 bounds the number of
-// objects (overflow is a *LimitError); structural problems are a
-// *DecodeError. Map-keyed attribute observations are sorted by name, so
-// the decoded queries — and any later validation error — are a pure
-// function of the document bytes. Semantic validation (unknown names,
-// out-of-vocabulary terms, non-finite values) is Engine.Validate's job.
-func DecodeRequest(data []byte, maxBatch int) (*RequestDoc, []Query, error) {
-	var req RequestDoc
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, nil, &DecodeError{Msg: fmt.Sprintf("parse assign request: %v", err)}
-	}
-	if len(req.Objects) == 0 {
-		return nil, nil, &DecodeError{Msg: "assign request has no objects"}
-	}
-	if maxBatch > 0 && len(req.Objects) > maxBatch {
-		return nil, nil, &LimitError{Query: -1, What: "batch size", Got: len(req.Objects), Limit: maxBatch}
-	}
-	if req.TopK < 0 {
-		return nil, nil, &DecodeError{Msg: "top_k must be ≥ 0"}
-	}
-	queries := make([]Query, len(req.Objects))
-	for i, o := range req.Objects {
-		q := Query{ID: o.ID}
-		if len(o.Links) > 0 {
-			q.Links = make([]Link, len(o.Links))
-			for j, l := range o.Links {
-				q.Links[j] = Link{Relation: l.Relation, To: l.To, Weight: l.Weight}
-			}
-		}
-		for _, name := range slices.Sorted(maps.Keys(o.Terms)) {
-			src := o.Terms[name]
-			co := CatObs{Attr: name, Terms: make([]hin.TermCount, len(src))}
-			for j, t := range src {
-				co.Terms[j] = hin.TermCount{Term: t.Term, Count: t.Count}
-			}
-			q.Terms = append(q.Terms, co)
-		}
-		for _, name := range slices.Sorted(maps.Keys(o.Numeric)) {
-			q.Numeric = append(q.Numeric, NumObs{Attr: name, Values: o.Numeric[name]})
-		}
-		queries[i] = q
-	}
-	return &req, queries, nil
 }

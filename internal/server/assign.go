@@ -24,10 +24,11 @@ import (
 // requests into shared passes would save no work. The engine pass itself is
 // deterministic and allocation-free in steady state (see internal/infer).
 
-// The request and assignment documents are internal/infer's (RequestDoc
-// decoded by infer.DecodeRequest, AssignmentDoc produced by
-// infer.AssignmentDocs), so the daemon and the CLI's offline -assign mode
-// speak byte-for-byte the same format; the envelope is client.AssignResponse.
+// The request and assignment documents are internal/infer's (a RequestDoc
+// body decoded straight into queries by infer.DecodeRequest, AssignmentDoc
+// produced by infer.AssignmentDocs), so the daemon and the CLI's offline
+// -assign mode speak byte-for-byte the same format; the envelope is
+// client.AssignResponse.
 
 // ---- engine cache ----
 
@@ -323,7 +324,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, queries, err := infer.DecodeRequest(data, s.cfg.MaxAssignBatch)
+	topK, queries, err := infer.DecodeRequest(data, s.cfg.MaxAssignBatch)
 	if err != nil {
 		writeAssignError(w, err)
 		return
@@ -339,7 +340,6 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeAssignError(w, err)
 		return
 	}
-	topK := req.TopK
 	if topK == 0 {
 		topK = 1
 	}

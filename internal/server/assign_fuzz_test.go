@@ -8,6 +8,7 @@ import (
 	"genclus/internal/core"
 	"genclus/internal/hin"
 	"genclus/internal/infer"
+	"genclus/internal/infer/infertest"
 )
 
 // fuzzAssignModel fits one tiny model for the fuzz target to validate
@@ -43,10 +44,14 @@ func fuzzAssignModel(f *testing.F) *core.Model {
 }
 
 // FuzzDecodeAssignRequest fuzzes the assign trust boundary: arbitrary
-// bytes through decodeAssignRequest, then — when the document parses —
-// through engine validation and scoring. The invariant is "typed error or
-// correct result, never a panic or runaway allocation": the CI fuzz smoke
-// runs this alongside the network and snapshot decoder fuzzers.
+// bytes through infer.DecodeRequest, then — when the document parses —
+// through engine validation and scoring. The decoder must agree with
+// infertest.ReferenceDecodeRequest, the encoding/json decoder it replaced:
+// the same error type, or the same queries bit for bit (a document that
+// repeats a recognised key must be rejected instead). Past the decoder the
+// invariant is "typed error or correct result, never a panic or runaway
+// allocation": the CI fuzz smoke runs this alongside the network and
+// snapshot decoder fuzzers.
 func FuzzDecodeAssignRequest(f *testing.F) {
 	m := fuzzAssignModel(f)
 	eng, err := infer.NewEngine(m, infer.Options{
@@ -87,9 +92,12 @@ func FuzzDecodeAssignRequest(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	for _, tc := range infertest.Cases {
+		f.Add([]byte(tc.Doc))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, queries, err := infer.DecodeRequest(data, 8)
+		_, queries, err := infertest.CheckMatchesReference(t, data, 8)
 		if err != nil {
 			// Every rejection must be one of the typed 4xx shapes
 			// writeAssignError knows how to map.
@@ -99,9 +107,6 @@ func FuzzDecodeAssignRequest(f *testing.F) {
 				t.Fatalf("decode returned untyped error %T: %v", err, err)
 			}
 			return
-		}
-		if len(queries) != len(req.Objects) {
-			t.Fatalf("decoded %d queries for %d objects", len(queries), len(req.Objects))
 		}
 		mu.Lock()
 		defer mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -346,8 +347,30 @@ func (m *manager) run(j *job) {
 	}
 
 	opts := j.opts
-	opts.Progress = m.progressHook(j, started)
+	// A fit whose parameters leave the float64 range (a variance that
+	// overflows, say) reaches a non-finite g₁. Its job fails naming the
+	// value instead of publishing progress, a result and a model that no
+	// JSON document or snapshot can hold.
+	var nonFinite error
+	publish := m.progressHook(j, started)
+	opts.Progress = func(p core.Progress) {
+		if nonFinite != nil {
+			return
+		}
+		if err := notFinite("objective g₁", p.Objective); err != nil {
+			nonFinite = fmt.Errorf("%w after %d outer iterations", err, p.Outer)
+			cancel()
+			return
+		}
+		publish(p)
+	}
 	res, err := core.FitContext(jctx, net, opts)
+	if err == nil {
+		nonFinite = errors.Join(notFinite("objective g₁", res.Objective), notFinite("pseudo-log-likelihood g′₂", res.PseudoLL))
+	}
+	if nonFinite != nil {
+		err = nonFinite
+	}
 	switch {
 	case err == nil:
 		objects := make([]objectInfo, net.NumObjects())
@@ -380,6 +403,14 @@ func (m *manager) run(j *job) {
 	default:
 		finishRun(client.StateFailed, err.Error(), m.now())
 	}
+}
+
+// notFinite reports x, named what, when it is NaN or infinite.
+func notFinite(what string, x float64) error {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return fmt.Errorf("fit reached a non-finite %s = %v", what, x)
+	}
+	return nil
 }
 
 // progressHook wraps the job's progress fan-out with trace recording: one

@@ -110,7 +110,8 @@ type Config struct {
 	MaxK int
 	// MaxOuterIters, MaxEMIters and MaxInitSeeds cap the corresponding
 	// job options (defaults 1e6, 10_000, 1024); MaxEMIters also caps
-	// init_seed_steps, the EM iterations each candidate seed runs. They
+	// init_seed_steps, the EM iterations each candidate seed runs, and
+	// newton_iters, the Newton steps of each strength step. They
 	// bound per-job compute only loosely — a runaway job is cancellable
 	// via DELETE — but keep a single request from scheduling effectively
 	// unbounded work by accident.
@@ -616,10 +617,18 @@ func progressDoc(p core.Progress) *client.Progress {
 
 // ---- handlers ----
 
+// writeJSON answers code with v's JSON encoding. v is encoded before the
+// header is written, so a document that cannot be encoded (a NaN, say)
+// answers a 500 error body instead of code with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(data, '\n')) // a client that has gone away leaves nothing to answer
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -870,6 +879,9 @@ func (s *Server) checkJobBounds(opts core.Options) error {
 	}
 	if opts.InitSeedSteps > s.cfg.MaxEMIters {
 		return fmt.Errorf("init_seed_steps %d exceeds limit %d", opts.InitSeedSteps, s.cfg.MaxEMIters)
+	}
+	if opts.NewtonIters > s.cfg.MaxEMIters {
+		return fmt.Errorf("newton_iters %d exceeds limit %d", opts.NewtonIters, s.cfg.MaxEMIters)
 	}
 	if opts.InitSeeds > s.cfg.MaxInitSeeds {
 		return fmt.Errorf("init_seeds %d exceeds limit %d", opts.InitSeeds, s.cfg.MaxInitSeeds)

@@ -374,6 +374,8 @@ func TestMalformedPayloadsAre4xx(t *testing.T) {
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"outer_iters":2000000000}}`, netID), 400},
 		{"job: unbounded seed steps", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"init_seed_steps":2000000000}}`, netID), 400},
+		{"job: unbounded newton steps", "POST", "/v1/jobs",
+			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"newton_iters":2000000000,"em_iters":1,"outer_iters":1}}`, netID), 400},
 		{"job: unknown attribute", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"attributes":["nope"]}}`, netID), 400},
 		{"job: truth on unknown object", "POST", "/v1/jobs",
