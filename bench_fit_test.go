@@ -581,6 +581,48 @@ func BenchmarkObjective(b *testing.B) {
 	}
 }
 
+// BenchmarkWeather measures the two Gaussian hot paths of a weather fit on
+// the Setting 1 EM harness (bench.NewWeatherEMHarness: 2,000 sensors, 20
+// readings each, K=4, serial): one steady-state E+M pass ("em-iteration")
+// and one evaluation of g₁ ("objective"), each after three warm-up EM
+// iterations. The E-step there is almost all Gaussian responsibilities and
+// g₁ almost all per-reading mixture terms, so these keys move with the
+// Gaussian kernels and the exponential, which the link-heavy midsize
+// fixture barely exercises. The results land in BENCH_fit.json as
+// "em-iteration/weather" and "objective/g1-weather", and CI pins both at
+// 0 allocs/op.
+func BenchmarkWeather(b *testing.B) {
+	h, err := bench.NewWeatherEMHarness(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h.RunObjective() // warm-up sizes the term slots
+	for _, tc := range []struct {
+		name, key string
+		run       func()
+	}{
+		{"em-iteration", "em-iteration/weather", h.RunIteration},
+		{"objective", "objective/g1-weather", func() { benchObjective = h.RunObjective() }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			allocs := int64(testing.AllocsPerRun(5, tc.run))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tc.run()
+			}
+			b.StopTimer()
+			nsPerOp := int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+			}
+			mergeBenchFile(b, func(k string) bool { return k == tc.key }, map[string]benchFitEntry{
+				tc.key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
+}
+
 // benchNetwork keeps BenchmarkDecodeNetwork's result observable.
 var benchNetwork *genclus.Network
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"genclus/internal/core"
+	"genclus/internal/datagen"
 	"genclus/internal/hin"
 )
 
@@ -67,6 +68,37 @@ func NewEMHarness(parallelism int) (*core.EMHarness, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newWarmHarness(net, parallelism)
+}
+
+// WeatherBenchNetwork builds the weather network the weather EM harness
+// runs on: the paper's Setting 1 at the size of a fit-weather network
+// (1000 temperature and 1000 precipitation sensors, 20 readings each, one
+// attribute per sensor, K=4), from seed 1. Its E-step is almost all
+// Gaussian responsibilities; EMBenchNetwork's is almost all links.
+func WeatherBenchNetwork() (*hin.Network, error) {
+	ds, err := datagen.Weather(datagen.WeatherSetting1(1000, 1000, 20, 1))
+	if err != nil {
+		return nil, err
+	}
+	return ds.Net, nil
+}
+
+// NewWeatherEMHarness is NewEMHarness on WeatherBenchNetwork: the fixture
+// behind em-iteration/weather and objective/g1-weather, which measure the
+// Gaussian E-step and g₁'s Gaussian pass.
+func NewWeatherEMHarness(parallelism int) (*core.EMHarness, error) {
+	net, err := WeatherBenchNetwork()
+	if err != nil {
+		return nil, err
+	}
+	return newWarmHarness(net, parallelism)
+}
+
+// newWarmHarness prepares a core.EMHarness on net with the paper-default
+// options at K=4 (single seed) and the given worker count, and runs three
+// warm-up iterations.
+func newWarmHarness(net *hin.Network, parallelism int) (*core.EMHarness, error) {
 	opts := core.DefaultOptions(4)
 	opts.Seed = 1
 	opts.InitSeeds = 1

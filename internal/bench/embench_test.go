@@ -41,3 +41,24 @@ func TestEMIterationParallelSteadyStateZeroAlloc(t *testing.T) {
 		h.Close()
 	}
 }
+
+// TestWeatherHarnessSteadyStateZeroAlloc extends the pin to the Gaussian
+// hot paths: on the weather Setting 1 harness a warm EM iteration and a
+// warm g₁ evaluation allocate nothing (the K=4 Gaussian kernels stage
+// their exponentials in stack arrays).
+func TestWeatherHarnessSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation breaks exact allocation accounting")
+	}
+	h, err := NewWeatherEMHarness(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.RunObjective() // sizes the term slots
+	if allocs := testing.AllocsPerRun(5, h.RunIteration); allocs != 0 {
+		t.Errorf("steady-state weather EM iteration allocates %v times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { h.RunObjective() }); allocs != 0 {
+		t.Errorf("warm weather g₁ evaluation allocates %v times per run, want 0", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"genclus/internal/hin"
@@ -495,6 +496,40 @@ func TestAttributeSubsetSelection(t *testing.T) {
 	}
 	if len(res.Attrs) != 1 || res.Attrs[0].Name != "use" {
 		t.Errorf("result attrs = %+v, want only 'use'", res.Attrs)
+	}
+}
+
+// TestValidateRejectsRepeatedAttribute: an attribute named twice in
+// Options.Attributes is an error, not a second copy of its likelihood in
+// g₁ and a second set of its responsibilities in every E-step.
+func TestValidateRejectsRepeatedAttribute(t *testing.T) {
+	b := hin.NewBuilder()
+	b.DeclareAttribute(hin.AttrSpec{Name: "x", Kind: hin.Numeric})
+	b.DeclareAttribute(hin.AttrSpec{Name: "y", Kind: hin.Numeric})
+	b.AddObject("a", "t")
+	b.AddObject("b", "t")
+	b.AddNumeric("a", "x", 1)
+	b.AddNumeric("b", "y", 2)
+	b.AddLink("a", "b", "r", 1)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range [][]string{{"x", "x"}, {"x", "y", "x"}, {"y", "y", "y"}} {
+		opts := DefaultOptions(2)
+		opts.Attributes = attrs
+		err := opts.Validate(net)
+		if err == nil || !strings.Contains(err.Error(), "named twice") {
+			t.Errorf("Attributes %q: Validate = %v, want a repeated-name error", attrs, err)
+		}
+		if _, err := Fit(net, opts); err == nil {
+			t.Errorf("Attributes %q: Fit accepted a repeated name", attrs)
+		}
+	}
+	opts := DefaultOptions(2)
+	opts.Attributes = []string{"y", "x"}
+	if err := opts.Validate(net); err != nil {
+		t.Errorf("Attributes [y x]: %v", err)
 	}
 }
 

@@ -206,6 +206,7 @@ func initializeState(ctx context.Context, net *hin.Network, opts Options, pool *
 		return s, 0, 0, false
 	}
 	bestG1 := math.Inf(-1)
+	pools := make([]*gaussPool, net.NumAttrs())
 	for i := 0; i < opts.InitSeeds; i++ {
 		if i > 0 && ctx.Err() != nil {
 			break
@@ -213,7 +214,8 @@ func initializeState(ctx context.Context, net *hin.Network, opts Options, pool *
 		// Seed 0 keeps the sorted quantile seeding of Gaussian components
 		// (ideal when attributes vary monotonically together); later seeds
 		// permute component means per attribute to explore other pairings.
-		cand := newState(net, opts, opts.Seed+int64(i)*1_000_003, i > 0)
+		// The candidates share the pooled, sorted observations.
+		cand := newSeededState(net, opts, opts.Seed+int64(i)*1_000_003, i > 0, pools)
 		cand.ctx = ctx
 		cand.pool = pool
 		emTotal += cand.runEM(opts.InitSeedSteps)

@@ -4,15 +4,20 @@ import (
 	"math"
 
 	"genclus/internal/hin"
+	"genclus/internal/mathx"
 )
 
-// This file holds the vectorization-oriented inner loops of the E-step: the
-// out-link pass and the categorical attribute pass, each with a
-// generic form plus K-specialized forms that keep the K accumulators in
-// registers across the edge/term loop. Every specialization is bitwise
-// identical to the generic form — same operations, same floating-point
-// summation order — which TestFitGoldenBitwiseChecksum (K=2) and
-// TestKernelSpecializationsBitwise (K=4 vs. the forced-generic path) pin.
+// This file holds the vectorization-oriented inner loops of the E-step —
+// the out-link pass, the categorical and Gaussian attribute passes and the
+// normalization pass — and g₁'s K=4 Gaussian pass, each a K-specialized
+// form of a generic loop that keeps the K accumulators in registers across
+// the edge/term/observation loop. The Gaussian forms also take their
+// exponentials a block at a time through mathx.ExpTo, which returns
+// math.Exp's bits. Every specialization is bitwise identical to the
+// generic form — same operations, same floating-point summation order —
+// which TestFitGoldenBitwiseChecksum (K=2), TestObjectiveTermsMatchReference
+// and TestKernelSpecializationsBitwiseIdentical (K=4 vs. the forced-generic
+// path) pin.
 //
 // Rules these loops obey so the transforms stay bitwise-safe (see
 // docs/ARCHITECTURE.md, "Numerics"):
@@ -168,8 +173,8 @@ func scoreCatAttrK4(nr, st, betaT, th []float64, tcs []hin.TermCount) {
 
 // gaussPass adds one Gaussian attribute's responsibility terms to every
 // unnormalized row of the chunk; the K=4 form keeps means, variances and
-// accumulators in registers and skips the scratch arrays (the math.Exp
-// calls — the pass's real cost — are unchanged).
+// accumulators in registers and exponentiates a block of observations per
+// mathx.ExpTo call.
 func gaussPass(rows, gw, gwx, gwx2, resp, logs, logTh, mu, vr, hlv []float64, thetaOld [][]float64, obs [][]float64, lo, hi, k int) {
 	if k == 4 && !forceGenericKernels {
 		for v := lo; v < hi; v++ {
@@ -192,9 +197,18 @@ func gaussPass(rows, gw, gwx, gwx2, resp, logs, logTh, mu, vr, hlv []float64, th
 	}
 }
 
+// gaussBlock is how many observations the K=4 Gaussian kernels shift and
+// exponentiate in one mathx.ExpTo call: enough lanes for its packed loop to
+// overlap their dependency chains, few enough for the staging arrays to
+// live on the stack.
+const gaussBlock = 16
+
 // scoreGaussAttrK4 is scoreGaussAttrInto for K=4. The max shift scans
 // components in ascending order exactly like the generic loop, and the
-// responsibility sum keeps its ascending association.
+// responsibility sum keeps its ascending association. Observations go
+// through in blocks: the shifted log-terms of a block are staged, one
+// mathx.ExpTo call (math.Exp's bits, see internal/mathx) exponentiates them,
+// and the block's responsibilities then accumulate in observation order.
 func scoreGaussAttrK4(nr, gw, gwx, gwx2, mu, vr, hlv, th, xs []float64) {
 	lt0, lt1, lt2, lt3 := math.Log(th[0]), math.Log(th[1]), math.Log(th[2]), math.Log(th[3])
 	mu0, mu1, mu2, mu3 := mu[0], mu[1], mu[2], mu[3]
@@ -204,61 +218,125 @@ func scoreGaussAttrK4(nr, gw, gwx, gwx2, mu, vr, hlv, th, xs []float64) {
 	w0, w1, w2, w3 := gw[0], gw[1], gw[2], gw[3]
 	x0, x1, x2, x3 := gwx[0], gwx[1], gwx[2], gwx[3]
 	q0, q1, q2, q3 := gwx2[0], gwx2[1], gwx2[2], gwx2[3]
-	for _, x := range xs {
-		d0 := x - mu0
-		l0 := lt0 - 0.5*d0*d0/vr0 - h0
-		d1 := x - mu1
-		l1 := lt1 - 0.5*d1*d1/vr1 - h1
-		d2 := x - mu2
-		l2 := lt2 - 0.5*d2*d2/vr2 - h2
-		d3 := x - mu3
-		l3 := lt3 - 0.5*d3*d3/vr3 - h3
-		m := math.Inf(-1)
-		if l0 > m {
-			m = l0
+	var shifted, terms [4 * gaussBlock]float64
+	var none [gaussBlock]bool // every component's log-term is −Inf (or NaN)
+	for len(xs) > 0 {
+		blk := xs[:min(len(xs), gaussBlock)]
+		xs = xs[len(blk):]
+		for j, x := range blk {
+			d0 := x - mu0
+			l0 := lt0 - 0.5*d0*d0/vr0 - h0
+			d1 := x - mu1
+			l1 := lt1 - 0.5*d1*d1/vr1 - h1
+			d2 := x - mu2
+			l2 := lt2 - 0.5*d2*d2/vr2 - h2
+			d3 := x - mu3
+			l3 := lt3 - 0.5*d3*d3/vr3 - h3
+			m := math.Inf(-1)
+			if l0 > m {
+				m = l0
+			}
+			if l1 > m {
+				m = l1
+			}
+			if l2 > m {
+				m = l2
+			}
+			if l3 > m {
+				m = l3
+			}
+			none[j] = math.IsInf(m, -1)
+			sh := shifted[4*j : 4*j+4 : 4*j+4]
+			sh[0], sh[1], sh[2], sh[3] = l0-m, l1-m, l2-m, l3-m
 		}
-		if l1 > m {
-			m = l1
+		mathx.ExpTo(terms[:], shifted[:4*len(blk)])
+		for j, x := range blk {
+			if none[j] {
+				continue
+			}
+			r := terms[4*j : 4*j+4 : 4*j+4]
+			r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+			sum := ((r0 + r1) + r2) + r3
+			r0 /= sum
+			r1 /= sum
+			r2 /= sum
+			r3 /= sum
+			a0 += r0
+			a1 += r1
+			a2 += r2
+			a3 += r3
+			w0 += r0
+			w1 += r1
+			w2 += r2
+			w3 += r3
+			x0 += r0 * x
+			x1 += r1 * x
+			x2 += r2 * x
+			x3 += r3 * x
+			q0 += r0 * x * x
+			q1 += r1 * x * x
+			q2 += r2 * x * x
+			q3 += r3 * x * x
 		}
-		if l2 > m {
-			m = l2
-		}
-		if l3 > m {
-			m = l3
-		}
-		if math.IsInf(m, -1) {
-			continue
-		}
-		r0 := math.Exp(l0 - m)
-		r1 := math.Exp(l1 - m)
-		r2 := math.Exp(l2 - m)
-		r3 := math.Exp(l3 - m)
-		sum := ((r0 + r1) + r2) + r3
-		r0 /= sum
-		r1 /= sum
-		r2 /= sum
-		r3 /= sum
-		a0 += r0
-		a1 += r1
-		a2 += r2
-		a3 += r3
-		w0 += r0
-		w1 += r1
-		w2 += r2
-		w3 += r3
-		x0 += r0 * x
-		x1 += r1 * x
-		x2 += r2 * x
-		x3 += r3 * x
-		q0 += r0 * x * x
-		q1 += r1 * x * x
-		q2 += r2 * x * x
-		q3 += r3 * x * x
 	}
 	nr[0], nr[1], nr[2], nr[3] = a0, a1, a2, a3
 	gw[0], gw[1], gw[2], gw[3] = w0, w1, w2, w3
 	gwx[0], gwx[1], gwx[2], gwx[3] = x0, x1, x2, x3
 	gwx2[0], gwx2[1], gwx2[2], gwx2[3] = q0, q1, q2, q3
+}
+
+// obsTermsGaussK4 is obsTermRange's Gaussian branch for K=4: it writes
+// the log-likelihood term of every observation in xs to out, with mu, sig
+// and lsig the component means, standard deviations and their logs and th
+// the object's membership row. Each term keeps the generic form's operands
+// and order — component log-densities −½z² − ln σ_k − ½·ln 2π added to
+// ln θ_k, the max scanned in ascending order, the shifted exponentials
+// summed in ascending order — and the exponentials go through mathx.ExpTo
+// a block at a time, as in scoreGaussAttrK4.
+func obsTermsGaussK4(out, xs, mu, sig, lsig, th []float64) {
+	lt0, lt1, lt2, lt3 := math.Log(th[0]), math.Log(th[1]), math.Log(th[2]), math.Log(th[3])
+	mu0, mu1, mu2, mu3 := mu[0], mu[1], mu[2], mu[3]
+	s0, s1, s2, s3 := sig[0], sig[1], sig[2], sig[3]
+	ls0, ls1, ls2, ls3 := lsig[0], lsig[1], lsig[2], lsig[3]
+	var shifted, terms [4 * gaussBlock]float64
+	var maxLog [gaussBlock]float64
+	out = out[:len(xs)]
+	for len(xs) > 0 {
+		blk := xs[:min(len(xs), gaussBlock)]
+		for j, x := range blk {
+			z0 := (x - mu0) / s0
+			l0 := lt0 + (-0.5*z0*z0 - ls0 - halfLog2Pi)
+			z1 := (x - mu1) / s1
+			l1 := lt1 + (-0.5*z1*z1 - ls1 - halfLog2Pi)
+			z2 := (x - mu2) / s2
+			l2 := lt2 + (-0.5*z2*z2 - ls2 - halfLog2Pi)
+			z3 := (x - mu3) / s3
+			l3 := lt3 + (-0.5*z3*z3 - ls3 - halfLog2Pi)
+			m := math.Inf(-1)
+			if l0 > m {
+				m = l0
+			}
+			if l1 > m {
+				m = l1
+			}
+			if l2 > m {
+				m = l2
+			}
+			if l3 > m {
+				m = l3
+			}
+			maxLog[j] = m
+			sh := shifted[4*j : 4*j+4 : 4*j+4]
+			sh[0], sh[1], sh[2], sh[3] = l0-m, l1-m, l2-m, l3-m
+		}
+		mathx.ExpTo(terms[:], shifted[:4*len(blk)])
+		for j := range blk {
+			e := terms[4*j : 4*j+4 : 4*j+4]
+			out[j] = maxLog[j] + math.Log(((e[0]+e[1])+e[2])+e[3])
+		}
+		xs = xs[len(blk):]
+		out = out[len(blk):]
+	}
 }
 
 // normalizePass runs the E-step's final pass over the chunk: every

@@ -111,7 +111,25 @@ type state struct {
 	permuteGaussInit bool
 }
 
+// gaussPool is one numeric attribute's pooled observations in ascending
+// order, with their variance (summed in that order) floored at
+// Options.VarFloor: what quantile seeding (initGauss) reads. A fit's
+// best-of-seeds candidates share one set, indexed by attr id and filled on
+// first use, so each attribute is pooled and sorted once per fit.
+type gaussPool struct {
+	sorted    []float64
+	globalVar float64
+}
+
+// newState builds a fitting state with its own Gaussian seeding pools.
 func newState(net *hin.Network, opts Options, seed int64, permuteGauss bool) *state {
+	return newSeededState(net, opts, seed, permuteGauss, make([]*gaussPool, net.NumAttrs()))
+}
+
+// newSeededState builds a fitting state whose Gaussian seeding reads and
+// fills pools (by attr id), which states of the same network and options
+// may share; the state keeps no reference to them.
+func newSeededState(net *hin.Network, opts Options, seed int64, permuteGauss bool, pools []*gaussPool) *state {
 	nAttr := net.NumAttrs()
 	s := &state{
 		net:              net,
@@ -157,7 +175,7 @@ func newState(net *hin.Network, opts Options, seed int64, permuteGauss bool) *st
 		copy(s.gamma, opts.InitGamma)
 	}
 	s.initTheta()
-	s.initAttrModels()
+	s.initAttrModels(pools)
 	// Commit the initial state at the configured storage precision, so the
 	// first E-step already reads float32-representable parameters (no-ops
 	// under the float64 default).
@@ -185,7 +203,7 @@ func (s *state) initTheta() {
 	}
 }
 
-func (s *state) initAttrModels() {
+func (s *state) initAttrModels(pools []*gaussPool) {
 	warm := make(map[string]AttrModel, len(s.opts.InitAttrs))
 	for _, am := range s.opts.InitAttrs {
 		warm[am.Name] = am
@@ -206,7 +224,7 @@ func (s *state) initAttrModels() {
 					Var: append([]float64(nil), am.Gauss.Var...),
 				}
 			} else {
-				s.gauss[a] = s.initGauss(a)
+				s.gauss[a] = s.initGauss(a, pools)
 			}
 		}
 	}
@@ -264,13 +282,12 @@ func (s *state) initCat(a int, spec hin.AttrSpec) *CatParams {
 // "high"), which matters when several incomplete numeric attributes must
 // agree on a joint hidden space — random seeding routinely permutes the
 // attributes against each other and strands EM in a misaligned optimum.
-func (s *state) initGauss(a int) *GaussParams {
+// The pooled observations come from pools (see gaussPool).
+func (s *state) initGauss(a int, pools []*gaussPool) *GaussParams {
 	k := s.opts.K
-	var all []float64
-	for v := 0; v < s.net.NumObjects(); v++ {
-		all = append(all, s.net.NumericObs(a, v)...)
-	}
 	gp := &GaussParams{Mu: make([]float64, k), Var: make([]float64, k)}
+	pool := s.gaussPool(a, pools)
+	all := pool.sorted
 	if len(all) == 0 {
 		// No observations anywhere: arbitrary unit-spread components.
 		for c := 0; c < k; c++ {
@@ -278,20 +295,6 @@ func (s *state) initGauss(a int) *GaussParams {
 			gp.Var[c] = 1
 		}
 		return gp
-	}
-	sort.Float64s(all)
-	var mean, ss float64
-	for _, x := range all {
-		mean += x
-	}
-	mean /= float64(len(all))
-	for _, x := range all {
-		d := x - mean
-		ss += d * d
-	}
-	globalVar := ss / float64(len(all))
-	if globalVar < s.opts.VarFloor {
-		globalVar = s.opts.VarFloor
 	}
 	n := len(all)
 	order := make([]int, k)
@@ -308,9 +311,44 @@ func (s *state) initGauss(a int) *GaussParams {
 			idx = n - 1
 		}
 		gp.Mu[c] = all[idx]
-		gp.Var[c] = globalVar
+		gp.Var[c] = pool.globalVar
 	}
 	return gp
+}
+
+// gaussPool returns attribute a's entry of pools, pooling and sorting its
+// observations on first use.
+func (s *state) gaussPool(a int, pools []*gaussPool) *gaussPool {
+	if p := pools[a]; p != nil {
+		return p
+	}
+	n := 0
+	for _, xs := range s.numRows[a] {
+		n += len(xs)
+	}
+	all := make([]float64, 0, n)
+	for _, xs := range s.numRows[a] {
+		all = append(all, xs...)
+	}
+	p := &gaussPool{sorted: all}
+	if len(all) > 0 {
+		sort.Float64s(all)
+		var mean, ss float64
+		for _, x := range all {
+			mean += x
+		}
+		mean /= float64(len(all))
+		for _, x := range all {
+			d := x - mean
+			ss += d * d
+		}
+		p.globalVar = ss / float64(len(all))
+		if p.globalVar < s.opts.VarFloor {
+			p.globalVar = s.opts.VarFloor
+		}
+	}
+	pools[a] = p
+	return p
 }
 
 // cloneTheta deep-copies the membership matrix (used for snapshots and for
@@ -490,6 +528,10 @@ func (s *state) obsTermRange(lo, hi int, ws *workerScratch) {
 					continue
 				}
 				out := s.obsTerm[off[v]:off[v+1]]
+				if len(lt) == 4 && !forceGenericKernels {
+					obsTermsGaussK4(out, xs, gp.Mu, sig, lsig, s.theta[v])
+					continue
+				}
 				for k, t := range s.theta[v] {
 					lt[k] = math.Log(t)
 				}

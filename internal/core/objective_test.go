@@ -152,69 +152,124 @@ func referenceCatTerm(s *state, a, v int, tc hin.TermCount) float64 {
 
 // TestObjectiveTermsMatchReference compares every per-edge and
 // per-observation slot g₁ fills against the per-term reference formulas,
-// bit for bit, at K = 2, 3 and 4 on one worker and on the pool. The state
-// carries an ε-floored Θ entry on an object with observations, a component
-// variance at VarFloor, and objects without observations.
+// bit for bit, at K = 2, 3 and 4 on one worker and on the pool, and at K=4
+// through both the specialized Gaussian pass (obsTermsGaussK4) and the
+// generic one. The state carries an ε-floored Θ entry on an object with
+// observations, a component variance at VarFloor, and objects without
+// observations; object 2's readings are replaced by a fine ladder
+// stepping away from the VarFloor component's mean, so their shifted
+// log-terms cross exp's subnormal range and underflow, and a reading at
+// 1e155, whose log-densities are all −Inf (a NaN term, with the
+// reference's bits too).
 func TestObjectiveTermsMatchReference(t *testing.T) {
 	net := objectiveTermsNetwork(t, 700, 31) // > emChunkSize, so P=2 runs the pool
 	text, _ := net.AttrID("text")
 	level, _ := net.AttrID("level")
 	for _, k := range []int{2, 3, 4} {
 		for _, p := range []int{1, 2} {
-			opts := DefaultOptions(k)
-			opts.Parallelism = p
-			s := newState(net, opts, int64(k), false)
-			s.pool = newWorkerPool(net.NumObjects(), opts)
-			if p > 1 && s.pool == nil {
-				t.Fatalf("K=%d P=%d: network too small for a pool", k, p)
-			}
-			s.runEM(2) // move β and Θ off their initial values
-			// Object 1 has observations (1 % 5 != 0); floor all but one
-			// of its memberships at ε.
-			row := s.theta[1]
-			for c := range row {
-				row[c] = opts.Epsilon
-			}
-			row[0] = 1 - float64(k-1)*opts.Epsilon
-			if len(s.numRows[level][1]) == 0 || len(s.numRows[level][0]) != 0 || len(s.termRows[text][0]) != 0 {
-				t.Fatal("fixture: want observations on object 1 and none on object 0")
-			}
-			s.gauss[level].Var[k-1] = opts.VarFloor
-			s.gamma[0], s.gamma[1] = 0.8, 1.7
-
-			s.objectiveG1()
-			if s.pool != nil {
-				s.pool.stop()
-			}
-
-			for i := range s.edgeTerm {
-				if want := referenceEdgeTerm(s, i); math.Float64bits(s.edgeTerm[i]) != math.Float64bits(want) {
-					t.Fatalf("K=%d P=%d: edge %d term %v, reference %v", k, p, i, s.edgeTerm[i], want)
+			for _, generic := range []bool{false, true} {
+				if generic && k != 4 {
+					continue
 				}
+				forceGenericKernels = generic
+				checkObjectiveTerms(t, net, text, level, k, p)
+				forceGenericKernels = false
 			}
-			for _, a := range s.attrs {
-				off := s.obsOff[a]
-				for v := 0; v < net.NumObjects(); v++ {
-					got := s.obsTerm[off[v]:off[v+1]]
-					if s.kind[a] == hin.Numeric {
-						for i, x := range s.numRows[a][v] {
-							want := referenceGaussTerm(s, a, v, x)
-							if math.Float64bits(got[i]) != math.Float64bits(want) {
-								t.Fatalf("K=%d P=%d: object %d observation %d term %v, reference %v", k, p, v, i, got[i], want)
-							}
-						}
-						continue
+		}
+	}
+}
+
+// checkObjectiveTerms is one TestObjectiveTermsMatchReference case.
+func checkObjectiveTerms(t *testing.T, net *hin.Network, text, level, k, p int) {
+	t.Helper()
+	opts := DefaultOptions(k)
+	opts.Parallelism = p
+	s := newState(net, opts, int64(k), false)
+	s.pool = newWorkerPool(net.NumObjects(), opts)
+	if p > 1 && s.pool == nil {
+		t.Fatalf("K=%d P=%d: network too small for a pool", k, p)
+	}
+	s.runEM(2) // move β and Θ off their initial values
+	// Object 1 has observations (1 % 5 != 0); floor all but one of its
+	// memberships at ε.
+	row := s.theta[1]
+	for c := range row {
+		row[c] = opts.Epsilon
+	}
+	row[0] = 1 - float64(k-1)*opts.Epsilon
+	if len(s.numRows[level][1]) == 0 || len(s.numRows[level][0]) != 0 || len(s.termRows[text][0]) != 0 {
+		t.Fatal("fixture: want observations on object 1 and none on object 0")
+	}
+	s.gauss[level].Var[k-1] = opts.VarFloor
+	s.gamma[0], s.gamma[1] = 0.8, 1.7
+	// The state's own copy of the rows, so the shared network is untouched.
+	rows := append([][]float64(nil), s.numRows[level]...)
+	var ladder []float64
+	narrow := s.gauss[level].Mu[k-1]
+	for i := 0; i < 500; i++ {
+		ladder = append(ladder, narrow+0.0002*float64(i))
+	}
+	rows[2] = append(ladder, 1e155)
+	s.numRows[level] = rows
+	if !subnormalExpTerm(s, level, 2) {
+		t.Fatal("fixture: no shifted log-term of object 2 in exp's subnormal range")
+	}
+
+	s.objectiveG1()
+	if s.pool != nil {
+		s.pool.stop()
+	}
+
+	for i := range s.edgeTerm {
+		if want := referenceEdgeTerm(s, i); math.Float64bits(s.edgeTerm[i]) != math.Float64bits(want) {
+			t.Fatalf("K=%d P=%d: edge %d term %v, reference %v", k, p, i, s.edgeTerm[i], want)
+		}
+	}
+	for _, a := range s.attrs {
+		off := s.obsOff[a]
+		for v := 0; v < net.NumObjects(); v++ {
+			got := s.obsTerm[off[v]:off[v+1]]
+			if s.kind[a] == hin.Numeric {
+				for i, x := range s.numRows[a][v] {
+					want := referenceGaussTerm(s, a, v, x)
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("K=%d P=%d: object %d observation %d term %v, reference %v", k, p, v, i, got[i], want)
 					}
-					for i, tc := range s.termRows[a][v] {
-						want := referenceCatTerm(s, a, v, tc)
-						if math.Float64bits(got[i]) != math.Float64bits(want) {
-							t.Fatalf("K=%d P=%d: object %d term %d %v, reference %v", k, p, v, i, got[i], want)
-						}
-					}
+				}
+				continue
+			}
+			for i, tc := range s.termRows[a][v] {
+				want := referenceCatTerm(s, a, v, tc)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("K=%d P=%d: object %d term %d %v, reference %v", k, p, v, i, got[i], want)
 				}
 			}
 		}
 	}
+	if last := s.obsTerm[s.obsOff[level][3]-1]; !math.IsNaN(last) {
+		t.Fatalf("K=%d P=%d: the all −Inf reading's term is %v, want NaN", k, p, last)
+	}
+}
+
+// subnormalExpTerm reports whether some reading of object v under Gaussian
+// attribute a has a shifted log-term (ln θ_k + ln N(x | µ_k, σ_k²) minus
+// the reading's max) in (−745.14, −708), where exp's result is subnormal.
+func subnormalExpTerm(s *state, a, v int) bool {
+	gp := s.gauss[a]
+	logs := make([]float64, len(gp.Mu))
+	for _, x := range s.numRows[a][v] {
+		m := math.Inf(-1)
+		for k := range logs {
+			logs[k] = math.Log(s.theta[v][k]) + gaussLogPDF(gp.Mu[k], math.Sqrt(gp.Var[k]), x)
+			m = max(m, logs[k])
+		}
+		for _, l := range logs {
+			if d := l - m; d > -745.14 && d < -708 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // stateFromResult rebuilds the fitting state a Result describes: its Θ, γ

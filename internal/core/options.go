@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"genclus/internal/hin"
 )
@@ -34,7 +35,8 @@ type Options struct {
 
 	// Attributes is the user-specified attribute subset X ⊆ 𝒳 that defines
 	// the clustering purpose (§2.2). Empty means "all attributes declared on
-	// the network".
+	// the network". Each name must be declared on the network and appear
+	// once.
 	Attributes []string
 
 	// OuterIters is the number of outer alternations between cluster
@@ -247,9 +249,12 @@ func (o Options) Validate(net *hin.Network) error {
 	if !(o.InitialGamma >= 0) || math.IsInf(o.InitialGamma, 1) {
 		return fmt.Errorf("core: InitialGamma = %v, want finite ≥ 0", o.InitialGamma)
 	}
-	for _, name := range o.Attributes {
+	for i, name := range o.Attributes {
 		if _, ok := net.AttrID(name); !ok {
 			return fmt.Errorf("core: attribute %q not declared on network", name)
+		}
+		if slices.Contains(o.Attributes[:i], name) {
+			return fmt.Errorf("core: attribute %q named twice in Attributes", name)
 		}
 	}
 	if o.InitTheta != nil {

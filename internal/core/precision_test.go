@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"genclus/internal/datagen"
 	"genclus/internal/hin"
 )
 
@@ -210,27 +211,97 @@ func TestFitGoldenBitwiseChecksumFloat32(t *testing.T) {
 	}, []int{1, 2, 16})
 }
 
+// weatherOutlierNetwork is a small weather Setting 1 network (K=4) with
+// three sensors carrying extra readings: one 40 units out, whose shifted
+// log-terms fall far below exp's underflow; one with a ladder of readings
+// from 3σ to 80σ past the top mean, whose shifted log-terms sweep through
+// exp's subnormal range (−745 < x < −708) under the warm-start models; and
+// one at 1e155, where the E-step's (x − µ)² overflows and every
+// component's log-term is −Inf. weatherOutlierAttrs are warm-start models
+// for its two attributes, so no component variance is seeded from the
+// 1e155 reading.
+func weatherOutlierNetwork(t *testing.T) *hin.Network {
+	t.Helper()
+	ds, err := datagen.Weather(datagen.WeatherSetting1(150, 150, 6, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ds.Net
+	b := hin.NewBuilder()
+	for a := 0; a < src.NumAttrs(); a++ {
+		b.DeclareAttribute(src.Attr(a))
+	}
+	for v := 0; v < src.NumObjects(); v++ {
+		o := src.Object(v)
+		b.AddObject(o.ID, o.Type)
+	}
+	for _, e := range src.Edges() {
+		b.AddLinkByIndex(e.From, e.To, src.RelationName(e.Rel), e.Weight)
+	}
+	for a := 0; a < src.NumAttrs(); a++ {
+		name := src.Attr(a).Name
+		for v, xs := range src.AttrNumericObs(a) {
+			for _, x := range xs {
+				b.AddNumericByIndex(v, name, x)
+			}
+		}
+	}
+	b.AddNumericByIndex(3, datagen.AttrTemperature, 44)
+	for i := 0; i <= 154; i++ {
+		b.AddNumericByIndex(5, datagen.AttrTemperature, 4+0.2*(3+0.5*float64(i)))
+	}
+	b.AddNumericByIndex(7, datagen.AttrTemperature, 1e155)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+func weatherOutlierAttrs() []AttrModel {
+	var out []AttrModel
+	for _, name := range []string{datagen.AttrTemperature, datagen.AttrPrecipitation} {
+		out = append(out, AttrModel{Name: name, Kind: hin.Numeric, Gauss: &GaussParams{
+			Mu:  []float64{1, 2, 3, 4},
+			Var: []float64{0.04, 0.04, 0.04, 0.04},
+		}})
+	}
+	return out
+}
+
 // TestKernelSpecializationsBitwiseIdentical proves the K-specialized E-step
 // kernels (linkRowK2/K4, scoreCatAttrK2/K4, scoreGaussAttrK4,
-// normalizeRowK4) compute bit-for-bit what the generic loops compute: the
-// entire fit digest must match with specialization forced off. K=2 and K=4
-// cover every specialized width, on the multi-chunk network with both
-// attribute kinds; the symmetric K=3 configuration covers the
-// generic-only path staying generic.
+// normalizeRowK4) and g₁'s K=4 Gaussian pass (obsTermsGaussK4) compute
+// bit for bit what the generic loops compute: the entire fit digest must
+// match with specialization forced off. K=2 and K=4 cover every
+// specialized width, on the multi-chunk network with both attribute kinds;
+// the symmetric K=3 configuration covers the generic-only path staying
+// generic; the weather case runs the E-step's Gaussian kernels on
+// readings whose exponentials underflow or turn subnormal, and on one
+// whose log-densities are all −Inf ((x − µ)² overflows), which the E-step
+// skips.
 func TestKernelSpecializationsBitwiseIdentical(t *testing.T) {
 	if forceGenericKernels {
 		t.Fatal("forceGenericKernels left set by another test")
 	}
-	fitOnce := func(k int, symmetric bool) uint64 {
+	weather := weatherOutlierNetwork(t)
+	fitOnce := func(name string, k int) uint64 {
 		var net *hin.Network
 		opts := DefaultOptions(k)
-		if symmetric {
+		switch name {
+		case "K3-symmetric":
 			net = interleavedNetwork(t, 300, 17)
 			opts.Seed = 5
 			opts.OuterIters = 2
 			opts.EMIters = 3
 			opts.SymmetricPropagation = true
-		} else {
+		case "K4-weather":
+			net = weather
+			opts.Seed = 3
+			opts.OuterIters = 2
+			opts.EMIters = 4
+			opts.InitAttrs = weatherOutlierAttrs()
+		default:
 			net = mixedNetwork(t, 400, 11)
 			opts.Seed = 42
 			opts.OuterIters = 2
@@ -243,17 +314,17 @@ func TestKernelSpecializationsBitwiseIdentical(t *testing.T) {
 		return fitChecksum(res.Result)
 	}
 	for _, tc := range []struct {
-		name      string
-		k         int
-		symmetric bool
+		name string
+		k    int
 	}{
-		{"K2", 2, false},
-		{"K4", 4, false},
-		{"K3-symmetric", 3, true},
+		{"K2", 2},
+		{"K4", 4},
+		{"K3-symmetric", 3},
+		{"K4-weather", 4},
 	} {
-		specialized := fitOnce(tc.k, tc.symmetric)
+		specialized := fitOnce(tc.name, tc.k)
 		forceGenericKernels = true
-		generic := fitOnce(tc.k, tc.symmetric)
+		generic := fitOnce(tc.name, tc.k)
 		forceGenericKernels = false
 		if specialized != generic {
 			t.Errorf("%s: specialized kernels digest %#x, generic %#x — a specialization changed the arithmetic", tc.name, specialized, generic)

@@ -2,7 +2,9 @@
 // standard library: the digamma and trigamma functions used by the
 // link-strength Newton step (paper Eqs. 16–17), the log multivariate Beta
 // function that is the local partition function of the Dirichlet conditional
-// p(θ_i | neighbors) (paper §4.2), and the Shannon entropy.
+// p(θ_i | neighbors) (paper §4.2), and the Shannon entropy. ExpTo takes
+// many exponentials in one call with math.Exp's exact bits, for the
+// Gaussian responsibilities of the E-step and of g₁.
 //
 // All functions are pure and safe for concurrent use.
 package mathx

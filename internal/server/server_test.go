@@ -378,6 +378,8 @@ func TestMalformedPayloadsAre4xx(t *testing.T) {
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"newton_iters":2000000000,"em_iters":1,"outer_iters":1}}`, netID), 400},
 		{"job: unknown attribute", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"attributes":["nope"]}}`, netID), 400},
+		{"job: attribute named twice", "POST", "/v1/jobs",
+			fmt.Sprintf(`{"network_id":%q,"k":2,"options":{"attributes":["text","text"]}}`, netID), 400},
 		{"job: truth on unknown object", "POST", "/v1/jobs",
 			fmt.Sprintf(`{"network_id":%q,"k":2,"truth":{"ghost":0}}`, netID), 400},
 		{"status: unknown job", "GET", "/v1/jobs/job_missing", "", 404},
