@@ -2,6 +2,7 @@ package genclus_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -242,5 +243,14 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if err := exec.Command(experimentsBin, "-run", "bogus").Run(); err == nil {
 		t.Error("experiments with bogus id should fail")
+	}
+	// bench.Config reads each of these values as its default (full scale,
+	// 20 runs, seed 1), so the tool must reject them, not run.
+	for _, bad := range [][]string{{"-scale", "0"}, {"-runs", "0"}, {"-seed", "0"}} {
+		args := append([]string{"-run", "table4", "-scale", "0.06"}, bad...)
+		var exit *exec.ExitError
+		if err := exec.Command(experimentsBin, args...).Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("experiments %v: %v, want exit status 2", bad, err)
+		}
 	}
 }

@@ -52,13 +52,17 @@ func main() {
 	}
 
 	// bench.Config would silently replace these with its defaults (full
-	// scale, 20 runs), so reject them here instead.
+	// scale, 20 runs, seed 1), so reject them here instead.
 	if !(*scale > 0) {
 		fmt.Fprintf(os.Stderr, "experiments: -scale must be > 0, got %v\n", *scale)
 		os.Exit(2)
 	}
 	if *runs < 1 {
 		fmt.Fprintf(os.Stderr, "experiments: -runs must be at least 1, got %d\n", *runs)
+		os.Exit(2)
+	}
+	if *seed == 0 {
+		fmt.Fprintln(os.Stderr, "experiments: -seed must not be 0")
 		os.Exit(2)
 	}
 	cfg := bench.Config{Scale: *scale, Runs: *runs, Seed: *seed}
@@ -87,7 +91,7 @@ func main() {
 			os.Exit(1)
 		}
 		for k, v := range rep.Quality {
-			quality[rep.ID+"/"+k] = v
+			quality[e.ID+"/"+k] = v
 		}
 		fmt.Printf("(%s completed in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}

@@ -10,22 +10,20 @@ import (
 	"genclus/internal/hin"
 )
 
-// Holdout evaluates true out-of-sample link prediction on the AC network:
+// holdout evaluates true out-of-sample link prediction on the AC network:
 // 25% of the 〈A,C〉 publish_in edges (with their 〈C,A〉 mirrors) are removed
 // before fitting, and memberships fitted on the remainder must rank the
 // held-out venues. The paper's Tables 2–4 score reconstruction of observed
 // links; this extension closes that gap.
-func Holdout(cfg Config) (*Report, error) {
-	c := cfg.normalized()
-	rep := newReport("ext-holdout", "Held-out link prediction for <A,C> on the AC network")
-	ds, err := datagen.Biblio(c.acConfig(c.Seed))
+func holdout(c Config, rep *Report) error {
+	ds, err := acData.gen(c, c.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	full := ds.Net
 	pubRel, ok := full.RelationID(datagen.RelPublishIn)
 	if !ok {
-		return nil, fmt.Errorf("bench: publish_in missing")
+		return fmt.Errorf("bench: publish_in missing")
 	}
 	revRel, _ := full.RelationID(datagen.RelPublishedBy)
 
@@ -39,7 +37,7 @@ func Holdout(cfg Config) (*Report, error) {
 		}
 	}
 	if len(held) == 0 {
-		return nil, fmt.Errorf("bench: holdout selected no edges")
+		return fmt.Errorf("bench: holdout selected no edges")
 	}
 	train, err := hin.FilterEdges(full, func(e hin.Edge) bool {
 		if e.Rel == pubRel && heldPair[[2]int{e.From, e.To}] {
@@ -51,43 +49,38 @@ func Holdout(cfg Config) (*Report, error) {
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	res, err := core.Fit(train, genclusOptions(ds.NumClusters, c.Seed))
+	f, err := genClus(textOptions()).fit(train, ds.NumClusters, c.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.addf("held out %d of the publish_in edges (25%%), fitted on the rest", len(held))
-	rep.addf("%-14s %-10s", "similarity", "MAP")
-	for _, sim := range eval.Similarities() {
-		mapv, err := eval.LinkPredictionMAPHoldout(train, res.Theta, datagen.RelPublishIn, held, sim)
-		if err != nil {
-			return nil, err
-		}
-		rep.addf("%-14s %-10.4f", sim.Name, mapv)
-		rep.set(sim.Name, mapv)
+	if err := mapColumn(rep, func(sim eval.Similarity) (float64, error) {
+		return eval.LinkPredictionMAPHoldout(train, f.theta, datagen.RelPublishIn, held, sim)
+	}); err != nil {
+		return err
 	}
 	// Random-ranking reference for context: with R relevant among N
 	// candidates, expected MAP ≈ R/N.
 	rep.addf("(random-ranking MAP would be ≈ %.3f)", 1.0/float64(len(full.ObjectsOfType(datagen.TypeConf))))
-	return rep, nil
+	return nil
 }
 
-// SelectKDemo runs the AIC/BIC model-selection extension on the AC network,
+// selectK runs the AIC/BIC model-selection extension on the AC network,
 // whose ground truth has 4 areas.
-func SelectKDemo(cfg Config) (*Report, error) {
-	c := cfg.normalized()
-	rep := newReport("selectk", "Choosing the number of clusters with AIC/BIC (AC network, truth K=4)")
-	ds, err := datagen.Biblio(c.acConfig(c.Seed))
+func selectK(c Config, rep *Report) error {
+	ds, err := acData.gen(c, c.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	opts := genclusOptions(2, c.Seed)
+	opts := textOptions()
 	opts.OuterIters = 5
+	opts.Seed = c.Seed
 	scores, err := core.SelectK(ds.Net, opts, 2, 6)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.addf("%-4s %-16s %-10s %-16s %-16s", "K", "loglik", "params", "AIC", "BIC")
 	for _, s := range scores {
@@ -98,16 +91,16 @@ func SelectKDemo(cfg Config) (*Report, error) {
 	}
 	bestA, err := core.BestAIC(scores)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bestB, err := core.BestBIC(scores)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.addf("AIC selects K = %d; BIC selects K = %d", bestA.K, bestB.K)
 	rep.addf("(BIC's ln(n) penalty over-punishes the |V|·(K−1) membership parameters;")
 	rep.addf("AIC is the better-behaved criterion for this conditional likelihood)")
 	rep.set("bestK", float64(bestA.K))
 	rep.set("bestKBIC", float64(bestB.K))
-	return rep, nil
+	return nil
 }
