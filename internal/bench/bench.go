@@ -291,7 +291,7 @@ func genClus(opts core.Options) method {
 }
 
 // textOptions are GenClus's options on the AC and ACP networks (paper: 10
-// outer iterations).
+// outer iterations); genClus sets K and Seed per fit.
 func textOptions() core.Options {
 	opts := core.DefaultOptions(0)
 	opts.OuterIters = 10
