@@ -9,9 +9,9 @@ import (
 	"genclus/internal/deltalog"
 )
 
-// The mutation elements are declared once, in internal/deltalog, whose
-// decoder genclusd runs on every mutation body and whose records the
-// network's delta log stores; the SDK names them here.
+// The mutation elements are declared once, in internal/deltalog (its
+// link, term count and object are internal/hin's network elements), whose
+// decoder genclusd runs on every mutation body; the SDK names them here.
 
 // Edge is one link to add to a stored network: object IDs, a relation name
 // (which may be new to the network) and a positive finite weight.

@@ -18,9 +18,9 @@ import (
 // and the crash-safe blob store genclusd's durability rests on), and the
 // online inference engine whose query/assignment types the facade
 // re-exports (Assigner, AssignQuery, Assignment, …), the mutation
-// subsystem whose element types the SDK aliases (Edge, NewObject, …), and
-// the metrics registry.
-var documentedPackages = []string{".", "client", "internal/deltalog", "internal/hin", "internal/infer", "internal/metrics", "internal/snapshot", "internal/store"}
+// subsystem whose element types the SDK aliases (Edge, NewObject, …), the
+// JSON scanner every wire decoder embeds, and the metrics registry.
+var documentedPackages = []string{".", "client", "internal/deltalog", "internal/hin", "internal/infer", "internal/jsonscan", "internal/metrics", "internal/snapshot", "internal/store"}
 
 // TestExportedIdentifiersAreDocumented is the godoc linter CI runs (the
 // repo cannot assume revive/golint binaries exist): every exported

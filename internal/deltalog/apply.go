@@ -1,6 +1,9 @@
 package deltalog
 
 import (
+	"maps"
+	"slices"
+
 	"genclus/internal/hin"
 )
 
@@ -84,11 +87,7 @@ func applyEdges(n *hin.Network, m *Mutation) (*hin.Network, error) {
 	for _, l := range m.Add {
 		b.AddLink(l.From, l.To, l.Relation, l.Weight)
 	}
-	net, err := b.Build()
-	if err != nil {
-		return nil, &ApplyError{Msg: err.Error()}
-	}
-	return net, nil
+	return build(b)
 }
 
 func applyObjects(n *hin.Network, m *Mutation) (*hin.Network, error) {
@@ -119,11 +118,7 @@ func applyObjects(n *hin.Network, m *Mutation) (*hin.Network, error) {
 	for _, l := range m.Links {
 		b.AddLink(l.From, l.To, l.Relation, l.Weight)
 	}
-	net, err := b.Build()
-	if err != nil {
-		return nil, &ApplyError{Msg: err.Error()}
-	}
-	return net, nil
+	return build(b)
 }
 
 func applyAttributes(n *hin.Network, m *Mutation) (*hin.Network, error) {
@@ -154,6 +149,12 @@ func applyAttributes(n *hin.Network, m *Mutation) (*hin.Network, error) {
 	for _, p := range m.Set {
 		addObs(b, p.ID, p.Terms, p.Numeric)
 	}
+	return build(b)
+}
+
+// build builds the next view, reporting a Builder error as an
+// *ApplyError.
+func build(b *hin.Builder) (*hin.Network, error) {
 	net, err := b.Build()
 	if err != nil {
 		return nil, &ApplyError{Msg: err.Error()}
@@ -164,9 +165,11 @@ func applyAttributes(n *hin.Network, m *Mutation) (*hin.Network, error) {
 // checkObs validates one object's observation maps against the network's
 // declared attributes: the attribute must exist, its kind must match the
 // map it appears in, and categorical terms must lie inside the declared
-// vocabulary.
+// vocabulary. Each map is walked in attribute name order, so the error is
+// a function of the mutation.
 func checkObs(n *hin.Network, objID string, terms map[string][]TermCount, numeric map[string][]float64) error {
-	for attr, tcs := range terms {
+	for _, attr := range slices.Sorted(maps.Keys(terms)) {
+		tcs := terms[attr]
 		a, ok := n.AttrID(attr)
 		if !ok {
 			return applyErrf("object %q: unknown attribute %q", objID, attr)
@@ -181,7 +184,7 @@ func checkObs(n *hin.Network, objID string, terms map[string][]TermCount, numeri
 			}
 		}
 	}
-	for attr := range numeric {
+	for _, attr := range slices.Sorted(maps.Keys(numeric)) {
 		a, ok := n.AttrID(attr)
 		if !ok {
 			return applyErrf("object %q: unknown attribute %q", objID, attr)

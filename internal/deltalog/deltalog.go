@@ -20,7 +20,9 @@ package deltalog
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"genclus/internal/hin"
 )
@@ -45,16 +47,12 @@ const (
 // The mutation element types below are also the Go SDK's (package client
 // names them Edge, EdgeRef, TermCount, NewObject and AttributePatch), so
 // their field tags are /v1 wire contract as well as log record format.
+// Link, TermCount and Object are the network document's elements,
+// declared once in package hin.
 
 // Link is one link to add: object IDs, a relation name (which may be new
-// to the network) and a positive finite weight. The field tags match the
-// network document's link shape.
-type Link struct {
-	From     string  `json:"from"` // source object ID
-	To       string  `json:"to"`   // target object ID
-	Relation string  `json:"rel"`  // relation name
-	Weight   float64 `json:"w"`    // positive finite link weight
-}
+// to the network) and a positive finite weight.
+type Link = hin.LinkDoc
 
 // EdgeRef names an edge to remove by its (from, relation, to) triple.
 // Removal deletes every parallel edge matching the triple; a triple that
@@ -68,21 +66,11 @@ type EdgeRef struct {
 
 // TermCount is one sparse categorical observation entry, in the network
 // document's compact {"t":term,"c":count} shape.
-type TermCount struct {
-	Term  int     `json:"t"` // term index within the attribute's vocabulary
-	Count float64 `json:"c"` // positive finite count
-}
+type TermCount = hin.TermCount
 
 // Object is one object to add: an ID new to the network, a type, and
 // optional attribute observations keyed by declared attribute name.
-// Objects without observations are the paper's incomplete-attribute case
-// and cluster through their links.
-type Object struct {
-	ID      string                 `json:"id"`                // object ID, unique within the network
-	Type    string                 `json:"type"`              // object type (τ)
-	Terms   map[string][]TermCount `json:"terms,omitempty"`   // categorical attribute name → term counts
-	Numeric map[string][]float64   `json:"numeric,omitempty"` // numeric attribute name → observations
-}
+type Object = hin.ObjectDoc
 
 // AttrPatch replaces one existing object's observations for the named
 // attributes. An attribute present with an empty list clears the object's
@@ -146,11 +134,13 @@ func applyErrf(format string, args ...interface{}) error {
 // non-empty, weights and counts positive finite, payload matching the op
 // and non-empty); lim bounds what a single mutation may carry, with limit
 // breaches reported as *hin.LimitError so servers answer 413, and
-// everything else as *FormatError (400). Semantic validation against the
-// target network happens in Apply.
+// everything else as *FormatError (400), in a fixed order: parse errors
+// (a repeated recognised key among them, see parse), the op, then
+// validate's checks, which walk attributes in name order. Semantic
+// validation against the target network happens in Apply.
 func Decode(op Op, data []byte, lim hin.Limits) (*Mutation, error) {
-	m := &Mutation{}
-	if err := json.Unmarshal(data, m); err != nil {
+	m, err := parse(data)
+	if err != nil {
 		return nil, formatErrf("parse mutation: %v", err)
 	}
 	if m.Op != "" && m.Op != op {
@@ -164,16 +154,12 @@ func Decode(op Op, data []byte, lim hin.Limits) (*Mutation, error) {
 }
 
 // DecodeRecord parses and validates one logged mutation record, using the
-// record's own op discriminator. Replay and fuzzing go through it.
+// record's own op discriminator (validate rejects an unknown op first).
+// Replay and fuzzing go through it.
 func DecodeRecord(data []byte, lim hin.Limits) (*Mutation, error) {
-	m := &Mutation{}
-	if err := json.Unmarshal(data, m); err != nil {
+	m, err := parse(data)
+	if err != nil {
 		return nil, formatErrf("parse mutation record: %v", err)
-	}
-	switch m.Op {
-	case OpEdges, OpObjects, OpAttributes:
-	default:
-		return nil, formatErrf("unknown mutation op %q", m.Op)
 	}
 	if err := m.validate(lim); err != nil {
 		return nil, err
@@ -189,16 +175,29 @@ func (m *Mutation) Encode() ([]byte, error) {
 
 // validate runs the op-specific structural checks and limit bounds.
 func (m *Mutation) validate(lim hin.Limits) error {
+	var own int // the size of the op's own payload
 	switch m.Op {
 	case OpEdges:
-		if len(m.Objects) != 0 || len(m.Links) != 0 || len(m.Set) != 0 {
-			return formatErrf("edges mutation carries non-edges fields")
-		}
-		if len(m.Add) == 0 && len(m.Remove) == 0 {
+		own = len(m.Add) + len(m.Remove)
+	case OpObjects:
+		own = len(m.Objects) + len(m.Links)
+	case OpAttributes:
+		own = len(m.Set)
+	default:
+		return formatErrf("unknown mutation op %q", m.Op)
+	}
+	if len(m.Add)+len(m.Remove)+len(m.Objects)+len(m.Links)+len(m.Set) != own {
+		return formatErrf("%s mutation carries non-%[1]s fields", m.Op)
+	}
+	seen := make(map[string]bool, len(m.Objects)+len(m.Set))
+	var obs int // observations so far, against MaxObservations
+	switch m.Op {
+	case OpEdges:
+		if own == 0 {
 			return formatErrf("edges mutation adds and removes nothing")
 		}
-		if lim.MaxLinks > 0 && len(m.Add)+len(m.Remove) > lim.MaxLinks {
-			return &hin.LimitError{Dimension: "links", Got: len(m.Add) + len(m.Remove), Max: lim.MaxLinks}
+		if lim.MaxLinks > 0 && own > lim.MaxLinks {
+			return &hin.LimitError{Dimension: "links", Got: own, Max: lim.MaxLinks}
 		}
 		if err := validLinks("add", m.Add); err != nil {
 			return err
@@ -209,9 +208,6 @@ func (m *Mutation) validate(lim hin.Limits) error {
 			}
 		}
 	case OpObjects:
-		if len(m.Add) != 0 || len(m.Remove) != 0 || len(m.Set) != 0 {
-			return formatErrf("objects mutation carries non-objects fields")
-		}
 		if len(m.Objects) == 0 {
 			return formatErrf("objects mutation adds no objects")
 		}
@@ -224,8 +220,6 @@ func (m *Mutation) validate(lim hin.Limits) error {
 		if err := validLinks("links", m.Links); err != nil {
 			return err
 		}
-		seen := make(map[string]bool, len(m.Objects))
-		var obs int
 		for i, o := range m.Objects {
 			if o.ID == "" {
 				return formatErrf("objects[%d]: id must be non-empty", i)
@@ -237,27 +231,17 @@ func (m *Mutation) validate(lim hin.Limits) error {
 				return formatErrf("objects[%d]: duplicate id %q", i, o.ID)
 			}
 			seen[o.ID] = true
-			n, err := validObs(fmt.Sprintf("objects[%d] (%q)", i, o.ID), o.Terms, o.Numeric, lim)
-			if err != nil {
+			if err := validObs(fmt.Sprintf("objects[%d] (%q)", i, o.ID), o.Terms, o.Numeric, lim, &obs); err != nil {
 				return err
-			}
-			obs += n
-			if lim.MaxObservations > 0 && obs > lim.MaxObservations {
-				return &hin.LimitError{Dimension: "observations", Got: obs, Max: lim.MaxObservations}
 			}
 		}
 	case OpAttributes:
-		if len(m.Add) != 0 || len(m.Remove) != 0 || len(m.Objects) != 0 || len(m.Links) != 0 {
-			return formatErrf("attributes mutation carries non-attributes fields")
-		}
 		if len(m.Set) == 0 {
 			return formatErrf("attributes mutation patches nothing")
 		}
 		if lim.MaxObjects > 0 && len(m.Set) > lim.MaxObjects {
 			return &hin.LimitError{Dimension: "objects", Got: len(m.Set), Max: lim.MaxObjects}
 		}
-		seen := make(map[string]bool, len(m.Set))
-		var obs int
 		for i, p := range m.Set {
 			if p.ID == "" {
 				return formatErrf("set[%d]: id must be non-empty", i)
@@ -269,17 +253,10 @@ func (m *Mutation) validate(lim hin.Limits) error {
 			if len(p.Terms) == 0 && len(p.Numeric) == 0 {
 				return formatErrf("set[%d] (%q): patch names no attributes", i, p.ID)
 			}
-			n, err := validObs(fmt.Sprintf("set[%d] (%q)", i, p.ID), p.Terms, p.Numeric, lim)
-			if err != nil {
+			if err := validObs(fmt.Sprintf("set[%d] (%q)", i, p.ID), p.Terms, p.Numeric, lim, &obs); err != nil {
 				return err
 			}
-			obs += n
-			if lim.MaxObservations > 0 && obs > lim.MaxObservations {
-				return &hin.LimitError{Dimension: "observations", Got: obs, Max: lim.MaxObservations}
-			}
 		}
-	default:
-		return formatErrf("unknown mutation op %q", m.Op)
 	}
 	return nil
 }
@@ -300,40 +277,46 @@ func validLinks(what string, links []Link) error {
 
 // validObs checks one object's observation maps: attribute names non-empty,
 // the same attribute not both categorical and numeric, term indices inside
-// [0, MaxVocab), counts positive finite, values finite. It returns the
-// number of observation entries for the caller's MaxObservations budget.
-func validObs(what string, terms map[string][]TermCount, numeric map[string][]float64, lim hin.Limits) (int, error) {
-	var obs int
-	for attr, tcs := range terms {
+// [0, MaxVocab), counts positive finite, values finite. It walks each map
+// in attribute name order, so the error it returns is a function of the
+// document. It adds the object's observation entries to *obs, the
+// mutation's running total, and checks it against MaxObservations.
+func validObs(what string, terms map[string][]TermCount, numeric map[string][]float64, lim hin.Limits, obs *int) error {
+	for _, attr := range slices.Sorted(maps.Keys(terms)) {
+		tcs := terms[attr]
 		if attr == "" {
-			return 0, formatErrf("%s: empty attribute name", what)
+			return formatErrf("%s: empty attribute name", what)
 		}
 		if _, dup := numeric[attr]; dup {
-			return 0, formatErrf("%s: attribute %q is both categorical and numeric", what, attr)
+			return formatErrf("%s: attribute %q is both categorical and numeric", what, attr)
 		}
 		for _, tc := range tcs {
 			if tc.Term < 0 {
-				return 0, formatErrf("%s: attribute %q term %d is negative", what, attr, tc.Term)
+				return formatErrf("%s: attribute %q term %d is negative", what, attr, tc.Term)
 			}
 			if lim.MaxVocab > 0 && tc.Term >= lim.MaxVocab {
-				return 0, &hin.LimitError{Dimension: "vocabulary", Got: tc.Term + 1, Max: lim.MaxVocab}
+				return &hin.LimitError{Dimension: "vocabulary", Got: tc.Term + 1, Max: lim.MaxVocab}
 			}
 			if !(tc.Count > 0) || math.IsInf(tc.Count, 0) || math.IsNaN(tc.Count) {
-				return 0, formatErrf("%s: attribute %q count %v must be positive finite", what, attr, tc.Count)
+				return formatErrf("%s: attribute %q count %v must be positive finite", what, attr, tc.Count)
 			}
 		}
-		obs += len(tcs)
+		*obs += len(tcs)
 	}
-	for attr, xs := range numeric {
+	for _, attr := range slices.Sorted(maps.Keys(numeric)) {
+		xs := numeric[attr]
 		if attr == "" {
-			return 0, formatErrf("%s: empty attribute name", what)
+			return formatErrf("%s: empty attribute name", what)
 		}
 		for _, x := range xs {
 			if math.IsInf(x, 0) || math.IsNaN(x) {
-				return 0, formatErrf("%s: attribute %q value %v must be finite", what, attr, x)
+				return formatErrf("%s: attribute %q value %v must be finite", what, attr, x)
 			}
 		}
-		obs += len(xs)
+		*obs += len(xs)
 	}
-	return obs, nil
+	if lim.MaxObservations > 0 && *obs > lim.MaxObservations {
+		return &hin.LimitError{Dimension: "observations", Got: *obs, Max: lim.MaxObservations}
+	}
+	return nil
 }

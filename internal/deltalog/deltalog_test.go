@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"genclus/internal/hin"
@@ -34,19 +35,51 @@ func testNetwork(t *testing.T) *hin.Network {
 
 func noLimits() hin.Limits { return hin.Limits{} }
 
+// repeatedKeyCases each repeat one recognised key, which the decoder
+// rejects with a *FormatError naming it, where encoding/json keeps the
+// last value or merges the two maps.
+var repeatedKeyCases = []struct {
+	name, key string
+	op        Op
+	doc       string
+}{
+	{"repeated top-level key", `"add"`, OpEdges, `{"add":[{"from":"a","to":"b","rel":"r","w":1}],"add":[{"from":"c","to":"d","rel":"r","w":1}]}`},
+	{"repeated folded top-level key", `"ADD"`, OpEdges, `{"add":[{"from":"a","to":"b","rel":"r","w":1}],"ADD":[{"from":"c","to":"d","rel":"r","w":1}]}`},
+	{"repeated link field", `"from"`, OpEdges, `{"add":[{"from":"a","to":"b","rel":"r","w":1,"from":"c"}]}`},
+	{"repeated edge ref field", `"REL"`, OpEdges, `{"remove":[{"from":"a","to":"b","rel":"r","REL":"s"}]}`},
+	{"repeated object field", `"id"`, OpObjects, `{"objects":[{"id":"x","type":"t","id":"y"}]}`},
+	{"repeated patch field", `"terms"`, OpAttributes, `{"set":[{"id":"x","terms":{"a":[{"t":0,"c":1}]},"terms":{"b":[{"t":0,"c":1}]}}]}`},
+	{"repeated terms attribute", `"text" in terms`, OpObjects, `{"objects":[{"id":"x","type":"t","terms":{"text":[{"t":0,"c":1}],"text":[{"t":1,"c":1}]}}]}`},
+	{"repeated numeric attribute", `"score" in numeric`, OpAttributes, `{"set":[{"id":"x","numeric":{"score":[1],"\u0073core":[2]}}]}`},
+}
+
+// recordOf returns doc as a delta-log record of op: the same body with
+// the op discriminator DecodeRecord reads.
+func recordOf(op Op, doc string) string {
+	if strings.Contains(doc, `"op"`) {
+		return doc
+	}
+	rec := strings.Replace(doc, "{", `{"op":"`+string(op)+`",`, 1)
+	return strings.Replace(rec, ",}", "}", 1)
+}
+
 // TestDecodeRejects pins the trust boundary: each malformed document is a
 // *FormatError, each oversized one a *hin.LimitError, and valid documents
-// pass.
+// pass. Every row is decoded as a body by Decode and as a record by
+// DecodeRecord.
 func TestDecodeRejects(t *testing.T) {
 	lim := hin.Limits{MaxObjects: 2, MaxLinks: 2, MaxVocab: 8, MaxObservations: 3}
-	cases := []struct {
+	type row struct {
 		name  string
 		op    Op
 		doc   string
-		limit bool // expect *hin.LimitError instead of *FormatError
-	}{
+		limit bool   // expect *hin.LimitError instead of *FormatError
+		msg   string // text the error must contain
+		body  bool   // a rule of the endpoint's op, which a record does not have
+	}
+	cases := []row{
 		{name: "bad json", op: OpEdges, doc: `{`},
-		{name: "op mismatch", op: OpEdges, doc: `{"op":"objects","objects":[{"id":"x","type":"t"}]}`},
+		{name: "op mismatch", op: OpEdges, doc: `{"op":"objects","objects":[{"id":"x","type":"t"}]}`, body: true},
 		{name: "empty edges", op: OpEdges, doc: `{}`},
 		{name: "edges with objects payload", op: OpEdges, doc: `{"add":[{"from":"a","to":"b","rel":"r","w":1}],"objects":[{"id":"x","type":"t"}]}`},
 		{name: "link empty endpoint", op: OpEdges, doc: `{"add":[{"from":"","to":"b","rel":"r","w":1}]}`},
@@ -71,30 +104,77 @@ func TestDecodeRejects(t *testing.T) {
 		{name: "patch names nothing", op: OpAttributes, doc: `{"set":[{"id":"x"}]}`},
 		{name: "duplicate patch ids", op: OpAttributes, doc: `{"set":[{"id":"x","numeric":{"score":[1]}},{"id":"x","numeric":{"score":[2]}}]}`},
 	}
+	for _, rc := range repeatedKeyCases {
+		cases = append(cases, row{name: rc.name, op: rc.op, doc: rc.doc, msg: "repeated key " + rc.key})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Decode(tc.op, []byte(tc.doc), lim)
-			if err == nil {
-				t.Fatalf("decode accepted %s", tc.doc)
-			}
-			var le *hin.LimitError
-			if got := errors.As(err, &le); got != tc.limit {
-				t.Fatalf("limit error = %v, want %v (%v)", got, tc.limit, err)
-			}
-			if !tc.limit {
-				var fe *FormatError
-				if !errors.As(err, &fe) {
-					t.Fatalf("not a FormatError: %v", err)
+			check := func(what string, m *Mutation, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted %s as %+v", what, tc.doc, m)
 				}
+				var le *hin.LimitError
+				if got := errors.As(err, &le); got != tc.limit {
+					t.Fatalf("%s: limit error = %v, want %v (%v)", what, got, tc.limit, err)
+				}
+				var fe *FormatError
+				if !tc.limit && !errors.As(err, &fe) {
+					t.Fatalf("%s: not a FormatError: %v", what, err)
+				}
+				if !strings.Contains(err.Error(), tc.msg) {
+					t.Fatalf("%s: error %q does not contain %q", what, err, tc.msg)
+				}
+			}
+			m, err := Decode(tc.op, []byte(tc.doc), lim)
+			check("Decode", m, err)
+			if !tc.body {
+				m, err = DecodeRecord([]byte(recordOf(tc.op, tc.doc)), lim)
+				check("DecodeRecord", m, err)
 			}
 		})
 	}
 
-	if _, err := Decode(OpEdges, []byte(`{"op":"edges","add":[{"from":"a","to":"b","rel":"r","w":1}]}`), lim); err != nil {
-		t.Fatalf("valid edges rejected: %v", err)
+	for _, v := range []struct {
+		op  Op
+		doc string
+	}{
+		{OpEdges, `{"op":"edges","add":[{"from":"a","to":"b","rel":"r","w":1}]}`},
+		{OpAttributes, `{"set":[{"id":"x","terms":{"text":[]}}]}`},                           // an observation clear
+		{OpEdges, `{"z":1,"z":2,"add":[{"from":"a","to":"b","rel":"r","w":1,"q":1,"q":2}]}`}, // repeated unknown keys
+	} {
+		if _, err := Decode(v.op, []byte(v.doc), lim); err != nil {
+			t.Fatalf("valid body %s rejected: %v", v.doc, err)
+		}
+		if _, err := DecodeRecord([]byte(recordOf(v.op, v.doc)), lim); err != nil {
+			t.Fatalf("valid record of %s rejected: %v", v.doc, err)
+		}
 	}
-	if _, err := Decode(OpAttributes, []byte(`{"set":[{"id":"x","terms":{"text":[]}}]}`), lim); err != nil {
-		t.Fatalf("observation clear rejected: %v", err)
+}
+
+// TestErrorsIndependentOfMapOrder pins the attribute walks of validate and
+// Apply to name order: a body with several bad attributes gets the same
+// error every time, not whichever attribute Go's map iteration meets
+// first.
+func TestErrorsIndependentOfMapOrder(t *testing.T) {
+	lim := hin.Limits{MaxVocab: 8}
+	body := []byte(`{"objects":[{"id":"x","type":"t","terms":{"c":[{"t":-1,"c":1}],"b":[{"t":9,"c":1}],"a":[{"t":0,"c":0}],"d":[{"t":1,"c":1}]},"numeric":{"z":[1],"y":[2]}}]}`)
+	patch, err := Decode(OpAttributes, []byte(`{"set":[{"id":"p1","numeric":{"zz":[1],"yy":[2],"xx":[3]},"terms":{"ww":[{"t":0,"c":1}],"vv":[{"t":0,"c":1}]}}]}`), lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testNetwork(t)
+	for i := 0; i < 100; i++ {
+		_, err := Decode(OpObjects, body, lim)
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Msg != `objects[0] ("x"): attribute "a" count 0 must be positive finite` {
+			t.Fatalf("decode %d: got %v, want the zero count of attribute a", i, err)
+		}
+		_, err = Apply(n, patch)
+		var ae *ApplyError
+		if !errors.As(err, &ae) || ae.Msg != `object "p1": unknown attribute "vv"` {
+			t.Fatalf("apply %d: got %v, want unknown attribute vv", i, err)
+		}
 	}
 }
 

@@ -22,7 +22,9 @@ var fuzzLimits = hin.Limits{
 
 // FuzzDecodeMutation hammers the mutation wire format (the fourth trust
 // boundary, behind POST /v1/networks/{id}/edges|objects and PATCH
-// .../attributes): any byte slice must either fail with a typed error or
+// .../attributes): Decode and DecodeRecord must agree with their
+// encoding/json oracles on every input (apart from the repeated-key
+// rejection), and any byte slice must either fail with a typed error or
 // produce a mutation that survives an Encode → DecodeRecord round trip
 // and applies (or is rejected) against a live network without panicking.
 func FuzzDecodeMutation(f *testing.F) {
@@ -51,6 +53,13 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte("{\"op\":\"objects\",\"objects\":[{\"id\":\"a\\u0000b\",\"type\":\"t\"}]}"))
 	f.Add([]byte(`{"op":"edges","add":[{"from":"a","to":"b","rel":"r","w":1e308}],"remove":[{"from":"a","to":"b","rel":"r"}]}`))
 	f.Add([]byte(`{"op":"attributes","set":[{"id":"p1","terms":{"text":[{"t":0,"c":1}]},"numeric":{"score":[-0]}}]}`))
+	for _, doc := range decodeCases {
+		f.Add([]byte(doc))
+	}
+	for _, rc := range repeatedKeyCases {
+		f.Add([]byte(rc.doc))
+		f.Add([]byte(recordOf(rc.op, rc.doc)))
+	}
 
 	// A small live network gives Apply real indices, vocabularies and
 	// relation tables to contradict.
@@ -68,6 +77,7 @@ func FuzzDecodeMutation(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeMatchesReference(t, data, fuzzLimits)
 		m, err := DecodeRecord(data, fuzzLimits)
 		if err != nil {
 			return // rejected input is fine; panicking is not

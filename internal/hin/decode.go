@@ -25,15 +25,12 @@ type decoder struct {
 	vocabOver, obsOver       int
 	full                     bool
 
-	strs map[string]string // raw string token → decoded string, for repeated tokens
-	keys jsonscan.KeySet   // attribute names seen in one terms or numeric map
-
 	attrs   []attrDecl
 	objects []Object
 	groups  []obsGroup
 	tcs     stage[TermCount]
 	nums    stage[float64]
-	links   stage[linkSpan]
+	links   stage[LinkTokens]
 }
 
 type attrDecl struct {
@@ -91,16 +88,9 @@ func (s *stage[T]) blocks() [][]T {
 	return append(s.done, s.buf)
 }
 
-type linkSpan struct {
-	from, to, rel jsonscan.Span
-	w             float64
-}
-
 var (
 	docFields  = jsonscan.NewFields("objects", "links", "attributes")
 	objFields  = jsonscan.NewFields("id", "type", "terms", "numeric")
-	termFields = jsonscan.NewFields("t", "c")
-	linkFields = jsonscan.NewFields("from", "to", "rel", "w")
 	attrFields = jsonscan.NewFields("name", "kind", "vocab")
 )
 
@@ -171,13 +161,13 @@ func (d *decoder) build() (*Network, error) {
 	}
 	for _, block := range d.links.blocks() {
 		for _, l := range block {
-			from, okF := b.idIndex[string(d.Bytes(l.from))]
-			to, okT := b.idIndex[string(d.Bytes(l.to))]
+			from, okF := b.idIndex[string(d.Bytes(l.From))]
+			to, okT := b.idIndex[string(d.Bytes(l.To))]
 			if !okF || !okT {
-				b.fail("hin: link %s -[%s]-> %s references unknown object", d.text(l.from), d.intern(l.rel), d.text(l.to))
+				b.fail("hin: link %s -[%s]-> %s references unknown object", d.Text(l.From), d.Intern(l.Rel), d.Text(l.To))
 				continue
 			}
-			b.AddLinkByIndex(from, to, d.intern(l.rel), l.w)
+			b.AddLinkByIndex(from, to, d.Intern(l.Rel), l.W)
 		}
 	}
 	return b.Build()
@@ -185,39 +175,22 @@ func (d *decoder) build() (*Network, error) {
 
 // newDecoder returns a decoder of data under lim.
 func newDecoder(data []byte, lim Limits) *decoder {
-	return &decoder{Scanner: jsonscan.Scanner{Data: data}, lim: lim, strs: make(map[string]string)}
+	return &decoder{Scanner: jsonscan.Scanner{Data: data}, lim: lim}
 }
-
-// intern returns a string token's decoded contents as a string, decoding
-// and allocating each distinct token once.
-func (d *decoder) intern(s jsonscan.Span) string {
-	raw := d.Data[s.Start:s.End]
-	if v, ok := d.strs[string(raw)]; ok {
-		return v
-	}
-	v := string(d.Bytes(s))
-	d.strs[string(raw)] = v
-	return v
-}
-
-// text returns a string token's decoded contents as a fresh string.
-func (d *decoder) text(s jsonscan.Span) string { return string(d.Bytes(s)) }
 
 // ---- document structure -------------------------------------------------
 
 func (d *decoder) document() error {
-	return d.Document("the network document", d.docObject)
-}
-
-func (d *decoder) docObject() error {
-	return d.Object(docFields, 1, func(f int) error {
-		switch f {
-		case 0:
-			return d.Array(2, "objects", d.objectElem)
-		case 1:
-			return d.Array(2, "links", d.linkElem)
-		}
-		return d.Array(2, "attributes", d.attrElem)
+	return d.Document("the network document", func() error {
+		return d.Object(docFields, 1, func(f int) error {
+			switch f {
+			case 0:
+				return d.Array(2, "objects", d.objectElem)
+			case 1:
+				return d.Array(2, "links", d.linkElem)
+			}
+			return d.Array(2, "attributes", d.attrElem)
+		})
 	})
 }
 
@@ -233,14 +206,14 @@ func (d *decoder) objectElem(depth int, null bool) error {
 			switch f {
 			case 0:
 				if s, err = d.StringValue("id"); err == nil && !d.full {
-					o.ID = d.text(s)
+					o.ID = d.Text(s)
 				}
 			case 1:
 				if s, err = d.StringValue("type"); err == nil && !d.full {
-					o.Type = d.intern(s)
+					o.Type = d.Intern(s)
 				}
 			default:
-				err = d.obsMap(depth+1, obj, f == 3)
+				err = d.obsMap(depth+1, obj, objFields.Name(f))
 			}
 			return err
 		})
@@ -257,142 +230,52 @@ func (d *decoder) objectElem(depth int, null bool) error {
 	return nil
 }
 
-// obsMap reads an object's "terms" or "numeric" map (null is absent),
-// staging each entry as a group of object obj.
-func (d *decoder) obsMap(depth, obj int, numeric bool) error {
-	what := "terms"
-	if numeric {
-		what = "numeric"
-	}
-	switch d.Peek() {
-	case 'n':
-		return d.Literal("null")
-	case '{':
-	default:
-		return d.Mismatch(what, "an object")
-	}
-	d.Pos++
-	d.keys.Reset()
-	for first := true; ; first = false {
-		ks, _, done, err := d.NextKey(first)
-		if err != nil || done {
-			return err
-		}
-		attr := d.intern(ks)
-		if !d.keys.Add(attr) {
-			return fmt.Errorf("repeated attribute %q in %s at offset %d", attr, what, d.Pos)
-		}
-		switch d.Peek() {
-		case 'n':
-			if err := d.Literal("null"); err != nil {
-				return err
-			}
-			continue
-		case '[':
-			d.Pos++
-		default:
-			return d.Mismatch(what+" value", "an array")
-		}
+// obsMap reads an object's "terms" or "numeric" map at depth, staging
+// each entry that holds observations as a group of object obj.
+func (d *decoder) obsMap(depth, obj int, what string) error {
+	return d.Map(what, d.Intern, func(attr string) (err error) {
 		g := obsGroup{obj: obj, attr: attr}
-		if numeric {
-			err = d.numList()
+		if what == "numeric" {
+			err = ReadNumList(&d.Scanner, d.addNumeric)
 			g.nums = d.nums.run()
 		} else {
-			err = d.termList(depth + 2)
+			err = ReadTermList(&d.Scanner, depth+1, d.addTermCount)
 			g.tcs = d.tcs.run()
 		}
-		if err != nil {
-			return err
-		}
-		if !d.full && (len(g.nums) > 0 || len(g.tcs) > 0) {
+		if err == nil && !d.full && (len(g.nums) > 0 || len(g.tcs) > 0) {
 			d.groups = append(d.groups, g)
-		}
-	}
-}
-
-// termList reads the elements of a term-count list after its '['; depth
-// is the nesting level of each {"t","c"} element.
-func (d *decoder) termList(depth int) error {
-	for first := true; ; first = false {
-		done, err := d.NextElem(first)
-		if err != nil || done {
-			return err
-		}
-		var tc TermCount
-		switch d.Peek() {
-		case 'n':
-			err = d.Literal("null")
-		case '{':
-			d.Pos++
-			tc, err = d.termCount(depth)
-		default:
-			err = d.Mismatch("term count", "an object")
-		}
-		if err != nil {
-			return err
-		}
-		d.addObs()
-		if !d.full {
-			d.tcs.push(tc)
-		}
-	}
-}
-
-func (d *decoder) termCount(depth int) (tc TermCount, err error) {
-	err = d.Object(termFields, depth, func(f int) (err error) {
-		if f == 0 {
-			tc.Term, err = d.Int("t")
-		} else {
-			tc.Count, err = d.Float("c")
 		}
 		return err
 	})
-	return tc, err
 }
 
-// numList reads the elements of a numeric observation list after its '['.
-func (d *decoder) numList() error {
-	for first := true; ; first = false {
-		done, err := d.NextElem(first)
-		if err != nil || done {
-			return err
-		}
-		x, err := d.Float("numeric observation")
-		if err != nil {
-			return err
-		}
-		d.addObs()
-		if !d.full {
-			d.nums.push(x)
-		}
+func (d *decoder) addTermCount(tc TermCount) {
+	if d.addObs() {
+		d.tcs.push(tc)
 	}
 }
 
-func (d *decoder) addObs() {
+func (d *decoder) addNumeric(x float64) {
+	if d.addObs() {
+		d.nums.push(x)
+	}
+}
+
+// addObs counts one observation and reports whether to store it.
+func (d *decoder) addObs() bool {
 	d.nObs++
 	d.checkCount(d.lim.MaxObservations, d.nObs)
+	return !d.full
 }
 
 // linkElem reads one element of "links"; null is the zero link.
 func (d *decoder) linkElem(depth int, null bool) error {
 	d.nLinks++
 	d.checkCount(d.lim.MaxLinks, d.nLinks)
-	var l linkSpan
+	var l LinkTokens
 	if !null {
-		err := d.Object(linkFields, depth, func(f int) (err error) {
-			switch f {
-			case 0:
-				l.from, err = d.StringValue("from")
-			case 1:
-				l.to, err = d.StringValue("to")
-			case 2:
-				l.rel, err = d.StringValue("rel")
-			default:
-				l.w, err = d.Float("w")
-			}
-			return err
-		})
-		if err != nil {
+		var err error
+		if l, err = ReadLink(&d.Scanner, depth); err != nil {
 			return err
 		}
 	}
@@ -413,11 +296,11 @@ func (d *decoder) attrElem(depth int, null bool) error {
 			switch f {
 			case 0:
 				if s, err = d.StringValue("name"); err == nil && !d.full {
-					a.name = d.intern(s)
+					a.name = d.Intern(s)
 				}
 			case 1:
 				if s, err = d.StringValue("kind"); err == nil && !d.full {
-					a.kind = d.intern(s)
+					a.kind = d.Intern(s)
 				}
 			default:
 				a.vocab, err = d.Int("vocab")
@@ -443,4 +326,77 @@ func (d *decoder) checkCount(max, count int) {
 	if max > 0 && count > max {
 		d.full = true
 	}
+}
+
+// ---- wire elements ------------------------------------------------------
+
+// The one reading of the elements the network document, the assign
+// request (package infer) and the mutation body (package deltalog) share.
+// Each decoder keeps its own staging and takes what these read through
+// its callbacks; it reads the terms and numeric maps with jsonscan's Map.
+
+var (
+	termFields = jsonscan.NewFields("t", "c")
+	linkFields = jsonscan.NewFields("from", "to", "rel", "w")
+)
+
+// ReadTermList reads a term-count list (null is empty) at nesting level
+// depth, calling add with each element; a null element is the zero
+// TermCount.
+func ReadTermList(s *jsonscan.Scanner, depth int, add func(TermCount)) error {
+	return s.Array(depth, "term counts", func(depth int, null bool) (err error) {
+		var tc TermCount
+		if !null {
+			err = s.Object(termFields, depth, func(f int) (err error) {
+				if f == 0 {
+					tc.Term, err = s.Int("t")
+				} else {
+					tc.Count, err = s.Float("c")
+				}
+				return err
+			})
+		}
+		if err == nil {
+			add(tc)
+		}
+		return err
+	})
+}
+
+// ReadNumList reads a numeric observation list (null is empty), calling
+// add with each value; a null element is 0.
+func ReadNumList(s *jsonscan.Scanner, add func(float64)) error {
+	return s.List("numeric observations", func() error {
+		x, err := s.Float("numeric observation")
+		if err == nil {
+			add(x)
+		}
+		return err
+	})
+}
+
+// LinkTokens is a LinkDoc as ReadLink reads it: its strings as tokens for
+// the caller to decode, its weight as a number.
+type LinkTokens struct {
+	From, To, Rel jsonscan.Span // the tokens of the object IDs and the relation name
+	W             float64       // the link weight
+}
+
+// ReadLink reads the members of a link {from,to,rel,w} after its '{';
+// depth is the link's nesting level.
+func ReadLink(s *jsonscan.Scanner, depth int) (l LinkTokens, err error) {
+	err = s.Object(linkFields, depth, func(f int) (err error) {
+		switch f {
+		case 0:
+			l.From, err = s.StringValue("from")
+		case 1:
+			l.To, err = s.StringValue("to")
+		case 2:
+			l.Rel, err = s.StringValue("rel")
+		default:
+			l.W, err = s.Float("w")
+		}
+		return err
+	})
+	return l, err
 }

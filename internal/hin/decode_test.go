@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"genclus/internal/jsonscan/scantest"
 )
 
 // decodeEdgeCase is one document of the decoder contract, with the limits
@@ -131,7 +133,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 			for _, lim := range []Limits{tc.lim, fuzzLimits, {}} {
 				checkDecodeMatchesReference(t, []byte(tc.doc), lim)
 			}
-			if repeatsRecognisedKey([]byte(tc.doc)) {
+			if scantest.RepeatsKey([]byte(tc.doc), docShape) {
 				_, err := FromJSONLimited([]byte(tc.doc), Limits{})
 				if err == nil || !strings.Contains(err.Error(), "repeated") {
 					t.Fatalf("repeated key: got %v, want an error naming it", err)
@@ -149,7 +151,7 @@ func TestDecodeRejectsRepeatedKeys(t *testing.T) {
 		if !strings.HasPrefix(tc.name, "repeated") || tc.name == "repeated unknown key" {
 			continue
 		}
-		if !repeatsRecognisedKey([]byte(tc.doc)) {
+		if !scantest.RepeatsKey([]byte(tc.doc), docShape) {
 			t.Errorf("%s: test scanner finds no repeated key", tc.name)
 		}
 		_, err := FromJSONLimited([]byte(tc.doc), tc.lim)

@@ -10,28 +10,33 @@ import (
 // networkJSON is the on-disk representation: self-describing, stable across
 // versions of the in-memory layout, and editable by hand for small networks.
 type networkJSON struct {
-	Objects    []objectJSON `json:"objects"`
-	Links      []linkJSON   `json:"links"`
-	Attributes []attrJSON   `json:"attributes"`
+	Objects    []ObjectDoc `json:"objects"`
+	Links      []LinkDoc   `json:"links"`
+	Attributes []attrJSON  `json:"attributes"`
 }
 
-type objectJSON struct {
-	ID      string               `json:"id"`
-	Type    string               `json:"type"`
-	Terms   map[string][]tcJSON  `json:"terms,omitempty"`   // attr name → term counts
-	Numeric map[string][]float64 `json:"numeric,omitempty"` // attr name → observations
+// The element types below are wire contract beyond the network document:
+// mutation bodies and delta-log records carry them too (package deltalog
+// names them Object and Link, and the Go SDK NewObject and Edge).
+
+// ObjectDoc is one object of a network document or a mutation: an ID, a
+// type, and optional attribute observations keyed by declared attribute
+// name. Objects without observations are the paper's incomplete-attribute
+// case and cluster through their links.
+type ObjectDoc struct {
+	ID      string                 `json:"id"`                // object ID, unique within the network
+	Type    string                 `json:"type"`              // object type (τ)
+	Terms   map[string][]TermCount `json:"terms,omitempty"`   // categorical attribute name → term counts
+	Numeric map[string][]float64   `json:"numeric,omitempty"` // numeric attribute name → observations
 }
 
-type tcJSON struct {
-	Term  int     `json:"t"`
-	Count float64 `json:"c"`
-}
-
-type linkJSON struct {
-	From     string  `json:"from"`
-	To       string  `json:"to"`
-	Relation string  `json:"rel"`
-	Weight   float64 `json:"w"`
+// LinkDoc is one link of a network document or a mutation: object IDs, a
+// relation name and a positive finite weight.
+type LinkDoc struct {
+	From     string  `json:"from"` // source object ID
+	To       string  `json:"to"`   // target object ID
+	Relation string  `json:"rel"`  // relation name
+	Weight   float64 `json:"w"`    // positive finite link weight
 }
 
 type attrJSON struct {
@@ -51,33 +56,18 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 		})
 	}
 	for v, o := range n.objects {
-		oj := objectJSON{ID: o.ID, Type: o.Type}
+		oj := ObjectDoc{ID: o.ID, Type: o.Type}
 		for a, spec := range n.attrs {
-			switch spec.Kind {
-			case Categorical:
-				if tcs := n.catObs[a][v]; len(tcs) > 0 {
-					if oj.Terms == nil {
-						oj.Terms = make(map[string][]tcJSON)
-					}
-					list := make([]tcJSON, len(tcs))
-					for i, tc := range tcs {
-						list[i] = tcJSON{Term: tc.Term, Count: tc.Count}
-					}
-					oj.Terms[spec.Name] = list
-				}
-			case Numeric:
-				if xs := n.numObs[a][v]; len(xs) > 0 {
-					if oj.Numeric == nil {
-						oj.Numeric = make(map[string][]float64)
-					}
-					oj.Numeric[spec.Name] = xs
-				}
+			if spec.Kind == Categorical {
+				putObs(&oj.Terms, spec.Name, n.catObs[a][v])
+			} else {
+				putObs(&oj.Numeric, spec.Name, n.numObs[a][v])
 			}
 		}
 		doc.Objects = append(doc.Objects, oj)
 	}
 	for _, e := range n.edges {
-		doc.Links = append(doc.Links, linkJSON{
+		doc.Links = append(doc.Links, LinkDoc{
 			From:     n.objects[e.From].ID,
 			To:       n.objects[e.To].ID,
 			Relation: n.relations[e.Rel],
@@ -85,6 +75,16 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 		})
 	}
 	return json.Marshal(doc)
+}
+
+// putObs enters an object's non-empty observation list in its map.
+func putObs[T any](m *map[string][]T, attr string, xs []T) {
+	if len(xs) > 0 {
+		if *m == nil {
+			*m = make(map[string][]T)
+		}
+		(*m)[attr] = xs
+	}
 }
 
 // Limits bounds what a decoded network may allocate, protecting callers

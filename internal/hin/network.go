@@ -65,10 +65,11 @@ type Edge struct {
 	Weight float64 // positive finite link weight (W)
 }
 
-// TermCount is one entry of a sparse categorical observation.
+// TermCount is one entry of a sparse categorical observation, in every
+// wire document's compact {"t":term,"c":count} shape.
 type TermCount struct {
-	Term  int     // term index within the attribute's vocabulary
-	Count float64 // accumulated positive count (c_{v,l})
+	Term  int     `json:"t"` // term index within the attribute's vocabulary
+	Count float64 `json:"c"` // accumulated positive count (c_{v,l})
 }
 
 // Network is an immutable heterogeneous information network.

@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
+
+	"genclus/internal/jsonscan/scantest"
 )
 
 // referenceDecode is the decoder FromJSONLimited used before the one-pass
@@ -92,104 +93,20 @@ func referenceCheck(l Limits, doc *networkJSON) error {
 	return nil
 }
 
-// wireShape describes where the network document has recognised keys: a
-// struct's fields (matched case-insensitively, as encoding/json does), a
-// map's values (keys compared exactly), or an array's elements.
-type wireShape struct {
-	fields []string
-	shapes []*wireShape // shape of each field's value
-	mapOf  *wireShape
-	elemOf *wireShape
-	isMap  bool
-}
-
-var docShape = func() *wireShape {
-	tc := &wireShape{fields: []string{"t", "c"}, shapes: make([]*wireShape, 2)}
-	obsMap := &wireShape{isMap: true, mapOf: &wireShape{elemOf: tc}}
-	obj := &wireShape{
-		fields: []string{"id", "type", "terms", "numeric"},
-		shapes: []*wireShape{nil, nil, obsMap, {isMap: true}},
+// docShape is where the network document has recognised keys.
+var docShape = func() *scantest.Shape {
+	tc := &scantest.Shape{Fields: []string{"t", "c"}}
+	obj := &scantest.Shape{
+		Fields: []string{"id", "type", "terms", "numeric"},
+		Shapes: []*scantest.Shape{nil, nil, {IsMap: true, MapOf: &scantest.Shape{ElemOf: tc}}, {IsMap: true}},
 	}
-	link := &wireShape{fields: []string{"from", "to", "rel", "w"}, shapes: make([]*wireShape, 4)}
-	attr := &wireShape{fields: []string{"name", "kind", "vocab"}, shapes: make([]*wireShape, 3)}
-	return &wireShape{
-		fields: []string{"objects", "links", "attributes"},
-		shapes: []*wireShape{{elemOf: obj}, {elemOf: link}, {elemOf: attr}},
+	link := &scantest.Shape{Fields: []string{"from", "to", "rel", "w"}}
+	attr := &scantest.Shape{Fields: []string{"name", "kind", "vocab"}}
+	return &scantest.Shape{
+		Fields: []string{"objects", "links", "attributes"},
+		Shapes: []*scantest.Shape{{ElemOf: obj}, {ElemOf: link}, {ElemOf: attr}},
 	}
 }()
-
-// repeatsRecognisedKey reports whether the document repeats a recognised
-// key — a field name within one JSON object (folded with strings.EqualFold,
-// which encoding/json documents as its key folding) or an attribute name
-// within one terms or numeric map — before its first syntax error.
-func repeatsRecognisedKey(data []byte) bool {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	repeated, _ := walkShape(dec, docShape)
-	return repeated
-}
-
-// walkShape consumes one value from dec, checking it against shape (nil
-// skips it). It stops at the first repeated key or decoder error.
-func walkShape(dec *json.Decoder, shape *wireShape) (bool, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return false, err
-	}
-	delim, ok := tok.(json.Delim)
-	if !ok || delim == '}' || delim == ']' {
-		return false, nil
-	}
-	if delim == '[' {
-		var elem *wireShape
-		if shape != nil {
-			elem = shape.elemOf
-		}
-		for dec.More() {
-			if repeated, err := walkShape(dec, elem); repeated || err != nil {
-				return repeated, err
-			}
-		}
-		_, err := dec.Token()
-		return false, err
-	}
-	if shape != nil && shape.elemOf != nil {
-		shape = nil // an object where an array belongs
-	}
-	seen := make(map[string]bool)
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return false, err
-		}
-		key := tok.(string)
-		var next *wireShape
-		switch {
-		case shape == nil:
-		case shape.isMap:
-			if seen[key] {
-				return true, nil
-			}
-			seen[key] = true
-			next = shape.mapOf
-		default:
-			for i, f := range shape.fields {
-				if strings.EqualFold(key, f) {
-					if seen[f] {
-						return true, nil
-					}
-					seen[f] = true
-					next = shape.shapes[i]
-					break
-				}
-			}
-		}
-		if repeated, err := walkShape(dec, next); repeated || err != nil {
-			return repeated, err
-		}
-	}
-	_, err = dec.Token()
-	return false, err
-}
 
 // checkDecodeMatchesReference decodes data with FromJSONLimited and with
 // referenceDecode and fails t unless they agree: both succeed with
@@ -199,7 +116,7 @@ func walkShape(dec *json.Decoder, shape *wireShape) (bool, error) {
 func checkDecodeMatchesReference(t testing.TB, data []byte, lim Limits) *Network {
 	t.Helper()
 	got, err := FromJSONLimited(data, lim)
-	if repeatsRecognisedKey(data) {
+	if scantest.RepeatsKey(data, docShape) {
 		if err == nil {
 			t.Fatalf("document with a repeated key accepted: %q", data)
 		}

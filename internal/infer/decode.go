@@ -71,7 +71,6 @@ type requestDecoder struct {
 	nums    []float64
 	cats    []obsStage // terms map entries, sorted by name within each object
 	numObs  []obsStage // numeric map entries, sorted by name within each object
-	keys    jsonscan.KeySet
 }
 
 // objectStage is one stored query object: its id and the end of its run
@@ -92,7 +91,6 @@ var (
 	requestFields = jsonscan.NewFields("objects", "top_k")
 	objectFields  = jsonscan.NewFields("id", "links", "terms", "numeric")
 	linkFields    = jsonscan.NewFields("rel", "to", "w")
-	termFields    = jsonscan.NewFields("t", "c")
 )
 
 // queries assembles the staged objects into queries. Empty runs are nil,
@@ -162,7 +160,7 @@ func (d *requestDecoder) objectElem(depth int, null bool) error {
 			case 1:
 				err = d.Array(depth+1, "links", d.linkElem)
 			default:
-				err = d.obsMap(depth+1, f == 3)
+				err = d.obsMap(depth+1, objectFields.Name(f))
 			}
 			return err
 		})
@@ -209,114 +207,40 @@ func (d *requestDecoder) linkElem(depth int, null bool) error {
 // obsMap reads an object's "terms" or "numeric" map (null is absent). An
 // entry whose value is null is an attribute observed with no values, as
 // encoding/json leaves it in the map.
-func (d *requestDecoder) obsMap(depth int, numeric bool) error {
-	what, entries, staged := "terms", &d.cats, func() int { return len(d.tcs) }
-	if numeric {
-		what, entries, staged = "numeric", &d.numObs, func() int { return len(d.nums) }
+func (d *requestDecoder) obsMap(depth int, what string) error {
+	entries, staged := &d.cats, func() int { return len(d.tcs) }
+	if what == "numeric" {
+		entries, staged = &d.numObs, func() int { return len(d.nums) }
 	}
-	switch d.Peek() {
-	case 'n':
-		return d.Literal("null")
-	case '{':
-	default:
-		return d.Mismatch(what, "an object")
-	}
-	d.Pos++
-	d.keys.Reset()
 	mark := len(*entries)
-	for first := true; ; first = false {
-		ks, key, done, err := d.NextKey(first)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		attr := d.text[ks.Start:ks.End]
-		if ks.Slow {
-			attr = string(key)
-		}
-		if !d.keys.Add(attr) {
-			return fmt.Errorf("repeated attribute %q in %s at offset %d", attr, what, d.Pos)
-		}
+	err := d.Map(what, d.str, func(attr string) (err error) {
 		e := obsStage{attr: attr, start: staged()}
-		switch d.Peek() {
-		case 'n':
-			err = d.Literal("null")
-		case '[':
-			d.Pos++
-			if numeric {
-				err = d.numList()
-			} else {
-				err = d.termList(depth + 2)
-			}
-		default:
-			err = d.Mismatch(what+" value", "an array")
+		if what == "numeric" {
+			err = hin.ReadNumList(&d.Scanner, d.addNumeric)
+		} else {
+			err = hin.ReadTermList(&d.Scanner, depth+1, d.addTermCount)
 		}
-		if err != nil {
-			return err
-		}
-		if !d.full {
+		if err == nil && !d.full {
 			e.end = staged()
 			*entries = append(*entries, e)
 		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	slices.SortFunc((*entries)[mark:], func(a, b obsStage) int { return strings.Compare(a.attr, b.attr) })
 	return nil
 }
 
-// termList reads the elements of a term-count list after its '['; depth
-// is the nesting level of each {"t","c"} element.
-func (d *requestDecoder) termList(depth int) error {
-	for first := true; ; first = false {
-		done, err := d.NextElem(first)
-		if err != nil || done {
-			return err
-		}
-		var tc hin.TermCount
-		switch d.Peek() {
-		case 'n':
-			err = d.Literal("null")
-		case '{':
-			d.Pos++
-			tc, err = d.termCount(depth)
-		default:
-			err = d.Mismatch("term count", "an object")
-		}
-		if err != nil {
-			return err
-		}
-		if !d.full {
-			d.tcs = append(d.tcs, tc)
-		}
+func (d *requestDecoder) addTermCount(tc hin.TermCount) {
+	if !d.full {
+		d.tcs = append(d.tcs, tc)
 	}
 }
 
-func (d *requestDecoder) termCount(depth int) (tc hin.TermCount, err error) {
-	err = d.Object(termFields, depth, func(f int) (err error) {
-		if f == 0 {
-			tc.Term, err = d.Int("t")
-		} else {
-			tc.Count, err = d.Float("c")
-		}
-		return err
-	})
-	return tc, err
-}
-
-// numList reads the elements of a numeric observation list after its '['.
-func (d *requestDecoder) numList() error {
-	for first := true; ; first = false {
-		done, err := d.NextElem(first)
-		if err != nil || done {
-			return err
-		}
-		x, err := d.Float("numeric observation")
-		if err != nil {
-			return err
-		}
-		if !d.full {
-			d.nums = append(d.nums, x)
-		}
+func (d *requestDecoder) addNumeric(x float64) {
+	if !d.full {
+		d.nums = append(d.nums, x)
 	}
 }

@@ -6,7 +6,6 @@
 package infertest
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 
 	"genclus/internal/hin"
 	"genclus/internal/infer"
+	"genclus/internal/jsonscan/scantest"
 )
 
 // ReferenceDecodeRequest is the decoder infer.DecodeRequest used before
@@ -164,102 +164,24 @@ var Cases = []Case{
 	{"repeated unknown key", `{"z":1,"z":[2],"objects":[{"id":"a","q":1,"q":2}]}`, 0},
 }
 
-// shape describes where the assign request document has recognised keys:
-// a struct's fields (matched case-insensitively, as encoding/json does), a
-// map's values (keys compared exactly), or an array's elements.
-type shape struct {
-	fields []string
-	shapes []*shape // shape of each field's value
-	mapOf  *shape
-	elemOf *shape
-	isMap  bool
-}
-
-var requestShape = func() *shape {
-	tc := &shape{fields: []string{"t", "c"}, shapes: make([]*shape, 2)}
-	link := &shape{fields: []string{"rel", "to", "w"}, shapes: make([]*shape, 3)}
-	obj := &shape{
-		fields: []string{"id", "links", "terms", "numeric"},
-		shapes: []*shape{nil, {elemOf: link}, {isMap: true, mapOf: &shape{elemOf: tc}}, {isMap: true}},
+// requestShape is where the assign request document has recognised keys.
+var requestShape = func() *scantest.Shape {
+	tc := &scantest.Shape{Fields: []string{"t", "c"}}
+	link := &scantest.Shape{Fields: []string{"rel", "to", "w"}}
+	obj := &scantest.Shape{
+		Fields: []string{"id", "links", "terms", "numeric"},
+		Shapes: []*scantest.Shape{nil, {ElemOf: link}, {IsMap: true, MapOf: &scantest.Shape{ElemOf: tc}}, {IsMap: true}},
 	}
-	return &shape{
-		fields: []string{"objects", "top_k"},
-		shapes: []*shape{{elemOf: obj}, nil},
+	return &scantest.Shape{
+		Fields: []string{"objects", "top_k"},
+		Shapes: []*scantest.Shape{{ElemOf: obj}},
 	}
 }()
 
 // RepeatsRecognisedKey reports whether the document repeats a recognised
-// key — a field name within one JSON object (folded with strings.EqualFold,
-// which encoding/json documents as its key folding) or an attribute name
-// within one terms or numeric map — before its first syntax error.
-func RepeatsRecognisedKey(data []byte) bool {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	repeated, _ := walk(dec, requestShape)
-	return repeated
-}
-
-// walk consumes one value from dec, checking it against sh (nil skips
-// it). It stops at the first repeated key or decoder error.
-func walk(dec *json.Decoder, sh *shape) (bool, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return false, err
-	}
-	delim, ok := tok.(json.Delim)
-	if !ok || delim == '}' || delim == ']' {
-		return false, nil
-	}
-	if delim == '[' {
-		var elem *shape
-		if sh != nil {
-			elem = sh.elemOf
-		}
-		for dec.More() {
-			if repeated, err := walk(dec, elem); repeated || err != nil {
-				return repeated, err
-			}
-		}
-		_, err := dec.Token()
-		return false, err
-	}
-	if sh != nil && sh.elemOf != nil {
-		sh = nil // an object where an array belongs
-	}
-	seen := make(map[string]bool)
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return false, err
-		}
-		key := tok.(string)
-		var next *shape
-		switch {
-		case sh == nil:
-		case sh.isMap:
-			if seen[key] {
-				return true, nil
-			}
-			seen[key] = true
-			next = sh.mapOf
-		default:
-			for i, f := range sh.fields {
-				if strings.EqualFold(key, f) {
-					if seen[f] {
-						return true, nil
-					}
-					seen[f] = true
-					next = sh.shapes[i]
-					break
-				}
-			}
-		}
-		if repeated, err := walk(dec, next); repeated || err != nil {
-			return repeated, err
-		}
-	}
-	_, err = dec.Token()
-	return false, err
-}
+// key — a field name within one JSON object or an attribute name within
+// one terms or numeric map — before its first syntax error.
+func RepeatsRecognisedKey(data []byte) bool { return scantest.RepeatsKey(data, requestShape) }
 
 // CheckMatchesReference decodes data with infer.DecodeRequest and with
 // ReferenceDecodeRequest under maxBatch and fails t unless they agree, or

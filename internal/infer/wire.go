@@ -1,5 +1,7 @@
 package infer
 
+import "genclus/internal/hin"
+
 // The assign documents: the one JSON shape both serving surfaces speak —
 // the daemon's POST /v1/models/{id}/assign body and reply, and the CLI's
 // -assign queries file and output. A single decoder keeps the two surfaces
@@ -47,13 +49,9 @@ type LinkDoc struct {
 	Weight float64 `json:"w"`
 }
 
-// TermDoc is one sparse term count, matching the network document format.
-type TermDoc struct {
-	// Term is the term index within the model's vocabulary.
-	Term int `json:"t"`
-	// Count is the positive finite count.
-	Count float64 `json:"c"`
-}
+// TermDoc is one sparse term count, in the {"t":term,"c":count} shape
+// of the network document, which declares it as hin.TermCount.
+type TermDoc = hin.TermCount
 
 // ClusterProbDoc is one entry of an assignment's top-k list.
 type ClusterProbDoc struct {

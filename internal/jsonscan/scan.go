@@ -1,6 +1,7 @@
 // Package jsonscan is the one JSON token scanner behind genclus's
 // reflection-free wire decoders: the network document
-// (hin.FromJSONLimited) and the assign request (infer.DecodeRequest). It
+// (hin.FromJSONLimited), the assign request (infer.DecodeRequest) and the
+// mutation body and delta-log record (deltalog.Decode, DecodeRecord). It
 // knows JSON, not documents: keys, elements, strings, numbers, literals and
 // skipped values, each read in place over the input bytes. A decoder
 // embeds a Scanner and walks its own document shape with it.
@@ -11,7 +12,7 @@
 // unquoting (invalid UTF-8 and lone surrogates become U+FFFD) and its
 // number conversions (floats as strconv.ParseFloat(…, 64), ints without a
 // fraction, an exponent or an overflow). The decoders add one rule of
-// their own, through Object and KeySet: a repeated recognised key is an
+// their own, through Object and Map: a repeated recognised key is an
 // error that names it.
 package jsonscan
 
@@ -35,16 +36,23 @@ type Scanner struct {
 	// Pos is the offset of the next unread byte.
 	Pos int
 
-	buf  []byte // unquoting scratch for values
-	kbuf []byte // unquoting scratch for keys
-	fbuf []byte // folding scratch for keys
+	buf  []byte            // unquoting scratch for values
+	kbuf []byte            // unquoting scratch for keys
+	fbuf []byte            // folding scratch for keys
+	keys keySet            // the keys of the map Map is reading
+	strs map[string]string // raw string token → decoded string, for Intern
 }
 
-// Span is a string token's contents between its quotes. Slow marks a
-// token holding an escape or a non-ASCII byte, which must be unquoted.
+// Span is a string token's contents between its quotes.
 type Span struct {
-	Start, End int
-	Slow       bool
+	// Start is the offset of the token's first byte after its opening
+	// quote.
+	Start int
+	// End is the offset of the token's closing quote.
+	End int
+	// Slow marks a token holding an escape or a non-ASCII byte, which
+	// must be unquoted.
+	Slow bool
 }
 
 // errEOF is encoding/json's error for a document that ends early.
@@ -78,10 +86,9 @@ func (s *Scanner) Document(what string, object func() error) error {
 	return nil
 }
 
-// Array reads a JSON array of objects (or null, meaning absent), calling
-// elem once per element: after the element's '{', or after a null
-// element with null set. depth is the array's nesting level.
-func (s *Scanner) Array(depth int, what string, elem func(depth int, null bool) error) error {
+// List reads a JSON array (or null, meaning absent), calling elem at the
+// start of each element to read it.
+func (s *Scanner) List(what string, elem func() error) error {
 	switch s.Peek() {
 	case 'n':
 		return s.Literal("null")
@@ -91,35 +98,42 @@ func (s *Scanner) Array(depth int, what string, elem func(depth int, null bool) 
 	}
 	s.Pos++
 	for first := true; ; first = false {
-		done, err := s.NextElem(first)
+		done, err := s.nextElem(first)
 		if err != nil || done {
 			return err
 		}
-		switch s.Peek() {
-		case 'n':
-			if err := s.Literal("null"); err != nil {
-				return err
-			}
-			err = elem(depth+1, true)
-		case '{':
-			s.Pos++
-			err = elem(depth+1, false)
-		default:
-			err = s.Mismatch(what+" element", "an object")
-		}
-		if err != nil {
+		if err := elem(); err != nil {
 			return err
 		}
 	}
 }
 
+// Array reads a JSON array of objects (or null, meaning absent), calling
+// elem once per element: after the element's '{', or after a null
+// element with null set. depth is the array's nesting level.
+func (s *Scanner) Array(depth int, what string, elem func(depth int, null bool) error) error {
+	return s.List(what, func() error {
+		switch s.Peek() {
+		case 'n':
+			if err := s.Literal("null"); err != nil {
+				return err
+			}
+			return elem(depth+1, true)
+		case '{':
+			s.Pos++
+			return elem(depth+1, false)
+		}
+		return s.Mismatch(what+" element", "an object")
+	})
+}
+
 // ---- keys ---------------------------------------------------------------
 
-// NextKey reads up to and including the ':' after an object's next key,
+// nextKey reads up to and including the ':' after an object's next key,
 // returning the key's token and decoded bytes (valid until the next call),
 // or consumes the object's closing '}' (done). first is true before the
 // object's first key.
-func (s *Scanner) NextKey(first bool) (tok Span, key []byte, done bool, err error) {
+func (s *Scanner) nextKey(first bool) (tok Span, key []byte, done bool, err error) {
 	s.skipSpace()
 	c := s.Peek()
 	if c == '}' {
@@ -154,9 +168,9 @@ func (s *Scanner) NextKey(first bool) (tok Span, key []byte, done bool, err erro
 	return tok, s.kbuf, false, nil
 }
 
-// NextElem positions at an array's next element, or consumes its closing
+// nextElem positions at an array's next element, or consumes its closing
 // ']' (done). first is true right after the '['.
-func (s *Scanner) NextElem(first bool) (done bool, err error) {
+func (s *Scanner) nextElem(first bool) (done bool, err error) {
 	s.skipSpace()
 	c := s.Peek()
 	if c == ']' {
@@ -191,6 +205,9 @@ func NewFields(names ...string) *Fields {
 	return fs
 }
 
+// Name returns the name of field f.
+func (fs *Fields) Name(f int) string { return fs.names[f] }
+
 // Object reads the members of a JSON object after its '{'; depth is the
 // object's nesting level. Each key is matched against fs: field(f) reads
 // the value of recognised field f, a field met twice in one object is an
@@ -199,7 +216,7 @@ func NewFields(names ...string) *Fields {
 func (s *Scanner) Object(fs *Fields, depth int, field func(f int) error) error {
 	var seen uint
 	for first := true; ; first = false {
-		_, key, done, err := s.NextKey(first)
+		_, key, done, err := s.nextKey(first)
 		if err != nil || done {
 			return err
 		}
@@ -235,21 +252,51 @@ func (s *Scanner) field(fs *Fields, key []byte) int {
 	return -1
 }
 
-// KeySet detects a repeated key within one map: a short scan for the
+// Map reads a JSON object that decodes into a Go map (or null, meaning
+// absent): name decodes each key's token, a key met twice in the map is
+// an error that names it (what names the map), and entry reads the value
+// after each key. Keys are compared exactly, not folded. Maps read by Map
+// must not nest.
+func (s *Scanner) Map(what string, name func(Span) string, entry func(key string) error) error {
+	switch s.Peek() {
+	case 'n':
+		return s.Literal("null")
+	case '{':
+	default:
+		return s.Mismatch(what, "an object")
+	}
+	s.Pos++
+	s.keys.reset()
+	for first := true; ; first = false {
+		tok, _, done, err := s.nextKey(first)
+		if err != nil || done {
+			return err
+		}
+		key := name(tok)
+		if !s.keys.add(key) {
+			return fmt.Errorf("repeated key %q in %s at offset %d", key, what, s.Pos)
+		}
+		if err := entry(key); err != nil {
+			return err
+		}
+	}
+}
+
+// keySet detects a repeated key within one map: a short scan for the
 // usual handful of keys, a set beyond that.
-type KeySet struct {
+type keySet struct {
 	list []string
 	set  map[string]struct{}
 }
 
-// Reset empties the set for the next map.
-func (k *KeySet) Reset() {
+// reset empties the set for the next map.
+func (k *keySet) reset() {
 	k.list = k.list[:0]
 	k.set = nil
 }
 
-// Add records key and reports whether it was new.
-func (k *KeySet) Add(key string) bool {
+// add records key and reports whether it was new.
+func (k *keySet) add(key string) bool {
 	if k.set != nil {
 		if _, ok := k.set[key]; ok {
 			return false
@@ -283,6 +330,24 @@ func (s *Scanner) Bytes(tok Span) []byte {
 	}
 	s.buf = appendUnquoted(s.buf[:0], raw)
 	return s.buf
+}
+
+// Text returns a string token's decoded contents as a fresh string.
+func (s *Scanner) Text(tok Span) string { return string(s.Bytes(tok)) }
+
+// Intern returns a string token's decoded contents as a string, decoding
+// and allocating each distinct token once.
+func (s *Scanner) Intern(tok Span) string {
+	raw := s.Data[tok.Start:tok.End]
+	if v, ok := s.strs[string(raw)]; ok {
+		return v
+	}
+	if s.strs == nil {
+		s.strs = make(map[string]string)
+	}
+	v := s.Text(tok)
+	s.strs[string(raw)] = v
+	return v
 }
 
 // StringValue reads a string field; null is the empty string.
@@ -512,7 +577,7 @@ func (s *Scanner) skip(depth int) error {
 		}
 		s.Pos++
 		for first := true; ; first = false {
-			_, _, done, err := s.NextKey(first)
+			_, _, done, err := s.nextKey(first)
 			if err != nil || done {
 				return err
 			}
@@ -526,7 +591,7 @@ func (s *Scanner) skip(depth int) error {
 		}
 		s.Pos++
 		for first := true; ; first = false {
-			done, err := s.NextElem(first)
+			done, err := s.nextElem(first)
 			if err != nil || done {
 				return err
 			}
