@@ -17,10 +17,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -731,4 +733,166 @@ func BenchmarkDecodeAssignRequest(b *testing.B) {
 	mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
 		key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
 	})
+}
+
+// Results the wire codec benchmark keeps observable.
+var (
+	benchWireBytes  []byte
+	benchWireResult *client.Result
+	benchWireAssign client.AssignResponse
+)
+
+// roundTripFunc is an http.RoundTripper that answers in memory.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// BenchmarkWireCodec measures the hand-written codecs of genclusd's two
+// hottest responses and the SDK's assign request, each on documents shaped
+// like the benchmark workloads' traffic:
+//
+//   - "wire/result-encode": genclusd's encoding of a fit-acp-shaped result
+//     (server.AppendResult, into a buffer sized as the route sizes it):
+//     12,020 objects (4,800 authors, 7,200 papers, 20 venues) with K=4 Θ
+//     rows, half of them floored near-one-hot rows as a converged fit
+//     writes them, about 1.5 MB;
+//   - "wire/result-decode": the SDK's JobResult of that body over an
+//     in-memory transport, so its read and one-pass decode;
+//   - "wire/assign-request": the SDK's encoding of an assign request
+//     (infer.AppendRequest into a buffer sized as AssignObjects sizes it)
+//     of 8 papers of a default-scale A–C–P network cloned with their
+//     links and term counts, the next of 16 per op;
+//   - "wire/assign-response": the SDK's one-pass decode of the reply to
+//     such a request (infer.DecodeResponse), K=4 with top_k 1.
+//
+// Each lands in BENCH_fit.json with allocs/op, and CI gates each key at
+// +50% ns/op and +1% allocs/op: the decoders allocate per document and
+// per distinct string, the encoders per buffer growth, none per value.
+func BenchmarkWireCodec(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	theta := func(k int) []float64 {
+		row := make([]float64, k)
+		if rng.Intn(2) == 0 {
+			top := rng.Intn(k)
+			for c := range row {
+				row[c] = 1e-9
+			}
+			row[top] = 1 - float64(k-1)*1e-9
+			return row
+		}
+		sum := 0.0
+		for c := range row {
+			row[c] = rng.ExpFloat64()
+			sum += row[c]
+		}
+		for c := range row {
+			row[c] /= sum
+		}
+		return row
+	}
+
+	acp := datagen.DefaultBiblioConfig(datagen.SchemaACP, 1)
+	acp.NumAuthors, acp.NumPapers = 4800, 7200
+	fitNet, err := datagen.Biblio(acp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := &client.Result{ID: "job_0123456789abcdef", K: 4, Objective: -123456.789, PseudoLL: -9876.54321,
+		EMIterations: 158, OuterIterations: 10, Gamma: map[string]float64{},
+		Metrics: &client.Metrics{NMI: 0.9134, ARI: 0.9012, Purity: 0.9667, Labeled: 7200}}
+	for r := 0; r < fitNet.Net.NumRelations(); r++ {
+		res.Gamma[fitNet.Net.RelationName(r)] = rng.Float64() * 3
+	}
+	for v := 0; v < fitNet.Net.NumObjects(); v++ {
+		o := fitNet.Net.Object(v)
+		row := theta(4)
+		res.Objects = append(res.Objects, client.ObjectResult{ID: o.ID, Type: fitNet.Net.TypeOf(v), Cluster: slices.Index(row, slices.Max(row)), Theta: row})
+	}
+	resultBody, err := server.AppendResult(nil, res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resultBody = append(resultBody, '\n')
+	sdk := client.New("http://genclusd.invalid", client.WithHTTPClient(&http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"application/json"}},
+			Body: io.NopCloser(bytes.NewReader(resultBody))}, nil
+	})}))
+
+	serveNet, err := datagen.Biblio(datagen.DefaultBiblioConfig(datagen.SchemaACP, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies, err := infertest.RequestBodies(serveNet.Net, 16, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	requests := make([]client.AssignRequest, len(bodies))
+	replies := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		if err := json.Unmarshal(body, &requests[i]); err != nil {
+			b.Fatal(err)
+		}
+		reply := client.AssignResponse{ModelID: "mdl_0123456789abcdef", K: 4}
+		for _, q := range requests[i].Objects {
+			row := theta(4)
+			top := slices.Index(row, slices.Max(row))
+			reply.Assignments = append(reply.Assignments, infer.AssignmentDoc{ID: q.ID, Cluster: top, Theta: row,
+				Top: []infer.ClusterProbDoc{{Cluster: top, P: row[top]}}, FoldInIters: 1 + rng.Intn(20)})
+		}
+		if replies[i], err = infer.AppendResponse(nil, &reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	next := 0
+	cases := []struct {
+		name, key string
+		bytes     int
+		op        func(b *testing.B)
+	}{
+		{"result-encode", "wire/result-encode", len(resultBody), func(b *testing.B) {
+			if benchWireBytes, err = server.AppendResult(benchWireBytes[:0], res); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"result-decode", "wire/result-decode", len(resultBody), func(b *testing.B) {
+			if benchWireResult, err = sdk.JobResult(context.Background(), "job_0123456789abcdef"); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"assign-request", "wire/assign-request", len(bodies[0]), func(b *testing.B) {
+			next++
+			req := &requests[next%len(requests)]
+			if benchWireBytes, err = infer.AppendRequest(make([]byte, 0, 512*len(req.Objects)), req); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"assign-response", "wire/assign-response", len(replies[0]), func(b *testing.B) {
+			next++
+			benchWireAssign = client.AssignResponse{}
+			if err = infer.DecodeResponse(replies[next%len(replies)], &benchWireAssign); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			benchWireBytes = make([]byte, 0, len(resultBody)) // the result route's presized buffer
+			allocs := int64(testing.AllocsPerRun(len(bodies), func() { tc.op(b) }))
+			b.SetBytes(int64(tc.bytes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tc.op(b)
+			}
+			b.StopTimer()
+			nsPerOp := int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+			}
+			mergeBenchFile(b, func(k string) bool { return k == tc.key }, map[string]benchFitEntry{
+				tc.key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -37,16 +36,7 @@ type ClusterProb = infer.ClusterProbDoc
 type Assignment = infer.AssignmentDoc
 
 // AssignResponse is the assign endpoint's reply.
-type AssignResponse struct {
-	ModelID     string       `json:"model_id"`    // the model the objects were folded into
-	K           int          `json:"k"`           // the model's cluster count
-	Assignments []Assignment `json:"assignments"` // one per query object, in request order
-	// Batched is always false: the server runs one inference pass per
-	// request. It stays for /v1 compatibility.
-	//
-	// Deprecated: always false; do not read it.
-	Batched bool `json:"batched"`
-}
+type AssignResponse = infer.ResponseDoc
 
 // AssignStats are the server's online-inference counters from /healthz:
 // request/object volume, engine passes, and per-model engine cache
@@ -72,7 +62,9 @@ type AssignStats struct {
 // per-object limit overflows, 400 for unresolvable names or malformed
 // values).
 func (c *Client) AssignObjects(ctx context.Context, modelID string, req AssignRequest) (*AssignResponse, error) {
-	payload, err := json.Marshal(req)
+	// 512 bytes per object holds a paper with its links and text, so the
+	// body is usually written without regrowing its buffer.
+	payload, err := infer.AppendRequest(make([]byte, 0, 512*len(req.Objects)), &req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode assign request: %w", err)
 	}

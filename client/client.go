@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"genclus"
+	"genclus/internal/infer"
 )
 
 // Client talks to one genclusd base URL. The zero value is not usable;
@@ -634,7 +635,9 @@ func (c *Client) waitTerminal(ctx context.Context, jobID string) (*Job, error) {
 }
 
 // do issues one JSON API request with bounded retries on transient
-// failures, unmarshaling a 2xx body into out (when non-nil). Non-2xx
+// failures, decoding a 2xx body into out (when non-nil): a *Result or an
+// *AssignResponse in one pass on the shared JSON scanner, anything else
+// with encoding/json. Non-2xx
 // responses become *APIError; only idempotent requests and transient
 // statuses (502/503/504) are retried.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool, out any) error {
@@ -652,7 +655,15 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemp
 	if len(data) == 0 {
 		return fmt.Errorf("client: %s %s answered an empty body, want a document", method, path)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	switch v := out.(type) {
+	case *Result:
+		err = decodeResult(data, v)
+	case *AssignResponse:
+		err = infer.DecodeResponse(data, v)
+	default:
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}
 	return nil

@@ -22,13 +22,35 @@
 // -max-allocs adds an *absolute* allocs/op ceiling on top of the relative
 // no-increase rule: CI passes -max-allocs 0 for the zero-alloc hot paths,
 // so the pin survives even a regressed committed baseline.
+//
+// A key named for a worker count, "-p<N>" at its end, has its ns/op rule
+// skipped, with a SKIP line, on a host with fewer than N CPUs: there its
+// ns/op measures how N workers share fewer cores, not the code. Its
+// allocation rules still hold, since a host's core count does not change
+// what the code allocates.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 )
+
+// skipOnHost returns why key's ns/op is not gated on a host with numCPU
+// CPUs, or "" when it is: a key ending in "-p<N>" needs N CPUs.
+func skipOnHost(key string, numCPU int) string {
+	i := strings.LastIndex(key, "-p")
+	if i < 0 {
+		return ""
+	}
+	n, err := strconv.Atoi(key[i+2:])
+	if err != nil || n <= numCPU {
+		return ""
+	}
+	return fmt.Sprintf("%s runs %d workers but this host has %d CPUs; its ns/op would measure the host, so its ns/op is NOT gated here (allocs/op still are)", key, n, numCPU)
+}
 
 // entry is the subset of a BENCH_fit.json measurement the gate reads.
 type entry struct {

@@ -142,3 +142,30 @@ func TestLoadEntriesErrors(t *testing.T) {
 		t.Fatal("unparsable file must error")
 	}
 }
+
+// TestSkipOnHost covers the -p<N> rule: a key's ns/op is skipped only
+// when it names more workers than the host has CPUs; every other key is
+// gated.
+func TestSkipOnHost(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		cpus int
+		skip bool
+	}{
+		{"em-iteration/midsize-p4", 2, true},
+		{"em-iteration/midsize-p16", 8, true},
+		{"em-iteration/midsize-p4", 4, false},
+		{"em-iteration/midsize-p16", 16, false},
+		{"outer-iteration/strength-p2", 2, false},
+		{"em-iteration/midsize", 1, false},
+		{"serve/assign-http-c2", 1, false},
+		{"hin/decode-weather", 1, false},
+		{"wire/result-encode", 1, false},
+		{"x-p", 1, false},
+		{"x-pfour", 1, false},
+	} {
+		if got := skipOnHost(tc.key, tc.cpus); (got != "") != tc.skip {
+			t.Errorf("skipOnHost(%q, %d) = %q, want skip=%v", tc.key, tc.cpus, got, tc.skip)
+		}
+	}
+}

@@ -3,7 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 )
 
 func main() {
@@ -22,6 +24,10 @@ func main() {
 	if *baselinePath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required")
 		os.Exit(2)
+	}
+	if msg := skipOnHost(*key, runtime.NumCPU()); msg != "" {
+		fmt.Printf("benchgate: SKIP ns/op: %s\n", msg)
+		*maxNsRegress = math.Inf(1)
 	}
 	baseline, err := loadEntries(*baselinePath)
 	if err != nil {

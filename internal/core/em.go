@@ -334,6 +334,7 @@ func (s *state) drainPhase(phase uint8, w int) {
 		switch phase {
 		case phaseEMChunks:
 			lo, hi := unitRange(u, s.net.NumObjects(), emChunkSize)
+			s.accums[u].reset()
 			s.emRange(lo, hi, s.accums[u])
 		case phaseEMMerge:
 			s.mergeSegment(s.mergeSegs[u])
@@ -392,9 +393,6 @@ func (s *state) emIteration() {
 	chunks := emChunkCount(s.net.NumObjects())
 	s.ensureEMScratch(chunks)
 	s.refreshModelScratch()
-	for _, acc := range s.accums {
-		acc.reset()
-	}
 	s.runPhase(phaseEMChunks, chunks)
 	// Fold the per-chunk statistics into accumulator 0, one ownership
 	// segment per unit; per entry the fold over chunks is in chunk order.

@@ -244,3 +244,130 @@ func (d *requestDecoder) addNumeric(x float64) {
 		d.nums = append(d.nums, x)
 	}
 }
+
+// DecodeResponse reads an assign reply document into out, which must be
+// the zero ResponseDoc. It reads the document in one pass on the shared
+// JSON scanner and builds the value json.Unmarshal builds — nil and empty
+// slices included — except that a repeated recognised key is an error
+// naming it. The assignments' theta rows and top lists share one backing
+// array each.
+func DecodeResponse(data []byte, out *ResponseDoc) error {
+	d := &responseDecoder{Scanner: jsonscan.Scanner{Data: data}}
+	if err := d.Document("the assign response", func() error { return d.response(out) }); err != nil {
+		return err
+	}
+	if d.thetas == nil {
+		d.thetas = []float64{} // an empty theta list is [], not nil
+	}
+	if d.tops == nil {
+		d.tops = []ClusterProbDoc{}
+	}
+	for i, sp := range d.spans {
+		a := &out.Assignments[i]
+		if sp.theta.set {
+			a.Theta = d.thetas[sp.theta.start:sp.theta.end:sp.theta.end]
+		}
+		if sp.top.set {
+			a.Top = d.tops[sp.top.start:sp.top.end:sp.top.end]
+		}
+	}
+	return nil
+}
+
+// responseDecoder stages an assign reply's theta rows and top lists in one
+// backing array each; spans records where each assignment's lists lie.
+type responseDecoder struct {
+	jsonscan.Scanner
+	thetas []float64
+	tops   []ClusterProbDoc
+	spans  []assignmentSpans
+}
+
+// assignmentSpans locates one assignment's theta row and top list.
+type assignmentSpans struct {
+	theta, top run
+}
+
+// run is a list's range in a staging slice; set is false for a list that
+// was absent or null.
+type run struct {
+	start, end int
+	set        bool
+}
+
+var (
+	responseFields    = jsonscan.NewFields("model_id", "k", "assignments", "batched")
+	assignmentFields  = jsonscan.NewFields("id", "cluster", "theta", "top", "fold_in_iters")
+	clusterProbFields = jsonscan.NewFields("cluster", "p")
+)
+
+func (d *responseDecoder) response(out *ResponseDoc) error {
+	return d.Object(responseFields, 1, func(f int) (err error) {
+		switch f {
+		case 0:
+			var tok jsonscan.Span
+			if tok, err = d.StringValue("model_id"); err == nil {
+				out.ModelID = d.Text(tok)
+			}
+		case 1:
+			out.K, err = d.Int("k")
+		case 2:
+			if d.Peek() == '[' {
+				out.Assignments = []AssignmentDoc{}
+			}
+			err = d.Array(2, "assignments", func(depth int, null bool) error {
+				out.Assignments = append(out.Assignments, AssignmentDoc{})
+				d.spans = append(d.spans, assignmentSpans{})
+				if null {
+					return nil
+				}
+				return d.assignment(depth, &out.Assignments[len(out.Assignments)-1], &d.spans[len(d.spans)-1])
+			})
+		default:
+			out.Batched, err = d.Bool("batched")
+		}
+		return err
+	})
+}
+
+// assignment reads one element of "assignments" after its '{'.
+func (d *responseDecoder) assignment(depth int, a *AssignmentDoc, sp *assignmentSpans) error {
+	return d.Object(assignmentFields, depth, func(f int) (err error) {
+		switch f {
+		case 0:
+			var tok jsonscan.Span
+			if tok, err = d.StringValue("id"); err == nil {
+				a.ID = d.Text(tok)
+			}
+		case 1:
+			a.Cluster, err = d.Int("cluster")
+		case 2:
+			start := len(d.thetas)
+			var null bool
+			d.thetas, null, err = d.ReadFloats(d.thetas, "theta")
+			sp.theta = run{start: start, end: len(d.thetas), set: !null}
+		case 3:
+			start := len(d.tops)
+			null := d.Peek() == 'n'
+			err = d.Array(depth+1, "top", func(depth int, null bool) error {
+				d.tops = append(d.tops, ClusterProbDoc{})
+				if null {
+					return nil
+				}
+				cp := &d.tops[len(d.tops)-1]
+				return d.Object(clusterProbFields, depth, func(f int) (err error) {
+					if f == 0 {
+						cp.Cluster, err = d.Int("cluster")
+					} else {
+						cp.P, err = d.Float("p")
+					}
+					return err
+				})
+			})
+			sp.top = run{start: start, end: len(d.tops), set: !null}
+		default:
+			a.FoldInIters, err = d.Int("fold_in_iters")
+		}
+		return err
+	})
+}

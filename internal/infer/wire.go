@@ -7,8 +7,8 @@ import "genclus/internal/hin"
 // -assign queries file and output. A single decoder keeps the two surfaces
 // from drifting apart, which is what makes their outputs bitwise
 // comparable. The Go SDK (package client) names these types as
-// AssignRequest, AssignObject, AssignLink, AssignTermCount, ClusterProb
-// and Assignment.
+// AssignRequest, AssignObject, AssignLink, AssignTermCount, ClusterProb,
+// Assignment and AssignResponse.
 
 // RequestDoc is an assign request document. Clients encode it;
 // DecodeRequest reads its shape straight into queries, building no
@@ -76,6 +76,21 @@ type AssignmentDoc struct {
 	// when the query's own mixing proportions were iterated to a fixed
 	// point.
 	FoldInIters int `json:"fold_in_iters"`
+}
+
+// ResponseDoc is the daemon's assign reply document.
+type ResponseDoc struct {
+	// ModelID is the model the objects were folded into.
+	ModelID string `json:"model_id"`
+	// K is the model's cluster count.
+	K int `json:"k"`
+	// Assignments holds one assignment per query object, in request order.
+	Assignments []AssignmentDoc `json:"assignments"`
+	// Batched is always false: the server runs one inference pass per
+	// request. It stays for /v1 compatibility.
+	//
+	// Deprecated: always false; do not read it.
+	Batched bool `json:"batched"`
 }
 
 // AssignmentDocs deep-copies engine results out of the arena into response

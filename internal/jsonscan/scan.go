@@ -14,6 +14,11 @@
 // fraction, an exponent or an overflow). The decoders add one rule of
 // their own, through Object and Map: a repeated recognised key is an
 // error that names it.
+//
+// The writing half (append.go) holds encoding/json's output rules for the
+// hand-written encoders of genclusd's fit result and assign documents: a
+// document those encoders write is byte for byte the one json.Marshal
+// writes.
 package jsonscan
 
 import (
@@ -386,6 +391,34 @@ func (s *Scanner) Float(what string) (float64, error) {
 		return 0, fmt.Errorf("cannot decode number %s into %s as float64 at offset %d", tok, what, start)
 	}
 	return x, nil
+}
+
+// Bool reads a bool field; null is false.
+func (s *Scanner) Bool(what string) (bool, error) {
+	switch s.Peek() {
+	case 't':
+		return true, s.Literal("true")
+	case 'f':
+		return false, s.Literal("false")
+	case 'n':
+		return false, s.Literal("null")
+	}
+	return false, s.Mismatch(what, "a bool")
+}
+
+// ReadFloats reads a JSON array of float64s, appending its elements to
+// dst, or null, which reports null: encoding/json decodes a null array as
+// a nil slice and [] as an empty one.
+func (s *Scanner) ReadFloats(dst []float64, what string) (out []float64, null bool, err error) {
+	if s.Peek() == 'n' {
+		return dst, true, s.Literal("null")
+	}
+	err = s.List(what, func() error {
+		x, err := s.Float(what)
+		dst = append(dst, x)
+		return err
+	})
+	return dst, false, err
 }
 
 // Int reads an int field; null is 0. A fraction, an exponent or an

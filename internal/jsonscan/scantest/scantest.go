@@ -1,16 +1,58 @@
-// Package scantest is the test side of the wire decoders' one rule beyond
-// encoding/json: a recognised key repeated within one JSON object, or an
-// attribute repeated within one terms or numeric map, is an error. It
-// finds such repeats with encoding/json's own tokenizer, so the decoders'
-// oracle tests can tell that deviation from a disagreement. Only tests
-// import it.
+// Package scantest is the test side of the hand-written wire codecs. It
+// finds the decoders' one rule beyond encoding/json — a recognised key
+// repeated within one JSON object, or a key repeated within one map, is an
+// error — with encoding/json's own tokenizer, so the decoders' oracle
+// tests can tell that deviation from a disagreement. CheckEncode and
+// CheckDecode hold an encoder to json.Marshal and a decoder to
+// json.Unmarshal. Only tests import it.
 package scantest
 
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"testing"
 )
+
+// CheckEncode fails t unless encode writes json.Marshal's bytes for doc,
+// or both fail.
+func CheckEncode[T any](t testing.TB, doc *T, encode func([]byte, *T) ([]byte, error)) {
+	t.Helper()
+	want, werr := json.Marshal(doc)
+	got, err := encode(nil, doc)
+	switch {
+	case (err == nil) != (werr == nil):
+		t.Fatalf("encoders disagree: error %v, json.Marshal's %v\ndoc: %+v", err, werr, doc)
+	case err == nil && !bytes.Equal(got, want):
+		t.Fatalf("encoders disagree:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// CheckDecode fails t unless decode builds from data the value
+// json.Unmarshal builds, under reflect.DeepEqual, or both fail; a document
+// that repeats a recognised key of sh must fail instead. It returns
+// decode's value.
+func CheckDecode[T any](t testing.TB, data []byte, sh *Shape, decode func([]byte, *T) error) *T {
+	t.Helper()
+	got := new(T)
+	err := decode(data, got)
+	if RepeatsKey(data, sh) {
+		if err == nil {
+			t.Fatalf("document with a repeated key decoded without error\ninput: %q", data)
+		}
+		return got
+	}
+	want := new(T)
+	werr := json.Unmarshal(data, want)
+	switch {
+	case (err == nil) != (werr == nil):
+		t.Fatalf("decoders disagree: error %v, json.Unmarshal's %v\ninput: %q", err, werr, data)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("decoders disagree:\n got: %#v\nwant: %#v\ninput: %q", got, want, data)
+	}
+	return got
+}
 
 // Shape describes where a wire document has recognised keys: a struct's
 // fields (matched case-insensitively, as encoding/json does), a map's

@@ -356,11 +356,8 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeAssignError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.AssignResponse{
-		ModelID:     e.id,
-		K:           ce.eng.K(),
-		Assignments: docs,
-	})
+	resp := &client.AssignResponse{ModelID: e.id, K: ce.eng.K(), Assignments: docs}
+	writeEncoded(w, http.StatusOK, 0, func(dst []byte) ([]byte, error) { return infer.AppendResponse(dst, resp) })
 }
 
 // writeAssignError maps the assign trust boundary's typed errors onto

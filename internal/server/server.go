@@ -982,7 +982,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			Theta:   res.Theta[v],
 		}
 	}
-	writeJSON(w, http.StatusOK, client.Result{
+	doc := &client.Result{
 		ID:              j.id,
 		K:               res.K,
 		Objects:         objects,
@@ -992,7 +992,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		EMIterations:    res.EMIterations,
 		OuterIterations: res.OuterIterations,
 		Metrics:         snap.metrics,
-	})
+	}
+	writeEncoded(w, http.StatusOK, resultSizeHint(doc), func(dst []byte) ([]byte, error) { return AppendResult(dst, doc) })
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
