@@ -31,6 +31,7 @@ import (
 	"genclus"
 	"genclus/client"
 	"genclus/internal/bench"
+	"genclus/internal/core"
 	"genclus/internal/datagen"
 	"genclus/internal/infer"
 	"genclus/internal/infer/infertest"
@@ -583,6 +584,49 @@ func BenchmarkObjective(b *testing.B) {
 	}
 }
 
+// BenchmarkEMPhase measures the passes an EM iteration is made of, each
+// alone over every chunk of the mid-size EM-bench fixture (K=4, serial,
+// after three warm-up iterations), through core.EMHarness.RunEMPhase: the
+// link pass, the categorical attribute pass, the normalization pass and
+// the merge of the chunks' statistics. On AVX2 hosts the first three run
+// the packed K=4 kernels. The results land in BENCH_fit.json as
+// "em-phase/link", "em-phase/cat", "em-phase/normalize" and
+// "em-phase/merge"; no pass allocates, and CI pins each at 0 allocs/op.
+func BenchmarkEMPhase(b *testing.B) {
+	h, err := bench.NewEMHarness(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		phase core.EMPhase
+	}{
+		{"link", core.EMPhaseLink},
+		{"cat", core.EMPhaseCat},
+		{"normalize", core.EMPhaseNormalize},
+		{"merge", core.EMPhaseMerge},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			run := func() { h.RunEMPhase(tc.phase) }
+			allocs := int64(testing.AllocsPerRun(5, run))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.StopTimer()
+			nsPerOp := int64(0)
+			if b.N > 0 {
+				nsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
+			}
+			key := "em-phase/" + tc.name
+			mergeBenchFile(b, func(k string) bool { return k == key }, map[string]benchFitEntry{
+				key: {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs},
+			})
+		})
+	}
+}
+
 // BenchmarkWeather measures the two Gaussian hot paths of a weather fit on
 // the Setting 1 EM harness (bench.NewWeatherEMHarness: 2,000 sensors, 20
 // readings each, K=4, serial): one steady-state E+M pass ("em-iteration")
@@ -757,7 +801,8 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 //     rows, half of them floored near-one-hot rows as a converged fit
 //     writes them, about 1.5 MB;
 //   - "wire/result-decode": the SDK's JobResult of that body over an
-//     in-memory transport, so its read and one-pass decode;
+//     in-memory transport, so its read (into a buffer sized from the
+//     Content-Length genclusd declares) and one-pass decode;
 //   - "wire/assign-request": the SDK's encoding of an assign request
 //     (infer.AppendRequest into a buffer sized as AssignObjects sizes it)
 //     of 8 papers of a default-scale A–C–P network cloned with their
@@ -815,7 +860,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	resultBody = append(resultBody, '\n')
 	sdk := client.New("http://genclusd.invalid", client.WithHTTPClient(&http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
 		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"application/json"}},
-			Body: io.NopCloser(bytes.NewReader(resultBody))}, nil
+			ContentLength: int64(len(resultBody)), Body: io.NopCloser(bytes.NewReader(resultBody))}, nil
 	})}))
 
 	serveNet, err := datagen.Biblio(datagen.DefaultBiblioConfig(datagen.SchemaACP, 1))

@@ -733,7 +733,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 		return nil, &transportError{err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		// A connection severed mid-body (a crashed or restarted server) is
 		// as much a transport failure as a refused dial; keep it typed so
@@ -748,6 +748,39 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, con
 		return nil, ae
 	}
 	return data, nil
+}
+
+// maxPresize caps the buffer readBody sizes from a declared
+// Content-Length, so a bogus header cannot make the SDK allocate more than
+// this before any byte arrives; a longer body grows past it as it is read.
+const maxPresize = 64 << 20
+
+// readBody reads a response body to its end. With a declared length
+// (size > 0) the buffer is sized once, up to maxPresize, rather than grown
+// from 512 bytes as io.ReadAll grows it: a fit-acp result is over a
+// megabyte. A body that ends before its declared length is an error.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	if size <= 0 {
+		return io.ReadAll(r)
+	}
+	// One spare byte, so the read that reports the end needs no growth.
+	buf := make([]byte, 0, min(size, maxPresize)+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			if int64(len(buf)) < size {
+				return buf, io.ErrUnexpectedEOF
+			}
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // apiError builds the *APIError for a non-2xx response from the server's

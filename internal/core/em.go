@@ -33,6 +33,12 @@ type emAccum struct {
 	// attribute passes, then normalizes in a final pass.
 	rows              []float64
 	resp, logs, logTh []float64
+
+	// observes[a] reports whether any object of the chunk has an
+	// observation of attribute a. The E-step writes a chunk's statistics
+	// of a only then: the other sections stay zero from allocation on, so
+	// reset need not clear them and the merge need not fold them in.
+	observes []bool
 }
 
 // padFloats rounds a float64 count up to a whole number of 64-byte cache
@@ -87,18 +93,21 @@ func (s *state) newAccum() *emAccum {
 }
 
 // reset zeroes the sufficient statistics for reuse in the next iteration.
-func (acc *emAccum) reset() {
-	for _, m := range acc.cat {
-		clear(m)
+// Sections of attributes the chunk does not observe are still zero and
+// are skipped, except in the merge destination (chunk 0, dest), which
+// the last merge filled with every chunk's statistics.
+func (acc *emAccum) reset(dest bool) {
+	for a, m := range acc.cat {
+		if dest || acc.observes[a] {
+			clear(m)
+		}
 	}
-	for _, w := range acc.gaussW {
-		clear(w)
-	}
-	for _, w := range acc.gaussWX {
-		clear(w)
-	}
-	for _, w := range acc.gaussWX2 {
-		clear(w)
+	for a := range acc.gaussW {
+		if dest || acc.observes[a] {
+			clear(acc.gaussW[a])
+			clear(acc.gaussWX[a])
+			clear(acc.gaussWX2[a])
+		}
 	}
 }
 
@@ -136,7 +145,20 @@ func (s *state) ensureEMScratch(chunks int) {
 	}
 	s.accums = make([]*emAccum, chunks)
 	for c := range s.accums {
-		s.accums[c] = s.newAccum()
+		acc := s.newAccum()
+		acc.observes = make([]bool, s.net.NumAttrs())
+		lo, hi := unitRange(c, s.net.NumObjects(), emChunkSize)
+		for _, a := range s.attrs {
+			for v := lo; v < hi && !acc.observes[a]; v++ {
+				switch s.kind[a] {
+				case hin.Categorical:
+					acc.observes[a] = len(s.termRows[a][v]) > 0
+				case hin.Numeric:
+					acc.observes[a] = len(s.numRows[a][v]) > 0
+				}
+			}
+		}
+		s.accums[c] = acc
 	}
 	k := s.opts.K
 	for _, a := range s.attrs {
@@ -334,7 +356,7 @@ func (s *state) drainPhase(phase uint8, w int) {
 		switch phase {
 		case phaseEMChunks:
 			lo, hi := unitRange(u, s.net.NumObjects(), emChunkSize)
-			s.accums[u].reset()
+			s.accums[u].reset(u == 0)
 			s.emRange(lo, hi, s.accums[u])
 		case phaseEMMerge:
 			s.mergeSegment(s.mergeSegs[u])
@@ -359,13 +381,19 @@ func (s *state) drainPhase(phase uint8, w int) {
 
 // mergeSegment folds one ownership segment of the per-chunk statistics into
 // accumulator 0, chunk by chunk in index order — per entry, a left fold
-// over the chunks.
+// over the chunks. A chunk that does not observe the segment's attribute
+// holds +0 there and is skipped: adding +0 leaves every entry's bits
+// unchanged, since under round-to-nearest a sum that starts from +0 is
+// never −0.
 func (s *state) mergeSegment(seg mergeSeg) {
 	accs := s.accums
 	if seg.gauss {
 		a := seg.attr
 		w, wx, wx2 := accs[0].gaussW[a], accs[0].gaussWX[a], accs[0].gaussWX2[a]
 		for _, acc := range accs[1:] {
+			if !acc.observes[a] {
+				continue
+			}
 			ow, owx, owx2 := acc.gaussW[a], acc.gaussWX[a], acc.gaussWX2[a]
 			for c := range w {
 				w[c] += ow[c]
@@ -377,6 +405,9 @@ func (s *state) mergeSegment(seg mergeSeg) {
 	}
 	dst := accs[0].cat[seg.attr][seg.lo:seg.hi]
 	for _, acc := range accs[1:] {
+		if !acc.observes[seg.attr] {
+			continue
+		}
 		src := acc.cat[seg.attr][seg.lo:seg.hi]
 		for i, x := range src {
 			dst[i] += x
@@ -418,21 +449,24 @@ func (s *state) emIteration() {
 // panel (see kernels.go for the inner loops and the vectorization-safety
 // rules they obey).
 func (s *state) emRange(lo, hi int, acc *emAccum) {
+	clear(acc.rows[:(hi-lo)*s.opts.K])
+	s.emLinks(lo, hi, acc)
+	for _, a := range s.attrs {
+		s.emAttr(a, lo, hi, acc)
+	}
+	s.emNormalize(lo, hi, acc)
+}
+
+// emLinks is emRange's link pass: Σ_{e=<v,u>} γ(φ(e)) w(e) θ_{u,k}^{t−1}
+// over each object's out-links (and in-links, under symmetric
+// propagation), added to the chunk's rows.
+func (s *state) emLinks(lo, hi int, acc *emAccum) {
 	// K-sized buffers are resliced to [:k:k] so the compiler can prove the
 	// inner loops in-bounds and drop the checks.
 	k := s.opts.K
-	nv := hi - lo
-	rows := acc.rows[: nv*k : nv*k]
-	clear(rows)
-	resp := acc.resp[:k:k]
-	logs := acc.logs[:k:k]
-	logTh := acc.logTh[:k:k]
+	rows := acc.rows[: (hi-lo)*k : (hi-lo)*k]
 	gamma := s.gamma
-	thetaOld := s.thetaOld
 	tf := s.thetaOldF
-
-	// Link pass: Σ_{e=<v,u>} γ(φ(e)) w(e) θ_{u,k}^{t−1} over each object's
-	// out-links.
 	linkPass(rows, tf, gamma, s.net, lo, hi, k)
 	if s.opts.SymmetricPropagation {
 		// Merged in-link view, in global edge order. A zero-strength or
@@ -450,33 +484,39 @@ func (s *state) emRange(lo, hi int, acc *emAccum) {
 			}
 		}
 	}
+}
 
-	// Attribute passes: 1{v∈V_X} Σ_obs p(z = k | obs), in attribute
-	// declaration order (the per-object accumulation order of the
-	// pre-pass-structured loop). The per-object arithmetic lives in the
-	// shared E-step scoring kernels (score.go, kernels.go) so the online
-	// fold-in path replays it exactly; here it runs with the M-step
-	// accumulators attached.
-	for _, a := range s.attrs {
-		switch s.kind[a] {
-		case hin.Categorical:
-			betaT := s.catT[a]
-			st := acc.cat[a]
-			terms := s.termRows[a]
-			catPass(rows, st, resp, betaT, thetaOld, terms, lo, hi, k)
-		case hin.Numeric:
-			gp := s.gauss[a]
-			gw, gwx, gwx2 := acc.gaussW[a], acc.gaussWX[a], acc.gaussWX2[a]
-			gaussPass(rows, gw, gwx, gwx2, resp, logs, logTh, gp.Mu, gp.Var, s.halfLogVar[a], thetaOld, s.numRows[a], lo, hi, k)
-		}
+// emAttr is emRange's pass of attribute a: 1{v∈V_X} Σ_obs p(z = k | obs)
+// added to the chunk's rows. emRange runs it in attribute declaration
+// order (the per-object accumulation order of the pre-pass-structured
+// loop). The per-object arithmetic lives in the shared E-step scoring
+// kernels (score.go, kernels.go) so the online fold-in path replays it
+// exactly; here it runs with the M-step accumulators attached.
+func (s *state) emAttr(a, lo, hi int, acc *emAccum) {
+	k := s.opts.K
+	rows := acc.rows[: (hi-lo)*k : (hi-lo)*k]
+	resp := acc.resp[:k:k]
+	switch s.kind[a] {
+	case hin.Categorical:
+		catPass(rows, acc.cat[a], resp, s.catT[a], s.thetaOldF, s.termRows[a], lo, hi, k)
+	case hin.Numeric:
+		gp := s.gauss[a]
+		logs := acc.logs[:k:k]
+		logTh := acc.logTh[:k:k]
+		gw, gwx, gwx2 := acc.gaussW[a], acc.gaussWX[a], acc.gaussWX2[a]
+		gaussPass(rows, gw, gwx, gwx2, resp, logs, logTh, gp.Mu, gp.Var, s.halfLogVar[a], s.thetaOld, s.numRows[a], lo, hi, k)
 	}
+}
 
-	// Normalization pass into Θ_t (the shared kernel's final pass). An
-	// object with no out-links and no observations receives no information
-	// this round: keep its row.
-	normalizePass(rows, s.theta, thetaOld, lo, hi, k, s.opts.Epsilon)
-	// Commit the range's Θ_t rows at the configured storage precision
-	// (pointwise, so chunks stay independent; no-op under float64).
+// emNormalize is emRange's normalization pass into Θ_t (the shared
+// kernel's final pass). An object with no out-links and no observations
+// receives no information this round: it keeps its row. The range's Θ_t
+// rows are then committed at the configured storage precision (pointwise,
+// so chunks stay independent; a no-op under float64).
+func (s *state) emNormalize(lo, hi int, acc *emAccum) {
+	k := s.opts.K
+	rows := acc.rows[: (hi-lo)*k : (hi-lo)*k]
+	normalizePass(rows, s.thetaF, s.thetaOldF, lo, hi, k, s.opts.Epsilon)
 	s.roundTheta(lo, hi)
 }
 

@@ -7,7 +7,8 @@ import (
 // EMHarness wraps a fully-initialized fitting state and exposes single EM
 // iterations, strength steps and objective evaluations — the benchmarking
 // hook for the hot paths (internal/bench; BenchmarkEMIteration,
-// BenchmarkStrengthStep and BenchmarkObjective drive it). It is not part of the fitting API: Fit owns the outer alternation;
+// BenchmarkEMPhase, BenchmarkStrengthStep and BenchmarkObjective drive
+// it). It is not part of the fitting API: Fit owns the outer alternation;
 // the harness only exists so a benchmark can measure one steady-state E+M
 // pass or strength step without timing initialization.
 type EMHarness struct {
@@ -37,6 +38,55 @@ func NewEMHarness(net *hin.Network, opts Options) (*EMHarness, error) {
 func (h *EMHarness) RunIteration() {
 	h.s.snapshotTheta()
 	h.s.emIteration()
+}
+
+// EMPhase names one pass of an EM iteration, for RunEMPhase.
+type EMPhase int
+
+// The passes RunEMPhase runs.
+const (
+	EMPhaseLink      EMPhase = iota // every chunk's link pass
+	EMPhaseCat                      // every chunk's categorical attribute passes
+	EMPhaseNormalize                // every chunk's normalization pass into Θ_t
+	EMPhaseMerge                    // the fold of the chunks' statistics into chunk 0
+)
+
+// RunEMPhase runs one of the passes RunIteration is made of, alone and on
+// the calling goroutine, chunk by chunk, so a benchmark can time each:
+// the link pass (onto cleared rows), the categorical passes, the
+// normalization pass, or the statistics merge. It reads the Θ_{t−1}, β and
+// γ the last RunIteration left and writes the same scratch an iteration
+// writes; repeated categorical passes and merges keep adding to the rows
+// and statistics, which changes no pass's work. It allocates nothing and
+// must follow at least one RunIteration.
+func (h *EMHarness) RunEMPhase(p EMPhase) {
+	s := h.s
+	if s.accums == nil {
+		panic("core: RunEMPhase before RunIteration")
+	}
+	if p == EMPhaseMerge {
+		for _, seg := range s.mergeSegs {
+			s.mergeSegment(seg)
+		}
+		return
+	}
+	n := s.net.NumObjects()
+	for c, acc := range s.accums {
+		lo, hi := unitRange(c, n, emChunkSize)
+		switch p {
+		case EMPhaseLink:
+			clear(acc.rows[:(hi-lo)*s.opts.K])
+			s.emLinks(lo, hi, acc)
+		case EMPhaseCat:
+			for _, a := range s.attrs {
+				if s.kind[a] == hin.Categorical {
+					s.emAttr(a, lo, hi, acc)
+				}
+			}
+		case EMPhaseNormalize:
+			s.emNormalize(lo, hi, acc)
+		}
+	}
 }
 
 // RunStrengthStep runs one relation-strength step (the safeguarded Newton

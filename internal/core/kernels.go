@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"genclus/internal/hin"
@@ -35,10 +36,29 @@ import (
 //   - Bounds checks are hoisted by full-slice expressions ([lo:hi:hi]) so
 //     the compiler proves the inner loop in-bounds once per row/term.
 //
+// At K=4 the link, categorical and normalization passes run on packed
+// AVX2 lanes where mathx.AVX2 reports true (kernels_amd64.s): each lane
+// performs the Go K=4 kernel's operations in the same order, so the
+// packed kernels change no bits either. The Go K=4 kernels below stay as
+// their reference and as the path every other host runs.
+//
 // forceGenericKernels routes every dispatch to the generic forms; the
 // kernel-equivalence test flips it to prove the specializations change no
-// bits. Not for concurrent mutation — tests set it around serial fits only.
-var forceGenericKernels bool
+// bits. packedKernels is true where the AVX2 kernels run; tests clear it
+// to run the Go K=4 kernels instead. Neither is for concurrent mutation —
+// tests set them around serial fits only.
+var (
+	forceGenericKernels bool
+	packedKernels       = mathx.AVX2()
+)
+
+// checkPanel panics unless a flat panel a packed kernel reads holds want
+// floats: the kernels check no bounds themselves.
+func checkPanel(name string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("core: %s panel holds %d floats, want %d", name, got, want))
+	}
+}
 
 // linkPass adds the γ-weighted out-link term to every unnormalized row of
 // the chunk: rows[v][i] += Σ_{e=<v,u>} γ(φ(e))·w(e)·Θold[u][i], walking v's
@@ -46,6 +66,11 @@ var forceGenericKernels bool
 // in build order). A zero-strength relation's links add +0.0.
 func linkPass(rows, tf, gamma []float64, net *hin.Network, lo, hi, k int) {
 	switch {
+	case k == 4 && !forceGenericKernels && packedKernels:
+		checkPanel("Θ", len(tf), net.NumObjects()*4)
+		checkPanel("γ", len(gamma), net.NumRelations())
+		start, edges := net.OutCSR()
+		linkRowsK4(rows[:(hi-lo)*4], tf, gamma, edges, start[lo:hi+1])
 	case k == 4 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
 			b := (v - lo) * 4
@@ -102,11 +127,14 @@ func linkRowK2(nr, tf, gamma []float64, out []hin.Edge) {
 }
 
 // catPass adds one categorical attribute's responsibility terms to every
-// unnormalized row of the chunk, with the M-step statistics fused in. Only
-// emRange calls it; the fold-in Scorer calls the generic scoreCatAttrInto
-// with st == nil.
-func catPass(rows, st, resp, betaT []float64, thetaOld [][]float64, terms [][]hin.TermCount, lo, hi, k int) {
+// unnormalized row of the chunk, with the M-step statistics fused in,
+// reading Θ_{t−1} through its flat panel tf. Only emRange calls it; the
+// fold-in Scorer calls the generic scoreCatAttrInto with st == nil.
+func catPass(rows, st, resp, betaT, tf []float64, terms [][]hin.TermCount, lo, hi, k int) {
 	switch {
+	case k == 4 && !forceGenericKernels && packedKernels:
+		checkPanel("β statistics", len(st), len(betaT))
+		catRowsK4(rows[:(hi-lo)*4], st, betaT, tf[lo*4:hi*4], terms[lo:hi])
 	case k == 4 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
 			tcs := terms[v]
@@ -114,7 +142,7 @@ func catPass(rows, st, resp, betaT []float64, thetaOld [][]float64, terms [][]hi
 				continue
 			}
 			b := (v - lo) * 4
-			scoreCatAttrK4(rows[b:b+4:b+4], st, betaT, thetaOld[v], tcs)
+			scoreCatAttrK4(rows[b:b+4:b+4], st, betaT, tf[v*4:v*4+4], tcs)
 		}
 	case k == 2 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
@@ -123,7 +151,7 @@ func catPass(rows, st, resp, betaT []float64, thetaOld [][]float64, terms [][]hi
 				continue
 			}
 			b := (v - lo) * 2
-			scoreCatAttrK2(rows[b:b+2:b+2], st, betaT, thetaOld[v], tcs)
+			scoreCatAttrK2(rows[b:b+2:b+2], st, betaT, tf[v*2:v*2+2], tcs)
 		}
 	default:
 		for v := lo; v < hi; v++ {
@@ -132,7 +160,7 @@ func catPass(rows, st, resp, betaT []float64, thetaOld [][]float64, terms [][]hi
 				continue
 			}
 			b := (v - lo) * k
-			scoreCatAttrInto(rows[b:b+k:b+k], st, resp, betaT, thetaOld[v], tcs, k)
+			scoreCatAttrInto(rows[b:b+k:b+k], st, resp, betaT, tf[v*k:v*k+k], tcs, k)
 		}
 	}
 }
@@ -341,22 +369,27 @@ func obsTermsGaussK4(out, xs, mu, sig, lsig, th []float64) {
 
 // normalizePass runs the E-step's final pass over the chunk: every
 // unnormalized row becomes a proper membership row in Θ_t, objects with no
-// information keep their prior row.
-func normalizePass(rows []float64, theta, thetaOld [][]float64, lo, hi, k int, eps float64) {
+// information keep their prior row. Θ_t and Θ_{t−1} are written and read
+// through their flat panels tf and tfOld.
+func normalizePass(rows, tf, tfOld []float64, lo, hi, k int, eps float64) {
+	if k == 4 && !forceGenericKernels && packedKernels {
+		normalizeRowsK4(tf[lo*4:hi*4], rows[:(hi-lo)*4], tfOld[lo*4:hi*4], eps)
+		return
+	}
 	if k == 4 && !forceGenericKernels {
 		for v := lo; v < hi; v++ {
 			b := (v - lo) * 4
-			if !normalizeRowK4(theta[v][:4:4], rows[b:b+4:b+4], eps) {
-				copy(theta[v][:4:4], thetaOld[v])
+			if !normalizeRowK4(tf[v*4:v*4+4:v*4+4], rows[b:b+4:b+4], eps) {
+				copy(tf[v*4:v*4+4], tfOld[v*4:v*4+4])
 			}
 		}
 		return
 	}
 	for v := lo; v < hi; v++ {
 		b := (v - lo) * k
-		dst := theta[v][:k:k]
+		dst := tf[v*k : v*k+k : v*k+k]
 		if !normalizeRowInto(dst, rows[b:b+k:b+k], eps) {
-			copy(dst, thetaOld[v])
+			copy(dst, tfOld[v*k:v*k+k])
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"genclus/internal/hin"
+	"genclus/internal/mathx"
 	"genclus/internal/stats"
 )
 
@@ -451,9 +452,7 @@ func (s *state) edgeTermRange(gamma []float64, lo, hi int, logTheta []float64) {
 		e := &edges[i]
 		if e.From != from {
 			from = e.From
-			for k, t := range s.theta[from] {
-				logTheta[k] = math.Log(t)
-			}
+			mathx.LogTo(logTheta, s.theta[from])
 		}
 		tj := s.theta[e.To]
 		var ce float64
@@ -495,6 +494,9 @@ func (s *state) obsTermRange(lo, hi int, ws *workerScratch) {
 		off := s.obsOff[a]
 		switch s.kind[a] {
 		case hin.Categorical:
+			// Stage every term's mixture probability p in its slot (ε
+			// where !(p > 0)), take the unit's logarithms in one
+			// mathx.LogTo call, then scale each by its count.
 			beta := s.cat[a].Beta
 			rows := s.termRows[a]
 			for v := lo; v < hi; v++ {
@@ -505,11 +507,18 @@ func (s *state) obsTermRange(lo, hi int, ws *workerScratch) {
 					for k := range th {
 						p += th[k] * beta[k][tc.Term]
 					}
-					if p > 0 {
-						out[i] = tc.Count * math.Log(p)
-					} else {
-						out[i] = tc.Count * math.Log(s.opts.Epsilon)
+					if !(p > 0) {
+						p = s.opts.Epsilon
 					}
+					out[i] = p
+				}
+			}
+			unit := s.obsTerm[off[lo]:off[hi]]
+			mathx.LogTo(unit, unit)
+			for v := lo; v < hi; v++ {
+				out := s.obsTerm[off[v]:off[v+1]]
+				for i, tc := range rows[v] {
+					out[i] = tc.Count * out[i]
 				}
 			}
 		case hin.Numeric:

@@ -8,6 +8,7 @@ import (
 
 	"genclus/internal/datagen"
 	"genclus/internal/hin"
+	"genclus/internal/mathx"
 )
 
 func TestParsePrecision(t *testing.T) {
@@ -271,9 +272,12 @@ func weatherOutlierAttrs() []AttrModel {
 
 // TestKernelSpecializationsBitwiseIdentical proves the K-specialized E-step
 // kernels (linkRowK2/K4, scoreCatAttrK2/K4, scoreGaussAttrK4,
-// normalizeRowK4) and g₁'s K=4 Gaussian pass (obsTermsGaussK4) compute
+// normalizeRowK4, and at K=4 on AVX2 hosts their packed forms in
+// kernels_amd64.s) and g₁'s K=4 Gaussian pass (obsTermsGaussK4) compute
 // bit for bit what the generic loops compute: the entire fit digest must
-// match with specialization forced off. K=2 and K=4 cover every
+// match in three arms — the default dispatch (packed where AVX2 runs),
+// the Go K-specialized kernels (packedKernels cleared), and the generic
+// loops (specialization forced off). K=2 and K=4 cover every
 // specialized width, on the multi-chunk network with both attribute kinds;
 // the symmetric K=3 configuration covers the generic-only path staying
 // generic; the weather case runs the E-step's Gaussian kernels on
@@ -281,8 +285,8 @@ func weatherOutlierAttrs() []AttrModel {
 // whose log-densities are all −Inf ((x − µ)² overflows), which the E-step
 // skips.
 func TestKernelSpecializationsBitwiseIdentical(t *testing.T) {
-	if forceGenericKernels {
-		t.Fatal("forceGenericKernels left set by another test")
+	if forceGenericKernels || packedKernels != mathx.AVX2() {
+		t.Fatal("forceGenericKernels or packedKernels left changed by another test")
 	}
 	weather := weatherOutlierNetwork(t)
 	fitOnce := func(name string, k int) uint64 {
@@ -323,11 +327,18 @@ func TestKernelSpecializationsBitwiseIdentical(t *testing.T) {
 		{"K4-weather", 4},
 	} {
 		specialized := fitOnce(tc.name, tc.k)
+		packed := packedKernels
+		packedKernels = false
+		goKernels := fitOnce(tc.name, tc.k)
+		packedKernels = packed
 		forceGenericKernels = true
 		generic := fitOnce(tc.name, tc.k)
 		forceGenericKernels = false
 		if specialized != generic {
 			t.Errorf("%s: specialized kernels digest %#x, generic %#x — a specialization changed the arithmetic", tc.name, specialized, generic)
+		}
+		if goKernels != generic {
+			t.Errorf("%s: Go K-specialized kernels digest %#x, generic %#x — a Go specialization changed the arithmetic", tc.name, goKernels, generic)
 		}
 	}
 }

@@ -102,10 +102,7 @@ func (s *state) strengthRows(lo, hi int, logTheta []float64) {
 	clear(st.sik[lo*nRel*k : hi*nRel*k])
 	for oi := lo; oi < hi; oi++ {
 		v := st.objs[oi]
-		ti := s.theta[v]
-		for c := 0; c < k; c++ {
-			logTheta[c] = math.Log(ti[c])
-		}
+		mathx.LogTo(logTheta, s.theta[v])
 		for _, e := range s.net.OutEdges(v) {
 			slot := oi*nRel + e.Rel
 			base := slot * k

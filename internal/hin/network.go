@@ -162,6 +162,13 @@ func (n *Network) Edges() []Edge { return n.edges }
 // do not mutate).
 func (n *Network) OutEdges(v int) []Edge { return n.edges[n.outStart[v]:n.outStart[v+1]] }
 
+// OutCSR exposes the out-link store for hot loops, without a copy: edges
+// is Edges(), and start holds NumObjects+1 offsets into it, object v's
+// out-links being edges[start[v]:start[v+1]]. The builder has checked
+// every edge's endpoints and relation id against the network. Shared;
+// callers must not mutate.
+func (n *Network) OutCSR() (start []int, edges []Edge) { return n.outStart, n.edges }
+
 // OutDegree returns the number of out-links of v.
 func (n *Network) OutDegree(v int) int { return n.outStart[v+1] - n.outStart[v] }
 

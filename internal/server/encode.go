@@ -97,8 +97,9 @@ var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeEncoded answers code with the document encode appends, as
 // writeJSON does for json.Marshal's encoding: a document that cannot be
-// encoded answers a 500 error body, and the body ends in a newline. size
-// is the body length to make room for up front.
+// encoded answers a 500 error body, the body ends in a newline, and the
+// response declares its length (declareLength). size is the body length
+// to make room for up front.
 func writeEncoded(w http.ResponseWriter, code, size int, encode func(dst []byte) ([]byte, error)) {
 	buf := bodyBuffers.Get().(*[]byte)
 	defer bodyBuffers.Put(buf)
@@ -115,6 +116,19 @@ func writeEncoded(w http.ResponseWriter, code, size int, encode func(dst []byte)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	declareLength(w, len(data))
 	w.WriteHeader(code)
 	_, _ = w.Write(data) // a client that has gone away leaves nothing to answer
+}
+
+// declareLength sets the Content-Length of an n-byte body that does not
+// fit net/http's 2 KiB response buffer, which would otherwise go out
+// chunked: the SDK sizes its read buffer from the declared length. A body
+// that fits the buffer gets its Content-Length from net/http, which
+// writes it without allocating, so the header is left alone there.
+func declareLength(w http.ResponseWriter, n int) {
+	const netHTTPBuffer = 2048 // net/http's bufferBeforeChunkingSize
+	if n > netHTTPBuffer {
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+	}
 }

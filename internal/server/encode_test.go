@@ -2,9 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"genclus/client"
@@ -130,4 +133,50 @@ func FuzzEncodeResult(f *testing.F) {
 		doc.Objects = append(doc.Objects, client.ObjectResult{Theta: []float64{x}})
 		scantest.CheckEncode(t, &doc, AppendResult)
 	})
+}
+
+// TestResponsesDeclareContentLength: every body writeJSON and
+// writeEncoded write reaches the client with a Content-Length — set by
+// declareLength above net/http's 2 KiB buffer, by net/http below it — on
+// a success and on the 500 an encode failure answers; the SDK sizes its
+// read buffer from it.
+func TestResponsesDeclareContentLength(t *testing.T) {
+	large, small := sampleResult(50, 3), sampleResult(1, 2)
+	encodeResult := func(res *client.Result) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			writeEncoded(w, http.StatusOK, 64, func(dst []byte) ([]byte, error) { return AppendResult(dst, res) })
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+		code    int
+	}{
+		{"writeJSON large", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, http.StatusOK, large) }, http.StatusOK},
+		{"writeJSON small", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, http.StatusOK, small) }, http.StatusOK},
+		{"writeJSON error", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, http.StatusOK, math.NaN()) }, http.StatusInternalServerError},
+		{"writeEncoded large", encodeResult(large), http.StatusOK},
+		{"writeEncoded small", encodeResult(small), http.StatusOK},
+		{"writeEncoded error", func(w http.ResponseWriter, _ *http.Request) {
+			writeEncoded(w, http.StatusOK, 64, func(dst []byte) ([]byte, error) { return nil, errors.New("no") })
+		}, http.StatusInternalServerError},
+	} {
+		ts := httptest.NewServer(tc.handler)
+		resp, err := ts.Client().Get(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, transfer encoding %v, body %d bytes", tc.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
 }

@@ -617,18 +617,21 @@ func progressDoc(p core.Progress) *client.Progress {
 
 // ---- handlers ----
 
-// writeJSON answers code with v's JSON encoding. v is encoded before the
-// header is written, so a document that cannot be encoded (a NaN, say)
-// answers a 500 error body instead of code with no body.
+// writeJSON answers code with v's JSON encoding and a newline, declaring
+// its length (declareLength). v is encoded before the header is written,
+// so a document that cannot be encoded (a NaN, say) answers a 500 error
+// body instead of code with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
 	}
+	data = append(data, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	declareLength(w, len(data))
 	w.WriteHeader(code)
-	_, _ = w.Write(append(data, '\n')) // a client that has gone away leaves nothing to answer
+	_, _ = w.Write(data) // a client that has gone away leaves nothing to answer
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {

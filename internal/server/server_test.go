@@ -651,6 +651,9 @@ func TestJobEventsStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content type %q", ct)
 	}
+	if cl := resp.Header.Get("Content-Length"); cl != "" || resp.ContentLength != -1 {
+		t.Fatalf("events stream declares Content-Length %q (%d), want none", cl, resp.ContentLength)
+	}
 	names, last, progress := readSSE(t, resp.Body)
 	if len(names) < 2 || names[0] != "state" || names[len(names)-1] != "state" {
 		t.Fatalf("event sequence %v, want state ... state", names)
