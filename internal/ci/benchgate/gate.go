@@ -1,18 +1,20 @@
 // Command benchgate is the CI bench-regression gate: it compares a freshly
 // regenerated BENCH_fit.json against the committed baseline and fails
-// (exit 1) when the gated benchmark regressed — more than the allowed
-// ns/op slowdown, or any allocation-count increase at all (the EM hot
-// path's steady state is pinned at 0 allocs/op; a single new allocation
-// per iteration is a real regression, never noise).
+// (exit 1) when any gated key regressed — more than the allowed ns/op
+// slowdown, or any allocation-count increase at all (the EM hot path's
+// steady state is pinned at 0 allocs/op; a single new allocation per
+// iteration is a real regression, never noise). -key repeats: every key
+// given shares the call's bounds, each gets its own PASS, SKIP or FAIL
+// line, and one failing key fails the run.
 //
-// CI runs it via `go run ./internal/ci/benchgate` right after the bench
-// smoke step, with the pre-bench copy of BENCH_fit.json as the baseline:
+// CI runs it after the bench steps, with the pre-bench copy of
+// BENCH_fit.json as the baseline, once per bound class:
 //
 //	cp BENCH_fit.json /tmp/bench-baseline.json
 //	go test -run=xxx -bench=BenchmarkEMIteration -benchtime=200x .
 //	go run ./internal/ci/benchgate -baseline /tmp/bench-baseline.json \
-//	    -current BENCH_fit.json -key em-iteration/midsize \
-//	    -max-ns-regress 0.25 -max-allocs 0
+//	    -current BENCH_fit.json -max-ns-regress 0.25 -max-allocs 0 \
+//	    -key em-iteration/midsize -key em-iteration/midsize-p4
 //
 // The ns/op threshold is deliberately generous (25%) because CI machines
 // vary; the alloc gate is exact because allocation counts do not — except
@@ -33,6 +35,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -123,6 +127,31 @@ func gate(baseline, current map[string]entry, key string, maxNsRegress, maxAlloc
 		}
 	}
 	return violations
+}
+
+// gateKeys gates each key under the same bounds and writes one verdict
+// line per key to w: PASS with the comparison, or a FAIL line per
+// violation, after a SKIP line for a key whose ns/op rule skipOnHost lifts
+// on a host with numCPU CPUs. It reports whether every key passed.
+func gateKeys(w io.Writer, baseline, current map[string]entry, keys []string, maxNsRegress, maxAllocsRegress float64, maxAllocs int64, numCPU int) bool {
+	pass := true
+	for _, key := range keys {
+		nsBound := maxNsRegress
+		if msg := skipOnHost(key, numCPU); msg != "" {
+			fmt.Fprintf(w, "benchgate: SKIP ns/op: %s\n", msg)
+			nsBound = math.Inf(1)
+		}
+		violations := gate(baseline, current, key, nsBound, maxAllocsRegress, maxAllocs)
+		for _, v := range violations {
+			fmt.Fprintf(w, "benchgate: FAIL: %s\n", v)
+		}
+		if len(violations) > 0 {
+			pass = false
+			continue
+		}
+		fmt.Fprintf(w, "benchgate: PASS: %s\n", summarize(baseline, current, key))
+	}
+	return pass
 }
 
 // summarize renders the pass-side comparison for the CI log.

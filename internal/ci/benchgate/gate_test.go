@@ -169,3 +169,47 @@ func TestSkipOnHost(t *testing.T) {
 		}
 	}
 }
+
+// TestGateKeysOneFailureFailsTheRun covers a repeated -key: every key gets
+// a verdict line, one failing key among passing keys fails the run, and
+// the FAIL line names that key. The -p<N> skip applies to its own key only.
+func TestGateKeysOneFailureFailsTheRun(t *testing.T) {
+	base := map[string]entry{
+		"em-phase/link":           {NsPerOp: 1000, AllocsPerOp: i64p(0)},
+		"em-phase/cat":            {NsPerOp: 1000, AllocsPerOp: i64p(0)},
+		"em-iteration/midsize-p4": {NsPerOp: 1000, AllocsPerOp: i64p(0)},
+	}
+	cur := map[string]entry{
+		"em-phase/link":           {NsPerOp: 1100, AllocsPerOp: i64p(0)},
+		"em-phase/cat":            {NsPerOp: 1400, AllocsPerOp: i64p(0)},
+		"em-iteration/midsize-p4": {NsPerOp: 3000, AllocsPerOp: i64p(0)},
+	}
+	keys := []string{"em-phase/link", "em-phase/cat", "em-iteration/midsize-p4"}
+	var out strings.Builder
+	if gateKeys(&out, base, cur, keys, 0.25, 0, 0, 2) {
+		t.Fatalf("one failing key must fail the run:\n%s", out.String())
+	}
+	log := out.String()
+	for _, want := range []string{
+		"PASS: em-phase/link:",
+		"FAIL: em-phase/cat: ns/op regressed",
+		"SKIP ns/op: em-iteration/midsize-p4",
+		"PASS: em-iteration/midsize-p4:",
+	} {
+		if !strings.Contains(log, want) {
+			t.Errorf("log lacks %q:\n%s", want, log)
+		}
+	}
+	if strings.Count(log, "FAIL") != 1 {
+		t.Errorf("want exactly one FAIL line:\n%s", log)
+	}
+
+	out.Reset()
+	if !gateKeys(&out, base, cur, []string{"em-phase/link", "em-iteration/midsize-p4"}, 0.25, 0, 0, 2) {
+		t.Fatalf("passing keys must pass the run:\n%s", out.String())
+	}
+	out.Reset()
+	if gateKeys(&out, base, cur, []string{"em-iteration/midsize-p4"}, 0.25, 0, 0, 4) {
+		t.Fatalf("on a 4-CPU host the P=4 key's ns/op is gated and must fail:\n%s", out.String())
+	}
+}

@@ -3,16 +3,27 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
+	"strings"
 )
 
+// keyList is the repeatable -key flag.
+type keyList []string
+
+func (k *keyList) String() string { return strings.Join(*k, ",") }
+
+func (k *keyList) Set(key string) error {
+	*k = append(*k, key)
+	return nil
+}
+
 func main() {
+	var keys keyList
+	flag.Var(&keys, "key", "benchmark entry to gate (repeatable; at least one)")
 	var (
 		baselinePath = flag.String("baseline", "", "committed BENCH_fit.json to compare against (required)")
 		currentPath  = flag.String("current", "BENCH_fit.json", "freshly regenerated BENCH_fit.json")
-		key          = flag.String("key", "em-iteration/midsize", "benchmark entry to gate")
 		maxNsRegress = flag.Float64("max-ns-regress", 0.25, "maximum allowed fractional ns/op regression")
 		maxAllocs    = flag.Int64("max-allocs", -1, "absolute allocs/op ceiling on the current run (-1 disables; 0 pins zero-alloc)")
 		// Allocation counts of a path that fills Go maps can move by a few
@@ -21,13 +32,9 @@ func main() {
 		maxAllocsRegress = flag.Float64("max-allocs-regress", 0, "maximum allowed fractional allocs/op increase (0: any increase fails)")
 	)
 	flag.Parse()
-	if *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required")
+	if *baselinePath == "" || len(keys) == 0 {
+		fmt.Fprintln(os.Stderr, "benchgate: -baseline and at least one -key are required")
 		os.Exit(2)
-	}
-	if msg := skipOnHost(*key, runtime.NumCPU()); msg != "" {
-		fmt.Printf("benchgate: SKIP ns/op: %s\n", msg)
-		*maxNsRegress = math.Inf(1)
 	}
 	baseline, err := loadEntries(*baselinePath)
 	if err != nil {
@@ -39,12 +46,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	violations := gate(baseline, current, *key, *maxNsRegress, *maxAllocsRegress, *maxAllocs)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s\n", v)
-		}
+	if !gateKeys(os.Stdout, baseline, current, keys, *maxNsRegress, *maxAllocsRegress, *maxAllocs, runtime.NumCPU()) {
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: PASS: %s\n", summarize(baseline, current, *key))
 }

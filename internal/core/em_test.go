@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"genclus/internal/datagen"
 	"genclus/internal/hin"
 )
 
@@ -311,6 +312,32 @@ func TestParallelMatchesSerialOneIteration(t *testing.T) {
 				t.Fatalf("θ[%d][%d] differs: %v vs %v", v, k, sSerial.theta[v][k], sPar.theta[v][k])
 			}
 		}
+	}
+}
+
+// TestACPBenchFixtureHasIdleChunks keeps em-phase/merge-acp measuring the
+// idle-accumulator skip: on the network of bench.ACPBenchNetwork (the
+// default-scale A–C–P network, seed 1) at K=4, at least one chunk after
+// chunk 0 observes no attribute, so mergeSegment skips it.
+func TestACPBenchFixtureHasIdleChunks(t *testing.T) {
+	ds, err := datagen.Biblio(datagen.DefaultBiblioConfig(datagen.SchemaACP, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(4)
+	opts.InitSeeds = 1
+	s := newState(ds.Net, opts, 1, false)
+	s.ensureEMScratch(emChunkCount(ds.Net.NumObjects()))
+	idle := 0
+	for _, acc := range s.accums[1:] {
+		for _, a := range s.attrs {
+			if !acc.observes[a] {
+				idle++
+			}
+		}
+	}
+	if idle == 0 {
+		t.Fatalf("every one of the %d chunks observes every attribute; the merge never skips an idle accumulator", len(s.accums))
 	}
 }
 
