@@ -37,7 +37,6 @@ package genclus
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"genclus/internal/core"
 	"genclus/internal/datagen"
@@ -45,6 +44,7 @@ import (
 	"genclus/internal/hin"
 	"genclus/internal/infer"
 	"genclus/internal/snapshot"
+	"genclus/internal/store"
 )
 
 // Network is an immutable heterogeneous information network: typed objects,
@@ -221,34 +221,15 @@ func DecodeModelLimited(data []byte, lim SnapshotLimits) (*Model, error) {
 }
 
 // SaveModel writes a model's binary snapshot to a file (see EncodeModel).
-// The write is atomic — temp file in the same directory, then rename — so
-// a failure (full disk, crash) leaves any previous snapshot at path
-// intact rather than truncated.
+// The write is atomic and durable — temp file in the same directory,
+// fsync, rename, fsync the directory — so a failure (full disk, crash)
+// leaves any previous snapshot at path intact rather than truncated.
 func SaveModel(path string, m *Model) error {
 	data, err := EncodeModel(m)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".gcsnap-*")
-	if err != nil {
-		return fmt.Errorf("genclus: write model %s: %w", path, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("genclus: write model %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("genclus: write model %s: %w", path, err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("genclus: write model %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFileAtomic(path, ".gcsnap-*", 0o644, data); err != nil {
 		return fmt.Errorf("genclus: write model %s: %w", path, err)
 	}
 	return nil

@@ -1,8 +1,11 @@
 package genclus_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"genclus"
@@ -208,5 +211,62 @@ func TestPublicAssign(t *testing.T) {
 	var le *genclus.AssignLimitError
 	if _, err := eng.AssignBatch(make([]genclus.AssignQuery, 2)); !errors.As(err, &le) {
 		t.Fatalf("oversized batch: %v, want AssignLimitError", err)
+	}
+}
+
+// TestSaveModelAtomic: a SaveModel that cannot publish (the path is a
+// directory) fails and leaves no temp file behind, and a save to a file
+// path round-trips the snapshot bytes and replaces an earlier snapshot.
+func TestSaveModelAtomic(t *testing.T) {
+	ds, err := genclus.GenerateWeather(genclus.WeatherSetting1(20, 10, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := genclus.DefaultOptions(ds.NumClusters)
+	opts.OuterIters = 2
+	model, err := genclus.Fit(ds.Net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := genclus.EncodeModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := genclus.SaveModel(sub, model); err == nil {
+		t.Fatal("SaveModel onto a directory succeeded")
+	}
+	if debris, _ := filepath.Glob(filepath.Join(dir, ".gcsnap-*")); len(debris) != 0 {
+		t.Fatalf("failed SaveModel left temp files %v", debris)
+	}
+
+	path := filepath.Join(dir, "m.gcsnap")
+	if err := os.WriteFile(path, []byte("an older snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := genclus.SaveModel(path, model); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("saved file is not EncodeModel's bytes")
+	}
+	back, err := genclus.LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := genclus.EncodeModel(back); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("loaded model re-encodes differently (err %v)", err)
+	}
+	if debris, _ := filepath.Glob(filepath.Join(dir, ".gcsnap-*")); len(debris) != 0 {
+		t.Fatalf("SaveModel left temp files %v", debris)
 	}
 }

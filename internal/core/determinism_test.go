@@ -423,3 +423,28 @@ func TestFitProgressReports(t *testing.T) {
 		}
 	}
 }
+
+// allocatedBy returns the bytes f allocates. It reads the memory
+// statistics around one call, since testing.AllocsPerRun's warm-up call
+// would do whatever a first call does before counting.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDefaultFitLeavesInLinkViewUnbuilt: a default fit reads out-links
+// only, so the network's merged in-link view (24 B per edge) is built by
+// the first reader after the fit, not by the fit.
+func TestDefaultFitLeavesInLinkViewUnbuilt(t *testing.T) {
+	net := mixedNetwork(t, 150, 1)
+	if _, err := Fit(net, DefaultOptions(2)); err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(24 * net.NumEdges())
+	if got := allocatedBy(func() { net.InLinkArrays() }); got < want {
+		t.Fatalf("the first InLinkArrays after a default fit allocated %d B, want ≥ %d B: the fit built the in-link view", got, want)
+	}
+}

@@ -469,14 +469,16 @@ func (s *state) emLinks(lo, hi int, acc *emAccum) {
 	tf := s.thetaOldF
 	linkPass(rows, tf, gamma, s.net, lo, hi, k)
 	if s.opts.SymmetricPropagation {
-		// Merged in-link view, in global edge order. A zero-strength or
-		// zero-weight in-link contributes +0.0 to non-negative accumulators
-		// — exactly what skipping it would leave — so no branch guards it.
+		// Merged in-link view, in global edge order, built by the first
+		// symmetric pass that reads it. A zero-strength or zero-weight
+		// in-link contributes +0.0 to non-negative accumulators — exactly
+		// what skipping it would leave — so no branch guards it.
+		inStart, inFrom, inRel, inWeight := s.net.InLinkArrays()
 		for v := lo; v < hi; v++ {
 			nr := rows[(v-lo)*k : (v-lo)*k+k : (v-lo)*k+k]
-			for j, end := s.inStart[v], s.inStart[v+1]; j < end; j++ {
-				g := gamma[s.inRel[j]] * s.inWeight[j]
-				tb := s.inFrom[j] * k
+			for j, end := inStart[v], inStart[v+1]; j < end; j++ {
+				g := gamma[inRel[j]] * inWeight[j]
+				tb := inFrom[j] * k
 				tu := tf[tb : tb+k : tb+k]
 				for i := range tu {
 					nr[i] += g * tu[i]

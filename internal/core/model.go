@@ -50,14 +50,6 @@ type state struct {
 	cat   []*CatParams   // by attr id; nil for numeric/out-of-play attrs
 	gauss []*GaussParams // by attr id; nil for categorical/out-of-play attrs
 
-	// The merged in-link arrays symmetric propagation walks, cached from
-	// the network at construction. Out-links are read through
-	// net.OutEdges.
-	inStart  []int
-	inFrom   []int
-	inRel    []int
-	inWeight []float64
-
 	// Raw observation rows cached from the network by attr id, so the
 	// E-step walks observations without per-object accessor calls.
 	termRows [][][]hin.TermCount
@@ -148,9 +140,6 @@ func newSeededState(net *hin.Network, opts Options, seed int64, permuteGauss boo
 	for a := 0; a < nAttr; a++ {
 		s.kind[a] = net.Attr(a).Kind
 	}
-	// Materialize the in-link view once; PrepareCSR is idempotent, so
-	// concurrent fits of a shared network build it exactly once.
-	s.inStart, s.inFrom, s.inRel, s.inWeight = net.InLinkArrays()
 	s.termRows = make([][][]hin.TermCount, nAttr)
 	s.numRows = make([][][]float64, nAttr)
 	for _, a := range s.attrs {

@@ -18,9 +18,9 @@ type edgeKey struct {
 // with it into a fresh Builder via hin.CloneInto. The input network is
 // never touched — callers holding it (in-flight fits, assigns, drift
 // scoring) keep a consistent snapshot. Semantic contradictions come back
-// as *ApplyError; the returned network, when non-nil, is fully built but
-// not CSR-prepared (the serving layer calls PrepareCSR at publish time,
-// mirroring the upload path).
+// as *ApplyError; the returned network, when non-nil, is fully built; its
+// merged in-link view is left to the first reader that needs it
+// (symmetric propagation or a baseline), as on an uploaded network.
 //
 // Determinism: Builder.Build canonicalizes edge order and observation
 // storage, so Apply(n, m) is bit-for-bit the network a from-scratch build

@@ -298,16 +298,6 @@ func (b *Builder) Build() (*Network, error) {
 		n.outStart[v+1] += n.outStart[v]
 	}
 
-	// In-link offsets by To. The merged in-link view itself is built
-	// lazily by Network.PrepareCSR on first use.
-	n.inStart = make([]int, nObj+1)
-	for _, e := range n.edges {
-		n.inStart[e.To+1]++
-	}
-	for v := 0; v < nObj; v++ {
-		n.inStart[v+1] += n.inStart[v]
-	}
-
 	// Freeze observations into sorted sparse slices. Each attribute's lists
 	// share one backing array, cut with full slice expressions so no list
 	// can grow into its neighbour.

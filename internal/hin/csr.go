@@ -4,26 +4,34 @@ package hin
 // j of object v (j in inStart[v]:inStart[v+1]) stores the source object
 // inFrom[j], relation inRel[j] and weight inWeight[j] of one incoming link,
 // in global edge order — i.e. sorted by (From, Rel) within each target.
-// Symmetric propagation and the baselines walk it. Out-links need no second
-// view: each object's run of the sorted edge list (OutEdges) is already its
+// Only symmetric propagation and the baselines read it, so a network that
+// serves neither never holds it. Out-links need no second view: each
+// object's run of the sorted edge list (OutEdges) is already its
 // out-adjacency row.
 //
 // PrepareCSR is idempotent and safe for concurrent use; InLinks and
-// InLinkArrays call it implicitly. Fit setup and the genclusd upload path
-// invoke it eagerly so the build cost is paid once, off the EM iteration
-// path.
+// InLinkArrays call it implicitly.
 func (n *Network) PrepareCSR() {
 	n.csrOnce.Do(n.buildCSR)
 }
 
-// buildCSR fills the in-link view by scanning the edges in their canonical
-// (From, Rel, To) order, so each target's entries inherit the global edge
-// order and duplicates keep their relative order.
+// buildCSR counts in-links per target into offsets, then fills the view by
+// scanning the edges in their canonical (From, Rel, To) order, so each
+// target's entries inherit the global edge order and duplicates keep their
+// relative order.
 func (n *Network) buildCSR() {
+	nObj := len(n.objects)
+	n.inStart = make([]int, nObj+1)
+	for _, e := range n.edges {
+		n.inStart[e.To+1]++
+	}
+	for v := 0; v < nObj; v++ {
+		n.inStart[v+1] += n.inStart[v]
+	}
 	n.inFrom = make([]int, len(n.edges))
 	n.inRel = make([]int, len(n.edges))
 	n.inWeight = make([]float64, len(n.edges))
-	next := append([]int(nil), n.inStart...)
+	next := append([]int(nil), n.inStart[:nObj]...)
 	for _, e := range n.edges {
 		m := next[e.To]
 		n.inFrom[m] = e.From

@@ -8,8 +8,9 @@
 // Networks are constructed through a Builder, validated once, and immutable
 // afterwards. The links are stored once, sorted by (From, Rel, To) with
 // per-object offsets, so each object's out-links are one contiguous run
-// (OutEdges); a merged in-link view is built lazily beside it. The
-// clustering algorithms stream over both without per-query allocation.
+// (OutEdges); a merged in-link view is built lazily beside it, by the
+// first caller that reads it (PrepareCSR). The clustering algorithms
+// stream over both without per-query allocation.
 package hin
 
 import (
@@ -83,12 +84,12 @@ type Network struct {
 
 	edges    []Edge // sorted by (From, Rel, To): the one out-link store
 	outStart []int  // CSR offsets into edges by From
-	inStart  []int  // in-link counts per object, as CSR offsets by To
 
 	// The lazily-built merged in-link view (see PrepareCSR). Built at most
-	// once per network; csrOnce makes concurrent fits of a shared network
-	// safe.
+	// once per network; csrOnce makes concurrent readers of a shared
+	// network safe.
 	csrOnce  sync.Once
+	inStart  []int
 	inFrom   []int
 	inRel    []int
 	inWeight []float64
@@ -171,9 +172,6 @@ func (n *Network) OutCSR() (start []int, edges []Edge) { return n.outStart, n.ed
 
 // OutDegree returns the number of out-links of v.
 func (n *Network) OutDegree(v int) int { return n.outStart[v+1] - n.outStart[v] }
-
-// InDegree returns the number of in-links of v.
-func (n *Network) InDegree(v int) int { return n.inStart[v+1] - n.inStart[v] }
 
 // Attr returns the spec of attribute index a.
 func (n *Network) Attr(a int) AttrSpec { return n.attrs[a] }

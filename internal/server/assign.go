@@ -76,15 +76,11 @@ func (s *Server) engine(e *modelEntry) (*cachedEngine, error) {
 	c.mu.Unlock()
 	s.metrics.assignCacheMisses.Inc()
 
+	lim := infer.DefaultLimits()
+	lim.MaxBatch = 0 // batch size is bounded at decode (infer.DecodeRequest)
 	eng, err := infer.NewEngine(e.model, infer.Options{
-		TopK: e.model.K, // responses trim to the requested top_k
-		Limits: infer.Limits{
-			// Batch size is bounded at decode (infer.DecodeRequest).
-			MaxBatch:  0,
-			MaxLinks:  s.cfg.MaxAssignLinks,
-			MaxTerms:  s.cfg.MaxAssignObs,
-			MaxValues: s.cfg.MaxAssignObs,
-		},
+		TopK:   e.model.K, // responses trim to the requested top_k
+		Limits: lim,
 	})
 	ce.eng, ce.buildErr = eng, err
 	close(ce.ready)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,7 +158,7 @@ func TestAssignEndpoint(t *testing.T) {
 // oversized request is a typed 4xx, never a 5xx, and the daemon keeps
 // serving afterwards.
 func TestAssignRejections(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, MaxAssignBatch: 4, MaxAssignLinks: 2, MaxAssignObs: 3})
+	_, ts := testServer(t, Config{Workers: 1, MaxAssignBatch: 4})
 	modelID, _ := assignFixture(t, ts)
 
 	post := func(payload string) (int, []byte) {
@@ -168,6 +169,11 @@ func TestAssignRejections(t *testing.T) {
 	if code, _ := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/models/mdl_nope/assign", []byte(`{"objects":[{}]}`)); code != http.StatusNotFound {
 		t.Fatalf("unknown model: %d, want 404", code)
 	}
+	// overCap repeats one JSON element one past a per-query cap.
+	overCap := func(limit int, elem string) string {
+		return strings.Repeat(elem+",", limit) + elem
+	}
+	lim := infer.DefaultLimits()
 	cases := []struct {
 		name    string
 		payload string
@@ -180,11 +186,11 @@ func TestAssignRejections(t *testing.T) {
 		{"unknown relation", `{"objects":[{"links":[{"rel":"ghost","to":"doc0000","w":1}]}]}`, http.StatusBadRequest},
 		{"unknown target", `{"objects":[{"links":[{"rel":"cites","to":"ghost","w":1}]}]}`, http.StatusBadRequest},
 		{"bad weight", `{"objects":[{"links":[{"rel":"cites","to":"doc0000","w":-1}]}]}`, http.StatusBadRequest},
-		{"links overflow", `{"objects":[{"links":[{"rel":"cites","to":"doc0000","w":1},{"rel":"cites","to":"doc0001","w":1},{"rel":"cites","to":"doc0002","w":1}]}]}`, http.StatusRequestEntityTooLarge},
+		{"links overflow", `{"objects":[{"links":[` + overCap(lim.MaxLinks, `{"rel":"cites","to":"doc0000","w":1}`) + `]}]}`, http.StatusRequestEntityTooLarge},
 		{"unknown attribute", `{"objects":[{"terms":{"ghost":[{"t":0,"c":1}]}}]}`, http.StatusBadRequest},
 		{"term out of vocab", `{"objects":[{"terms":{"text":[{"t":99,"c":1}]}}]}`, http.StatusBadRequest},
 		{"bad count", `{"objects":[{"terms":{"text":[{"t":0,"c":0}]}}]}`, http.StatusBadRequest},
-		{"terms overflow", `{"objects":[{"terms":{"text":[{"t":0,"c":1},{"t":1,"c":1},{"t":2,"c":1},{"t":3,"c":1}]}}]}`, http.StatusRequestEntityTooLarge},
+		{"terms overflow", `{"objects":[{"terms":{"text":[` + overCap(lim.MaxTerms, `{"t":0,"c":1}`) + `]}}]}`, http.StatusRequestEntityTooLarge},
 		{"numeric on categorical", `{"objects":[{"numeric":{"text":[1]}}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

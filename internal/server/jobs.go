@@ -16,13 +16,6 @@ import (
 	"genclus/internal/trace"
 )
 
-// objectInfo pins an object's identity at job completion so results stay
-// servable after the source network is evicted.
-type objectInfo struct {
-	ID   string
-	Type string
-}
-
 // job is one queued fit. Mutable fields are guarded by mu; the header
 // fields (id, networkID, opts, truth, created) are set before the job is
 // published and only written once more, under mu, when finish releases the
@@ -57,7 +50,10 @@ type job struct {
 	progress core.Progress
 	errMsg   string
 	result   *core.Model
-	objects  []objectInfo
+	// types pins each object's type at completion, in the result's
+	// object order, so the result stays servable after the source network
+	// is evicted; the IDs come from result.ObjectIDs().
+	types []string
 	// modelID names the registry model this job's fitted state was
 	// published as (set just before the done transition; also restored by
 	// recovery).
@@ -84,7 +80,7 @@ type jobSnapshot struct {
 	progress          core.Progress
 	errMsg            string
 	result            *core.Model
-	objects           []objectInfo
+	types             []string
 	modelID           string
 	metrics           *client.Metrics
 	started, finished time.Time
@@ -98,7 +94,7 @@ func (j *job) snapshot() jobSnapshot {
 		progress: j.progress,
 		errMsg:   j.errMsg,
 		result:   j.result,
-		objects:  j.objects,
+		types:    j.types,
 		modelID:  j.modelID,
 		metrics:  j.metrics,
 		started:  j.started,
@@ -373,15 +369,14 @@ func (m *manager) run(j *job) {
 	}
 	switch {
 	case err == nil:
-		objects := make([]objectInfo, net.NumObjects())
-		for v := range objects {
-			o := net.Object(v)
-			objects[v] = objectInfo{ID: o.ID, Type: o.Type}
+		types := make([]string, net.NumObjects())
+		for v := range types {
+			types[v] = net.TypeOf(v)
 		}
 		metrics := computeMetrics(res, j.truth)
 		j.mu.Lock()
 		j.result = res
-		j.objects = objects
+		j.types = types
 		j.metrics = metrics
 		j.mu.Unlock()
 		finished := m.now()

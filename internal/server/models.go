@@ -77,7 +77,7 @@ const (
 func (s *Server) snapshotLimits() snapshot.Limits {
 	lim := snapshot.DefaultLimits()
 	lim.MaxObjects = s.cfg.Limits.MaxObjects
-	lim.MaxK = s.cfg.MaxK
+	lim.MaxK = maxK
 	lim.MaxAttributes = s.cfg.Limits.MaxAttributes
 	lim.MaxVocab = s.cfg.Limits.MaxVocab
 	return lim
@@ -186,24 +186,38 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	e, ok := s.store.model(id)
-	if !ok || !s.store.deleteModel(id) {
+	found, err := s.removeModel(id)
+	switch {
+	case !found:
 		writeError(w, http.StatusNotFound, "unknown model %q", id)
-		return
+	case err != nil:
+		// The registry entry is gone either way; surface the disk state so
+		// an operator notices a sick volume.
+		writeError(w, http.StatusInternalServerError, "model deleted from registry but not from disk: %v", err)
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	// Drop the cached inference engine too (unless another registry entry
-	// shares the snapshot digest) so a deleted model's memory is actually
-	// released rather than pinned by the assign cache.
+}
+
+// removeModel is the one model-removal path (DELETE /v1/models/{id} and a
+// replica's sync): it deletes the registry entry, drops the cached
+// inference engine unless another entry shares the snapshot digest (so a
+// deleted model's memory is released rather than pinned by the assign
+// cache), and deletes the snapshot from disk. It reports whether the model
+// existed; the error is a failed disk delete, after which the registry
+// entry is gone either way.
+func (s *Server) removeModel(id string) (bool, error) {
+	e, ok := s.store.deleteModel(id)
+	if !ok {
+		return false, nil
+	}
 	s.dropEngine(e.digest)
 	if s.blobs != nil {
 		if err := s.blobs.Delete(bucketModels, id); err != nil && !errors.Is(err, diskstore.ErrNotFound) {
-			// The registry entry is gone either way; surface the disk state
-			// so an operator notices a sick volume.
-			writeError(w, http.StatusInternalServerError, "model deleted from registry but not from disk: %v", err)
-			return
+			return true, err
 		}
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return true, nil
 }
 
 func (s *Server) handleExportModel(w http.ResponseWriter, r *http.Request) {

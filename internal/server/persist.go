@@ -89,10 +89,6 @@ func (s *Server) persistFinishedJob(j *job, finished time.Time) {
 	if s.blobs == nil {
 		return
 	}
-	types := make([]string, len(snap.objects))
-	for i, o := range snap.objects {
-		types[i] = o.Type
-	}
 	rec := jobRecord{
 		ID:          j.id,
 		NetworkID:   j.networkID,
@@ -104,7 +100,7 @@ func (s *Server) persistFinishedJob(j *job, finished time.Time) {
 		OuterTotal:  snap.progress.OuterTotal,
 		Objective:   snap.progress.Objective,
 		EMIters:     snap.progress.EMIterations,
-		ObjectTypes: types,
+		ObjectTypes: snap.types,
 		Metrics:     snap.metrics,
 	}
 	data, err := json.Marshal(rec)
@@ -209,14 +205,9 @@ func (s *Server) recoverFromDisk() error {
 			_ = s.blobs.Delete(bucketJobs, id)
 			continue
 		}
-		ids := entry.model.ObjectIDs()
-		if len(rec.ObjectTypes) != len(ids) {
+		if len(rec.ObjectTypes) != len(entry.model.ObjectIDs()) {
 			s.recovered.SkippedBlobs++
 			continue
-		}
-		objects := make([]objectInfo, len(ids))
-		for i := range ids {
-			objects[i] = objectInfo{ID: ids[i], Type: rec.ObjectTypes[i]}
 		}
 		j := &job{
 			id:        rec.ID,
@@ -225,7 +216,7 @@ func (s *Server) recoverFromDisk() error {
 			state:     client.StateDone,
 			progress:  core.Progress{Outer: rec.Outer, OuterTotal: rec.OuterTotal, Objective: rec.Objective, EMIterations: rec.EMIters},
 			result:    entry.model,
-			objects:   objects,
+			types:     rec.ObjectTypes,
 			metrics:   rec.Metrics,
 			modelID:   rec.ModelID,
 			started:   rec.Started,
@@ -285,7 +276,6 @@ func (s *Server) recoverNetworks() error {
 			s.recovered.SkippedBlobs++
 			continue
 		}
-		net.PrepareCSR()
 		s.store.restoreNetwork(id, net, applied, dl)
 		s.recovered.Networks++
 		s.recovered.Mutations += applied

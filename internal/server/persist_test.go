@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"genclus/client"
+	"genclus/internal/core"
 	"genclus/internal/snapshot"
 )
 
@@ -145,24 +146,28 @@ func TestModelRegistryLifecycle(t *testing.T) {
 // TestImportRejectsBadSnapshots pins the import trust boundary: garbage is
 // 400, oversized dimensions are 413, and nothing is registered either way.
 func TestImportRejectsBadSnapshots(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, MaxK: 3})
+	_, ts := testServer(t, Config{Workers: 1})
 
 	code, body := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/models/import", []byte("not a snapshot"))
 	if code != http.StatusBadRequest {
 		t.Fatalf("garbage import: %d: %s", code, body)
 	}
 
-	// A valid snapshot fitted at K=4 exceeds this server's MaxK=3 → 413.
-	_, ts2 := testServer(t, Config{Workers: 1})
-	network, _ := testNetworkJSON(t, 12, 2)
-	netID := uploadNetwork(t, ts2, network)
-	jobID := submitJob(t, ts2, client.JobSpec{NetworkID: netID, K: 4, Options: quickOpts(2, 1)})
-	waitForState(t, ts2, jobID, client.StateDone)
-	models := listModels(t, ts2)
-	_, data := doReq(t, ts2.Client(), http.MethodGet, ts2.URL+"/v1/models/"+models.Models[0].ID+"/export", nil)
+	// A valid snapshot one cluster over the job cap → 413.
+	k := maxK + 1
+	row := make([]float64, k)
+	row[0] = 1
+	m, err := core.NewModel(&core.Result{K: k, Theta: [][]float64{row}, Gamma: map[string]float64{}}, []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := snapshot.Encode(&snapshot.Snapshot{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	code, body = doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/models/import", data)
-	if code != http.StatusRequestEntityTooLarge {
+	if code != http.StatusRequestEntityTooLarge || !bytes.Contains(body, []byte("4097 clusters exceeds limit 4096")) {
 		t.Fatalf("oversized import: %d: %s", code, body)
 	}
 	if got := listModels(t, ts); len(got.Models) != 0 {

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 
 	"genclus/client"
 	"genclus/internal/replica"
 	"genclus/internal/snapshot"
-	diskstore "genclus/internal/store"
 )
 
 // Replica mode: with Config.ReplicaOf set, this server is a read-only
@@ -54,18 +52,8 @@ func (r replicaRegistry) Install(id string, data []byte) error {
 }
 
 func (r replicaRegistry) Remove(id string) error {
-	s := r.s
-	e, ok := s.store.model(id)
-	if !ok || !s.store.deleteModel(id) {
-		return nil
-	}
-	s.dropEngine(e.digest)
-	if s.blobs != nil {
-		if err := s.blobs.Delete(bucketModels, id); err != nil && !errors.Is(err, diskstore.ErrNotFound) {
-			return err
-		}
-	}
-	return nil
+	_, err := r.s.removeModel(id)
+	return err
 }
 
 // startReplication builds and starts the sync loop (New calls it last, so

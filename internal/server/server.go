@@ -104,34 +104,11 @@ type Config struct {
 	MaxBodyBytes int64
 	// Limits bounds decoded networks; the zero value takes DefaultLimits.
 	Limits hin.Limits
-	// MaxK caps the requested cluster count (default 4096). K multiplies
-	// into every Θ row and every categorical β matrix, so an unbounded K
-	// is a one-request memory bomb.
-	MaxK int
-	// MaxOuterIters, MaxEMIters and MaxInitSeeds cap the corresponding
-	// job options (defaults 1e6, 10_000, 1024); MaxEMIters also caps
-	// init_seed_steps, the EM iterations each candidate seed runs, and
-	// newton_iters, the Newton steps of each strength step. They
-	// bound per-job compute only loosely — a runaway job is cancellable
-	// via DELETE — but keep a single request from scheduling effectively
-	// unbounded work by accident.
-	MaxOuterIters int
-	MaxEMIters    int
-	MaxInitSeeds  int
 
 	// MaxAssignBatch caps the query objects of a single assign request,
-	// and so of its engine pass (default 256).
+	// and so of its engine pass (default 256). The links and observations
+	// of each query object are capped by infer.DefaultLimits.
 	MaxAssignBatch int
-	// MaxAssignLinks caps the links of a single assign query object
-	// (default 4096).
-	MaxAssignLinks int
-	// MaxAssignObs caps the term-count observations and, separately, the
-	// numeric observations of a single assign query object (default 4096).
-	MaxAssignObs int
-	// MaxAssignEngines caps the per-model inference engine cache (default
-	// 64); least-recently-used engines are dropped beyond it and rebuilt
-	// on demand.
-	MaxAssignEngines int
 	// MaxAssignQueue bounds, per model, the query objects of requests
 	// waiting for the model's engine (default 4×MaxAssignBatch; negative
 	// disables the bound). Requests past the cap are shed with 429
@@ -208,6 +185,24 @@ type Config struct {
 	now func() time.Time
 }
 
+// Job option caps. K multiplies into every Θ row and every categorical β
+// matrix, so an unbounded K is a one-request memory bomb; snapshot imports
+// obey the same K cap. maxEMIters also caps init_seed_steps, the EM
+// iterations each candidate seed runs, and newton_iters, the Newton steps
+// of each strength step. The iteration caps bound per-job compute only
+// loosely — a runaway job is cancellable via DELETE — but keep a single
+// request from scheduling effectively unbounded work by accident.
+const (
+	maxK          = 4096
+	maxOuterIters = 1_000_000
+	maxEMIters    = 10_000
+	maxInitSeeds  = 1024
+)
+
+// maxAssignEngines caps the per-model inference engine cache;
+// least-recently-used engines are dropped beyond it and rebuilt on demand.
+const maxAssignEngines = 64
+
 // DefaultLimits is the upload bound genclusd ships with: generous for real
 // workloads, tight enough that a small hostile document cannot force a
 // giant allocation (MaxVocab in particular multiplies into K×Vocab floats
@@ -244,32 +239,11 @@ func (c Config) withDefaults() Config {
 	if c.Limits == (hin.Limits{}) {
 		c.Limits = DefaultLimits()
 	}
-	if c.MaxK <= 0 {
-		c.MaxK = 4096
-	}
-	if c.MaxOuterIters <= 0 {
-		c.MaxOuterIters = 1_000_000
-	}
-	if c.MaxEMIters <= 0 {
-		c.MaxEMIters = 10_000
-	}
-	if c.MaxInitSeeds <= 0 {
-		c.MaxInitSeeds = 1024
-	}
 	if c.MaxModels <= 0 {
 		c.MaxModels = 1024
 	}
 	if c.MaxAssignBatch <= 0 {
 		c.MaxAssignBatch = 256
-	}
-	if c.MaxAssignLinks <= 0 {
-		c.MaxAssignLinks = 4096
-	}
-	if c.MaxAssignObs <= 0 {
-		c.MaxAssignObs = 4096
-	}
-	if c.MaxAssignEngines <= 0 {
-		c.MaxAssignEngines = 64
 	}
 	if c.MaxAssignQueue == 0 {
 		c.MaxAssignQueue = 4 * c.MaxAssignBatch
@@ -402,7 +376,7 @@ func New(cfg Config) (*Server, error) {
 		sweeper:  make(chan struct{}),
 		draining: make(chan struct{}),
 	}
-	s.assignCache.cap = cfg.MaxAssignEngines
+	s.assignCache.cap = maxAssignEngines
 	s.metrics = s.newServerMetrics()
 	if cfg.DataDir != "" {
 		blobs, err := diskstore.Open(cfg.DataDir)
@@ -692,11 +666,6 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	// Materialize the in-link view at the trust boundary, once per upload,
-	// so the first fit of this network does not pay its build inside its
-	// job slot (PrepareCSR is idempotent — a concurrent fit of the same
-	// network just finds it ready).
-	net.PrepareCSR()
 	id := s.store.addNetwork(net)
 	writeJSON(w, http.StatusCreated, client.NetworkInfo{
 		ID:         id,
@@ -871,23 +840,23 @@ func (s *Server) submitFit(spec fitSpec) (*job, error) {
 // core.Options.Validate only checks lower bounds, and this is a trust
 // boundary.
 func (s *Server) checkJobBounds(opts core.Options) error {
-	if opts.K > s.cfg.MaxK {
-		return fmt.Errorf("k %d exceeds limit %d", opts.K, s.cfg.MaxK)
+	if opts.K > maxK {
+		return fmt.Errorf("k %d exceeds limit %d", opts.K, maxK)
 	}
-	if opts.OuterIters > s.cfg.MaxOuterIters {
-		return fmt.Errorf("outer_iters %d exceeds limit %d", opts.OuterIters, s.cfg.MaxOuterIters)
+	if opts.OuterIters > maxOuterIters {
+		return fmt.Errorf("outer_iters %d exceeds limit %d", opts.OuterIters, maxOuterIters)
 	}
-	if opts.EMIters > s.cfg.MaxEMIters {
-		return fmt.Errorf("em_iters %d exceeds limit %d", opts.EMIters, s.cfg.MaxEMIters)
+	if opts.EMIters > maxEMIters {
+		return fmt.Errorf("em_iters %d exceeds limit %d", opts.EMIters, maxEMIters)
 	}
-	if opts.InitSeedSteps > s.cfg.MaxEMIters {
-		return fmt.Errorf("init_seed_steps %d exceeds limit %d", opts.InitSeedSteps, s.cfg.MaxEMIters)
+	if opts.InitSeedSteps > maxEMIters {
+		return fmt.Errorf("init_seed_steps %d exceeds limit %d", opts.InitSeedSteps, maxEMIters)
 	}
-	if opts.NewtonIters > s.cfg.MaxEMIters {
-		return fmt.Errorf("newton_iters %d exceeds limit %d", opts.NewtonIters, s.cfg.MaxEMIters)
+	if opts.NewtonIters > maxEMIters {
+		return fmt.Errorf("newton_iters %d exceeds limit %d", opts.NewtonIters, maxEMIters)
 	}
-	if opts.InitSeeds > s.cfg.MaxInitSeeds {
-		return fmt.Errorf("init_seeds %d exceeds limit %d", opts.InitSeeds, s.cfg.MaxInitSeeds)
+	if opts.InitSeeds > maxInitSeeds {
+		return fmt.Errorf("init_seeds %d exceeds limit %d", opts.InitSeeds, maxInitSeeds)
 	}
 	return nil
 }
@@ -975,12 +944,13 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := snap.result
-	objects := make([]client.ObjectResult, len(snap.objects))
+	ids := res.ObjectIDs()
+	objects := make([]client.ObjectResult, len(ids))
 	labels := res.HardLabels()
-	for v, info := range snap.objects {
+	for v, id := range ids {
 		objects[v] = client.ObjectResult{
-			ID:      info.ID,
-			Type:    info.Type,
+			ID:      id,
+			Type:    snap.types[v],
 			Cluster: labels[v],
 			Theta:   res.Theta[v],
 		}

@@ -354,14 +354,14 @@ func (st *store) model(id string) (*modelEntry, bool) {
 	return e, ok
 }
 
-// deleteModel removes a model from the registry, reporting whether it
-// existed.
-func (st *store) deleteModel(id string) bool {
+// deleteModel removes a model from the registry, returning the removed
+// entry and whether it existed.
+func (st *store) deleteModel(id string) (*modelEntry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	_, ok := st.models[id]
+	e, ok := st.models[id]
 	delete(st.models, id)
-	return ok
+	return e, ok
 }
 
 // listModels returns every registered model, newest first (ties broken by

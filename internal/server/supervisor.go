@@ -11,7 +11,6 @@ import (
 	"genclus/client"
 	"genclus/internal/core"
 	"genclus/internal/hin"
-	"genclus/internal/infer"
 	"genclus/internal/trace"
 )
 
@@ -36,7 +35,7 @@ import (
 //     score the maximum 1.0. This is the practical surrogate for
 //     comparing fold-in log-likelihood against the snapshot objective:
 //     both measure "the model no longer explains these objects", but the
-//     TV form is bounded, parameter-free, and reuses the assign engine.
+//     TV form is bounded, parameter-free, and reuses the fold-in scorer.
 //
 // The supervisor never refits concurrently with itself: while a scheduled
 // refit is in flight, evaluation pauses, and settles when the job reaches
@@ -72,12 +71,12 @@ type supervisor struct {
 	touched      []string // recently-touched object IDs, oldest first
 	touchedSet   map[string]bool
 
-	// Drift-engine cache, owned by the run goroutine (no lock): rebuilt
-	// when the newest model for the network changes.
-	engModelID string
-	eng        *infer.Engine
-	engRows    map[string]int      // model object ID → Θ row
-	engAttrs   map[string]hin.Kind // model attribute name → kind
+	// Drift-scorer cache, owned by the run goroutine (no lock): rebuilt
+	// when the newest model for the network changes. theta is the scored
+	// posterior row.
+	scModelID string
+	sc        *core.Scorer
+	theta     []float64
 }
 
 func newSupervisor(s *Server, networkID string) *supervisor {
@@ -352,10 +351,10 @@ func (sup *supervisor) computeDrift(net *hin.Network, e *modelEntry, touched []s
 	if len(touched) == 0 {
 		return 0
 	}
-	if err := sup.driftEngine(e); err != nil {
-		// A model that cannot build an engine cannot serve /assign either;
+	if err := sup.driftScorer(e); err != nil {
+		// A model that cannot build a scorer cannot serve /assign either;
 		// refitting from it would not help. No drift evidence.
-		sup.s.log.LogAttrs(context.Background(), slog.LevelWarn, "supervisor drift engine build failed",
+		sup.s.log.LogAttrs(context.Background(), slog.LevelWarn, "supervisor drift scorer build failed",
 			slog.String("network", sup.networkID),
 			slog.String("model", e.id),
 			slog.String("error", err.Error()),
@@ -372,7 +371,8 @@ func (sup *supervisor) computeDrift(net *hin.Network, e *modelEntry, touched []s
 // objectDrift scores one object: 1.0 for objects outside the model, else
 // the TV distance between its fold-in posterior and its frozen Θ row.
 func (sup *supervisor) objectDrift(net *hin.Network, e *modelEntry, id string) float64 {
-	row, known := sup.engRows[id]
+	sc := sup.sc
+	row, known := sc.ObjectIndex(id)
 	if !known {
 		return 1 // the model has no opinion at all — maximal drift
 	}
@@ -380,79 +380,67 @@ func (sup *supervisor) objectDrift(net *hin.Network, e *modelEntry, id string) f
 	if !ok {
 		return 1 // gone from the live view (defensive; objects are not removable)
 	}
-	q := infer.Query{ID: id}
+	sc.Begin()
 	// Only evidence the model can interpret enters the query: links whose
 	// relation carries a learned strength and whose target the model knows,
 	// observations of attributes the model fitted. Evidence outside that —
 	// a new relation, links to new objects — contributes by its absence.
+	// The network has already checked every weight, count and reading.
 	for _, edge := range net.OutEdges(v) {
-		rel := net.RelationName(edge.Rel)
-		if _, ok := e.model.Gamma[rel]; !ok {
+		rel, ok := sc.RelationIndex(net.RelationName(edge.Rel))
+		if !ok {
 			continue
 		}
-		to := net.Object(edge.To).ID
-		if _, ok := sup.engRows[to]; !ok {
+		to, ok := sc.ObjectIndex(net.Object(edge.To).ID)
+		if !ok {
 			continue
 		}
-		q.Links = append(q.Links, infer.Link{Relation: rel, To: to, Weight: edge.Weight})
+		sc.AddLink(rel, to, edge.Weight)
 	}
 	for a := 0; a < net.NumAttrs(); a++ {
 		spec := net.Attr(a)
-		kind, ok := sup.engAttrs[spec.Name]
-		if !ok || kind != spec.Kind {
+		pos, ok := sc.AttrIndex(spec.Name)
+		if !ok || sc.AttrKind(pos) != spec.Kind {
 			continue
 		}
 		switch spec.Kind {
 		case hin.Categorical:
-			if tcs := net.TermCounts(a, v); len(tcs) > 0 {
-				q.Terms = append(q.Terms, infer.CatObs{Attr: spec.Name, Terms: tcs})
+			vocab := sc.VocabSize(pos)
+			for _, tc := range net.TermCounts(a, v) {
+				if tc.Term >= vocab {
+					return 1 // a term the model cannot score, as /assign rejects it
+				}
+				sc.AddTermCount(pos, tc.Term, tc.Count)
 			}
 		case hin.Numeric:
-			if xs := net.NumericObs(a, v); len(xs) > 0 {
-				q.Numeric = append(q.Numeric, infer.NumObs{Attr: spec.Name, Values: xs})
+			for _, x := range net.NumericObs(a, v) {
+				sc.AddNumeric(pos, x)
 			}
 		}
 	}
-	asg, err := sup.eng.Assign(q)
-	if err != nil {
-		return 1
-	}
+	sc.Score(sup.theta)
 	ref := e.model.Theta[row]
 	var tv float64
-	for k, p := range asg.Theta {
+	for k, p := range sup.theta {
 		tv += math.Abs(p - ref[k])
 	}
 	return 0.5 * tv
 }
 
-// driftEngine (re)builds the supervisor's private fold-in engine when the
-// newest model changed. It is never shared with /assign traffic — the
-// engine's scratch arena is single-goroutine — and, like every engine, it
+// driftScorer (re)builds the supervisor's private fold-in scorer when the
+// newest model changed. It is never shared with /assign traffic — a
+// Scorer's scratch is single-goroutine — and, like every assign engine, it
 // scores with the model's own epsilon and precision so posteriors match
 // what training rows would reproduce.
-func (sup *supervisor) driftEngine(e *modelEntry) error {
-	if sup.engModelID == e.id && sup.eng != nil {
+func (sup *supervisor) driftScorer(e *modelEntry) error {
+	if sup.scModelID == e.id && sup.sc != nil {
 		return nil
 	}
-	eng, err := infer.NewEngine(e.model, infer.Options{
-		TopK: 1,
-		// The queries come from the network itself, already behind
-		// hin.Limits; request-style caps do not apply.
-		Unbounded: true,
-	})
+	sc, err := core.NewScorer(e.model, 0)
 	if err != nil {
 		return err
 	}
-	ids := e.model.ObjectIDs()
-	rows := make(map[string]int, len(ids))
-	for i, id := range ids {
-		rows[id] = i
-	}
-	attrs := make(map[string]hin.Kind, len(e.model.Attrs))
-	for _, am := range e.model.Attrs {
-		attrs[am.Name] = am.Kind
-	}
-	sup.eng, sup.engRows, sup.engAttrs, sup.engModelID = eng, rows, attrs, e.id
+	sup.sc, sup.theta, sup.scModelID = sc, make([]float64, sc.K()), e.id
 	return nil
 }
 

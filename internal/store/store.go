@@ -122,35 +122,46 @@ func (s *Store) Put(bucket, id string, payload []byte) error {
 	binary.LittleEndian.PutUint16(hdr[4:6], envVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(payload, crcTable))
+	return WriteFileAtomic(filepath.Join(bdir, id+ext), tmpPrefix+id+"-*", 0o600, hdr[:], payload)
+}
 
-	tmp, err := os.CreateTemp(bdir, tmpPrefix+id+"-*")
+// WriteFileAtomic writes parts, in order, as the file at path, so that a
+// crash or an error at any point leaves either the previous file or the
+// complete new one: a temp file named by pattern (os.CreateTemp) in path's
+// directory, write, fsync, close, rename over path, fsync the directory.
+// The file gets mode perm. A failed call removes its temp file.
+func WriteFileAtomic(path, pattern string, perm os.FileMode, parts ...[]byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
-		return fmt.Errorf("store: temp file for %s/%s: %w", bucket, id, err)
+		return fmt.Errorf("store: temp file for %s: %w", path, err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func(err error) error {
+	fail := func(err error) error {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err
 	}
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		return cleanup(fmt.Errorf("store: write %s/%s: %w", bucket, id, err))
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			return fail(fmt.Errorf("store: write %s: %w", path, err))
+		}
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		return cleanup(fmt.Errorf("store: write %s/%s: %w", bucket, id, err))
+	if err := tmp.Chmod(perm); err != nil {
+		return fail(fmt.Errorf("store: chmod %s: %w", path, err))
 	}
 	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("store: fsync %s/%s: %w", bucket, id, err))
+		return fail(fmt.Errorf("store: fsync %s: %w", path, err))
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("store: close %s/%s: %w", bucket, id, err)
+		return fmt.Errorf("store: close %s: %w", path, err)
 	}
-	if err := os.Rename(tmpName, filepath.Join(bdir, id+ext)); err != nil {
+	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("store: publish %s/%s: %w", bucket, id, err)
+		return fmt.Errorf("store: publish %s: %w", path, err)
 	}
-	return syncDir(bdir)
+	return syncDir(dir)
 }
 
 // Get returns the blob stored under bucket/id, verifying the envelope.

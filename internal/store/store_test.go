@@ -199,3 +199,39 @@ func TestConcurrentPuts(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFileAtomic: the parts land in order with the requested mode and
+// replace the previous file; a write that cannot publish (the path is a
+// directory) fails, leaves the directory as it was and removes its temp
+// file.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	if err := os.WriteFile(path, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, ".w-*", 0o644, []byte("new "), nil, []byte("bytes")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "new bytes" {
+		t.Fatalf("read %q, %v; want %q", got, err, "new bytes")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v, %v; want 0644", fi.Mode().Perm(), err)
+	}
+
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(sub, ".w-*", 0o644, []byte("x")); err == nil {
+		t.Fatal("WriteFileAtomic onto a directory succeeded")
+	}
+	if fi, err := os.Stat(sub); err != nil || !fi.IsDir() {
+		t.Fatalf("directory damaged: %v", err)
+	}
+	if debris, _ := filepath.Glob(filepath.Join(dir, ".w-*")); len(debris) != 0 {
+		t.Fatalf("failed write left temp files %v", debris)
+	}
+}
